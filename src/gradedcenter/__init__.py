@@ -34,7 +34,8 @@ from gradedcenter.model import (
     arrows_between,
     compose,
     sigma,
-    sigma_mor,
+    sigma_pow,
+    sigma_mor_pow,
     tau,
     tau_sigma_periodic,
     enumerate_vertices,
@@ -43,6 +44,7 @@ from gradedcenter.model import (
 from gradedcenter.hom import HomSpace, hom_basis, hom_dim_closed_form
 from gradedcenter.center import (
     CenterElement,
+    InconsistencyError,
     GeneratorSpec,
     make_generator,
     check_membership,
@@ -77,7 +79,8 @@ __all__ = [
     "arrows_between",
     "compose",
     "sigma",
-    "sigma_mor",
+    "sigma_pow",
+    "sigma_mor_pow",
     "tau",
     "tau_sigma_periodic",
     "enumerate_vertices",
@@ -86,6 +89,7 @@ __all__ = [
     "hom_basis",
     "hom_dim_closed_form",
     "CenterElement",
+    "InconsistencyError",
     "GeneratorSpec",
     "make_generator",
     "check_membership",

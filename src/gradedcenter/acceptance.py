@@ -42,8 +42,7 @@ from .model import (
     enumerate_vertices,
     kind_for_signature,
     region,
-    sigma,
-    sigma_inv,
+    sigma_pow,
     tau_sigma_periodic,
     vertex_exists,
 )
@@ -250,13 +249,13 @@ def _sigma_functorial(params: ModelParams, W: int):
     for v in enumerate_vertices(boxed):
         for g in arrows_from(params, v, W):
             arrows += 1
-            for move in (sigma, sigma_inv):
-                u, w = move(params, g.source), move(params, g.target)
+            for p in (1, -1):
+                u, w = sigma_pow(params, g.source, p), sigma_pow(params, g.target, p)
                 for vert in (u, w):
                     if not vertex_exists(params, vert.family, vert.i, vert.coord):
-                        return arrows, f"{move.__name__} image vertex {vert!r} missing"
+                        return arrows, f"Sigma^{p} image vertex {vert!r} missing"
                 if arrow_of_degree(params, u, w, g.degree) is None:
-                    return arrows, f"{move.__name__} image of {g!r} is not an arrow"
+                    return arrows, f"Sigma^{p} image of {g!r} is not an arrow"
     return arrows, None
 
 

@@ -32,13 +32,17 @@ from .model import (
     compose,
     enumerate_vertices,
     sigma,
-    sigma_inv,
-    sigma_mor,
+    sigma_cycle,
     sigma_mor_pow,
     sigma_pow,
     vertex_exists,
 )
 from .hom import hom_basis
+
+
+class InconsistencyError(Exception):
+    """The model contradicts itself: a bug, never a bad input."""
+
 
 GENERATOR_NAMES = ("eta_prime", "eta_dprime", "eta_zero", "eta_power")
 
@@ -106,14 +110,11 @@ class CenterElement:
 
 def _solve_sigma_exponent(params: ModelParams, base: Vertex, v: Vertex) -> int:
     """The unique p with Sigma^p base = v; raises if there is none."""
-    r, n = params.r, params.n
+    r = params.r
     steps = (v.i - base.i) % r
     w = sigma_pow(params, base, steps)
-    diff = v.a - w.a
-    cycle = {"X": r + params.m, "Y": r - n, "Z": r + params.m}[v.family]
-    if cycle == 0 or diff % cycle:
-        raise ValueError(f"{v!r} is not a Sigma-shift of {base!r}")
-    p = steps + (diff // cycle) * r
+    cycle = sigma_cycle(params, v.family)[0]
+    p = steps + (v.a - w.a) // cycle * r if cycle else steps
     if sigma_pow(params, base, p) != v:
         raise ValueError(f"{v!r} is not a Sigma-shift of {base!r}")
     return p
@@ -144,7 +145,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
                 target = sigma_pow(params, v, n)
                 gen = arrow_of_degree(params, v, target, 2)
                 if gen is None:
-                    raise AssertionError(f"missing e'' under {v!r}")
+                    raise InconsistencyError(f"missing e'' under {v!r}")
                 if spec.name == "eta_prime":
                     exp = _solve_sigma_exponent(params, base, v)
                     coeff = -1 if (n * exp) % 2 else 1
@@ -163,7 +164,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
             v = Vertex("X", 0, a, b)
             gen = arrow_of_degree(params, v, v, 2)
             if gen is None:
-                raise AssertionError(f"missing e' self-arrow at {v!r}")
+                raise InconsistencyError(f"missing e' self-arrow at {v!r}")
             assignment[v] = Morphism.of_gen(gen, 1)
         return CenterElement(0, "commutative", assignment)
 
@@ -183,7 +184,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
                     target = sigma_pow(params, v, k * n)
                     gen = arrow_of_degree(params, v, target, 0)
                     if gen is None:
-                        raise AssertionError(f"missing f' power arrow at {v!r}")
+                        raise InconsistencyError(f"missing f' power arrow at {v!r}")
                     assignment[v] = Morphism.of_gen(gen, 1)
     return CenterElement(k * n, "commutative", assignment)
 
@@ -245,13 +246,13 @@ def check_membership(
     # sign law on Sigma-pairs touching the support
     checked = set()
     for v in sorted(support):
-        for u in (v, sigma_inv(params, v)):
+        for u in (v, sigma_pow(params, v, -1)):
             if u in checked or not inner(u):
                 continue
             checked.add(u)
             su = sigma(params, u)
             lhs = eta(su)
-            rhs = sigma_mor(params, eta(u)).scaled(sign)
+            rhs = sigma_mor_pow(params, eta(u), 1).scaled(sign)
             if not lhs.plus(rhs.scaled(-1)).is_zero(char):
                 return (False, f"sign law fails at {u!r}")
     return (True, None)
@@ -502,19 +503,12 @@ def solve_component(
         sv = sigma(params, v)
         if in_box(sv.a, sv.b):
             for beta in basis_of[v]:
-                sbeta = (
-                    None
-                    if beta is None
-                    else ArrowGen(
-                        beta.kind,
-                        sigma(params, beta.source),
-                        sigma(params, beta.target),
-                        beta.degree,
-                    )
-                )
+                # beta runs v -> Sigma^p v, so Sigma beta starts at sv
+                sbeta = None if beta is None else (
+                    ArrowGen(beta.kind, sv, sigma(params, beta.target), beta.degree))
                 other = unknown_index.get((sv, sbeta))
                 if other is None:
-                    raise AssertionError(f"suspension of unknown left the system at {v!r}")
+                    raise InconsistencyError(f"suspension of unknown left the system at {v!r}")
                 uf.union(other, unknown_index[(v, beta)], sign)
 
     # interpret components over the field

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (unparseable quiver file,
 parameters outside the admissible family, window/margin violations),
-2 internal consistency failure (a disagreement between two independent
-computations of the same quantity, or a failed acceptance criterion).
+2 internal inconsistency (two computations of one quantity disagree, a
+failed acceptance criterion, or an InconsistencyError from the library).
 All output is plain text, one record per line, and byte-identical
 across repeated identical invocations.
 """
@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .center import solve_component, solver_margin
+from .center import InconsistencyError, solve_component, solver_margin
 from .gentle import (
     OmegaParams,
     QuiverParseError,
@@ -216,6 +216,9 @@ def main(argv=None) -> int:
     except (ValueError, QuiverParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except InconsistencyError as e:
+        print(f"error: internal inconsistency: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ carrying an index i in [0, r-1] and a coordinate pair (a, b).  Generator
 arrows of degrees 0, 1, 2 connect vertices according to rectangular
 region rules; composition of two generators is the unique generator of
 the summed degree between the outer endpoints, or zero.  The suspension
-Sigma shifts coordinates by an index-dependent vector and increments i;
-the AR translation tau subtracts (1, 1).
+Sigma shifts coordinates by an index-dependent vector and increments i,
+so Sigma^r is a translation; the AR translation tau subtracts (1, 1).
 """
 
 from __future__ import annotations
@@ -281,34 +281,34 @@ def sigma(params: ModelParams, v: Vertex) -> Vertex:
     return Vertex(v.family, (v.i + 1) % params.r, v.a + s1, v.b + s2)
 
 
-def sigma_inv(params: ModelParams, v: Vertex) -> Vertex:
-    j = (v.i - 1) % params.r
-    s1, s2 = _sigma_vector(params, v.family, j)
-    return Vertex(v.family, j, v.a - s1, v.b - s2)
+def sigma_cycle(params: ModelParams, family: str) -> tuple[int, int]:
+    """The translation Sigma^r of a family's (a, b) plane: the sum of its
+    r single-step vectors, whatever the starting index."""
+    c1 = c2 = 0
+    for i in range(params.r):
+        s1, s2 = _sigma_vector(params, family, i)
+        c1, c2 = c1 + s1, c2 + s2
+    return (c1, c2)
 
 
 def sigma_pow(params: ModelParams, v: Vertex, p: int) -> Vertex:
-    step = sigma if p >= 0 else sigma_inv
-    for _ in range(abs(p)):
-        v = step(params, v)
+    """Sigma^p v for any integer p in O(r): floor(p / r) cycle translations,
+    then at most r - 1 single steps."""
+    q, k = divmod(p, params.r)
+    if q:
+        c1, c2 = sigma_cycle(params, v.family)
+        v = Vertex(v.family, v.i, v.a + q * c1, v.b + q * c2)
+    for _ in range(k):
+        v = sigma(params, v)
     return v
 
 
-def sigma_mor(params: ModelParams, f: Morphism) -> Morphism:
-    terms = {}
-    for t, c in f.terms.items():
-        if t is None:
-            terms[None] = terms.get(None, 0) + c
-        else:
-            g = ArrowGen(t.kind, sigma(params, t.source), sigma(params, t.target), t.degree)
-            terms[g] = terms.get(g, 0) + c
-    return Morphism(sigma(params, f.source), sigma(params, f.target), terms)
-
-
 def sigma_mor_pow(params: ModelParams, f: Morphism, p: int) -> Morphism:
-    for _ in range(p):
-        f = sigma_mor(params, f)
-    return f
+    """Sigma^p f for any integer p.  Every term shares f's endpoints, so
+    each keeps its kind and degree and moves with them."""
+    s, t = sigma_pow(params, f.source, p), sigma_pow(params, f.target, p)
+    terms = {g if g is None else ArrowGen(g.kind, s, t, g.degree): c for g, c in f.terms.items()}
+    return Morphism(s, t, terms)
 
 
 def tau(params: ModelParams, v: Vertex) -> Vertex:

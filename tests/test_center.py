@@ -1,8 +1,10 @@
 import pytest
 
+from gradedcenter.acceptance import GRID
 from gradedcenter.center import (
     CenterElement,
     GeneratorSpec,
+    _solve_sigma_exponent,
     check_membership,
     class_visibility_map,
     make_generator,
@@ -29,6 +31,21 @@ from gradedcenter.model import (
 
 def params_for(r, n, m, window=10):
     return ModelParams(OmegaParams(r, n, m), window)
+
+
+def test_solve_sigma_exponent_inverts_sigma_pow():
+    for r, n, m in GRID:
+        p = params_for(r, n, m)
+        for family in p.families:
+            for i in range(r):
+                base = Vertex(family, i, 0, n if family == "Y" else 0)
+                for q in range(-3 * r, 3 * r + 1):
+                    assert _solve_sigma_exponent(p, base, sigma_pow(p, base, q)) == q
+                # Sigma^r moves a and b by the same amount on X and Y, and
+                # moves a on Z, so this vertex is no Sigma-shift of base
+                off = Vertex(family, i, base.a, base.b + 1)
+                with pytest.raises(ValueError, match="not a Sigma-shift"):
+                    _solve_sigma_exponent(p, base, off)
 
 
 def test_generator_spec_validation():

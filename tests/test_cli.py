@@ -1,3 +1,4 @@
+import gradedcenter.center
 from gradedcenter.cli import main
 from gradedcenter.gentle import OmegaParams, build_lambda, format_quiver, parse_quiver
 
@@ -63,6 +64,18 @@ def test_hom_reports_both_dimensions(capsys):
     assert "model dim: 2" in out
     assert "closed form: 2" in out
     assert "basis[0]: id" in out
+
+
+def test_hom_large_degree_finishes(capsys):
+    # Sigma^p is computed in O(r) steps, so a huge degree costs no more
+    # than a small one
+    code, out, err = run(
+        capsys, "hom", "--r", "1", "--n", "2", "--m", "0",
+        "--family", "Y", "--i", "0", "--a", "0", "--b", "3", "--p", "100000000",
+    )
+    assert code == 0 and err == ""
+    assert "model dim: 0" in out.splitlines()
+    assert "closed form: 0" in out.splitlines()
 
 
 def test_hom_rejects_nonexistent_vertex(capsys):
@@ -134,6 +147,15 @@ def test_check_single_criterion(capsys):
     code, out, err = run(capsys, "check", "--criterion", "1")
     assert code == 0 and err == ""
     assert out.startswith("criterion 1 (gentle grid): PASS")
+
+
+def test_internal_inconsistency_exits_2(capsys, monkeypatch):
+    # with every arrow lookup failing, criterion 4's first generator
+    # misses its e'' arrow and make_generator reports an inconsistency
+    monkeypatch.setattr(gradedcenter.center, "arrow_of_degree", lambda *args: None)
+    code, _out, err = run(capsys, "check", "--criterion", "4")
+    assert code == 2
+    assert err.startswith("error: internal inconsistency: missing e'' under")
 
 
 def test_check_criterion_out_of_range(capsys):

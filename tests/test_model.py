@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gradedcenter.acceptance import GRID
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.model import (
     KIND_TABLE,
@@ -20,8 +21,7 @@ from gradedcenter.model import (
     make_vertex,
     region,
     sigma,
-    sigma_inv,
-    sigma_mor,
+    sigma_cycle,
     sigma_mor_pow,
     sigma_pow,
     tau,
@@ -29,6 +29,8 @@ from gradedcenter.model import (
     vertex_exists,
     window_dot,
 )
+
+from iterated_sigma import iterated_sigma_mor_pow, iterated_sigma_pow, sigma_mor
 
 PARAM_SETS = [(1, 1, 0), (1, 2, 0), (2, 3, 1), (2, 2, 1), (1, 3, 2), (3, 4, 0)]
 
@@ -178,9 +180,9 @@ def test_arrows_are_sigma_equivariant():
             tight = {g for g in shifted if g.source == sv}
             assert image <= tight
             back = {
-                ArrowGen(g.kind, v, sigma_inv(p, g.target), g.degree)
+                ArrowGen(g.kind, v, sigma_pow(p, g.target, -1), g.degree)
                 for g in tight
-                if max(abs(sigma_inv(p, g.target).a), abs(sigma_inv(p, g.target).b)) <= 12
+                if max(abs(sigma_pow(p, g.target, -1).a), abs(sigma_pow(p, g.target, -1).b)) <= 12
             }
             assert back <= set(arrows_from(p, v, box=12))
 
@@ -190,10 +192,10 @@ def test_sigma_roundtrip_and_existence():
         p = params_for(r, n, m, window=4)
         for v in enumerate_vertices(p):
             sv = sigma(p, v)
-            assert sigma_inv(p, sv) == v
-            assert sigma(p, sigma_inv(p, v)) == v
+            assert sigma_pow(p, sv, -1) == v
+            assert sigma(p, sigma_pow(p, v, -1)) == v
             assert vertex_exists(p, sv.family, sv.i, sv.coord)
-            iv = sigma_inv(p, v)
+            iv = sigma_pow(p, v, -1)
             assert vertex_exists(p, iv.family, iv.i, iv.coord)
 
 
@@ -203,6 +205,62 @@ def test_sigma_pow_additive():
     for s in (-3, 0, 2, 5):
         for t in (-2, 1, 4):
             assert sigma_pow(p, sigma_pow(p, v, s), t) == sigma_pow(p, v, s + t)
+
+
+def _hom_morphisms(p, v, box):
+    """For each target w of an arrow out of v, plus w = v: the morphism
+    v -> w carrying every parallel basis arrow with distinct coefficients
+    (and the identity when w = v)."""
+    out = []
+    for w in sorted({g.target for g in arrows_from(p, v, box=box)} | {v}):
+        terms = {g: k + 2 for k, g in enumerate(sorted(arrows_between(p, v, w)))}
+        if w == v:
+            terms[None] = 1
+        out.append(Morphism(v, w, terms))
+    return out
+
+
+def test_closed_form_sigma_matches_iteration():
+    multi_term = 0
+    for r, n, m in GRID:
+        p = params_for(r, n, m)
+        degrees = range(-3 * r - 1, 3 * r + 2)
+        for v in enumerate_vertices(params_for(r, n, m, window=1)):
+            for q in degrees:
+                assert sigma_pow(p, v, q) == iterated_sigma_pow(p, v, q), (r, n, m, v, q)
+            for f in _hom_morphisms(p, v, box=2):
+                if len(f.terms) == 1 and f.target != v:
+                    continue  # single arrows: covered by the vertex sweep
+                multi_term += len(f.terms) > 1
+                for q in degrees:
+                    assert sigma_mor_pow(p, f, q) == iterated_sigma_mor_pow(p, f, q)
+    assert multi_term > 0
+
+
+def test_sigma_mor_pow_inverts_for_both_signs():
+    p = params_for(2, 3, 1)
+    for v in enumerate_vertices(params_for(2, 3, 1, window=1)):
+        for f in _hom_morphisms(p, v, box=2):
+            for s in (-7, -2, -1, 1, 2, 7):
+                assert sigma_mor_pow(p, sigma_mor_pow(p, f, s), -s) == f
+                assert sigma_mor_pow(p, f, s) != f
+
+
+def test_sigma_pow_large_degree_is_a_translation():
+    q = 10**9
+    for r, n, m in GRID:
+        p = params_for(r, n, m)
+        cycle = {"X": (r + m, r + m), "Y": (r - n, r - n), "Z": (r + m, r - n)}
+        turns, rest = divmod(q, r)
+        for family in p.families:
+            for i in range(r):
+                v = Vertex(family, i, 0, n if family == "Y" else 0)
+                c1, c2 = cycle[family]
+                moved = Vertex(family, i, turns * c1, v.b + turns * c2)
+                assert sigma_pow(p, v, q) == iterated_sigma_pow(p, moved, rest)
+                assert sigma_pow(p, v, -q) == iterated_sigma_pow(
+                    p, Vertex(family, i, -turns * c1, v.b - turns * c2), -rest
+                )
 
 
 def test_sigma_full_cycle_vectors():
@@ -215,6 +273,7 @@ def test_sigma_full_cycle_vectors():
     assert sigma_pow(p, y, 2) == Vertex("Y", 0, -1, 3)
     z = Vertex("Z", 0, 0, 0)
     assert sigma_pow(p, z, 2) == Vertex("Z", 0, 3, -1)
+    assert [sigma_cycle(p, f) for f in "XYZ"] == [(3, 3), (-1, -1), (3, -1)]
 
 
 def test_tau_is_diagonal_shift():
@@ -327,13 +386,13 @@ def test_sigma_mor_is_functorial():
     for v in _sample(rng, starts, 10):
         for f in _sample(rng, arrows_from(p, v, box=5), 12):
             mf = Morphism.of_gen(f, 2)
-            sf = sigma_mor(p, mf)
+            sf = sigma_mor_pow(p, mf, 1)
             assert sf.source == sigma(p, v)
             assert sf.target == sigma(p, f.target)
             for g in _sample(rng, arrows_from(p, f.target, box=5), 12):
                 mg = Morphism.of_gen(g)
-                lhs = sigma_mor(p, compose(p, mg, mf))
-                rhs = compose(p, sigma_mor(p, mg), sf)
+                lhs = sigma_mor_pow(p, compose(p, mg, mf), 1)
+                rhs = compose(p, sigma_mor_pow(p, mg, 1), sf)
                 assert lhs.plus(rhs.scaled(-1)).is_zero()
 
 
