@@ -13,7 +13,7 @@ The package computes, by exact linear algebra over prime fields:
   reconciliation against the solver output.
 """
 
-from gradedcenter.gf import FieldScalar, SparseMatrix, add, mul, inv, null_space
+from gradedcenter.gf import FieldScalar, add, mul, inv
 from gradedcenter.gentle import (
     GentleQuiver,
     OmegaParams,
@@ -31,7 +31,6 @@ from gradedcenter.model import (
     ArrowGen,
     Morphism,
     vertex_exists,
-    arrows_between,
     compose,
     sigma,
     sigma_pow,
@@ -57,11 +56,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldScalar",
-    "SparseMatrix",
     "add",
     "mul",
     "inv",
-    "null_space",
     "GentleQuiver",
     "OmegaParams",
     "parse_quiver",
@@ -76,7 +73,6 @@ __all__ = [
     "ArrowGen",
     "Morphism",
     "vertex_exists",
-    "arrows_between",
     "compose",
     "sigma",
     "sigma_pow",

@@ -34,14 +34,12 @@ from .gentle import (
 )
 from .hom import hom_basis, hom_dim_closed_form
 from .model import (
+    KIND_BY_SIGNATURE,
     KIND_TABLE,
     ModelParams,
-    Vertex,
     arrow_of_degree,
     arrows_from,
     enumerate_vertices,
-    kind_for_signature,
-    region,
     sigma_pow,
     tau_sigma_periodic,
     vertex_exists,
@@ -106,20 +104,14 @@ def _box_coords(W: int):
     return np.repeat(side, side.size), np.tile(side, side.size)
 
 
-def _exists_mask(params: ModelParams, family: str, i: int, ca, cb):
-    if family == "X":
-        return (ca - cb) <= (params.m if i == 0 else 0)
-    if family == "Y":
-        return (ca - cb) <= (-params.n if i == 0 else 0)
-    return np.ones(ca.size, dtype=bool)
-
-
 def _arrow_matrices(params: ModelParams, W: int):
     """Boolean matrix per (kind, source index): entry (s, t) says that
     box coordinate pair s -> t carries a generator arrow of the kind."""
     ca, cb = _box_coords(W)
     exists = {
-        (family, i): _exists_mask(params, family, i, ca, cb)
+        (family, i): np.array(
+            [vertex_exists(params, family, i, (int(a), int(b))) for a, b in zip(ca, cb)]
+        )
         for family in params.families
         for i in range(params.r)
     }
@@ -129,30 +121,14 @@ def _arrow_matrices(params: ModelParams, W: int):
             continue
         for i in range(params.r):
             j = (i + step) % params.r
-            lo1 = np.full(ca.size, -999, dtype=np.int16)
-            hi1 = np.full(ca.size, 999, dtype=np.int16)
-            lo2 = np.full(ca.size, -999, dtype=np.int16)
-            hi2 = np.full(ca.size, 999, dtype=np.int16)
-            for s in range(ca.size):
-                r0, r1, r2, r3 = region(
-                    params, kind, Vertex(src_fam, i, int(ca[s]), int(cb[s]))
-                )
-                if r0 is not None:
-                    lo1[s] = r0
-                if r1 is not None:
-                    hi1[s] = r1
-                if r2 is not None:
-                    lo2[s] = r2
-                if r3 is not None:
-                    hi2[s] = r3
-            M = (
-                exists[(src_fam, i)][:, None]
-                & exists[(tgt_fam, j)][None, :]
-                & (lo1[:, None] <= ca[None, :])
-                & (ca[None, :] <= hi1[:, None])
-                & (lo2[:, None] <= cb[None, :])
-                & (cb[None, :] <= hi2[:, None])
-            )
+            M = exists[(src_fam, i)][:, None] & exists[(tgt_fam, j)][None, :]
+            # side k bounds target coordinate k // 2, from below when k is even
+            for k, side in enumerate(params.sides[kind, i]):
+                if side is not None:
+                    coord, offset = side
+                    bound = ((ca, cb)[coord] + offset)[:, None]
+                    u = (ca, cb)[k // 2][None, :]
+                    M &= (bound <= u) if k % 2 == 0 else (u <= bound)
             if deg == 0:
                 np.fill_diagonal(M, False)
             mats[(kind, i)] = M
@@ -179,7 +155,7 @@ def _composable_triples(params: ModelParams):
 def _resolve(params: ModelParams, fam_a: str, fam_b: str, deg: int, i_a: int, i_b: int):
     """Matrix key of the composite signature, or None when the signature
     or the index arithmetic rules the composite out."""
-    sig = kind_for_signature(fam_a, fam_b, deg)
+    sig = KIND_BY_SIGNATURE.get((fam_a, fam_b, deg))
     if sig is None:
         return None
     kind, step = sig
@@ -558,12 +534,3 @@ def run_criterion(k: int):
     name, fn = CRITERIA[k - 1]
     ok, detail = fn()
     return name, ok, detail
-
-
-def iter_criteria():
-    for k in range(1, len(CRITERIA) + 1):
-        yield run_criterion(k)
-
-
-def run_all():
-    return list(iter_criteria())

@@ -188,7 +188,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ring)
 
     p = sub.add_parser("check", help="run the acceptance suite")
-    p.add_argument("--grid", action="store_true", help="run the full grid (the default)")
     p.add_argument("--criterion", type=int, default=None,
                    help="run a single criterion by number instead of all nine")
     p.set_defaults(func=_cmd_check)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ModelParams, Vertex, arrows_between, sigma_pow, vertex_exists
+from .model import ModelParams, Vertex, arrow_of_degree, sigma_pow, vertex_exists
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,11 @@ def hom_basis(params: ModelParams, v: Vertex, p: int) -> HomSpace:
     """Basis of Hom(v, Sigma^p v): the generator arrows v -> Sigma^p v,
     preceded by the identity when p = 0.  None is the identity marker."""
     w = sigma_pow(params, v, p)
-    arrows = sorted(arrows_between(params, v, w), key=lambda g: g.degree)
     basis: list = [None] if p == 0 else []
-    basis.extend(arrows)
+    for degree in (0, 1, 2):
+        g = arrow_of_degree(params, v, w, degree)
+        if g is not None:
+            basis.append(g)
     return HomSpace(v, p, tuple(basis))
 
 

@@ -12,6 +12,7 @@ so Sigma^r is a translation; the AR translation tau subtracts (1, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .gentle import OmegaParams
 
@@ -33,19 +34,77 @@ KIND_TABLE = {
 
 # (source family, target family, degree) -> (kind, index step); the kind
 # of an arrow is determined by its endpoint families and degree.
-_KIND_BY_SIGNATURE = {
+KIND_BY_SIGNATURE = {
     (src, tgt, deg): (kind, step) for kind, (src, tgt, deg, step) in KIND_TABLE.items()
 }
+
+# kind -> target rectangle (lo1, hi1, lo2, hi2) of the arrows of this kind
+# out of a vertex (a, b) with index i.  A side is None when unbounded, else
+# a source coordinate plus a correction made at one index only: "b+m@0" is
+# b + m at i = 0 and b elsewhere, "a-n@r-1" is a - n at i = r - 1 and a
+# elsewhere.  Arrows out of a vertex and arrows into it are both read from
+# here (region, _region_inv, arrow_of_degree).
+REGION_TABLE = {
+    "f'": ("a", "b+m@0", "b", None),
+    "g'": ("a", "b+m@0", None, None),
+    "e'": (None, "a+m@r-1", "a", "b+m@0"),
+    "f''": ("a", "b-n@0", "b", None),
+    "g''": (None, None, "a", "b-n@0"),
+    "e''": (None, "a-n@r-1", "a", "b-n@0"),
+    "f": ("a", None, "b", None),
+    "h'": (None, "a+m@r-1", "a", None),
+    "h''": (None, "b-n@r-1", "b", None),
+    "eZ": (None, "a+m@r-1", None, "b-n@r-1"),
+}
+
+
+@lru_cache(maxsize=128)
+def _region_tables(r: int, n: int, m: int) -> tuple[dict, dict]:
+    """REGION_TABLE read for one (r, n, m), shared by every ModelParams
+    with these parameters and never mutated:
+
+    sides: (kind, source index) -> the kind's row with each side None or
+    (source coordinate, 0 for a and 1 for b; offset);
+    rules: (source family, target family, degree, source index) ->
+    (kind, target index, sides), what arrow_of_degree tests.
+    """
+
+    def read(side, i):
+        if side is None:
+            return None
+        offset = 0
+        if "@" in side and i == (0 if side.endswith("@0") else r - 1):
+            offset = m if side[1:3] == "+m" else -n
+        return ("ab".index(side[0]), offset)
+
+    sides = {
+        (kind, i): tuple(read(side, i) for side in row)
+        for kind, row in REGION_TABLE.items()
+        for i in range(r)
+    }
+    rules = {
+        (src, tgt, deg, i): (kind, (i + step) % r, sides[kind, i])
+        for kind, (src, tgt, deg, step) in KIND_TABLE.items()
+        for i in range(r)
+    }
+    return sides, rules
 
 
 @dataclass(frozen=True, order=True)
 class ModelParams:
     omega: OmegaParams
     window: int = 10
+    sides: dict = field(init=False, repr=False, compare=False)
+    rules: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        # Set here rather than cached on first use: writing to the
+        # instance __dict__ later slows every attribute read of it.
+        sides, rules = _region_tables(self.omega.r, self.omega.n, self.omega.m)
+        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "rules", rules)
 
     @property
     def r(self) -> int:
@@ -90,19 +149,15 @@ class ArrowGen:
         return f"{self.kind}:{self.source!r}->{self.target!r}"
 
 
-def _delta(x: int, y: int) -> int:
-    return 1 if x == y else 0
-
-
 def vertex_exists(params: ModelParams, family: str, i: int, coord: tuple[int, int]) -> bool:
     r, n, m = params.r, params.n, params.m
     if not 0 <= i < r:
         raise ValueError(f"index {i} out of range [0, {r - 1}]")
     a, b = coord
     if family == "X":
-        return a <= b + _delta(i, 0) * m
+        return a <= b + (m if i == 0 else 0)
     if family == "Y":
-        return r < n and a + _delta(i, 0) * n <= b
+        return r < n and a + (n if i == 0 else 0) <= b
     if family == "Z":
         return r < n
     raise ValueError(f"unknown family {family!r}")
@@ -114,69 +169,47 @@ def make_vertex(params: ModelParams, family: str, i: int, a: int, b: int) -> Ver
     return Vertex(family, i, a, b)
 
 
-def _region(params: ModelParams, kind: str, v: Vertex):
-    """Target rectangle (lo1, hi1, lo2, hi2) for arrows of this kind out
-    of v; None encodes an unbounded side.  The source vertex itself is
+def region(params: ModelParams, kind: str, v: Vertex):
+    """Target rectangle (lo1, hi1, lo2, hi2) of the arrows of this kind
+    out of v; None marks an unbounded side.  The source vertex itself is
     excluded separately for the degree-0 kinds."""
-    n, m, r = params.n, params.m, params.r
-    a, b = v.a, v.b
-    d0 = _delta(v.i, 0)
-    dr = _delta(v.i, r - 1)
-    if kind == "f'":
-        return (a, b + d0 * m, b, None)
-    if kind == "g'":
-        return (a, b + d0 * m, None, None)
-    if kind == "e'":
-        return (None, a + dr * m, a, b + d0 * m)
-    if kind == "f''":
-        return (a, b - d0 * n, b, None)
-    if kind == "g''":
-        return (None, None, a, b - d0 * n)
-    if kind == "e''":
-        return (None, a - dr * n, a, b - d0 * n)
-    if kind == "f":
-        return (a, None, b, None)
-    if kind == "h'":
-        return (None, a + dr * m, a, None)
-    if kind == "h''":
-        return (None, b - dr * n, b, None)
-    if kind == "eZ":
-        return (None, a + dr * m, None, b - dr * n)
-    raise ValueError(f"unknown kind {kind!r}")
+    src = (v.a, v.b)
+    return tuple(None if s is None else src[s[0]] + s[1] for s in params.sides[kind, v.i])
 
 
-def _in_region(region, u1: int, u2: int) -> bool:
-    lo1, hi1, lo2, hi2 = region
-    return (
-        (lo1 is None or lo1 <= u1)
-        and (hi1 is None or u1 <= hi1)
-        and (lo2 is None or lo2 <= u2)
-        and (hi2 is None or u2 <= hi2)
-    )
+def _region_inv(params: ModelParams, kind: str, w: Vertex):
+    """Source rectangle (lo_a, hi_a, lo_b, hi_b) of the arrows of this
+    kind into w, read off the same sides: a lower bound s + c <= u on the
+    target is the upper bound s <= u - c on the source, and an upper
+    bound on the target is a lower bound on the source."""
+    step = KIND_TABLE[kind][3]
+    tgt = (w.a, w.b)
+    out = [None, None, None, None]
+    for k, s in enumerate(params.sides[kind, (w.i - step) % params.r]):
+        if s is not None:
+            coord, offset = s
+            out[2 * coord + 1 - k % 2] = tgt[k // 2] - offset
+    return tuple(out)
 
 
 def arrow_of_degree(params: ModelParams, v: Vertex, w: Vertex, degree: int) -> ArrowGen | None:
     """The unique generator arrow v -> w of the given degree, or None."""
-    sig = _KIND_BY_SIGNATURE.get((v.family, w.family, degree))
-    if sig is None:
+    rule = params.rules.get((v.family, w.family, degree, v.i))
+    if rule is None:
         return None
-    kind, step = sig
-    if w.i != (v.i + step) % params.r:
+    kind, j, (lo1, hi1, lo2, hi2) = rule
+    if w.i != j or (degree == 0 and v == w):
         return None
-    if degree == 0 and v == w:
-        return None
-    if not _in_region(_region(params, kind, v), w.a, w.b):
+    src = (v.a, v.b)
+    u1, u2 = w.a, w.b
+    if (
+        (lo1 is not None and u1 < src[lo1[0]] + lo1[1])
+        or (hi1 is not None and u1 > src[hi1[0]] + hi1[1])
+        or (lo2 is not None and u2 < src[lo2[0]] + lo2[1])
+        or (hi2 is not None and u2 > src[hi2[0]] + hi2[1])
+    ):
         return None
     return ArrowGen(kind, v, w, degree)
-
-
-def arrows_between(params: ModelParams, v: Vertex, w: Vertex) -> set[ArrowGen]:
-    out = set()
-    for degree in (0, 1, 2):
-        g = arrow_of_degree(params, v, w, degree)
-        if g is not None:
-            out.add(g)
-    return out
 
 
 @dataclass(frozen=True)
@@ -265,8 +298,8 @@ def compose(params: ModelParams, g: Morphism, f: Morphism) -> Morphism:
 
 def _sigma_vector(params: ModelParams, family: str, i: int) -> tuple[int, int]:
     n, m, r = params.n, params.m, params.r
-    dr = _delta(i, r - 1)
-    d0 = _delta(i, 0)
+    dr = 1 if i == r - 1 else 0
+    d0 = 1 if i == 0 else 0
     if family == "X":
         return (1 + dr * m, 1 + d0 * m)
     if family == "Y":
@@ -369,59 +402,14 @@ def arrows_from(params: ModelParams, v: Vertex, box: int | None = None) -> list[
         if src != v.family or tgt_family not in params.families:
             continue
         j = (v.i + step) % params.r
-        region = _region(params, kind, v)
-        for u1 in _clip(region[0], region[1], W):
-            for u2 in _clip(region[2], region[3], W):
+        lo1, hi1, lo2, hi2 = region(params, kind, v)
+        for u1 in _clip(lo1, hi1, W):
+            for u2 in _clip(lo2, hi2, W):
                 if degree == 0 and (u1, u2) == (v.a, v.b):
                     continue
                 if vertex_exists(params, tgt_family, j, (u1, u2)):
                     out.append(ArrowGen(kind, v, Vertex(tgt_family, j, u1, u2), degree))
     return out
-
-
-def region(params: ModelParams, kind: str, v: Vertex):
-    """Target rectangle (lo1, hi1, lo2, hi2) of the arrows of this kind
-    out of v; None marks an unbounded side."""
-    return _region(params, kind, v)
-
-
-def kind_for_signature(src_family: str, tgt_family: str, degree: int):
-    """(kind, index step) of the unique arrow kind with this signature,
-    or None when no kind matches."""
-    return _KIND_BY_SIGNATURE.get((src_family, tgt_family, degree))
-
-
-def _region_inv(params: ModelParams, kind: str, w: Vertex):
-    """Source rectangle (lo_a, hi_a, lo_b, hi_b) for arrows of this kind
-    into w; the mirror of _region with the roles of the inequalities
-    swapped.  Deltas refer to the source index."""
-    n, m, r = params.n, params.m, params.r
-    _src, _tgt, _deg, step = KIND_TABLE[kind]
-    i = (w.i - step) % r
-    d0 = _delta(i, 0)
-    dr = _delta(i, r - 1)
-    u1, u2 = w.a, w.b
-    if kind == "f'":
-        return (None, u1, u1 - d0 * m, u2)
-    if kind == "g'":
-        return (None, u1, u1 - d0 * m, None)
-    if kind == "e'":
-        return (u1 - dr * m, u2, u2 - d0 * m, None)
-    if kind == "f''":
-        return (None, u1, u1 + d0 * n, u2)
-    if kind == "g''":
-        return (None, u2, u2 + d0 * n, None)
-    if kind == "e''":
-        return (u1 + dr * n, u2, u2 + d0 * n, None)
-    if kind == "f":
-        return (None, u1, None, u2)
-    if kind == "h'":
-        return (u1 - dr * m, u2, None, None)
-    if kind == "h''":
-        return (None, None, u1 + dr * n, u2)
-    if kind == "eZ":
-        return (u1 - dr * m, None, u2 + dr * n, None)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def arrows_to(params: ModelParams, w: Vertex, box: int | None = None) -> list[ArrowGen]:
@@ -433,9 +421,9 @@ def arrows_to(params: ModelParams, w: Vertex, box: int | None = None) -> list[Ar
         if tgt_family != w.family or src_family not in params.families:
             continue
         j = (w.i - step) % params.r
-        region = _region_inv(params, kind, w)
-        for a in _clip(region[0], region[1], W):
-            for b in _clip(region[2], region[3], W):
+        lo_a, hi_a, lo_b, hi_b = _region_inv(params, kind, w)
+        for a in _clip(lo_a, hi_a, W):
+            for b in _clip(lo_b, hi_b, W):
                 if degree == 0 and (a, b) == (w.a, w.b):
                     continue
                 if vertex_exists(params, src_family, j, (a, b)):

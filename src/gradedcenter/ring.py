@@ -67,26 +67,13 @@ def theorem_case(params, field_char: int, variant: str = "graded") -> RingPresen
     if variant not in ("graded", "commutative"):
         raise ValueError(f"unknown variant {variant!r}")
     r, n, m = params.r, params.n, params.m
-    if variant == "commutative":
-        if (r, n, m) == (1, 1, 0):
-            return RingPresentation(("Poly", 1), ((0, None),))
-        if r == n and (r, m) != (1, 0):
-            return RingPresentation(("Poly", n))
-        if (r, n, m) == (1, 2, 0):
-            return RingPresentation("F", ((0, None), (n, None)))
-        if (r, m) != (1, 0) and r == n - 1:
-            return RingPresentation("F", ((n, None),))
-        if (r, m) == (1, 0) and r not in (n - 1, n):
-            return RingPresentation("F", ((0, None),))
-        return RingPresentation("F")
-    if (r, n, m) == (1, 1, 0) and field_char == 2:
-        return RingPresentation(("Poly", 1), ((0, None),))
+    # the graded center's sign law doubles the polynomial generator's
+    # degree when that degree is odd and the characteristic is not 2
+    k = n if variant == "commutative" or (n * field_char) % 2 == 0 else 2 * n
     if (r, n, m) == (1, 1, 0):
-        return RingPresentation(("Poly", 2), ((0, None),))
-    if r == n and (r, m) != (1, 0) and (n * field_char) % 2 == 0:
-        return RingPresentation(("Poly", n))
-    if r == n and (r, m) != (1, 0):
-        return RingPresentation(("Poly", 2 * n))
+        return RingPresentation(("Poly", k), ((0, None),))
+    if r == n:
+        return RingPresentation(("Poly", k))
     if (r, n, m) == (1, 2, 0):
         return RingPresentation("F", ((0, None), (n, None)))
     if (r, m) != (1, 0) and r == n - 1:

@@ -14,7 +14,6 @@ from gradedcenter.center import (
     solver_margin,
 )
 from gradedcenter.gentle import OmegaParams
-from gradedcenter.gf import SparseMatrix, null_space
 from gradedcenter.hom import hom_basis
 from gradedcenter.model import (
     ArrowGen,
@@ -27,6 +26,8 @@ from gradedcenter.model import (
     sigma,
     sigma_pow,
 )
+
+from null_space_oracle import SparseMatrix, null_space
 
 
 def params_for(r, n, m, window=10):

@@ -5,19 +5,19 @@ import pytest
 from gradedcenter.acceptance import GRID
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.model import (
+    KIND_BY_SIGNATURE,
     KIND_TABLE,
     ArrowGen,
     ModelParams,
     Morphism,
     Vertex,
+    _region_inv,
     arrow_of_degree,
-    arrows_between,
     arrows_from,
     arrows_to,
     compose,
     enumerate_arrows,
     enumerate_vertices,
-    kind_for_signature,
     make_vertex,
     region,
     sigma,
@@ -31,6 +31,8 @@ from gradedcenter.model import (
 )
 
 from iterated_sigma import iterated_sigma_mor_pow, iterated_sigma_pow, sigma_mor
+from region_ladders import _region as ladder_region
+from region_ladders import _region_inv as ladder_region_inv
 
 PARAM_SETS = [(1, 1, 0), (1, 2, 0), (2, 3, 1), (2, 2, 1), (1, 3, 2), (3, 4, 0)]
 
@@ -96,11 +98,27 @@ def test_enumerate_vertices_all_exist_and_boxed():
             assert -3 <= v.a <= 3 and -3 <= v.b <= 3
 
 
-def test_kind_for_signature_agrees_with_table():
+def test_kind_by_signature_agrees_with_table():
     for kind, (src, tgt, deg, step) in KIND_TABLE.items():
-        assert kind_for_signature(src, tgt, deg) == (kind, step)
-    assert kind_for_signature("X", "Y", 0) is None
-    assert kind_for_signature("Z", "Z", 1) is None
+        assert KIND_BY_SIGNATURE[(src, tgt, deg)] == (kind, step)
+    assert len(KIND_BY_SIGNATURE) == len(KIND_TABLE)
+    assert ("X", "Y", 0) not in KIND_BY_SIGNATURE
+    assert ("Z", "Z", 1) not in KIND_BY_SIGNATURE
+
+
+def test_region_table_matches_ladders():
+    # Both directions are read off REGION_TABLE; the hand-written ladders
+    # it replaced are the oracle, on every GRID row, kind and index.
+    for r, n, m in GRID:
+        p = params_for(r, n, m)
+        for kind, (src, tgt, _deg, _step) in KIND_TABLE.items():
+            for i in range(r):
+                for a in range(-3, 4):
+                    for b in range(-3, 4):
+                        v, w = Vertex(src, i, a, b), Vertex(tgt, i, a, b)
+                        assert region(p, kind, v) == ladder_region(p, kind, v), (r, n, m, v)
+                        assert _region_inv(p, kind, w) == ladder_region_inv(p, kind, w), (
+                            r, n, m, kind, w)
 
 
 def test_arrow_endpoints_lie_in_regions():
@@ -115,16 +133,19 @@ def test_arrow_endpoints_lie_in_regions():
                 assert hi2 is None or g.target.b <= hi2
 
 
+def _arrows_between(p, v, w):
+    arrows = (arrow_of_degree(p, v, w, degree) for degree in (0, 1, 2))
+    return [g for g in arrows if g is not None]
+
+
 def test_arrows_from_matches_pairwise_enumeration():
-    # arrows_from walks regions; arrows_between probes one pair at a time.
+    # arrows_from walks regions; arrow_of_degree probes one pair at a time.
     for r, n, m in PARAM_SETS:
         p = params_for(r, n, m, window=3)
         targets = enumerate_vertices(p)
         for v in enumerate_vertices(params_for(r, n, m, window=2)):
             direct = {g for g in arrows_from(p, v, box=3)}
-            pairwise = set()
-            for w in targets:
-                pairwise |= arrows_between(p, v, w)
+            pairwise = {g for w in targets for g in _arrows_between(p, v, w)}
             assert direct == pairwise, (r, n, m, v)
 
 
@@ -213,7 +234,7 @@ def _hom_morphisms(p, v, box):
     (and the identity when w = v)."""
     out = []
     for w in sorted({g.target for g in arrows_from(p, v, box=box)} | {v}):
-        terms = {g: k + 2 for k, g in enumerate(sorted(arrows_between(p, v, w)))}
+        terms = {g: k + 2 for k, g in enumerate(_arrows_between(p, v, w))}
         if w == v:
             terms[None] = 1
         out.append(Morphism(v, w, terms))
