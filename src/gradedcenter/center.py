@@ -10,6 +10,17 @@ unknowns (vertex, basis element): rows merge two unknowns up to sign or
 force one to zero; a forced x = -x kills the component unless the field
 has characteristic 2.  Components are interpreted per field at the end.
 
+The system is built on plain integers.  A vertex is the tuple (family,
+i, a, b) and an unknown is a vertex plus a slot: -1 for the identity, or
+the degree of the basis arrow, whose kind the two families fix.  Sigma
+and Sigma^p are translations per (family, i) (model.sigma_shift, from
+the step table of ModelParams), and arrows are tested by
+model.arrow_kind.  Only
+vertices with a nonempty hom space are enumerated: for each (family, i)
+and degree, model.hom_gaps turns the arrow's region into one interval
+of gaps b - a.  Vertex, ArrowGen and Morphism objects are built only for
+the components that survive and meet the inner window.
+
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
 the margin between the two eats every coordinate shift a constraint can
@@ -26,18 +37,21 @@ from .model import (
     ModelParams,
     Morphism,
     Vertex,
+    arrow_kind,
     arrow_of_degree,
     arrows_from,
     arrows_to,
     compose,
-    enumerate_vertices,
+    enumerate_vertices,  # unused here: the benchmark's tracer wraps it by name
+    hom_gaps,
     sigma,
     sigma_cycle,
     sigma_mor_pow,
     sigma_pow,
+    sigma_shift,
     vertex_exists,
 )
-from .hom import hom_basis
+from .hom import hom_basis  # unused here: the benchmark's tracer wraps it by name
 
 
 class InconsistencyError(Exception):
@@ -120,6 +134,12 @@ def _solve_sigma_exponent(params: ModelParams, base: Vertex, v: Vertex) -> int:
     return p
 
 
+def _socle_gap(params: ModelParams, family: str, q: int, i: int) -> int:
+    """b - a on the index-i vertices of the socle class (family, q): q,
+    plus n at index 0 of Y, where the Y vertices start at gap n."""
+    return q + (params.n if family == "Y" and i == 0 else 0)
+
+
 def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> CenterElement:
     ok, why = spec.admissible(params)
     if not ok:
@@ -136,7 +156,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
         q = spec.q
         base = Vertex("Y", 0, 0, n + q)
         for i in range(r):
-            gap = q + (n if i == 0 else 0)
+            gap = _socle_gap(params, "Y", q, i)
             for a in range(-W, W + 1):
                 b = a + gap
                 if not in_box(b):
@@ -323,6 +343,14 @@ class SolveReport:
     visibility: dict = dc_field(default_factory=dict)
     residual: list = dc_field(default_factory=list)
     basis: list = dc_field(default_factory=list)
+    # work counts, identical across runs: unknowns (vertex, basis element),
+    # naturality and sign-law rows imposed, and the components the field
+    # discards, for a forced zero or else for a parity conflict (x = -x
+    # outside characteristic 2)
+    unknowns: int = 0
+    rows: int = 0
+    killed_zero: int = 0
+    killed_parity: int = 0
 
     @property
     def total_dim(self) -> int:
@@ -349,10 +377,9 @@ def _class_tag(params: ModelParams, p: int, v: Vertex, beta) -> object:
         return "scalar"
     if beta.kind == "f'":
         return "power" if p > 0 else ("X", v.b - v.a)
-    if beta.kind == "e'":
-        return ("X", v.b - v.a)
-    if beta.kind == "e''":
-        return ("Y", v.b - v.a - (params.n if v.i == 0 else 0))
+    if beta.kind in ("e'", "e''"):
+        family = "X" if beta.kind == "e'" else "Y"
+        return (family, v.b - v.a - _socle_gap(params, family, 0, v.i))
     return ("other", beta.kind)
 
 
@@ -363,8 +390,7 @@ def _class_visibility(params: ModelParams, family: str, q: int, inner: int, guar
     def reachable(bound: int) -> tuple[bool, bool]:
         any_idx, all_idx = False, True
         for i in range(params.r):
-            gap = q + ((params.n if family == "Y" else 0) if i == 0 else 0)
-            ok = bound >= 0 and gap <= 2 * bound
+            ok = bound >= 0 and _socle_gap(params, family, q, i) <= 2 * bound
             any_idx = any_idx or ok
             all_idx = all_idx and ok
         return any_idx, all_idx
@@ -411,123 +437,137 @@ def solve_component(
             f" = {inner_window} + {solver_margin(params)}"
         )
     W = window
-    box_params = ModelParams(params.omega, W)
-    r, n, m = params.r, params.n, params.m
+    r, n = params.r, params.n
+    rules = params.rules
+    steps = params.sigma_steps
 
-    # unknowns: (vertex, basis element) with nonzero hom space
-    vertices = enumerate_vertices(box_params)
-    basis_of: dict[Vertex, tuple] = {}
-    unknown_index: dict[tuple, int] = {}
-    order: list[tuple] = []
-    sigma_p: dict[Vertex, Vertex] = {}
-    for v in vertices:
-        hs = hom_basis(params, v, p)
-        if hs.basis:
-            basis_of[v] = hs.basis
-            sigma_p[v] = sigma_pow(params, v, p)
-            for beta in hs.basis:
-                unknown_index[(v, beta)] = len(order)
-                order.append((v, beta))
-    uf = _UnionFind(len(order))
+    # per (family, i): Sigma^p as a translation (j, da, db), and the least
+    # b - a of a vertex, since vertex_exists depends on b - a alone and is
+    # upward closed in it
+    shift_p: dict = {}
+    floor: dict = {}
+    for f in params.families:
+        for i in range(r):
+            shift_p[f, i] = sigma_shift(params, f, i, p)
+            floor[f, i] = next(
+                (t for t in range(-2 * W, 2 * W + 1) if vertex_exists(params, f, i, (0, t))),
+                2 * W + 1,
+            )
 
-    def in_box(a: int, b: int) -> bool:
-        return -W <= a <= W and -W <= b <= W
-
-    def target_sigma_p(w: Vertex) -> Vertex:
-        got = sigma_p.get(w)
-        if got is None:
-            got = sigma_pow(params, w, p)
-            sigma_p[w] = got
-        return got
-
-    def impose(gen: ArrowGen):
-        """Naturality row(s) for one generator arrow."""
-        v, w = gen.source, gen.target
-        bv = basis_of.get(v, ())
-        bw = basis_of.get(w, ())
-        if not bv and not bw:
-            return
-        spw = target_sigma_p(w)
-        rows: dict = {}
-        for beta in bv:
-            d = gen.degree if beta is None else beta.degree + gen.degree
-            gamma = gen if beta is None else arrow_of_degree(params, v, spw, d)
-            if gamma is not None:
-                rows[gamma] = [unknown_index[(v, beta)], None]
-        for alpha in bw:
-            d = gen.degree if alpha is None else gen.degree + alpha.degree
-            gamma = gen if alpha is None else arrow_of_degree(params, v, spw, d)
-            if gamma is None:
+    # unknowns: slots[(f, i, a, b)] maps each slot of Hom(v, Sigma^p v)
+    # to its index; slot -1 is the identity, else the arrow's degree, as
+    # the families fix the kind.  Only vertices with a nonempty hom space
+    # are visited: per slot, its gaps b - a, then a and b in the box.
+    slots: dict = {}
+    count = 0
+    for (f, i), shift in shift_p.items():
+        for d in (-1, 0, 1, 2):
+            if d < 0:
+                gaps = (None, None) if p == 0 else None
+            else:
+                gaps = hom_gaps(params, f, i, d, shift)
+            if gaps is None:
                 continue
-            if gamma in rows:
-                rows[gamma][1] = unknown_index[(w, alpha)]
-            else:
-                rows[gamma] = [None, unknown_index[(w, alpha)]]
-        for left, right in rows.values():
-            if left is not None and right is not None:
-                uf.union(left, right, 1)
-            elif left is not None:
-                uf.set_zero(left)
-            else:
-                uf.set_zero(right)
+            lo = floor[f, i] if gaps[0] is None else max(gaps[0], floor[f, i])
+            hi = 2 * W if gaps[1] is None else gaps[1]
+            for a in range(-W, W + 1):
+                for b in range(max(-W, a + lo), min(W, a + hi) + 1):
+                    got = slots.get((f, i, a, b))
+                    if got is None:
+                        got = slots[f, i, a, b] = {}
+                    got[d] = count
+                    count += 1
+    uf = _UnionFind(count)
+    n_rows = 0
 
     sign = -1 if (variant == "graded" and p % 2) else 1
-    for v in basis_of:
-        a, b, i = v.a, v.b, v.i
+    for (f, i, a, b), bv in slots.items():
         d0 = 1 if i == 0 else 0
-        targets: list[tuple[Vertex, int]] = []
-        if v.family == "X":
-            for (ta, tb) in [(a, b + 1), (a + 1, b), (a + 1, b + 1)]:
-                targets.append((Vertex("X", i, ta, tb), 0))
-            cyc = sigma_pow(params, v, r)
-            targets.append((cyc, 0))
-            targets.append((Vertex("X", (i + 1) % r, a, a), 2))
+        targets = [(f, i, a, b + 1, 0), (f, i, a + 1, b, 0), (f, i, a + 1, b + 1, 0)]
+        if f == "X":
+            _, c1, c2 = steps[f, i, r]
+            targets.append((f, i, a + c1, b + c2, 0))
+            targets.append((f, (i + 1) % r, a, a, 2))
             if r < n:
-                targets.append((Vertex("Z", i, a, b), 1))
-        elif v.family == "Y":
-            for (ta, tb) in [(a, b + 1), (a + 1, b), (a + 1, b + 1)]:
-                targets.append((Vertex("Y", i, ta, tb), 0))
-            targets.append((Vertex("Z", i, a, b - d0 * n), 1))
-        else:  # Z
-            for (ta, tb) in [(a, b + 1), (a + 1, b), (a + 1, b + 1)]:
-                targets.append((Vertex("Z", i, ta, tb), 0))
-        for w, degree in targets:
-            if not in_box(w.a, w.b):
+                targets.append(("Z", i, a, b, 1))
+        elif f == "Y":
+            targets.append(("Z", i, a, b - d0 * n, 1))
+        for g, j, ta, tb, degree in targets:
+            if not (-W <= ta <= W and -W <= tb <= W) or tb - ta < floor[g, j]:
                 continue
-            if not vertex_exists(params, w.family, w.i, (w.a, w.b)):
+            if arrow_kind(rules, f, i, a, b, g, j, ta, tb, degree) is None:
                 continue
-            gen = arrow_of_degree(params, v, w, degree)
-            if gen is not None:
-                impose(gen)
-        # sign law v -> Sigma v
-        sv = sigma(params, v)
-        if in_box(sv.a, sv.b):
-            for beta in basis_of[v]:
-                # beta runs v -> Sigma^p v, so Sigma beta starts at sv
-                sbeta = None if beta is None else (
-                    ArrowGen(beta.kind, sv, sigma(params, beta.target), beta.degree))
-                other = unknown_index.get((sv, sbeta))
-                if other is None:
-                    raise InconsistencyError(f"suspension of unknown left the system at {v!r}")
-                uf.union(other, unknown_index[(v, beta)], sign)
+            # naturality at the generator v -> w: one row per degree of
+            # the composite v -> Sigma^p w
+            bw = slots.get((g, j, ta, tb), {})
+            sj, sa, sb = shift_p[g, j]
+            sa, sb = ta + sa, tb + sb
+            rows: dict = {}
+            for s, x in bv.items():
+                d = degree if s < 0 else s + degree
+                if s < 0 or arrow_kind(rules, f, i, a, b, g, sj, sa, sb, d) is not None:
+                    rows[d] = [x, None]
+            for s, y in bw.items():
+                d = degree if s < 0 else degree + s
+                if s < 0 or arrow_kind(rules, f, i, a, b, g, sj, sa, sb, d) is not None:
+                    row = rows.get(d)
+                    if row is None:
+                        rows[d] = [None, y]
+                    else:
+                        row[1] = y
+            n_rows += len(rows)
+            for left, right in rows.values():
+                if left is not None and right is not None:
+                    uf.union(left, right, 1)
+                elif left is not None:
+                    uf.set_zero(left)
+                else:
+                    uf.set_zero(right)
+        # sign law v -> Sigma v: Sigma beta starts at Sigma v, same degree
+        sj, s1, s2 = steps[f, i, 1]
+        sa, sb = a + s1, b + s2
+        if -W <= sa <= W and -W <= sb <= W:
+            other = slots.get((f, sj, sa, sb), {})
+            for s, x in bv.items():
+                y = other.get(s)
+                if y is None:
+                    raise InconsistencyError(
+                        f"suspension of unknown left the system at {Vertex(f, i, a, b)!r}")
+                uf.union(y, x, sign)
+            n_rows += len(bv)
 
     # interpret components over the field
     members: dict[int, list[tuple]] = {}
-    for idx, (v, beta) in enumerate(order):
-        root, w = uf.find(idx)
-        if uf.zero[root] or (uf.parity[root] and field != 2):
-            continue
-        members.setdefault(root, []).append((v, beta, w))
+    for key, bv in slots.items():
+        for s, x in bv.items():
+            root, w = uf.find(x)
+            if uf.zero[root] or (uf.parity[root] and field != 2):
+                continue
+            members.setdefault(root, []).append((key, s, w))
 
     Wi = inner_window
     report = SolveReport(params, p, variant, field, window, inner_window)
     report.visibility = class_visibility_map(params, Wi)
+    report.unknowns = count
+    report.rows = n_rows
+    roots = [x for x in range(count) if uf.parent[x] == x]
+    report.killed_zero = sum(uf.zero[x] for x in roots)
+    if field != 2:
+        report.killed_parity = sum(uf.parity[x] and not uf.zero[x] for x in roots)
     comps = []
-    for root, mems in members.items():
-        inner_mems = [t for t in mems if -Wi <= t[0].a <= Wi and -Wi <= t[0].b <= Wi]
-        if not inner_mems:
+    for mems in members.values():
+        if not any(-Wi <= key[2] <= Wi and -Wi <= key[3] <= Wi for key, _, _ in mems):
             continue
-        comps.append((min((v, str(beta)) for v, beta, _ in mems), mems, inner_mems))
+        objs = []
+        for (f, i, a, b), s, w in mems:
+            v = Vertex(f, i, a, b)
+            beta = None
+            if s >= 0:
+                j, da, db = shift_p[f, i]
+                beta = ArrowGen(rules[f, f, s, i][0], v, Vertex(f, j, a + da, b + db), s)
+            objs.append((v, beta, w))
+        inner_mems = [t for t in objs if -Wi <= t[0].a <= Wi and -Wi <= t[0].b <= Wi]
+        comps.append((min((v, str(beta)) for v, beta, _ in objs), objs, inner_mems))
     comps.sort(key=lambda c: c[0])
     for _, mems, inner_mems in comps:
         tags = {_class_tag(params, p, v, beta) for v, beta, _ in mems}
@@ -548,7 +588,8 @@ def solve_component(
         for v, beta, wgt in sorted(inner_mems, key=lambda t: (t[0], str(t[1]))):
             coeff = wgt * ref_w
             mor = assignment.get(v)
-            term = Morphism(v, sigma_p[v], {beta: coeff})
+            # the identity occurs in degree 0 only, where Sigma^p v = v
+            term = Morphism(v, v if beta is None else beta.target, {beta: coeff})
             assignment[v] = term if mor is None else mor.plus(term)
         report.basis.append(CenterElement(p, variant, assignment))
     return report

@@ -90,21 +90,50 @@ def _region_tables(r: int, n: int, m: int) -> tuple[dict, dict]:
     return sides, rules
 
 
+@lru_cache(maxsize=128)
+def _sigma_steps(r: int, n: int, m: int) -> dict:
+    """Sigma^k as a translation, for one (r, n, m), shared by every
+    ModelParams with these parameters and never mutated:
+    (family, i, k) -> (j, da, db) for 0 <= k <= r, where Sigma^k moves
+    index i to j and (a, b) by (da, db).  k = r is the cycle Sigma^r,
+    the same translation from every index."""
+    table = {}
+    for family in FAMILIES:
+        for i in range(r):
+            da = db = 0
+            for k in range(r + 1):
+                j = (i + k) % r
+                table[family, i, k] = (j, da, db)
+                # one step from index j
+                dr = 1 if j == r - 1 else 0
+                d0 = 1 if j == 0 else 0
+                if family == "X":
+                    da, db = da + 1 + dr * m, db + 1 + d0 * m
+                elif family == "Y":
+                    da, db = da + 1 - dr * n, db + 1 - d0 * n
+                else:
+                    da, db = da + 1 + dr * m, db + 1 - dr * n
+    return table
+
+
 @dataclass(frozen=True, order=True)
 class ModelParams:
     omega: OmegaParams
     window: int = 10
     sides: dict = field(init=False, repr=False, compare=False)
     rules: dict = field(init=False, repr=False, compare=False)
+    sigma_steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
         # Set here rather than cached on first use: writing to the
         # instance __dict__ later slows every attribute read of it.
-        sides, rules = _region_tables(self.omega.r, self.omega.n, self.omega.m)
+        r, n, m = self.omega.r, self.omega.n, self.omega.m
+        sides, rules = _region_tables(r, n, m)
         object.__setattr__(self, "sides", sides)
         object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "sigma_steps", _sigma_steps(r, n, m))
 
     @property
     def r(self) -> int:
@@ -192,16 +221,19 @@ def _region_inv(params: ModelParams, kind: str, w: Vertex):
     return tuple(out)
 
 
-def arrow_of_degree(params: ModelParams, v: Vertex, w: Vertex, degree: int) -> ArrowGen | None:
-    """The unique generator arrow v -> w of the given degree, or None."""
-    rule = params.rules.get((v.family, w.family, degree, v.i))
+def arrow_kind(rules: dict, f: str, i: int, a: int, b: int,
+               g: str, j: int, u1: int, u2: int, degree: int) -> str | None:
+    """The kind of the generator arrow (f, i, a, b) -> (g, j, u1, u2) of
+    the given degree, or None; rules is a ModelParams' rules table."""
+    rule = rules.get((f, g, degree, i))
     if rule is None:
         return None
-    kind, j, (lo1, hi1, lo2, hi2) = rule
-    if w.i != j or (degree == 0 and v == w):
+    kind, tj, (lo1, hi1, lo2, hi2) = rule
+    # a degree-0 kind keeps family and index, so equal coordinates mean
+    # the source itself, which has no degree-0 arrow to itself
+    if j != tj or (degree == 0 and a == u1 and b == u2):
         return None
-    src = (v.a, v.b)
-    u1, u2 = w.a, w.b
+    src = (a, b)
     if (
         (lo1 is not None and u1 < src[lo1[0]] + lo1[1])
         or (hi1 is not None and u1 > src[hi1[0]] + hi1[1])
@@ -209,7 +241,49 @@ def arrow_of_degree(params: ModelParams, v: Vertex, w: Vertex, degree: int) -> A
         or (hi2 is not None and u2 > src[hi2[0]] + hi2[1])
     ):
         return None
-    return ArrowGen(kind, v, w, degree)
+    return kind
+
+
+def arrow_of_degree(params: ModelParams, v: Vertex, w: Vertex, degree: int) -> ArrowGen | None:
+    """The unique generator arrow v -> w of the given degree, or None."""
+    kind = arrow_kind(params.rules, v.family, v.i, v.a, v.b, w.family, w.i, w.a, w.b, degree)
+    return None if kind is None else ArrowGen(kind, v, w, degree)
+
+
+def hom_gaps(params: ModelParams, family: str, i: int, degree: int,
+             shift: tuple[int, int, int]) -> tuple[int | None, int | None] | None:
+    """The gaps t = b - a at which (family, i, a, b) has a generator arrow
+    of the given degree to its translate (family, j, a + da, b + db),
+    shift = (j, da, db): (lo, hi) with None for an unbounded end, or None
+    if there is no such gap.  arrow_kind for every (a, b) at once."""
+    j, da, db = shift
+    rule = params.rules.get((family, family, degree, i))
+    if rule is None or rule[1] != j or (degree == 0 and j == i and da == db == 0):
+        return None
+    lo = hi = None
+    for k, side in enumerate(rule[2]):
+        if side is None:
+            continue
+        coord, offset = side
+        # side k bounds target coordinate k // 2, which minus source
+        # coordinate `coord` is slope * t + (da, db)[k // 2]; even k is a
+        # lower bound, odd k an upper one
+        slope = k // 2 - coord
+        bound = offset - (da, db)[k // 2]
+        lower = k % 2 == 0
+        if slope == 0:
+            if (bound > 0) if lower else (bound < 0):
+                return None
+            continue
+        if slope < 0:
+            bound, lower = -bound, not lower
+        if lower:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -296,44 +370,35 @@ def compose(params: ModelParams, g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.source, g.target, terms)
 
 
-def _sigma_vector(params: ModelParams, family: str, i: int) -> tuple[int, int]:
-    n, m, r = params.n, params.m, params.r
-    dr = 1 if i == r - 1 else 0
-    d0 = 1 if i == 0 else 0
-    if family == "X":
-        return (1 + dr * m, 1 + d0 * m)
-    if family == "Y":
-        return (1 - dr * n, 1 - d0 * n)
-    if family == "Z":
-        return (1 + dr * m, 1 - dr * n)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def sigma(params: ModelParams, v: Vertex) -> Vertex:
-    s1, s2 = _sigma_vector(params, v.family, v.i)
-    return Vertex(v.family, (v.i + 1) % params.r, v.a + s1, v.b + s2)
+    j, da, db = params.sigma_steps[v.family, v.i, 1]
+    return Vertex(v.family, j, v.a + da, v.b + db)
 
 
 def sigma_cycle(params: ModelParams, family: str) -> tuple[int, int]:
-    """The translation Sigma^r of a family's (a, b) plane: the sum of its
-    r single-step vectors, whatever the starting index."""
-    c1 = c2 = 0
-    for i in range(params.r):
-        s1, s2 = _sigma_vector(params, family, i)
-        c1, c2 = c1 + s1, c2 + s2
+    """The translation Sigma^r of a family's (a, b) plane, whatever the
+    starting index."""
+    _, c1, c2 = params.sigma_steps[family, 0, params.r]
     return (c1, c2)
 
 
-def sigma_pow(params: ModelParams, v: Vertex, p: int) -> Vertex:
-    """Sigma^p v for any integer p in O(r): floor(p / r) cycle translations,
-    then at most r - 1 single steps."""
-    q, k = divmod(p, params.r)
+def sigma_shift(params: ModelParams, family: str, i: int, p: int) -> tuple[int, int, int]:
+    """Sigma^p from index i of a family as a translation (j, da, db), for
+    any integer p in O(1): floor(p / r) cycles, then Sigma^(p mod r)."""
+    r = params.omega.r
+    q, k = divmod(p, r)
+    steps = params.sigma_steps
+    j, da, db = steps[family, i, k]
     if q:
-        c1, c2 = sigma_cycle(params, v.family)
-        v = Vertex(v.family, v.i, v.a + q * c1, v.b + q * c2)
-    for _ in range(k):
-        v = sigma(params, v)
-    return v
+        _, c1, c2 = steps[family, 0, r]
+        da, db = da + q * c1, db + q * c2
+    return (j, da, db)
+
+
+def sigma_pow(params: ModelParams, v: Vertex, p: int) -> Vertex:
+    """Sigma^p v for any integer p in O(1)."""
+    j, da, db = sigma_shift(params, v.family, v.i, p)
+    return Vertex(v.family, j, v.a + da, v.b + db)
 
 
 def sigma_mor_pow(params: ModelParams, f: Morphism, p: int) -> Morphism:

@@ -2,12 +2,12 @@
 forms sigma_pow and sigma_mor_pow replace, kept as their differential
 oracle."""
 
-from gradedcenter.model import ArrowGen, Morphism, Vertex, _sigma_vector, sigma
+from gradedcenter.model import ArrowGen, Morphism, Vertex, sigma
 
 
 def sigma_inv(params, v):
     j = (v.i - 1) % params.r
-    s1, s2 = _sigma_vector(params, v.family, j)
+    _, s1, s2 = params.sigma_steps[v.family, j, 1]
     return Vertex(v.family, j, v.a - s1, v.b - s2)
 
 

@@ -28,6 +28,7 @@ from gradedcenter.model import (
 )
 
 from null_space_oracle import SparseMatrix, null_space
+from object_solver import solve_component as object_solve_component
 
 
 def params_for(r, n, m, window=10):
@@ -352,3 +353,34 @@ def test_solver_matches_null_space_oracle(rnm, W, p_list, variant, char):
         rep = solve_component(params, p, variant, char, W, Wi)
         want = _oracle_inner_dim(params, p, variant, char, W, Wi)
         assert rep.total_dim == want, (rnm, p, variant, char)
+
+
+# differential oracle: the object-based solver that the integer-coded one
+# replaced must give the same full report, basis elements included
+
+
+def _full_report(rep):
+    return (rep.format_lines(), rep.scalar_dim, rep.power_dim, rep.class_dims,
+            rep.visibility, rep.residual, rep.basis)
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3)], ids=str)
+def test_solver_matches_object_solver(rnm):
+    r, n, m = rnm
+    W = solver_margin(params_for(r, n, m)) + 1
+    params = params_for(r, n, m, window=W)
+    spot = (5,) if rnm in ((1, 2, 0), (2, 3, 1)) else ()
+    for p in range(2 * n + 2):
+        hom_dim = sum(hom_basis(params, v, p).dim for v in enumerate_vertices(params))
+        # in even degrees both variants impose the same rows, so each
+        # variant is paired with one characteristic there
+        cases = [(variant, char) for variant in ("graded", "commutative") for char in (2, 3)]
+        if p % 2 == 0:
+            cases = [("graded", 2), ("commutative", 3)]
+        for variant, char in cases + [("graded", c) for c in spot]:
+            rep = solve_component(params, p, variant, char, W, 1)
+            want = object_solve_component(params, p, variant, char, W, 1)
+            assert _full_report(rep) == _full_report(want), (p, variant, char)
+            assert rep.unknowns == hom_dim, (p, variant, char)
+            if char == 2:
+                assert rep.killed_parity == 0
