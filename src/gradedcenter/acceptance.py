@@ -8,7 +8,6 @@ stays byte-identical across runs.
 from __future__ import annotations
 
 import io
-import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -337,14 +336,13 @@ def _c4_membership():
 
 
 def _c5_reconcile():
-    parallel = (os.cpu_count() or 1) > 1
     rows = 0
     for r, n, m in GRID:
         W = solver_margin(_params(r, n, m)) + n + m + 4
         params = _params(r, n, m, W)
         for variant in ("graded", "commutative"):
             for char in (2, 3):
-                rep = reconcile(params, char, variant, 2 * n, W, parallel=parallel)
+                rep = reconcile(params, char, variant, 2 * n, W)
                 rows += 1
                 if not rep.ok:
                     return False, (

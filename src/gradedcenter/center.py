@@ -8,18 +8,34 @@ with coefficient +-1, because parallel basis elements have distinct
 degrees.  The whole system is therefore a weighted union-find over
 unknowns (vertex, basis element): rows merge two unknowns up to sign or
 force one to zero; a forced x = -x kills the component unless the field
-has characteristic 2.  Components are interpreted per field at the end.
+has characteristic 2.
+
+solve_component works in two steps.  The build step (_build_system)
+makes the union-find and keeps only what a report needs, as immutable
+tuples: the Sigma^p translation table, the counts, and each component
+that is not forced to zero and meets the inner window, in report order,
+with its parity flag, its class tags and its inner members with their
+coefficients.  It is cached by (omega, window, inner window, p, sign).
+The field is not part of the key, because no row reads it: it decides
+only whether a parity-flagged component survives.  The variant enters
+only through the sign, -1 for the graded center at odd p, so the four
+(variant, char) pairs of one degree need at most two systems.  The
+interpret step runs on every call: it drops parity-flagged components
+outside characteristic 2 and builds the report's objects afresh, so no
+caller shares cached state.
 
 The system is built on plain integers.  A vertex is the tuple (family,
 i, a, b) and an unknown is a vertex plus a slot: -1 for the identity, or
 the degree of the basis arrow, whose kind the two families fix.  Sigma
 and Sigma^p are translations per (family, i) (model.sigma_shift, from
 the step table of ModelParams), and arrows are tested by
-model.arrow_kind.  Only
-vertices with a nonempty hom space are enumerated: for each (family, i)
-and degree, model.hom_gaps turns the arrow's region into one interval
-of gaps b - a.  Vertex, ArrowGen and Morphism objects are built only for
-the components that survive and meet the inner window.
+model.arrow_kind.  Only vertices with a nonempty hom space are
+enumerated: for each (family, i) and degree, model.hom_gaps turns the
+arrow's region into one interval of gaps b - a.  The naturality rows at
+a generator likewise depend on its source only through (family, i) and
+b - a, so each pattern of rows is worked out once per gap.  Vertex,
+ArrowGen and Morphism objects are built only for the components that
+survive and meet the inner window.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -30,6 +46,9 @@ perform, so inner-window output is stable under window growth (tested).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .gf import FieldScalar
 from .model import (
@@ -289,6 +308,8 @@ class _UnionFind:
         self.parity = [False] * size
 
     def find(self, x: int) -> tuple[int, int]:
+        if self.parent[x] == x:
+            return x, 1
         path = []
         while self.parent[x] != x:
             path.append(x)
@@ -298,7 +319,7 @@ class _UnionFind:
             w *= self.weight[y]
             self.parent[y] = x
             self.weight[y] = w
-        return x, self.weight[path[0]] if path else 1
+        return x, self.weight[path[0]]
 
     def union(self, x: int, y: int, s: int):
         """Impose x = s * y."""
@@ -372,15 +393,26 @@ class SolveReport:
         return lines
 
 
-def _class_tag(params: ModelParams, p: int, v: Vertex, beta) -> object:
-    if beta is None:
+def _class_tag(params: ModelParams, p: int, i: int, gap: int, kind: str | None) -> object:
+    """The class of an unknown at index i and gap b - a whose basis arrow
+    has this kind (None for the identity)."""
+    if kind is None:
         return "scalar"
-    if beta.kind == "f'":
-        return "power" if p > 0 else ("X", v.b - v.a)
-    if beta.kind in ("e'", "e''"):
-        family = "X" if beta.kind == "e'" else "Y"
-        return (family, v.b - v.a - _socle_gap(params, family, 0, v.i))
-    return ("other", beta.kind)
+    if kind == "f'":
+        return "power" if p > 0 else ("X", gap)
+    if kind in ("e'", "e''"):
+        family = "X" if kind == "e'" else "Y"
+        return (family, gap - _socle_gap(params, family, 0, i))
+    return ("other", kind)
+
+
+def _basis_arrow(rules: dict, shift_p, v: Vertex, slot: int) -> ArrowGen | None:
+    """The basis arrow v -> Sigma^p v in this slot, None for the identity."""
+    if slot < 0:
+        return None
+    j, da, db = shift_p[v.family, v.i]
+    target = Vertex(v.family, j, v.a + da, v.b + db)
+    return ArrowGen(rules[v.family, v.family, slot, v.i][0], v, target, slot)
 
 
 def _class_visibility(params: ModelParams, family: str, q: int, inner: int, guard: int) -> str:
@@ -418,25 +450,64 @@ def class_visibility_map(params: ModelParams, inner_window: int) -> dict:
     return out
 
 
-def solve_component(
-    params: ModelParams,
-    p: int,
-    variant: str,
-    field: int,
-    window: int,
-    inner_window: int,
-) -> SolveReport:
-    if p < 0:
-        raise ValueError("degree must be >= 0")
-    if variant not in ("graded", "commutative"):
-        raise ValueError(f"unknown variant {variant!r}")
-    FieldScalar(0, field)
-    if inner_window < 1 or inner_window + solver_margin(params) > window:
-        raise ValueError(
-            f"window {window} too small: need inner_window + margin"
-            f" = {inner_window} + {solver_margin(params)}"
-        )
-    W = window
+def _row_pattern(rules: dict, v: tuple, w: tuple, degree: int, shift: tuple,
+                 v_slots: dict, w_slots: dict) -> tuple:
+    """Naturality at the generator v -> w of this degree, v and w as
+    (family, i, a, b) and shift Sigma^p at w: one row per degree of the
+    composite v -> Sigma^p w, as (slot of v, slot of w) with None where
+    that side has no term; () if there is no such generator."""
+    if arrow_kind(rules, *v, *w, degree) is None:
+        return ()
+    f, i, a, b = v
+    g, _, ta, tb = w
+    sj, sa, sb = shift
+    sa, sb = ta + sa, tb + sb
+    rows: dict = {}
+    for s in v_slots:
+        d = degree if s < 0 else s + degree
+        if s < 0 or arrow_kind(rules, f, i, a, b, g, sj, sa, sb, d) is not None:
+            rows[d] = [s, None]
+    for s in w_slots:
+        d = degree if s < 0 else degree + s
+        if s < 0 or arrow_kind(rules, f, i, a, b, g, sj, sa, sb, d) is not None:
+            row = rows.get(d)
+            if row is None:
+                rows[d] = [None, s]
+            else:
+                row[1] = s
+    return tuple(tuple(row) for row in rows.values())
+
+
+class _System(NamedTuple):
+    """One built system: what solve_component reads back for any field.
+
+    shift_p maps (family, i) to Sigma^p as a translation (j, da, db).
+    components holds, in report order, each component that is not forced
+    to zero and meets the inner window, as (parity, tags, members):
+    parity is set if the component forces x = -x, tags are its class
+    tags sorted by str, and members are its unknowns in the inner window
+    as ((family, i, a, b), slot, coefficient), in basis-element order."""
+
+    shift_p: MappingProxyType
+    unknowns: int
+    rows: int
+    killed_zero: int
+    killed_parity: int
+    components: tuple
+
+
+# A window's degree sweep p = 0..2n needs one system per even p and two
+# per odd p (sign +1 and -1): 3n + 1 in all, 13 on the acceptance GRID
+# (n <= 4), so every (variant, char) pair of one window is served from
+# the systems the first pair built.
+@lru_cache(maxsize=13)
+def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
+    """The union-find system of degree p on the window W, with the sign
+    law Sigma eta = sign * eta Sigma.  The field is not an argument: the
+    rows have coefficients +-1 whatever the characteristic, so only the
+    reading of a parity conflict depends on it, and that is left to the
+    caller."""
+    params = ModelParams(omega, W)
     r, n = params.r, params.n
     rules = params.rules
     steps = params.sigma_steps
@@ -480,7 +551,11 @@ def solve_component(
     uf = _UnionFind(count)
     n_rows = 0
 
-    sign = -1 if (variant == "graded" and p % 2) else 1
+    # The rows at a generator v -> w depend on v only through (f, i), the
+    # place k of w in the list of targets and the gap b - a: the regions,
+    # vertex_exists and so the slots of v and w are all unchanged when a
+    # and b move together.  Each pattern is worked out once per key.
+    patterns: dict = {}
     for (f, i, a, b), bv in slots.items():
         d0 = 1 if i == 0 else 0
         targets = [(f, i, a, b + 1, 0), (f, i, a + 1, b, 0), (f, i, a + 1, b + 1, 0)]
@@ -492,37 +567,22 @@ def solve_component(
                 targets.append(("Z", i, a, b, 1))
         elif f == "Y":
             targets.append(("Z", i, a, b - d0 * n, 1))
-        for g, j, ta, tb, degree in targets:
+        for k, (g, j, ta, tb, degree) in enumerate(targets):
             if not (-W <= ta <= W and -W <= tb <= W) or tb - ta < floor[g, j]:
                 continue
-            if arrow_kind(rules, f, i, a, b, g, j, ta, tb, degree) is None:
-                continue
-            # naturality at the generator v -> w: one row per degree of
-            # the composite v -> Sigma^p w
             bw = slots.get((g, j, ta, tb), {})
-            sj, sa, sb = shift_p[g, j]
-            sa, sb = ta + sa, tb + sb
-            rows: dict = {}
-            for s, x in bv.items():
-                d = degree if s < 0 else s + degree
-                if s < 0 or arrow_kind(rules, f, i, a, b, g, sj, sa, sb, d) is not None:
-                    rows[d] = [x, None]
-            for s, y in bw.items():
-                d = degree if s < 0 else degree + s
-                if s < 0 or arrow_kind(rules, f, i, a, b, g, sj, sa, sb, d) is not None:
-                    row = rows.get(d)
-                    if row is None:
-                        rows[d] = [None, y]
-                    else:
-                        row[1] = y
-            n_rows += len(rows)
-            for left, right in rows.values():
+            pattern = patterns.get((f, i, k, b - a))
+            if pattern is None:
+                pattern = patterns[f, i, k, b - a] = _row_pattern(
+                    rules, (f, i, a, b), (g, j, ta, tb), degree, shift_p[g, j], bv, bw)
+            n_rows += len(pattern)
+            for left, right in pattern:
                 if left is not None and right is not None:
-                    uf.union(left, right, 1)
+                    uf.union(bv[left], bw[right], 1)
                 elif left is not None:
-                    uf.set_zero(left)
+                    uf.set_zero(bv[left])
                 else:
-                    uf.set_zero(right)
+                    uf.set_zero(bw[right])
         # sign law v -> Sigma v: Sigma beta starts at Sigma v, same degree
         sj, s1, s2 = steps[f, i, 1]
         sa, sb = a + s1, b + s2
@@ -536,45 +596,92 @@ def solve_component(
                 uf.union(y, x, sign)
             n_rows += len(bv)
 
-    # interpret components over the field
+    # the members of each component not forced to zero
     members: dict[int, list[tuple]] = {}
     for key, bv in slots.items():
         for s, x in bv.items():
             root, w = uf.find(x)
-            if uf.zero[root] or (uf.parity[root] and field != 2):
-                continue
-            members.setdefault(root, []).append((key, s, w))
-
-    Wi = inner_window
-    report = SolveReport(params, p, variant, field, window, inner_window)
-    report.visibility = class_visibility_map(params, Wi)
-    report.unknowns = count
-    report.rows = n_rows
-    roots = [x for x in range(count) if uf.parent[x] == x]
-    report.killed_zero = sum(uf.zero[x] for x in roots)
-    if field != 2:
-        report.killed_parity = sum(uf.parity[x] and not uf.zero[x] for x in roots)
-    comps = []
-    for mems in members.values():
-        if not any(-Wi <= key[2] <= Wi and -Wi <= key[3] <= Wi for key, _, _ in mems):
+            if not uf.zero[root]:
+                members.setdefault(root, []).append((key, s, w))
+    # Each one that meets the inner window becomes a basis element: its
+    # class tags, and its inner members with their coefficients relative
+    # to the member of least str(arrow), in the order the element lists
+    # them.  Components are ordered by their least (vertex, str(arrow));
+    # a Vertex orders as its key does.
+    components = []
+    for root, mems in members.items():
+        named = [
+            (key, s, w, str(_basis_arrow(rules, shift_p, Vertex(*key), s)))
+            for key, s, w in mems
+            if -inner <= key[2] <= inner and -inner <= key[3] <= inner
+        ]
+        if not named:
             continue
-        objs = []
-        for (f, i, a, b), s, w in mems:
-            v = Vertex(f, i, a, b)
-            beta = None
-            if s >= 0:
-                j, da, db = shift_p[f, i]
-                beta = ArrowGen(rules[f, f, s, i][0], v, Vertex(f, j, a + da, b + db), s)
-            objs.append((v, beta, w))
-        inner_mems = [t for t in objs if -Wi <= t[0].a <= Wi and -Wi <= t[0].b <= Wi]
-        comps.append((min((v, str(beta)) for v, beta, _ in objs), objs, inner_mems))
-    comps.sort(key=lambda c: c[0])
-    for _, mems, inner_mems in comps:
-        tags = {_class_tag(params, p, v, beta) for v, beta, _ in mems}
+        least = min(key for key, _, _ in mems)
+        head = min(
+            (key, str(_basis_arrow(rules, shift_p, Vertex(*key), s)))
+            for key, s, _ in mems
+            if key == least
+        )
+        tags = {
+            _class_tag(params, p, i, b - a, None if s < 0 else rules[f, f, s, i][0])
+            for (f, i, a, b), s, _ in mems
+        }
+        ref_w = min((name, key, w) for key, _, w, name in named)[2]
+        named.sort(key=lambda t: (t[0], t[3]))
+        basis = tuple((key, s, w * ref_w) for key, s, w, _ in named)
+        components.append((head, uf.parity[root], tuple(sorted(tags, key=str)), basis))
+    components.sort(key=lambda c: c[0])
+    roots = [x for x in range(count) if uf.parent[x] == x]
+    return _System(
+        shift_p=MappingProxyType(shift_p),
+        unknowns=count,
+        rows=n_rows,
+        killed_zero=sum(uf.zero[x] for x in roots),
+        killed_parity=sum(uf.parity[x] and not uf.zero[x] for x in roots),
+        components=tuple(c[1:] for c in components),
+    )
+
+
+def solve_component(
+    params: ModelParams,
+    p: int,
+    variant: str,
+    field: int,
+    window: int,
+    inner_window: int,
+) -> SolveReport:
+    if p < 0:
+        raise ValueError("degree must be >= 0")
+    if variant not in ("graded", "commutative"):
+        raise ValueError(f"unknown variant {variant!r}")
+    FieldScalar(0, field)
+    if inner_window < 1 or inner_window + solver_margin(params) > window:
+        raise ValueError(
+            f"window {window} too small: need inner_window + margin"
+            f" = {inner_window} + {solver_margin(params)}"
+        )
+    sign = -1 if (variant == "graded" and p % 2) else 1
+    system = _build_system(params.omega, window, inner_window, p, sign)
+
+    # interpret the components over the field: outside characteristic 2
+    # a parity conflict x = -x forces the component to zero
+    rules = params.rules
+    shift_p = system.shift_p
+    report = SolveReport(params, p, variant, field, window, inner_window)
+    report.visibility = class_visibility_map(params, inner_window)
+    report.unknowns = system.unknowns
+    report.rows = system.rows
+    report.killed_zero = system.killed_zero
+    if field != 2:
+        report.killed_parity = system.killed_parity
+    for parity, tags, members in system.components:
+        if parity and field != 2:
+            continue
         if len(tags) != 1:
-            report.residual.append(sorted(tags, key=str))
+            report.residual.append(list(tags))
         else:
-            tag = next(iter(tags))
+            tag = tags[0]
             if tag == "scalar":
                 report.scalar_dim += 1
             elif tag == "power":
@@ -583,10 +690,10 @@ def solve_component(
                 report.class_dims[tag] = report.class_dims.get(tag, 0) + 1
             else:
                 report.residual.append([tag])
-        ref_w = min((str(b), v, wgt) for v, b, wgt in inner_mems)[2]
         assignment: dict = {}
-        for v, beta, wgt in sorted(inner_mems, key=lambda t: (t[0], str(t[1]))):
-            coeff = wgt * ref_w
+        for key, s, coeff in members:
+            v = Vertex(*key)
+            beta = _basis_arrow(rules, shift_p, v, s)
             mor = assignment.get(v)
             # the identity occurs in degree 0 only, where Sigma^p v = v
             term = Morphism(v, v if beta is None else beta.target, {beta: coeff})

@@ -11,12 +11,10 @@ nilpotent part is the socle.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field as dc_field
 
-from .center import SolveReport, solve_component, solver_margin
+from .center import solve_component, solver_margin
 from .gf import FieldScalar
-from .gentle import OmegaParams
 from .model import ModelParams
 
 
@@ -106,15 +104,6 @@ def _expected_power(pres: RingPresentation, p: int) -> int:
     return 1 if p % pres.base[1] == 0 else 0
 
 
-def _solve_slim(task) -> SolveReport:
-    """Top-level so reconcile can fan solves out to worker processes."""
-    r, n, m, p, variant, field, window, inner = task
-    params = ModelParams(OmegaParams(r, n, m), window)
-    rep = solve_component(params, p, variant, field, window, inner)
-    rep.basis.clear()
-    return rep
-
-
 def reconcile(
     params: ModelParams,
     field: int,
@@ -128,7 +117,13 @@ def reconcile(
     0 and one power class in each positive degree divisible by its
     generator degree; each socle item contributes one dimension per
     fully visible class at its shift (partially visible classes may
-    fall outside the inner window and report 0)."""
+    fall outside the inner window and report 0).
+
+    The degrees are solved one after another by solve_component, whose
+    built systems are cached by (r, n, m), window, inner window, degree
+    and sign law, and not by field or variant: the four (variant, char)
+    pairs of one window share them.  parallel has no effect; it is
+    accepted so that existing callers keep working."""
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     inner = window - solver_margin(params)
@@ -138,18 +133,9 @@ def reconcile(
         )
     pres = theorem_case(params, field, variant)
     report = ReconcileReport(params, field, variant, degree_bound, window, pres)
-    r, n, m = params.r, params.n, params.m
-    tasks = [
-        (r, n, m, p, variant, field, window, inner) for p in range(degree_bound + 1)
-    ]
-    if parallel and len(tasks) > 1:
-        with multiprocessing.Pool() as pool:
-            reps = pool.map(_solve_slim, tasks)
-    else:
-        reps = [_solve_slim(t) for t in tasks]
-
-    shift_family = {0: "X", n: "Y"}
-    for p, rep in zip(range(degree_bound + 1), reps):
+    shift_family = {0: "X", params.n: "Y"}
+    for p in range(degree_bound + 1):
+        rep = solve_component(params, p, variant, field, window, inner)
         problems = []
         exp_scalar = 1 if p == 0 else 0
         if rep.scalar_dim != exp_scalar:

@@ -8,7 +8,7 @@ from gradedcenter.center import (
     InconsistencyError,
     SolveReport,
     _UnionFind,
-    _class_tag,
+    _class_tag as _tag,
     class_visibility_map,
     solver_margin,
 )
@@ -25,6 +25,11 @@ from gradedcenter.model import (
     sigma_pow,
     vertex_exists,
 )
+
+
+def _class_tag(params, p, v, beta):
+    """The solver's class rule, read off a Vertex and its basis arrow."""
+    return _tag(params, p, v.i, v.b - v.a, None if beta is None else beta.kind)
 
 
 def solve_component(

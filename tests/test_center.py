@@ -4,6 +4,7 @@ from gradedcenter.acceptance import GRID
 from gradedcenter.center import (
     CenterElement,
     GeneratorSpec,
+    _build_system,
     _solve_sigma_exponent,
     check_membership,
     class_visibility_map,
@@ -384,3 +385,51 @@ def test_solver_matches_object_solver(rnm):
             assert rep.unknowns == hom_dim, (p, variant, char)
             if char == 2:
                 assert rep.killed_parity == 0
+
+
+# the cache of built systems: a system built for one (variant, char) and
+# served to another must give the report a fresh solve gives
+
+
+def _cached_report(rep):
+    return _full_report(rep) + (rep.unknowns, rep.rows, rep.killed_zero, rep.killed_parity)
+
+
+def _fresh_solve(params, p, variant, char, W, Wi):
+    _build_system.cache_clear()
+    rep = solve_component(params, p, variant, char, W, Wi)
+    assert _build_system.cache_info().misses == 1
+    return rep
+
+
+@pytest.mark.parametrize("rnm", GRID, ids=str)
+def test_cached_systems_match_fresh_solves(rnm):
+    r, n, m = rnm
+    W = solver_margin(params_for(r, n, m)) + 1
+    params = params_for(r, n, m, window=W)
+    cases = [(variant, char) for variant in ("graded", "commutative") for char in (2, 3)]
+    spot = [("graded", 5), ("commutative", 5)] if rnm in ((1, 2, 0), (2, 3, 1)) else []
+    for p in range(2 * n + 1):
+        _build_system.cache_clear()
+        served = [solve_component(params, p, variant, char, W, 1) for variant, char in cases + spot]
+        info = _build_system.cache_info()
+        # one system per sign law: graded and commutative differ at odd p only
+        assert (info.misses, info.hits) == (1 + p % 2, len(served) - 1 - p % 2), p
+        for (variant, char), rep in zip(cases + spot, served):
+            want = _fresh_solve(params, p, variant, char, W, 1)
+            assert _cached_report(rep) == _cached_report(want), (p, variant, char)
+
+
+def test_cached_system_is_not_aliased():
+    params = params_for(1, 2, 0, window=9)
+    _build_system.cache_clear()
+    first = solve_component(params, 2, "graded", 3, 9, 3)
+    assert first.basis and first.class_dims
+    first.basis[0].assignment.clear()
+    first.basis.clear()
+    first.class_dims[("X", 0)] = 99
+    first.residual.append(["mutated"])
+    first.visibility.clear()
+    again = solve_component(params, 2, "graded", 3, 9, 3)
+    assert _build_system.cache_info().misses == 1
+    assert _cached_report(again) == _cached_report(_fresh_solve(params, 2, "graded", 3, 9, 3))

@@ -90,14 +90,14 @@ def test_theorem_case_accepts_model_params():
 def test_reconcile_guards():
     params = ModelParams(OmegaParams(1, 2, 0), 10)
     with pytest.raises(ValueError):
-        reconcile(params, 3, "graded", -1, 10, parallel=False)
+        reconcile(params, 3, "graded", -1, 10)
     with pytest.raises(ValueError):
-        reconcile(params, 3, "graded", 2, 6, parallel=False)  # margin 6 leaves no inner box
+        reconcile(params, 3, "graded", 2, 6)  # margin 6 leaves no inner box
 
 
 def test_reconcile_matches_table_small():
     params = ModelParams(OmegaParams(1, 2, 0), 10)
-    rep = reconcile(params, 3, "graded", 4, 10, parallel=False)
+    rep = reconcile(params, 3, "graded", 4, 10)
     assert isinstance(rep, ReconcileReport)
     assert rep.ok and not rep.mismatches
     assert len(rep.lines) == 5
@@ -108,9 +108,17 @@ def test_reconcile_matches_table_small():
 
 def test_reconcile_power_degrees():
     params = ModelParams(OmegaParams(2, 2, 0), 11)
-    rep = reconcile(params, 3, "graded", 4, 11, parallel=False)
+    rep = reconcile(params, 3, "graded", 4, 11)
     assert rep.ok, rep.mismatches
     # base F[X^2]: power classes exactly in degrees 2 and 4
     assert "p=1: ok (scalar 0, power 0, 0 socle classes)" in rep.lines
     assert "p=2: ok (scalar 0, power 1, 0 socle classes)" in rep.lines
     assert "p=4: ok (scalar 0, power 1, 0 socle classes)" in rep.lines
+
+
+def test_reconcile_parallel_keyword_is_inert():
+    params = ModelParams(OmegaParams(1, 2, 0), 10)
+    serial = reconcile(params, 3, "graded", 4, 10, parallel=False)
+    pooled = reconcile(params, 3, "graded", 4, 10, parallel=True)
+    assert serial.lines == pooled.lines
+    assert serial.ok and pooled.ok
