@@ -502,11 +502,11 @@ class _System(NamedTuple):
 # the systems the first pair built.
 @lru_cache(maxsize=13)
 def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
-    """The union-find system of degree p on the window W, with the sign
-    law Sigma eta = sign * eta Sigma.  The field is not an argument: the
-    rows have coefficients +-1 whatever the characteristic, so only the
-    reading of a parity conflict depends on it, and that is left to the
-    caller."""
+    """Solve the union-find system of degree p on the window W, with the
+    sign law Sigma eta = sign * eta Sigma, and keep what a report on the
+    inner window needs.  The field is not an argument: the rows have
+    coefficients +-1 whatever the characteristic, so only the reading of
+    a parity conflict depends on it, and that is left to the caller."""
     params = ModelParams(omega, W)
     r, n = params.r, params.n
     rules = params.rules
