@@ -13,7 +13,7 @@ The package computes, by exact linear algebra over prime fields:
   reconciliation against the solver output.
 """
 
-from gradedcenter.gf import FieldScalar, add, mul, inv
+from gradedcenter.gf import FieldScalar
 from gradedcenter.gentle import (
     GentleQuiver,
     OmegaParams,
@@ -56,9 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldScalar",
-    "add",
-    "mul",
-    "inv",
     "GentleQuiver",
     "OmegaParams",
     "parse_quiver",

@@ -1,8 +1,8 @@
-"""Exact arithmetic in prime fields F_p.
+"""Prime fields F_p.
 
-Everything here is exact integer arithmetic modulo a prime; there are no
-tolerances anywhere.  Constructing FieldScalar(0, p) is the library's
-check that p is prime.
+Every computation in the package is exact integer arithmetic reduced
+modulo a prime; there are no tolerances anywhere.  Constructing
+FieldScalar(0, p) is the library's check that p is prime.
 """
 
 from __future__ import annotations
@@ -36,40 +36,3 @@ class FieldScalar:
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
         object.__setattr__(self, "value", self.value % self.p)
-
-    def __add__(self, other: "FieldScalar") -> "FieldScalar":
-        return add(self, other)
-
-    def __mul__(self, other: "FieldScalar") -> "FieldScalar":
-        return mul(self, other)
-
-    def __neg__(self) -> "FieldScalar":
-        return FieldScalar(-self.value, self.p)
-
-    def __sub__(self, other: "FieldScalar") -> "FieldScalar":
-        return add(self, -other)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-
-def _check_same_modulus(x: FieldScalar, y: FieldScalar) -> None:
-    if x.p != y.p:
-        raise ValueError(f"modulus mismatch: {x.p} != {y.p}")
-
-
-def add(x: FieldScalar, y: FieldScalar) -> FieldScalar:
-    _check_same_modulus(x, y)
-    return FieldScalar(x.value + y.value, x.p)
-
-
-def mul(x: FieldScalar, y: FieldScalar) -> FieldScalar:
-    _check_same_modulus(x, y)
-    return FieldScalar(x.value * y.value, x.p)
-
-
-def inv(x: FieldScalar) -> FieldScalar:
-    if x.value == 0:
-        raise ZeroDivisionError("inversion of zero")
-    # Fermat: x^(p-2) is the inverse in F_p.
-    return FieldScalar(pow(x.value, x.p - 2, x.p), x.p)

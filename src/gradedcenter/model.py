@@ -341,10 +341,6 @@ class Morphism:
                 terms.pop(t, None)
         return Morphism(self.source, self.target, terms)
 
-    def reduced(self, char: int) -> "Morphism":
-        terms = {t: c % char for t, c in self.terms.items() if c % char}
-        return Morphism(self.source, self.target, terms)
-
 
 def compose(params: ModelParams, g: Morphism, f: Morphism) -> Morphism:
     """Composite g after f; bilinear over the generator rule."""
@@ -373,13 +369,6 @@ def compose(params: ModelParams, g: Morphism, f: Morphism) -> Morphism:
 def sigma(params: ModelParams, v: Vertex) -> Vertex:
     j, da, db = params.sigma_steps[v.family, v.i, 1]
     return Vertex(v.family, j, v.a + da, v.b + db)
-
-
-def sigma_cycle(params: ModelParams, family: str) -> tuple[int, int]:
-    """The translation Sigma^r of a family's (a, b) plane, whatever the
-    starting index."""
-    _, c1, c2 = params.sigma_steps[family, 0, params.r]
-    return (c1, c2)
 
 
 def sigma_shift(params: ModelParams, family: str, i: int, p: int) -> tuple[int, int, int]:

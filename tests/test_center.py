@@ -1,3 +1,7 @@
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
 from gradedcenter.acceptance import GRID
@@ -29,6 +33,7 @@ from gradedcenter.model import (
 )
 
 from null_space_oracle import SparseMatrix, null_space
+from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
 
 
@@ -208,6 +213,71 @@ def test_membership_rejects_broken_element():
     ok, why = check_membership(p, el, 10, 6, char=3)
     assert not ok
     assert "naturality" in why or "sign law" in why
+
+
+def test_membership_rejects_value_outside_its_hom_space():
+    p = params_for(1, 2, 0, window=10)
+    eta = make_generator(p, GeneratorSpec("eta_dprime", 0), 10)
+    v = Vertex("Y", 0, 0, 2)
+    el = CenterElement(eta.p, eta.variant, {**eta.assignment, v: Morphism.identity(v)})
+    with pytest.raises(ValueError, match="not in Hom"):
+        check_membership(p, el, 10, 6)
+
+
+def _membership_cases(extra):
+    """Every criterion-4 generator on the window whose inner box is the
+    extra-th one past the least that meets its support, both as listed
+    in perfbench/inputs.py (membership_specs, support_inner)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for r, n, m, name, q in inputs.membership_specs():
+        inner = inputs.support_inner(r, n, m, name, q) + extra
+        W = inputs.membership_margin(n, m) + inner
+        params = params_for(r, n, m, window=W)
+        yield params, make_generator(params, GeneratorSpec(name, q), W), W, inner
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_membership_matches_object_membership(extra):
+    # every (variant, char) on the least window; one seeded draw on the
+    # two wider ones, whose checks cost up to five times as much
+    pairs = [(variant, char) for variant in ("graded", "commutative") for char in (2, 3, 5)]
+    rng = random.Random(extra)
+    for params, el, W, inner in _membership_cases(extra):
+        for variant, char in pairs if extra == 0 else [rng.choice(pairs)]:
+            got = check_membership(params, el, W, inner, char=char, variant=variant)
+            want = object_check_membership(params, el, W, inner, char=char, variant=variant)
+            assert got == want, (params.omega, el.p, W, variant, char)
+
+
+def test_membership_breakages_match_object_membership():
+    # Rows of naturality join two vertices of the inner box, so changing
+    # one inner support vertex tends to break naturality, while changing
+    # every vertex outside the box can break only the sign law.
+    rng = random.Random(4)
+    seen = set()
+    for params, el, W, inner in _membership_cases(0):
+        inside, outside = [], []
+        for v in sorted(el.assignment):
+            (inside if max(abs(v.a), abs(v.b)) <= inner else outside).append(v)
+        for chosen in ([rng.choice(inside)], outside):
+            # None drops the vertices from the support; 0 keeps them
+            # with a zero value
+            scale = rng.choice([None, 0, -1, 2])
+            assignment = dict(el.assignment)
+            for v in chosen:
+                if scale is None:
+                    del assignment[v]
+                else:
+                    assignment[v] = assignment[v].scaled(scale)
+            broken = CenterElement(el.p, el.variant, assignment)
+            char = rng.choice([2, 3, 5])
+            got = check_membership(params, broken, W, inner, char=char)
+            assert got == object_check_membership(params, broken, W, inner, char=char)
+            seen.add(got[1].split(" fails")[0] if got[1] else None)
+    assert seen == {None, "naturality", "sign law"}
 
 
 def test_solver_margin_formula():

@@ -2,15 +2,9 @@ import random
 
 import pytest
 
-from gradedcenter.gf import FieldScalar, add, mul, inv
+from gradedcenter.gf import FieldScalar
 
 from null_space_oracle import SparseMatrix, null_space
-
-
-def test_add_mul_inv_examples():
-    assert mul(FieldScalar(2, 3), FieldScalar(2, 3)) == FieldScalar(1, 3)
-    assert add(FieldScalar(1, 2), FieldScalar(1, 2)) == FieldScalar(0, 2)
-    assert inv(FieldScalar(3, 5)) == FieldScalar(2, 5)
 
 
 def test_scalar_is_reduced():
@@ -23,27 +17,6 @@ def test_nonprime_modulus_rejected():
         FieldScalar(1, 4)
     with pytest.raises(ValueError):
         FieldScalar(0, 1)
-
-
-def test_modulus_mismatch():
-    with pytest.raises(ValueError):
-        add(FieldScalar(1, 2), FieldScalar(1, 3))
-
-
-def test_inversion_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        inv(FieldScalar(0, 7))
-
-
-def test_field_axioms_small():
-    for p in (2, 3, 5):
-        elems = [FieldScalar(v, p) for v in range(p)]
-        for x in elems:
-            for y in elems:
-                assert add(x, y) == add(y, x)
-                assert mul(x, y) == mul(y, x)
-                if x.value:
-                    assert mul(x, inv(x)) == FieldScalar(1, p)
 
 
 def test_null_space_zero_matrix():

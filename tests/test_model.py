@@ -21,9 +21,9 @@ from gradedcenter.model import (
     make_vertex,
     region,
     sigma,
-    sigma_cycle,
     sigma_mor_pow,
     sigma_pow,
+    sigma_shift,
     tau,
     tau_sigma_periodic,
     vertex_exists,
@@ -294,7 +294,7 @@ def test_sigma_full_cycle_vectors():
     assert sigma_pow(p, y, 2) == Vertex("Y", 0, -1, 3)
     z = Vertex("Z", 0, 0, 0)
     assert sigma_pow(p, z, 2) == Vertex("Z", 0, 3, -1)
-    assert [sigma_cycle(p, f) for f in "XYZ"] == [(3, 3), (-1, -1), (3, -1)]
+    assert [sigma_shift(p, f, 0, p.r)[1:] for f in "XYZ"] == [(3, 3), (-1, -1), (3, -1)]
 
 
 def test_tau_is_diagonal_shift():
@@ -325,7 +325,7 @@ def test_morphism_algebra():
     assert ident.plus(ident.scaled(-1)).is_zero()
     assert ident.plus(ident).is_zero(2)
     assert not ident.plus(ident).is_zero(3)
-    assert ident.scaled(3).reduced(3).is_zero()
+    assert ident.scaled(3).is_zero(3)
     assert Morphism.zero(v, v).is_zero()
     assert Morphism.of_gen(ArrowGen("e'", v, v, 2), 0).is_zero()
 
