@@ -39,6 +39,7 @@ from .model import (
     arrow_of_degree,
     arrows_from,
     enumerate_vertices,
+    least_gap,
     sigma_pow,
     tau_sigma_periodic,
     vertex_exists,
@@ -107,13 +108,12 @@ def _arrow_matrices(params: ModelParams, W: int):
     """Boolean matrix per (kind, source index): entry (s, t) says that
     box coordinate pair s -> t carries a generator arrow of the kind."""
     ca, cb = _box_coords(W)
-    exists = {
-        (family, i): np.array(
-            [vertex_exists(params, family, i, (int(a), int(b))) for a, b in zip(ca, cb)]
-        )
-        for family in params.families
-        for i in range(params.r)
-    }
+    # a vertex exists where its gap b - a reaches the least gap
+    exists = {}
+    for family in params.families:
+        for i in range(params.r):
+            lo = least_gap(params, family, i)
+            exists[family, i] = np.ones(ca.size, bool) if lo is None else cb - ca >= lo
     mats = {}
     for kind, (src_fam, tgt_fam, deg, step) in KIND_TABLE.items():
         if src_fam not in params.families or tgt_fam not in params.families:

@@ -37,9 +37,16 @@ b - a, so each pattern of rows is worked out once per gap.  Vertex,
 ArrowGen and Morphism objects are built only for the components that
 survive and meet the inner window.
 
-check_membership tests naturality with the same rule, _row_pattern, on
-the element's integer coefficients, so the solver and the check share
-one statement of naturality.
+check_membership runs on the same integer keys and tests naturality
+with the same rule, _row_pattern, on the element's coefficients, so the
+solver and the check share one statement of naturality.  It walks the
+arrows at the support as integer ranges (model.arrow_keys_from and
+arrow_keys_to), which start each row at the least gap of a vertex
+(model.least_gap) instead of testing every cell, and it works each
+pattern out once per call and per key: the rows at an arrow are
+unchanged when both endpoints move along the diagonal together.
+Vertex and ArrowGen objects are built only to name a failure.
+make_generator likewise walks only the generator's support.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -56,22 +63,25 @@ from typing import NamedTuple
 
 from .gf import FieldScalar
 from .model import (
+    FAMILIES,
     ArrowGen,
     ModelParams,
     Morphism,
     Vertex,
+    arrow_keys_from,
+    arrow_keys_to,
     arrow_kind,
-    arrow_of_degree,
-    arrows_from,
-    arrows_to,
+    arrow_of_degree,  # unused here: the benchmark's tracer wraps it by name
+    arrows_from,  # unused here: the benchmark's tracer wraps it by name
+    arrows_to,  # unused here: the benchmark's tracer wraps it by name
     compose,
     enumerate_vertices,  # unused here: the benchmark's tracer wraps it by name
     hom_gaps,
-    sigma,
+    least_gap,
+    sigma,  # unused here: the benchmark's tracer wraps it by name
     sigma_mor_pow,
     sigma_pow,
     sigma_shift,
-    vertex_exists,
 )
 from .hom import hom_basis  # unused here: the benchmark's tracer wraps it by name
 
@@ -163,71 +173,64 @@ def _socle_gap(params: ModelParams, family: str, q: int, i: int) -> int:
 
 
 def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> CenterElement:
+    """The generator as a CenterElement on the box [-window, window]^2.
+    Only its support is walked, and Sigma^p is read once per index."""
     ok, why = spec.admissible(params)
     if not ok:
         raise ValueError(f"inadmissible generator for (r,n,m)=({params.r},{params.n},{params.m}): {why}")
     r, n, m = params.r, params.n, params.m
     W = window
     p = spec.degree(params)
+    rules = params.rules
     assignment: dict = {}
 
-    def in_box(*coords):
-        return all(-W <= c <= W for c in coords)
+    def put(v: Vertex, shift: tuple, degree: int, coeff: int, missing: str):
+        """Assign coeff times the arrow of this degree from v to its
+        translate by shift, which must be a generator."""
+        j, da, db = shift
+        w = (v.family, j, v.a + da, v.b + db)
+        kind = arrow_kind(rules, v.family, v.i, v.a, v.b, *w, degree)
+        if kind is None:
+            raise InconsistencyError(f"{missing} {v!r}")
+        assignment[v] = Morphism.of_gen(ArrowGen(kind, v, Vertex(*w), degree), coeff)
 
     if spec.name in ("eta_prime", "eta_dprime"):
         q = spec.q
         base = Vertex("Y", 0, 0, n + q)
         for i in range(r):
+            shift = sigma_shift(params, "Y", i, n)
             gap = _socle_gap(params, "Y", q, i)
-            for a in range(-W, W + 1):
-                b = a + gap
-                if not in_box(b):
-                    continue
-                v = Vertex("Y", i, a, b)
-                target = sigma_pow(params, v, n)
-                gen = arrow_of_degree(params, v, target, 2)
-                if gen is None:
-                    raise InconsistencyError(f"missing e'' under {v!r}")
+            # gap >= 0, so b = a + gap in [-W, W] needs only b <= W
+            for a in range(-W, W - gap + 1):
+                v = Vertex("Y", i, a, a + gap)
+                coeff = 1
                 if spec.name == "eta_prime":
                     exp = _solve_sigma_exponent(params, base, v)
                     coeff = -1 if (n * exp) % 2 else 1
-                else:
-                    coeff = 1
-                assignment[v] = Morphism.of_gen(gen, coeff)
+                put(v, shift, 2, coeff, "missing e'' under")
         variant = "graded" if spec.name == "eta_prime" else "commutative"
         return CenterElement(p, variant, assignment)
 
     if spec.name == "eta_zero":
         q = spec.q
-        for a in range(-W, W + 1):
-            b = a + q
-            if not in_box(b):
-                continue
-            v = Vertex("X", 0, a, b)
-            gen = arrow_of_degree(params, v, v, 2)
-            if gen is None:
-                raise InconsistencyError(f"missing e' self-arrow at {v!r}")
-            assignment[v] = Morphism.of_gen(gen, 1)
+        for a in range(-W, W - q + 1):
+            put(Vertex("X", 0, a, a + q), (0, 0, 0), 2, 1, "missing e' self-arrow at")
         return CenterElement(0, "commutative", assignment)
 
-    # eta_power(k)
+    # eta_power(k): the identity (k = 0) or the f' arrow to Sigma^(kn) v
+    # on every vertex of gap at least k(n + m) - d0 m, where d0 m is m at
+    # index 0 and 0 elsewhere; at k = 0 that is X's least gap
     k = spec.q
     for i in range(r):
-        d0m = m if i == 0 else 0
+        shift = sigma_shift(params, "X", i, k * n)
+        lo = max(least_gap(params, "X", i), k * (n + m) - (m if i == 0 else 0))
         for a in range(-W, W + 1):
-            for b in range(-W, W + 1):
-                if not vertex_exists(params, "X", i, (a, b)):
-                    continue
+            for b in range(max(-W, a + lo), W + 1):
                 v = Vertex("X", i, a, b)
                 if k == 0:
                     assignment[v] = Morphism.identity(v)
-                    continue
-                if k * (n + m) <= b + d0m - a:
-                    target = sigma_pow(params, v, k * n)
-                    gen = arrow_of_degree(params, v, target, 0)
-                    if gen is None:
-                        raise InconsistencyError(f"missing f' power arrow at {v!r}")
-                    assignment[v] = Morphism.of_gen(gen, 1)
+                else:
+                    put(v, shift, 0, 1, "missing f' power arrow at")
     return CenterElement(k * n, "commutative", assignment)
 
 
@@ -245,10 +248,17 @@ def check_membership(
 ) -> tuple[bool, str | None]:
     """Verify naturality and the sign law for el on the inner window.
 
-    Naturality at each arrow is the solver's row rule, _row_pattern, on
-    the element's coefficients mod char.  Rows where neither endpoint
-    carries support are 0 = 0 and are skipped; that restriction is
-    exact, not an approximation.
+    The check runs on integers, as the solver does: a vertex is the key
+    (family, i, a, b), and el becomes its coefficients per slot.  The
+    arrows at each inner support vertex come from model.arrow_keys_from
+    and arrow_keys_to as integer ranges that start at each row's least
+    gap.  Naturality at an arrow is the solver's row rule, _row_pattern,
+    on the coefficients mod char.  A pattern is unchanged when both
+    endpoints move along the diagonal together, so within one call it is
+    worked out once per (families, indices, gap, target offset, degree,
+    slots of both endpoints).  Rows where neither endpoint carries
+    support are 0 = 0 and are skipped; that restriction is exact, not an
+    approximation.  Objects are built only to name the first failure.
     """
     FieldScalar(0, char)
     variant = variant or el.variant
@@ -259,49 +269,69 @@ def check_membership(
     p = el.p
     Wi = inner_window
     sign = -1 if (variant == "graded" and p % 2) else 1
-    support = el.assignment
-    # {vertex: {slot: coefficient}}, slots as in the solver
+    rules, steps = params.rules, params.sigma_steps
+    # Sigma^p per (family, i), as a translation (j, da, db)
+    shift_p = {(f, i): sigma_shift(params, f, i, p) for f in FAMILIES for i in range(params.r)}
+    # {(family, i, a, b): (slots, {slot: coefficient})}, slots as in the
+    # solver
     coeffs: dict = {}
-    for v, mor in support.items():
-        if mor.source != v or mor.target != sigma_pow(params, v, p):
+    for v, mor in el.assignment.items():
+        j, da, db = shift_p[v.family, v.i]
+        if mor.source != v or mor.target != Vertex(v.family, j, v.a + da, v.b + db):
             raise ValueError(f"the value at {v!r} is not in Hom(v, Sigma^{p} v)")
-        coeffs[v] = {-1 if t is None else t.degree: c for t, c in mor.terms.items()}
+        slots = {-1 if t is None else t.degree: c for t, c in mor.terms.items()}
+        coeffs[v.family, v.i, v.a, v.b] = (tuple(slots), slots)
+    empty = ((), {})
+    patterns: dict = {}
 
-    def inner(v: Vertex) -> bool:
-        return -Wi <= v.a <= Wi and -Wi <= v.b <= Wi
+    def natural_at(v: tuple, w: tuple, degree: int) -> bool:
+        f, i, a, b = v
+        g, j, ta, tb = w
+        sv, cv = coeffs.get(v, empty)
+        sw, cw = coeffs.get(w, empty)
+        key = (f, i, g, j, b - a, ta - a, tb - a, degree, sv, sw)
+        rows = patterns.get(key)
+        if rows is None:
+            rows = patterns[key] = _row_pattern(rules, v, w, degree, shift_p[g, j], cv, cw)
+        for s, t in rows:
+            if (cv.get(s, 0) - cw.get(t, 0)) % char:
+                return False
+        return True
 
-    def natural_at(gen: ArrowGen) -> bool:
-        v, w = gen.source, gen.target
-        cv, cw = coeffs.get(v, {}), coeffs.get(w, {})
-        rows = _row_pattern(params.rules, (v.family, v.i, v.a, v.b), (w.family, w.i, w.a, w.b),
-                            gen.degree, sigma_shift(params, w.family, w.i, p), cv, cw)
-        return all((cv.get(s, 0) - cw.get(t, 0)) % char == 0 for s, t in rows)
+    def failure(kind: str, v: tuple, w: tuple, degree: int) -> tuple[bool, str]:
+        gen = ArrowGen(kind, Vertex(*v), Vertex(*w), degree)
+        return (False, f"naturality fails at {gen!r}")
 
-    inner_support = sorted(v for v in support if inner(v))
+    def inner(v: tuple) -> bool:
+        return -Wi <= v[2] <= Wi and -Wi <= v[3] <= Wi
+
+    inner_support = sorted(v for v in coeffs if inner(v))
     # arrows out of the support
     for v in inner_support:
-        for gen in arrows_from(params, v, box=Wi):
-            if not natural_at(gen):
-                return (False, f"naturality fails at {gen!r}")
+        for kind, w, degree in arrow_keys_from(params, *v, Wi):
+            if not natural_at(v, w, degree):
+                return failure(kind, v, w, degree)
     # arrows into the support from off-support sources
     for w in inner_support:
-        for gen in arrows_to(params, w, box=Wi):
-            if gen.source in support:
-                continue
-            if not natural_at(gen):
-                return (False, f"naturality fails at {gen!r}")
+        for kind, v, degree in arrow_keys_to(params, *w, Wi):
+            if v not in coeffs and not natural_at(v, w, degree):
+                return failure(kind, v, w, degree)
     # sign law on Sigma-pairs touching the support: Sigma keeps each
     # term's kind and degree, so eta at Sigma u and Sigma eta_u are
     # compared slot by slot
     checked = set()
-    for v in sorted(support):
-        for u in (v, sigma_pow(params, v, -1)):
+    for v in sorted(coeffs):
+        f, i, a, b = v
+        j, da, db = sigma_shift(params, f, i, -1)
+        for u in (v, (f, j, a + da, b + db)):
             if u in checked or not inner(u):
                 continue
             checked.add(u)
-            cu, cs = coeffs.get(u, {}), coeffs.get(sigma(params, u), {})
+            sj, s1, s2 = steps[u[0], u[1], 1]
+            cu = coeffs.get(u, empty)[1]
+            cs = coeffs.get((u[0], sj, u[2] + s1, u[3] + s2), empty)[1]
             if any((cs.get(s, 0) - sign * cu.get(s, 0)) % char for s in cu.keys() | cs.keys()):
-                return (False, f"sign law fails at {u!r}")
+                return (False, f"sign law fails at {Vertex(*u)!r}")
     return (True, None)
 
 
@@ -523,17 +553,14 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
     steps = params.sigma_steps
 
     # per (family, i): Sigma^p as a translation (j, da, db), and the least
-    # b - a of a vertex, since vertex_exists depends on b - a alone and is
-    # upward closed in it
+    # b - a of a vertex (model.least_gap), -2W on Z, the least in the box
     shift_p: dict = {}
     floor: dict = {}
     for f in params.families:
         for i in range(r):
             shift_p[f, i] = sigma_shift(params, f, i, p)
-            floor[f, i] = next(
-                (t for t in range(-2 * W, 2 * W + 1) if vertex_exists(params, f, i, (0, t))),
-                2 * W + 1,
-            )
+            lo = least_gap(params, f, i)
+            floor[f, i] = -2 * W if lo is None else lo
 
     # unknowns: slots[(f, i, a, b)] maps each slot of Hom(v, Sigma^p v)
     # to its index; slot -1 is the identity, else the arrow's degree, as

@@ -178,6 +178,20 @@ class ArrowGen:
         return f"{self.kind}:{self.source!r}->{self.target!r}"
 
 
+def least_gap(params: ModelParams, family: str, i: int) -> int | None:
+    """The least gap b - a of a vertex (family, i, a, b), or None for Z,
+    where every gap is one.  vertex_exists depends on b - a alone and is
+    upward closed in it, so this one number is the whole of it; a family
+    these parameters lack has no vertices and no least gap."""
+    if not 0 <= i < params.r or family not in params.families:
+        raise ValueError(f"no vertices {family}({i}) for these parameters")
+    if family == "X":
+        return -params.m if i == 0 else 0
+    if family == "Y":
+        return params.n if i == 0 else 0
+    return None
+
+
 def vertex_exists(params: ModelParams, family: str, i: int, coord: tuple[int, int]) -> bool:
     r, n, m = params.r, params.n, params.m
     if not 0 <= i < r:
@@ -447,42 +461,74 @@ def _clip(lo, hi, W: int) -> range:
     return range(lo, hi + 1)
 
 
+def _rows(params: ModelParams, family: str, j: int, rect: tuple, W: int) -> list:
+    """The cells of rect inside [-W, W]^2 where (family, j) has a vertex,
+    as rows (u1, range of u2): each row starts at its least gap instead of
+    testing vertex_exists per cell."""
+    lo1, hi1, lo2, hi2 = rect
+    lo = least_gap(params, family, j)
+    lo2 = -W if lo2 is None else max(lo2, -W)
+    hi2 = W if hi2 is None else min(hi2, W)
+    return [
+        (u1, range(lo2 if lo is None else max(lo2, u1 + lo), hi2 + 1))
+        for u1 in _clip(lo1, hi1, W)
+    ]
+
+
+def arrow_keys_from(params: ModelParams, family: str, i: int, a: int, b: int, box: int):
+    """The generator arrows out of (family, i, a, b) with target inside
+    [-box, box]^2, as (kind, (g, j, u1, u2), degree): in KIND_TABLE order,
+    then u1 ascending, then u2 ascending."""
+    families = params.families
+    v = Vertex(family, i, a, b)
+    for kind, (src, tgt, degree, step) in KIND_TABLE.items():
+        if src != family or tgt not in families:
+            continue
+        j = (i + step) % params.r
+        for u1, u2s in _rows(params, tgt, j, region(params, kind, v), box):
+            for u2 in u2s:
+                # a degree-0 kind keeps family and index: skip the source
+                if degree == 0 and u1 == a and u2 == b:
+                    continue
+                yield kind, (tgt, j, u1, u2), degree
+
+
+def arrow_keys_to(params: ModelParams, family: str, i: int, a: int, b: int, box: int):
+    """The generator arrows into (family, i, a, b) with source inside
+    [-box, box]^2, as (kind, (f, j, a', b'), degree) with (f, j, a', b')
+    the source: in KIND_TABLE order, then a' ascending, then b'
+    ascending."""
+    families = params.families
+    w = Vertex(family, i, a, b)
+    for kind, (src, tgt, degree, step) in KIND_TABLE.items():
+        if tgt != family or src not in families:
+            continue
+        j = (i - step) % params.r
+        for u1, u2s in _rows(params, src, j, _region_inv(params, kind, w), box):
+            for u2 in u2s:
+                if degree == 0 and u1 == a and u2 == b:
+                    continue
+                yield kind, (src, j, u1, u2), degree
+
+
 def arrows_from(params: ModelParams, v: Vertex, box: int | None = None) -> list[ArrowGen]:
     """All generator arrows out of v with target inside [-box, box]^2
-    (default: the params window)."""
+    (default: the params window), in arrow_keys_from's order."""
     W = params.window if box is None else box
-    out = []
-    for kind, (src, tgt_family, degree, step) in KIND_TABLE.items():
-        if src != v.family or tgt_family not in params.families:
-            continue
-        j = (v.i + step) % params.r
-        lo1, hi1, lo2, hi2 = region(params, kind, v)
-        for u1 in _clip(lo1, hi1, W):
-            for u2 in _clip(lo2, hi2, W):
-                if degree == 0 and (u1, u2) == (v.a, v.b):
-                    continue
-                if vertex_exists(params, tgt_family, j, (u1, u2)):
-                    out.append(ArrowGen(kind, v, Vertex(tgt_family, j, u1, u2), degree))
-    return out
+    return [
+        ArrowGen(kind, v, Vertex(*w), degree)
+        for kind, w, degree in arrow_keys_from(params, v.family, v.i, v.a, v.b, W)
+    ]
 
 
 def arrows_to(params: ModelParams, w: Vertex, box: int | None = None) -> list[ArrowGen]:
     """All generator arrows into w with source inside [-box, box]^2
-    (default: the params window)."""
+    (default: the params window), in arrow_keys_to's order."""
     W = params.window if box is None else box
-    out = []
-    for kind, (src_family, tgt_family, degree, step) in KIND_TABLE.items():
-        if tgt_family != w.family or src_family not in params.families:
-            continue
-        j = (w.i - step) % params.r
-        lo_a, hi_a, lo_b, hi_b = _region_inv(params, kind, w)
-        for a in _clip(lo_a, hi_a, W):
-            for b in _clip(lo_b, hi_b, W):
-                if degree == 0 and (a, b) == (w.a, w.b):
-                    continue
-                if vertex_exists(params, src_family, j, (a, b)):
-                    out.append(ArrowGen(kind, Vertex(src_family, j, a, b), w, degree))
-    return out
+    return [
+        ArrowGen(kind, Vertex(*v), w, degree)
+        for kind, v, degree in arrow_keys_to(params, w.family, w.i, w.a, w.b, W)
+    ]
 
 
 def enumerate_arrows(params: ModelParams) -> list[ArrowGen]:

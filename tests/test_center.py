@@ -32,6 +32,7 @@ from gradedcenter.model import (
     sigma_pow,
 )
 
+import cell_generators
 from null_space_oracle import SparseMatrix, null_space
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
@@ -224,14 +225,19 @@ def test_membership_rejects_value_outside_its_hom_space():
         check_membership(p, el, 10, 6)
 
 
-def _membership_cases(extra):
-    """Every criterion-4 generator on the window whose inner box is the
-    extra-th one past the least that meets its support, both as listed
-    in perfbench/inputs.py (membership_specs, support_inner)."""
+def _perfbench_inputs():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def _membership_cases(extra):
+    """Every criterion-4 generator on the window whose inner box is the
+    extra-th one past the least that meets its support, both as listed
+    in perfbench/inputs.py (membership_specs, support_inner)."""
+    inputs = _perfbench_inputs()
     for r, n, m, name, q in inputs.membership_specs():
         inner = inputs.support_inner(r, n, m, name, q) + extra
         W = inputs.membership_margin(n, m) + inner
@@ -250,6 +256,27 @@ def test_membership_matches_object_membership(extra):
             got = check_membership(params, el, W, inner, char=char, variant=variant)
             want = object_check_membership(params, el, W, inner, char=char, variant=variant)
             assert got == want, (params.omega, el.p, W, variant, char)
+
+
+def test_make_generator_matches_cell_oracle():
+    # Every criterion-4 generator, plus eta_power(0), on criterion 4's
+    # window W = 12 and on the benchmark's three smallest windows: the
+    # support walk assigns what the box walk did, in the same order.
+    inputs = _perfbench_inputs()
+    specs = inputs.membership_specs()
+    specs += [(n, n, m, "eta_power", 0) for n in (1, 2, 3, 4) for m in (0, 1, 2)]
+    for r, n, m, name, q in specs:
+        spec = GeneratorSpec(name, q)
+        windows = {12} | {
+            inputs.membership_margin(n, m) + inputs.support_inner(r, n, m, name, q) + extra
+            for extra in (0, 1, 2)
+        }
+        for W in sorted(windows):
+            params = params_for(r, n, m, window=W)
+            got = make_generator(params, spec, W)
+            want = cell_generators.make_generator(params, spec, W)
+            assert (got.p, got.variant) == (want.p, want.variant)
+            assert list(got.assignment.items()) == list(want.assignment.items()), (r, n, m, name, q, W)
 
 
 def test_membership_breakages_match_object_membership():

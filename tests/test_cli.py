@@ -152,7 +152,7 @@ def test_check_single_criterion(capsys):
 def test_internal_inconsistency_exits_2(capsys, monkeypatch):
     # with every arrow lookup failing, criterion 4's first generator
     # misses its e'' arrow and make_generator reports an inconsistency
-    monkeypatch.setattr(gradedcenter.center, "arrow_of_degree", lambda *args: None)
+    monkeypatch.setattr(gradedcenter.center, "arrow_kind", lambda *args: None)
     code, _out, err = run(capsys, "check", "--criterion", "4")
     assert code == 2
     assert err.startswith("error: internal inconsistency: missing e'' under")

@@ -5,6 +5,7 @@ import pytest
 from gradedcenter.acceptance import GRID
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.model import (
+    FAMILIES,
     KIND_BY_SIGNATURE,
     KIND_TABLE,
     ArrowGen,
@@ -18,6 +19,7 @@ from gradedcenter.model import (
     compose,
     enumerate_arrows,
     enumerate_vertices,
+    least_gap,
     make_vertex,
     region,
     sigma,
@@ -30,6 +32,7 @@ from gradedcenter.model import (
     window_dot,
 )
 
+import cell_arrows
 from iterated_sigma import iterated_sigma_mor_pow, iterated_sigma_pow, sigma_mor
 from region_ladders import _region as ladder_region
 from region_ladders import _region_inv as ladder_region_inv
@@ -68,6 +71,28 @@ def test_vertex_exists_absent_family():
     p = params_for(2, 2, 0)
     assert not vertex_exists(p, "Y", 0, (0, 5))
     assert not vertex_exists(p, "Z", 0, (0, 0))
+
+
+def test_least_gap_matches_vertex_exists():
+    # (family, i, a, b) is a vertex exactly when b - a reaches the least
+    # gap, for either sign of a; a family the parameters lack has none
+    for r, n, m in GRID + [(3, 5, 3)]:
+        p = params_for(r, n, m)
+        span = 3 * (n + m)
+        for family in FAMILIES:
+            for i in range(r):
+                if family not in p.families:
+                    with pytest.raises(ValueError):
+                        least_gap(p, family, i)
+                    lo = span + 1
+                else:
+                    lo = least_gap(p, family, i)
+                for t in range(-span, span + 1):
+                    for a in (-span, -1, 0, 1, span):
+                        want = vertex_exists(p, family, i, (a, a + t))
+                        assert want == (lo is None or t >= lo), (r, n, m, family, i, a, t)
+        with pytest.raises(ValueError):
+            least_gap(p, "X", r)
 
 
 def test_make_vertex_rejects_nonexistent():
@@ -147,6 +172,21 @@ def test_arrows_from_matches_pairwise_enumeration():
             direct = {g for g in arrows_from(p, v, box=3)}
             pairwise = {g for w in targets for g in _arrows_between(p, v, w)}
             assert direct == pairwise, (r, n, m, v)
+
+
+@pytest.mark.parametrize("rnm", GRID, ids=str)
+def test_arrows_match_cell_oracle(rnm):
+    # The wrappers over the integer ranges list the same arrows, in the
+    # same order, as the per-cell walk they replace; every vertex of the
+    # W = 6 box, so boxes 1 and 3 also see vertices outside them.
+    p = params_for(*rnm, window=6)
+    for v in enumerate_vertices(p):
+        for box in (1, 3, 6):
+            assert arrows_from(p, v, box) == cell_arrows.arrows_from(p, v, box), (v, box)
+            assert arrows_to(p, v, box) == cell_arrows.arrows_to(p, v, box), (v, box)
+    v = Vertex("X", 0, 0, 0)
+    assert arrows_from(p, v) == cell_arrows.arrows_from(p, v, 6)
+    assert arrows_to(p, v) == cell_arrows.arrows_to(p, v, 6)
 
 
 def test_arrows_to_transposes_arrows_from():
