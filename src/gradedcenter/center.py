@@ -5,37 +5,44 @@ center components.
 Solver design: every constraint row (naturality at one generator arrow,
 or the sign law at one Sigma-pair) touches at most two unknowns, each
 with coefficient +-1, because parallel basis elements have distinct
-degrees.  The whole system is therefore a weighted union-find over
+degrees.  The whole system is therefore a signed union-find over
 unknowns (vertex, basis element): rows merge two unknowns up to sign or
 force one to zero; a forced x = -x kills the component unless the field
-has characteristic 2.
+has characteristic 2.  The union-find is four local lists (parent,
+weight, zero and parity marks) with path halving.
 
 solve_component works in two steps.  The build step (_build_system)
 makes the union-find and keeps only what a report needs, as immutable
-tuples: the Sigma^p translation table, the counts, and each component
-that is not forced to zero and meets the inner window, in report order,
-with its parity flag, its class tags and its inner members with their
-coefficients.  It is cached by (omega, window, inner window, p, sign).
-The field is not part of the key, because no row reads it: it decides
-only whether a parity-flagged component survives.  The variant enters
-only through the sign, -1 for the graded center at odd p, so the four
-(variant, char) pairs of one degree need at most two systems.  The
-interpret step runs on every call: it drops parity-flagged components
-outside characteristic 2 and builds the report's objects afresh, so no
-caller shares cached state.
+tuples: the Sigma^p translation table, the work counts, and each
+component that is not forced to zero and meets the inner window, in
+report order, with its parity flag, its class tags and its inner
+members with their coefficients.  It is cached by (omega, window, inner
+window, p, sign).  The field is not part of the key, because no row
+reads it: it decides only whether a parity-flagged component survives.
+The variant enters only through the sign, -1 for the graded center at
+odd p, so the four (variant, char) pairs of one degree need at most two
+systems.  The interpret step runs on every call: it drops
+parity-flagged components outside characteristic 2 and builds the
+report's objects afresh, so no caller shares cached state.
 
-The system is built on plain integers.  A vertex is the tuple (family,
-i, a, b) and an unknown is a vertex plus a slot: -1 for the identity, or
-the degree of the basis arrow, whose kind the two families fix.  Sigma
-and Sigma^p are translations per (family, i) (model.sigma_shift, from
-the step table of ModelParams), and arrows are tested by
-model.arrow_kind.  Only vertices with a nonempty hom space are
-enumerated: for each (family, i) and degree, model.hom_gaps turns the
-arrow's region into one interval of gaps b - a.  The naturality rows at
-a generator likewise depend on its source only through (family, i) and
-b - a, so each pattern of rows is worked out once per gap.  Vertex,
-ArrowGen and Morphism objects are built only for the components that
-survive and meet the inner window.
+The system is built on plain integers, one diagonal line at a time.  A
+vertex is the tuple (family, i, a, b) and an unknown is a vertex plus a
+slot: -1 for the identity, or the degree of the basis arrow, whose kind
+the two families fix.  Sigma and Sigma^p are translations per (family,
+i) (model.sigma_shift, from the step table of ModelParams), and arrows
+are tested by model.arrow_kind.  The hom space of a vertex depends on
+(family, i) and the gap b - a alone: for each degree, model.hom_gaps
+turns the arrow's region into one interval of gaps.  So the unknowns
+are laid out per line (family, i, gap): each slot of a line with a
+nonempty hom space gets one block of consecutive indices, one per a in
+the box.  The naturality rows at a generator likewise depend on its
+source only through (family, i), the gap and the target, so each
+pattern of rows is worked out once per line and target, and each of
+its rows, like each sign-law slot, is one union over two aligned index
+ranges: the a where both ends lie in the box.  No vertex tuple is made
+and no dict is read per cell.  Vertex, ArrowGen and Morphism objects
+are built only for the components that survive and meet the inner
+window.
 
 check_membership runs on the same integer keys and tests naturality
 with the same rule, _row_pattern, on the element's coefficients, so the
@@ -335,55 +342,6 @@ def check_membership(
     return (True, None)
 
 
-class _UnionFind:
-    """Union-find with +-1 edge weights plus zero/parity flags per root."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.weight = [1] * size
-        self.rank = [0] * size
-        self.zero = [False] * size
-        self.parity = [False] * size
-
-    def find(self, x: int) -> tuple[int, int]:
-        if self.parent[x] == x:
-            return x, 1
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        w = 1
-        for y in reversed(path):
-            w *= self.weight[y]
-            self.parent[y] = x
-            self.weight[y] = w
-        return x, self.weight[path[0]]
-
-    def union(self, x: int, y: int, s: int):
-        """Impose x = s * y."""
-        rx, wx = self.find(x)
-        ry, wy = self.find(y)
-        if rx == ry:
-            if wx != s * wy:
-                self.parity[rx] = True
-            return
-        # x = wx rx, y = wy ry  =>  rx = (wx * s * wy) ry
-        w = wx * s * wy
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-            # rx = w ry  <=>  ry = w rx (weights are involutive)
-        self.parent[ry] = rx
-        self.weight[ry] = w
-        self.zero[rx] = self.zero[rx] or self.zero[ry]
-        self.parity[rx] = self.parity[rx] or self.parity[ry]
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-
-    def set_zero(self, x: int):
-        root, _ = self.find(x)
-        self.zero[root] = True
-
-
 def solver_margin(params: ModelParams) -> int:
     return 2 * params.n + params.m + 2
 
@@ -403,11 +361,16 @@ class SolveReport:
     residual: list = dc_field(default_factory=list)
     basis: list = dc_field(default_factory=list)
     # work counts, identical across runs: unknowns (vertex, basis element),
-    # naturality and sign-law rows imposed, and the components the field
-    # discards, for a forced zero or else for a parity conflict (x = -x
-    # outside characteristic 2)
+    # vertices with a nonempty hom space, naturality and sign-law rows
+    # imposed (rows is their sum), merges (unknowns minus components), and
+    # the components the field discards, for a forced zero or else for a
+    # parity conflict (x = -x outside characteristic 2)
     unknowns: int = 0
+    vertices: int = 0
+    naturality_rows: int = 0
+    sign_rows: int = 0
     rows: int = 0
+    merges: int = 0
     killed_zero: int = 0
     killed_parity: int = 0
 
@@ -522,18 +485,37 @@ class _System(NamedTuple):
     """One built system: what solve_component reads back for any field.
 
     shift_p maps (family, i) to Sigma^p as a translation (j, da, db).
-    components holds, in report order, each component that is not forced
-    to zero and meets the inner window, as (parity, tags, members):
-    parity is set if the component forces x = -x, tags are its class
-    tags sorted by str, and members are its unknowns in the inner window
-    as ((family, i, a, b), slot, coefficient), in basis-element order."""
+    The work counts are: unknowns, vertices (cells of the box with a
+    nonempty hom space), the naturality and sign-law rows imposed, merges
+    (unknowns joined to another one: unknowns minus components), and the
+    components the field may discard, for a forced zero or else for a
+    parity conflict.  components holds, in report order, each component
+    that is not forced to zero and meets the inner window, as (parity,
+    tags, members): parity is set if the component forces x = -x, tags
+    are its class tags sorted by str, and members are its unknowns in the
+    inner window as ((family, i, a, b), slot, coefficient), in
+    basis-element order.
+
+    A coefficient is the member's sign relative to the member of least
+    str(arrow).  On a component without the parity flag the rows fix it.
+    On a parity-flagged one, which survives only in characteristic 2,
+    the rows imply both signs, so the +-1 read off depends on the order
+    in which unknowns were merged; every such choice is the same element
+    over F_2."""
 
     shift_p: MappingProxyType
     unknowns: int
-    rows: int
+    vertices: int
+    naturality_rows: int
+    sign_rows: int
+    merges: int
     killed_zero: int
     killed_parity: int
     components: tuple
+
+    @property
+    def rows(self) -> int:
+        return self.naturality_rows + self.sign_rows
 
 
 # A window's degree sweep p = 0..2n needs one system per even p and two
@@ -562,12 +544,22 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
             lo = least_gap(params, f, i)
             floor[f, i] = -2 * W if lo is None else lo
 
-    # unknowns: slots[(f, i, a, b)] maps each slot of Hom(v, Sigma^p v)
-    # to its index; slot -1 is the identity, else the arrow's degree, as
-    # the families fix the kind.  Only vertices with a nonempty hom space
-    # are visited: per slot, its gaps b - a, then a and b in the box.
-    slots: dict = {}
-    count = 0
+    # The line (f, i, t) is the diagonal of vertices (f, i, a, a + t) in
+    # the box, a from start(t) to stop(t), none if |t| > 2W.  Hom(v,
+    # Sigma^p v) depends on the gap t alone, so each slot of it (-1 for
+    # the identity, else the arrow's degree) gets one block of unknowns
+    # along the line: lines[f, i, t] maps the slot to the index of the
+    # unknown at a = start(t), and the unknown at a is that index
+    # + a - start(t).  Only lines with a nonempty hom space are laid out:
+    # per slot, its gaps b - a (model.hom_gaps).
+    def start(t: int) -> int:
+        return -W - t if t < 0 else -W
+
+    def stop(t: int) -> int:
+        return W if t < 0 else W - t
+
+    lines: dict = {}
+    count = vertices = 0
     for (f, i), shift in shift_p.items():
         for d in (-1, 0, 1, 2):
             if d < 0:
@@ -577,69 +569,151 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
             if gaps is None:
                 continue
             lo = floor[f, i] if gaps[0] is None else max(gaps[0], floor[f, i])
-            hi = 2 * W if gaps[1] is None else gaps[1]
-            for a in range(-W, W + 1):
-                for b in range(max(-W, a + lo), min(W, a + hi) + 1):
-                    got = slots.get((f, i, a, b))
-                    if got is None:
-                        got = slots[f, i, a, b] = {}
-                    got[d] = count
-                    count += 1
-    uf = _UnionFind(count)
-    n_rows = 0
+            hi = 2 * W if gaps[1] is None else min(gaps[1], 2 * W)
+            for t in range(lo, hi + 1):
+                slots = lines.get((f, i, t))
+                if slots is None:
+                    slots = lines[f, i, t] = {}
+                    vertices += 2 * W + 1 - abs(t)
+                slots[d] = count
+                count += 2 * W + 1 - abs(t)
+
+    # A signed union-find on the unknowns: x = weight[x] * parent[x].
+    # The zero and parity marks sit on any member of a component and are
+    # gathered at the roots at the end.
+    parent = list(range(count))
+    weight = [1] * count
+    zero = [False] * count
+    parity = [False] * count
+
+    def find(x: int) -> tuple[int, int]:
+        """The root of x and the sign of x relative to it.  Each step
+        hangs x on its grandparent (path halving); a root's weight is 1,
+        so the step is also right when the parent is the root."""
+        w = 1
+        up = parent[x]
+        while up != x:
+            wx = weight[x] = weight[x] * weight[up]
+            parent[x] = up = parent[up]
+            w *= wx
+            x = up
+            up = parent[x]
+        return x, w
+
+    def unite(x0: int, y0: int, length: int, s: int) -> int:
+        """Impose x = s * y along the aligned ranges from x0 and y0, and
+        return the number of merges; the loop runs find on x and on y
+        inline."""
+        merged = 0
+        for x, y in zip(range(x0, x0 + length), range(y0, y0 + length)):
+            wx = 1
+            up = parent[x]
+            while up != x:
+                w = weight[x] = weight[x] * weight[up]
+                parent[x] = up = parent[up]
+                wx *= w
+                x = up
+                up = parent[x]
+            wy = 1
+            up = parent[y]
+            while up != y:
+                w = weight[y] = weight[y] * weight[up]
+                parent[y] = up = parent[up]
+                wy *= w
+                y = up
+                up = parent[y]
+            if x != y:
+                parent[y] = x
+                weight[y] = wx * s * wy
+                merged += 1
+            elif wx != s * wy:
+                parity[x] = True
+        return merged
 
     # The rows at a generator v -> w depend on v only through (f, i), the
-    # place k of w in the list of targets and the gap b - a: the regions,
+    # place k of w in the list of targets and the gap t: the regions,
     # vertex_exists and so the slots of v and w are all unchanged when a
-    # and b move together.  Each pattern is worked out once per key.
-    patterns: dict = {}
-    for (f, i, a, b), bv in slots.items():
-        d0 = 1 if i == 0 else 0
-        targets = [(f, i, a, b + 1, 0), (f, i, a + 1, b, 0), (f, i, a + 1, b + 1, 0)]
+    # and b move together.  So each pattern is worked out once per line
+    # and target, and each of its rows is imposed on every a at once: the
+    # a where v and w both lie in the box, an interval.
+    naturality_rows = sign_rows = merges = 0
+    for (f, i, t), bv in lines.items():
+        a0, a1 = start(t), stop(t)
+        # targets as (g, j, shift of a, gap of w, degree)
+        targets = [(f, i, 0, t + 1, 0), (f, i, 1, t - 1, 0), (f, i, 1, t, 0)]
         if f == "X":
             _, c1, c2 = steps[f, i, r]
-            targets.append((f, i, a + c1, b + c2, 0))
-            targets.append((f, (i + 1) % r, a, a, 2))
+            targets.append((f, i, c1, t + c2 - c1, 0))
+            targets.append((f, (i + 1) % r, 0, 0, 2))
             if r < n:
-                targets.append(("Z", i, a, b, 1))
+                targets.append(("Z", i, 0, t, 1))
         elif f == "Y":
-            targets.append(("Z", i, a, b - d0 * n, 1))
-        for k, (g, j, ta, tb, degree) in enumerate(targets):
-            if not (-W <= ta <= W and -W <= tb <= W) or tb - ta < floor[g, j]:
+            targets.append(("Z", i, 0, t - (n if i == 0 else 0), 1))
+        for g, j, da, u, degree in targets:
+            if u < floor[g, j]:
                 continue
-            bw = slots.get((g, j, ta, tb), {})
-            pattern = patterns.get((f, i, k, b - a))
-            if pattern is None:
-                pattern = patterns[f, i, k, b - a] = _row_pattern(
-                    rules, (f, i, a, b), (g, j, ta, tb), degree, shift_p[g, j], bv, bw)
-            n_rows += len(pattern)
+            lo, hi = max(a0, start(u) - da), min(a1, stop(u) - da)
+            if lo > hi:
+                continue
+            bw = lines.get((g, j, u), {})
+            pattern = _row_pattern(
+                rules, (f, i, lo, lo + t), (g, j, lo + da, lo + da + u), degree, shift_p[g, j], bv, bw)
+            length = hi - lo + 1
+            naturality_rows += len(pattern) * length
             for left, right in pattern:
-                if left is not None and right is not None:
-                    uf.union(bv[left], bw[right], 1)
-                elif left is not None:
-                    uf.set_zero(bv[left])
+                if left is not None:
+                    x0 = bv[left] + lo - a0
+                if right is not None:
+                    y0 = bw[right] + lo + da - start(u)
+                if left is None:
+                    zero[y0:y0 + length] = [True] * length
+                elif right is None:
+                    zero[x0:x0 + length] = [True] * length
                 else:
-                    uf.set_zero(bw[right])
+                    merges += unite(x0, y0, length, 1)
         # sign law v -> Sigma v: Sigma beta starts at Sigma v, same degree
         sj, s1, s2 = steps[f, i, 1]
-        sa, sb = a + s1, b + s2
-        if -W <= sa <= W and -W <= sb <= W:
-            other = slots.get((f, sj, sa, sb), {})
+        u = t + s2 - s1
+        lo, hi = max(a0, start(u) - s1), min(a1, stop(u) - s1)
+        if lo <= hi:
+            other = lines.get((f, sj, u), {})
             for s, x in bv.items():
                 y = other.get(s)
                 if y is None:
                     raise InconsistencyError(
-                        f"suspension of unknown left the system at {Vertex(f, i, a, b)!r}")
-                uf.union(y, x, sign)
-            n_rows += len(bv)
+                        f"suspension of unknown left the system at {Vertex(f, i, lo, lo + t)!r}")
+                merges += unite(y + lo + s1 - start(u), x + lo - a0, hi - lo + 1, sign)
+            sign_rows += len(bv) * (hi - lo + 1)
 
-    # the members of each component not forced to zero
+    # hang every unknown on its root, so that parent and weight give its
+    # root and its sign, and gather the marks at the roots
+    dead = [False] * count
+    odd = [False] * count
+    for x in range(count):
+        root, weight[x] = find(x)
+        parent[x] = root
+        if zero[x]:
+            dead[root] = True
+        if parity[x]:
+            odd[root] = True
+
+    # the members of each component not forced to zero, and its tags
     members: dict[int, list[tuple]] = {}
-    for key, bv in slots.items():
-        for s, x in bv.items():
-            root, w = uf.find(x)
-            if not uf.zero[root]:
-                members.setdefault(root, []).append((key, s, w))
+    tags: dict[int, set] = {}
+    for (f, i, t), bv in lines.items():
+        a0 = start(t)
+        for s, x0 in bv.items():
+            tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
+            for k in range(2 * W + 1 - abs(t)):
+                root = parent[x0 + k]
+                if dead[root]:
+                    continue
+                got = members.get(root)
+                if got is None:
+                    got = members[root] = []
+                    tags[root] = set()
+                got.append(((f, i, a0 + k, a0 + k + t), s, weight[x0 + k]))
+                tags[root].add(tag)
     # Each one that meets the inner window becomes a basis element: its
     # class tags, and its inner members with their coefficients relative
     # to the member of least str(arrow), in the order the element lists
@@ -660,22 +734,20 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
             for key, s, _ in mems
             if key == least
         )
-        tags = {
-            _class_tag(params, p, i, b - a, None if s < 0 else rules[f, f, s, i][0])
-            for (f, i, a, b), s, _ in mems
-        }
         ref_w = min((name, key, w) for key, _, w, name in named)[2]
         named.sort(key=lambda t: (t[0], t[3]))
         basis = tuple((key, s, w * ref_w) for key, s, w, _ in named)
-        components.append((head, uf.parity[root], tuple(sorted(tags, key=str)), basis))
+        components.append((head, odd[root], tuple(sorted(tags[root], key=str)), basis))
     components.sort(key=lambda c: c[0])
-    roots = [x for x in range(count) if uf.parent[x] == x]
     return _System(
         shift_p=MappingProxyType(shift_p),
         unknowns=count,
-        rows=n_rows,
-        killed_zero=sum(uf.zero[x] for x in roots),
-        killed_parity=sum(uf.parity[x] and not uf.zero[x] for x in roots),
+        vertices=vertices,
+        naturality_rows=naturality_rows,
+        sign_rows=sign_rows,
+        merges=merges,
+        killed_zero=sum(dead),
+        killed_parity=sum(o and not d for o, d in zip(odd, dead)),
         components=tuple(c[1:] for c in components),
     )
 
@@ -708,7 +780,11 @@ def solve_component(
     report = SolveReport(params, p, variant, field, window, inner_window)
     report.visibility = class_visibility_map(params, inner_window)
     report.unknowns = system.unknowns
+    report.vertices = system.vertices
+    report.naturality_rows = system.naturality_rows
+    report.sign_rows = system.sign_rows
     report.rows = system.rows
+    report.merges = system.merges
     report.killed_zero = system.killed_zero
     if field != 2:
         report.killed_parity = system.killed_parity

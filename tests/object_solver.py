@@ -7,7 +7,6 @@ from gradedcenter.center import (
     CenterElement,
     InconsistencyError,
     SolveReport,
-    _UnionFind,
     _class_tag as _tag,
     class_visibility_map,
     solver_margin,
@@ -25,6 +24,7 @@ from gradedcenter.model import (
     sigma_pow,
     vertex_exists,
 )
+from vertex_build import _UnionFind
 
 
 def _class_tag(params, p, v, beta):

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,7 @@ from gradedcenter.model import (
 )
 
 import cell_generators
+import vertex_build
 from null_space_oracle import SparseMatrix, null_space
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
@@ -530,3 +534,71 @@ def test_cached_system_is_not_aliased():
     again = solve_component(params, 2, "graded", 3, 9, 3)
     assert _build_system.cache_info().misses == 1
     assert _cached_report(again) == _cached_report(_fresh_solve(params, 2, "graded", 3, 9, 3))
+
+
+# differential oracle for the build: the vertex-by-vertex build that the
+# line-by-line one replaced must give the same system
+
+
+def _component_shape(component):
+    parity, tags, members = component
+    return parity, tags, [(key, s) for key, s, _ in members]
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3)], ids=str)
+def test_line_build_matches_vertex_build(rnm):
+    r, n, m = rnm
+    omega = OmegaParams(r, n, m)
+    for inner in (1, 4, 7):
+        W = solver_margin(params_for(r, n, m)) + inner
+        for p in range(2 * n + 2):
+            for sign in (1, -1):
+                got = _build_system.__wrapped__(omega, W, inner, p, sign)
+                want = vertex_build.build_system(omega, W, inner, p, sign)
+                case = (W, inner, p, sign)
+                assert dict(got.shift_p) == dict(want.shift_p), case
+                # every work count, rows included as their sum
+                assert got[1:-1] == want[1:-1], case
+                assert len(got.components) == len(want.components), case
+                for mine, theirs in zip(got.components, want.components):
+                    assert _component_shape(mine) == _component_shape(theirs), case
+                    # a parity-flagged component survives only in
+                    # characteristic 2, and its signs are fixed only by
+                    # the order of the merges
+                    coeffs = [[c % 2 if mine[0] else c for _, _, c in comp[2]]
+                              for comp in (mine, theirs)]
+                    assert coeffs[0] == coeffs[1], case
+
+
+def test_work_counts_repeat_and_match_vertex_build():
+    for rnm, W, p, variant in [((1, 2, 0), 8, 2, "graded"), ((2, 3, 1), 12, 3, "graded"),
+                               ((2, 3, 1), 12, 3, "commutative"), ((3, 3, 2), 13, 0, "graded")]:
+        params = params_for(*rnm, window=W)
+        Wi = W - solver_margin(params)
+        counts = []
+        for _ in range(2):
+            _build_system.cache_clear()
+            rep = solve_component(params, p, variant, 3, W, Wi)
+            counts.append((rep.unknowns, rep.vertices, rep.naturality_rows, rep.sign_rows,
+                           rep.rows, rep.merges, rep.killed_zero, rep.killed_parity))
+        assert counts[0] == counts[1]
+        sign = -1 if (variant == "graded" and p % 2) else 1
+        want = vertex_build.build_system(params.omega, W, Wi, p, sign)
+        assert counts[0] == (want.unknowns, want.vertices, want.naturality_rows, want.sign_rows,
+                             want.rows, want.merges, want.killed_zero, want.killed_parity)
+        assert rep.rows == rep.naturality_rows + rep.sign_rows
+        nonempty = [v for v in enumerate_vertices(params) if hom_basis(params, v, p).dim]
+        assert rep.vertices == len(nonempty)
+        assert rep.unknowns == sum(hom_basis(params, v, p).dim for v in nonempty)
+        # merges is unknowns minus components: some unknowns merged, and
+        # at least one component is left
+        assert 0 < rep.merges < rep.unknowns
+
+
+def test_library_import_loads_no_numpy():
+    # the library is pure integer Python: importing it must not pull in
+    # numpy, whose import alone costs about as much as the whole set-up
+    code = "import gradedcenter, sys; assert 'numpy' not in sys.modules"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -1,6 +1,12 @@
+import re
+
+import pytest
+
 import gradedcenter.center
+from gradedcenter.center import InconsistencyError, _build_system, solve_component
 from gradedcenter.cli import main
 from gradedcenter.gentle import OmegaParams, build_lambda, format_quiver, parse_quiver
+from gradedcenter.model import ModelParams
 
 
 def run(capsys, *argv):
@@ -181,3 +187,27 @@ def test_outputs_are_deterministic(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+def test_sign_law_inconsistency_exits_2(capsys, monkeypatch):
+    # with the degree-0 slot of X(1) dropped, the sign law at p = 2 carries
+    # each unknown of that slot on X(0) to an unknown that is not there
+    hom_gaps = gradedcenter.center.hom_gaps
+
+    def dropped(params, family, i, degree, shift):
+        if (family, i, degree) == ("X", 1, 0):
+            return None
+        return hom_gaps(params, family, i, degree, shift)
+
+    monkeypatch.setattr(gradedcenter.center, "hom_gaps", dropped)
+    message = "suspension of unknown left the system at X(0)[-7,-5]"
+    _build_system.cache_clear()
+    params = ModelParams(OmegaParams(2, 2, 0), 7)
+    with pytest.raises(InconsistencyError, match=re.escape(message)):
+        solve_component(params, 2, "graded", 3, 7, 1)
+    code, out, err = run(
+        capsys, "center", "--r", "2", "--n", "2", "--m", "0",
+        "--p", "2", "--field", "3", "--window", "7",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: internal inconsistency: {message}")
