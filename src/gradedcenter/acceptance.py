@@ -35,14 +35,13 @@ from .hom import hom_basis, hom_dim_closed_form
 from .model import (
     KIND_BY_SIGNATURE,
     KIND_TABLE,
+    ArrowGen,
     ModelParams,
-    arrow_of_degree,
-    arrows_from,
+    Vertex,
     enumerate_vertices,
     least_gap,
-    sigma_pow,
+    sigma_shift,
     tau_sigma_periodic,
-    vertex_exists,
 )
 from .ring import reconcile, reduced_and_nil, theorem_case
 
@@ -104,31 +103,39 @@ def _box_coords(W: int):
     return np.repeat(side, side.size), np.tile(side, side.size)
 
 
-def _arrow_matrices(params: ModelParams, W: int):
+def _arrow_matrices(params: ModelParams, W: int, p: int = 0):
     """Boolean matrix per (kind, source index): entry (s, t) says that
-    box coordinate pair s -> t carries a generator arrow of the kind."""
+    Sigma^p carries box coordinate pair s -> t to a generator arrow of
+    the kind; p = 0 reads the arrows themselves."""
     ca, cb = _box_coords(W)
-    # a vertex exists where its gap b - a reaches the least gap
-    exists = {}
-    for family in params.families:
-        for i in range(params.r):
-            lo = least_gap(params, family, i)
-            exists[family, i] = np.ones(ca.size, bool) if lo is None else cb - ca >= lo
     mats = {}
     for kind, (src_fam, tgt_fam, deg, step) in KIND_TABLE.items():
         if src_fam not in params.families or tgt_fam not in params.families:
             continue
         for i in range(params.r):
-            j = (i + step) % params.r
-            M = exists[(src_fam, i)][:, None] & exists[(tgt_fam, j)][None, :]
+            # each end translated by Sigma^p from its own family and index;
+            # a vertex exists where its gap b - a reaches the least gap
+            ends = []
+            for family, index in ((src_fam, i), (tgt_fam, (i + step) % params.r)):
+                j, da, db = sigma_shift(params, family, index, p)
+                a, b = ca + da, cb + db
+                lo = least_gap(params, family, j)
+                ends.append((j, a, b, np.ones(ca.size, bool) if lo is None else b - a >= lo))
+            (si, sa, sb, s_ok), (_, ta, tb, t_ok) = ends
+            # The target lands at index (i + step + p) mod r, the kind's
+            # target index for the image source si, so arrow_of_degree's
+            # index test always passes here.
+            M = s_ok[:, None] & t_ok[None, :]
             # side k bounds target coordinate k // 2, from below when k is even
-            for k, side in enumerate(params.sides[kind, i]):
+            for k, side in enumerate(params.sides[kind, si]):
                 if side is not None:
                     coord, offset = side
-                    bound = ((ca, cb)[coord] + offset)[:, None]
-                    u = (ca, cb)[k // 2][None, :]
+                    bound = ((sa, sb)[coord] + offset)[:, None]
+                    u = (ta, tb)[k // 2][None, :]
                     M &= (bound <= u) if k % 2 == 0 else (u <= bound)
             if deg == 0:
+                # no degree-0 arrow joins a vertex to itself; Sigma^p moves
+                # both ends by one vector, so that is still the diagonal
                 np.fill_diagonal(M, False)
             mats[(kind, i)] = M
     return mats
@@ -163,9 +170,9 @@ def _resolve(params: ModelParams, fam_a: str, fam_b: str, deg: int, i_a: int, i_
     return (kind, i_a)
 
 
-def _assoc_counts(params: ModelParams, W: int):
-    """(units, coupled units, violations) for all kind triples."""
-    mats = _arrow_matrices(params, W)
+def _assoc_counts(params: ModelParams, mats: dict):
+    """(units, coupled units, violations) for all kind triples, on the
+    arrow matrices of _arrow_matrices."""
     matsf = {k: M.astype(np.float32) for k, M in mats.items()}
     units = 0
     pending = []
@@ -217,34 +224,36 @@ def _assoc_counts(params: ModelParams, W: int):
     return units, len(pending), bad
 
 
-def _sigma_functorial(params: ModelParams, W: int):
-    """Sigma and its inverse must carry windowed arrows to arrows."""
-    boxed = ModelParams(params.omega, W)
-    arrows = 0
-    for v in enumerate_vertices(boxed):
-        for g in arrows_from(params, v, W):
-            arrows += 1
-            for p in (1, -1):
-                u, w = sigma_pow(params, g.source, p), sigma_pow(params, g.target, p)
-                for vert in (u, w):
-                    if not vertex_exists(params, vert.family, vert.i, vert.coord):
-                        return arrows, f"Sigma^{p} image vertex {vert!r} missing"
-                if arrow_of_degree(params, u, w, g.degree) is None:
-                    return arrows, f"Sigma^{p} image of {g!r} is not an arrow"
-    return arrows, None
+def _sigma_failure(params: ModelParams, W: int, mats: dict):
+    """None if Sigma and its inverse carry every arrow of mats (the box
+    [-W, W]^2 at p = 0) to an arrow, else a message naming one that
+    they do not."""
+    ca, cb = _box_coords(W)
+    for p in (1, -1):
+        image = _arrow_matrices(params, W, p)
+        for (kind, i), M in mats.items():
+            bad = np.argwhere(M & ~image[kind, i])
+            if bad.size:
+                src, tgt, deg, step = KIND_TABLE[kind]
+                s, t = bad[0]
+                u = Vertex(src, i, int(ca[s]), int(cb[s]))
+                w = Vertex(tgt, (i + step) % params.r, int(ca[t]), int(cb[t]))
+                return f"Sigma^{p} image of {ArrowGen(kind, u, w, deg)!r} is not an arrow"
+    return None
 
 
 def _c2_model_consistency():
     total_units = total_coupled = total_arrows = 0
     for r, n, m in GRID:
         params = _params(r, n, m, 5)
-        units, coupled, bad = _assoc_counts(params, 5)
+        mats = _arrow_matrices(params, 5)
+        units, coupled, bad = _assoc_counts(params, mats)
         total_units += units
         total_coupled += coupled
         if bad:
             return False, f"(r,n,m)=({r},{n},{m}) {bad[0]}"
-        arrows, err = _sigma_functorial(params, 5)
-        total_arrows += arrows
+        total_arrows += sum(int(M.sum()) for M in mats.values())
+        err = _sigma_failure(params, 5, mats)
         if err:
             return False, f"(r,n,m)=({r},{n},{m}): {err}"
     return True, (

@@ -416,38 +416,19 @@ def _basis_arrow(rules: dict, shift_p, v: Vertex, slot: int) -> ArrowGen | None:
     return ArrowGen(rules[v.family, v.family, slot, v.i][0], v, target, slot)
 
 
-def _class_visibility(params: ModelParams, family: str, q: int, inner: int, guard: int) -> str:
-    """'full' if every index of the class has support in the guarded box,
-    'partial' if some index has support in the inner box, else 'none'."""
-
-    def reachable(bound: int) -> tuple[bool, bool]:
-        any_idx, all_idx = False, True
-        for i in range(params.r):
-            ok = bound >= 0 and _socle_gap(params, family, q, i) <= 2 * bound
-            any_idx = any_idx or ok
-            all_idx = all_idx and ok
-        return any_idx, all_idx
-
-    _, all_guarded = reachable(inner - guard)
-    if all_guarded:
-        return "full"
-    any_inner, _ = reachable(inner)
-    return "partial" if any_inner else "none"
-
-
 def class_visibility_map(params: ModelParams, inner_window: int) -> dict:
-    """Visibility of every socle class meeting the inner window."""
-    guard = params.n + params.m + 2
+    """Visibility of every socle class meeting the inner window: 'full'
+    if every index of the class has support in the guarded box,
+    'partial' if some index has support in the inner box.  Class
+    (family, q) lies at gap q + _socle_gap(params, family, 0, i) on
+    index i, and a box [-B, B]^2 with B >= 0 holds the gaps up to 2B."""
+    guarded = inner_window - (params.n + params.m + 2)
     out = {}
-    families = ["X"] + (["Y"] if params.r < params.n else [])
-    for family in families:
-        q = 0
-        while True:
-            vis = _class_visibility(params, family, q, inner_window, guard)
-            if vis == "none":
-                break
-            out[(family, q)] = vis
-            q += 1
+    for family in ["X"] + (["Y"] if params.r < params.n else []):
+        offsets = [_socle_gap(params, family, 0, i) for i in range(params.r)]
+        full = 2 * guarded - max(offsets) if guarded >= 0 else -1
+        for q in range(2 * inner_window - min(offsets) + 1):
+            out[(family, q)] = "full" if q <= full else "partial"
     return out
 
 
@@ -456,11 +437,11 @@ def _row_pattern(rules: dict, v: tuple, w: tuple, degree: int, shift: tuple,
     """Naturality at the generator v -> w of this degree, v and w as
     (family, i, a, b) and shift Sigma^p at w: one row per degree of the
     composite v -> Sigma^p w, as (slot of v, slot of w) with None where
-    that side has no term; () if there is no such generator.  The
-    solver passes every slot of v and w and imposes the rows as unions;
-    check_membership passes the slots an element fills and tests them."""
-    if arrow_kind(rules, *v, *w, degree) is None:
-        return ()
+    that side has no term.  v -> w must be a generator: check_membership
+    passes only the arrows it enumerates, and the solver tests each of
+    its targets with arrow_kind first.  The solver passes every slot of
+    v and w and imposes the rows as unions; check_membership passes the
+    slots an element fills and tests them."""
     f, i, a, b = v
     g, _, ta, tb = w
     sj, sa, sb = shift
@@ -655,9 +636,12 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
             lo, hi = max(a0, start(u) - da), min(a1, stop(u) - da)
             if lo > hi:
                 continue
+            # a listed target need not carry a generator of this degree
+            v, w = (f, i, lo, lo + t), (g, j, lo + da, lo + da + u)
+            if arrow_kind(rules, *v, *w, degree) is None:
+                continue
             bw = lines.get((g, j, u), {})
-            pattern = _row_pattern(
-                rules, (f, i, lo, lo + t), (g, j, lo + da, lo + da + u), degree, shift_p[g, j], bv, bw)
+            pattern = _row_pattern(rules, v, w, degree, shift_p[g, j], bv, bw)
             length = hi - lo + 1
             naturality_rows += len(pattern) * length
             for left, right in pattern:

@@ -180,9 +180,9 @@ class ArrowGen:
 
 def least_gap(params: ModelParams, family: str, i: int) -> int | None:
     """The least gap b - a of a vertex (family, i, a, b), or None for Z,
-    where every gap is one.  vertex_exists depends on b - a alone and is
-    upward closed in it, so this one number is the whole of it; a family
-    these parameters lack has no vertices and no least gap."""
+    where every gap is one.  Vertex existence depends on b - a alone and
+    is upward closed in it, so this one number is the whole of it; a
+    family these parameters lack has no vertices and no least gap."""
     if not 0 <= i < params.r or family not in params.families:
         raise ValueError(f"no vertices {family}({i}) for these parameters")
     if family == "X":
@@ -193,17 +193,15 @@ def least_gap(params: ModelParams, family: str, i: int) -> int | None:
 
 
 def vertex_exists(params: ModelParams, family: str, i: int, coord: tuple[int, int]) -> bool:
-    r, n, m = params.r, params.n, params.m
-    if not 0 <= i < r:
-        raise ValueError(f"index {i} out of range [0, {r - 1}]")
+    if not 0 <= i < params.r:
+        raise ValueError(f"index {i} out of range [0, {params.r - 1}]")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family not in params.families:
+        return False
+    lo = least_gap(params, family, i)
     a, b = coord
-    if family == "X":
-        return a <= b + (m if i == 0 else 0)
-    if family == "Y":
-        return r < n and a + (n if i == 0 else 0) <= b
-    if family == "Z":
-        return r < n
-    raise ValueError(f"unknown family {family!r}")
+    return lo is None or b - a >= lo
 
 
 def make_vertex(params: ModelParams, family: str, i: int, a: int, b: int) -> Vertex:

@@ -37,6 +37,7 @@ from gradedcenter.model import (
 
 import cell_generators
 import vertex_build
+import visibility_loop
 from null_space_oracle import SparseMatrix, null_space
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
@@ -349,6 +350,15 @@ def test_visibility_map_monotone():
     rank = {"none": 0, "partial": 1, "full": 2}
     for key, vis in small.items():
         assert rank[large.get(key, "none")] >= rank[vis], key
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (1, 5, 0), (4, 6, 2)], ids=str)
+def test_visibility_map_matches_loop(rnm):
+    # keys, their order and values, edge windows included
+    p = params_for(*rnm)
+    for inner in range(-1, 40):
+        got = list(class_visibility_map(p, inner).items())
+        assert got == list(visibility_loop.class_visibility_map(p, inner).items()), inner
 
 
 # independent oracle: assemble naturality and sign rows for EVERY windowed

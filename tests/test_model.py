@@ -33,6 +33,7 @@ from gradedcenter.model import (
 )
 
 import cell_arrows
+import vertex_closed_form
 from iterated_sigma import iterated_sigma_mor_pow, iterated_sigma_pow, sigma_mor
 from region_ladders import _region as ladder_region
 from region_ladders import _region_inv as ladder_region_inv
@@ -75,7 +76,8 @@ def test_vertex_exists_absent_family():
 
 def test_least_gap_matches_vertex_exists():
     # (family, i, a, b) is a vertex exactly when b - a reaches the least
-    # gap, for either sign of a; a family the parameters lack has none
+    # gap, for either sign of a; a family the parameters lack has none.
+    # vertex_exists reads least_gap, so both are held to the closed form.
     for r, n, m in GRID + [(3, 5, 3)]:
         p = params_for(r, n, m)
         span = 3 * (n + m)
@@ -89,10 +91,15 @@ def test_least_gap_matches_vertex_exists():
                     lo = least_gap(p, family, i)
                 for t in range(-span, span + 1):
                     for a in (-span, -1, 0, 1, span):
-                        want = vertex_exists(p, family, i, (a, a + t))
+                        want = vertex_closed_form.vertex_exists(p, family, i, (a, a + t))
                         assert want == (lo is None or t >= lo), (r, n, m, family, i, a, t)
+                        assert vertex_exists(p, family, i, (a, a + t)) == want
         with pytest.raises(ValueError):
             least_gap(p, "X", r)
+        for family, i in (("X", r), ("Z", -1), ("W", 0)):
+            for check in (vertex_exists, vertex_closed_form.vertex_exists):
+                with pytest.raises(ValueError):
+                    check(p, family, i, (0, 0))
 
 
 def test_make_vertex_rejects_nonexistent():

@@ -5,7 +5,8 @@ Every vertex with a nonempty hom space gets a dict of its unknowns, and
 the rows at each vertex are imposed one union at a time on a union-find
 object with union by rank.  The only change from the build it replaced
 is that it counts naturality and sign-law rows apart, and also counts
-vertices and merges, as the line build does."""
+vertices and merges, as the line build does, and that it tests each
+target for a generator itself, as _row_pattern no longer does."""
 
 from gradedcenter.center import (
     InconsistencyError,
@@ -14,7 +15,7 @@ from gradedcenter.center import (
     _row_pattern,
     _System,
 )
-from gradedcenter.model import ModelParams, Vertex, hom_gaps, least_gap, sigma_shift
+from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_gap, sigma_shift
 
 
 class _UnionFind:
@@ -123,8 +124,10 @@ def build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
             bw = slots.get((g, j, ta, tb), {})
             pattern = patterns.get((f, i, k, b - a))
             if pattern is None:
-                pattern = patterns[f, i, k, b - a] = _row_pattern(
-                    rules, (f, i, a, b), (g, j, ta, tb), degree, shift_p[g, j], bv, bw)
+                v, w = (f, i, a, b), (g, j, ta, tb)
+                pattern = patterns[f, i, k, b - a] = (
+                    () if arrow_kind(rules, *v, *w, degree) is None
+                    else _row_pattern(rules, v, w, degree, shift_p[g, j], bv, bw))
             naturality_rows += len(pattern)
             for left, right in pattern:
                 if left is not None and right is not None:
