@@ -93,9 +93,13 @@ def _c1_gentle_grid():
 # Composition of basis arrows either vanishes or is the unique arrow of
 # the summed degree, so associativity over the window is exactly
 # A == AB == B for every unit.  A and B reduce to products of three
-# matrices over coordinate pairs; AB needs one contraction over w per
-# distinct (total, right composite, k3) key.  float32 keeps every count
-# below 2**24, hence exact.
+# matrices over coordinate pairs.  AB is one product over the arrows
+# v -> x of k1: with Q12 the matrix of the composites v -> y, row
+# (v, x) of (M2[x] * Q12[v]) @ M3 counts, per w, the y with x -> y,
+# v -> y and y -> w, and is then masked by x -> w and v -> w.  Every
+# float32 entry counts coordinate pairs (at most the 121 of the box at
+# W = 5, or its square for A and B), far below 2**24, and each sum is
+# taken in float64, so all three counts are exact.
 
 
 def _box_coords(W: int):
@@ -171,12 +175,12 @@ def _resolve(params: ModelParams, fam_a: str, fam_b: str, deg: int, i_a: int, i_
 
 
 def _assoc_counts(params: ModelParams, mats: dict):
-    """(units, coupled units, violations) for all kind triples, on the
-    arrow matrices of _arrow_matrices."""
+    """(units, coupled, violations) for all kind triples, on the arrow
+    matrices of _arrow_matrices: each unit's (label, A, AB, B) in loop
+    order, the number of units with a nonvanishing nesting, and the
+    units whose three counts differ."""
     matsf = {k: M.astype(np.float32) for k, M in mats.items()}
-    units = 0
-    pending = []
-    bad = []
+    units = []
     for k1, k2, k3 in _composable_triples(params):
         f1, f2, d1, s1 = KIND_TABLE[k1]
         _, f3, d2, s2 = KIND_TABLE[k2]
@@ -185,43 +189,27 @@ def _assoc_counts(params: ModelParams, mats: dict):
             i2 = (i1 + s1) % params.r
             i3 = (i2 + s2) % params.r
             i4 = (i3 + s3) % params.r
-            units += 1
-            label = f"{k1}*{k2}*{k3} at i={i1}"
+            A = AB = B = 0
+            # no total signature: both nestings vanish identically
             total = _resolve(params, f1, f4, d1 + d2 + d3, i1, i4)
-            if total is None:
-                continue  # both nestings vanish identically
-            q12 = _resolve(params, f1, f3, d1 + d2, i1, i3)
-            q23 = _resolve(params, f2, f4, d2 + d3, i2, i4)
-            M1, M2, M3 = matsf[(k1, i1)], matsf[(k2, i2)], matsf[(k3, i3)]
-            G = matsf[total]
-            A = B = 0
-            if q23 is not None:
-                A = int(((M1.T @ G) * matsf[q23] * (M2 @ M3)).sum(dtype=np.float64))
-            if q12 is not None:
-                B = int(((M1 @ M2) * matsf[q12] * (G @ M3.T)).sum(dtype=np.float64))
-            if A == 0 and B == 0:
-                continue
-            if q12 is None or q23 is None:
-                # one nesting is identically zero, the other is not
-                bad.append(f"{label}: A={A} AB=0 B={B}")
-                continue
-            key = (total, q23, (k3, i3))
-            pending.append((key, label, (k1, i1), (k2, i2), q12, A, B))
-    # one w-contraction per distinct key; sorting groups the reuses
-    pending.sort(key=lambda item: item[0])
-    rt_key = None
-    rt = None
-    for key, label, m1key, m2key, q12, A, B in pending:
-        if key != rt_key:
-            G, Q, M = (matsf[k] for k in key)
-            rt = (G[:, None, :] * Q[None, :, :]).reshape(-1, G.shape[0]) @ M.T
-            rt = rt.reshape(G.shape[0], G.shape[0], G.shape[0])
-            rt_key = key
-        lt = mats[m1key][:, :, None] & mats[m2key][None, :, :] & mats[q12][:, None, :]
-        AB = int((rt * lt).sum(dtype=np.float64))
-        if not A == AB == B:
-            bad.append(f"{label}: A={A} AB={AB} B={B}")
-    return units, len(pending), bad
+            if total is not None:
+                q12 = _resolve(params, f1, f3, d1 + d2, i1, i3)
+                q23 = _resolve(params, f2, f4, d2 + d3, i2, i4)
+                M1, M2, M3 = matsf[(k1, i1)], matsf[(k2, i2)], matsf[(k3, i3)]
+                G = matsf[total]
+                if q23 is not None:
+                    A = int(((M1.T @ G) * matsf[q23] * (M2 @ M3)).sum(dtype=np.float64))
+                if q12 is not None:
+                    B = int(((M1 @ M2) * matsf[q12] * (G @ M3.T)).sum(dtype=np.float64))
+                if (A or B) and q12 is not None and q23 is not None:
+                    v, x = np.nonzero(mats[k1, i1])
+                    AB = int(
+                        (((M2[x] * matsf[q12][v]) @ M3) * matsf[q23][x] * G[v])
+                        .sum(dtype=np.float64)
+                    )
+            units.append((f"{k1}*{k2}*{k3} at i={i1}", A, AB, B))
+    coupled = sum(1 for _, A, _, B in units if A or B)
+    return units, coupled, [u for u in units if not u[1] == u[2] == u[3]]
 
 
 def _sigma_failure(params: ModelParams, W: int, mats: dict):
@@ -248,10 +236,11 @@ def _c2_model_consistency():
         params = _params(r, n, m, 5)
         mats = _arrow_matrices(params, 5)
         units, coupled, bad = _assoc_counts(params, mats)
-        total_units += units
+        total_units += len(units)
         total_coupled += coupled
         if bad:
-            return False, f"(r,n,m)=({r},{n},{m}) {bad[0]}"
+            label, A, AB, B = bad[0]
+            return False, f"(r,n,m)=({r},{n},{m}) {label}: A={A} AB={AB} B={B}"
         total_arrows += sum(int(M.sum()) for M in mats.values())
         err = _sigma_failure(params, 5, mats)
         if err:

@@ -43,7 +43,8 @@ KIND_BY_SIGNATURE = {
 # a source coordinate plus a correction made at one index only: "b+m@0" is
 # b + m at i = 0 and b elsewhere, "a-n@r-1" is a - n at i = r - 1 and a
 # elsewhere.  Arrows out of a vertex and arrows into it are both read from
-# here (region, _region_inv, arrow_of_degree).
+# here, through params.sides and params.rules: by region, _region_inv,
+# arrow_kind (so arrow_of_degree), hom_gaps and acceptance._arrow_matrices.
 REGION_TABLE = {
     "f'": ("a", "b+m@0", "b", None),
     "g'": ("a", "b+m@0", None, None),

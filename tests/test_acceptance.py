@@ -14,6 +14,7 @@ from gradedcenter.acceptance import (
 )
 from gradedcenter.model import KIND_TABLE, Vertex, arrow_of_degree, sigma_pow, vertex_exists
 
+from dense_assoc import dense_assoc_counts
 from sigma_walk import _sigma_functorial
 
 # each criterion's detail line, pinned so that a drifting count fails
@@ -113,3 +114,33 @@ def test_assoc_counts_read_the_given_matrices():
     assert _assoc_counts(params, _arrow_matrices(params, 5))[2] == []
     moved = _with_side(_params(2, 3, 1, 5), "f''", 1, 1, -1)
     assert _assoc_counts(moved, _arrow_matrices(moved, 5))[2]
+
+
+@pytest.mark.parametrize("rnm", [(2, 2, 1), (3, 3, 0), (2, 3, 1), (3, 4, 2)], ids=str)
+def test_assoc_counts_match_dense_oracle(rnm):
+    # every unit's (A, AB, B), in loop order, against the dense contraction
+    params = _params(*rnm, 5)
+    mats = _arrow_matrices(params, 5)
+    units, coupled, bad = _assoc_counts(params, mats)
+    dense = dense_assoc_counts(params, mats)
+    assert [(label, *counts) for label, counts in dense.items()] == units
+    assert coupled == sum(1 for A, _, B in dense.values() if A or B) > 0
+    assert bad == []
+
+
+# non-associative mutants of (2,3,1); their first violations have AB
+# below both A and B, AB equal to B only, and AB equal to A only
+@pytest.mark.parametrize(
+    "kind, i, k, delta", [("f", 0, 0, -1), ("e'", 0, 2, -1), ("h'", 0, 1, 1)], ids=str
+)
+def test_assoc_violations_match_dense_oracle(kind, i, k, delta):
+    params = _with_side(_params(2, 3, 1, 5), kind, i, k, delta)
+    mats = _arrow_matrices(params, 5)
+    bad = _assoc_counts(params, mats)[2]
+    dense = dense_assoc_counts(params, mats)
+    assert bad == [
+        (label, *counts)
+        for label, counts in dense.items()
+        if not counts[0] == counts[1] == counts[2]
+    ]
+    assert bad
