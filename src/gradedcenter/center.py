@@ -12,18 +12,19 @@ has characteristic 2.  The union-find is four local lists (parent,
 weight, zero and parity marks) with path halving.
 
 solve_component works in two steps.  The build step (_build_system)
-makes the union-find and keeps only what a report needs, as immutable
-tuples: the Sigma^p translation table, the work counts, and each
-component that is not forced to zero and meets the inner window, in
-report order, with its parity flag, its class tags and its inner
-members with their coefficients.  It is cached by (omega, window, inner
-window, p, sign).  The field is not part of the key, because no row
-reads it: it decides only whether a parity-flagged component survives.
-The variant enters only through the sign, -1 for the graded center at
-odd p, so the four (variant, char) pairs of one degree need at most two
-systems.  The interpret step runs on every call: it drops
-parity-flagged components outside characteristic 2 and builds the
-report's objects afresh, so no caller shares cached state.
+makes the union-find and keeps it, hung on its roots, as immutable
+tuples, with the Sigma^p translation table, the line layout, the work
+counts, and the parity flag and class tags of each component that is
+not forced to zero and meets the inner window.  It is cached by (omega,
+window, inner window, p, sign).  The field is not part of the key,
+because no row reads it: it decides only whether a parity-flagged
+component survives.  The variant enters only through the sign, -1 for
+the graded center at odd p, so the four (variant, char) pairs of one
+degree need at most two systems.  The interpret step runs on every
+call: it drops parity-flagged components outside characteristic 2 and
+counts the rest by class.  The dimensions need nothing more, so the
+report's basis is named and built afresh only when it is read, and no
+caller shares cached state.
 
 The system is built on plain integers, one diagonal line at a time.  A
 vertex is the tuple (family, i, a, b) and an unknown is a vertex plus a
@@ -36,12 +37,15 @@ turns the arrow's region into one interval of gaps.  So the unknowns
 are laid out per line (family, i, gap): each slot of a line with a
 nonempty hom space gets one block of consecutive indices, one per a in
 the box.  The naturality rows at a generator likewise depend on its
-source only through (family, i), the gap and the target, so each
-pattern of rows is worked out once per line and target, and each of
-its rows, like each sign-law slot, is one union over two aligned index
-ranges: the a where both ends lie in the box.  No vertex tuple is made
-and no dict is read per cell.  Vertex, ArrowGen and Morphism objects
-are built only for the components that survive and meet the inner
+source only through (family, i), the gap and the target, and along a
+line's family, index and target only where the gap crosses an end of
+a slot's interval of gaps (model.hom_gaps) or of an arrow's
+(model.arrow_gaps).  So each pattern of rows is worked out once per
+such run of gaps, and each of its rows, like each sign-law slot, is one
+union over two aligned index ranges: the a where both ends lie in the
+box.  No vertex tuple is made and no dict is read per cell.  Vertex,
+ArrowGen and Morphism objects are built only when a report's basis is
+read, and only for the components that survive and meet the inner
 window.
 
 check_membership runs on the same integer keys and tests naturality
@@ -63,8 +67,10 @@ perform, so inner-window output is stable under window growth (tested).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -75,6 +81,7 @@ from .model import (
     ModelParams,
     Morphism,
     Vertex,
+    arrow_gaps,
     arrow_keys_from,
     arrow_keys_to,
     arrow_kind,
@@ -359,7 +366,6 @@ class SolveReport:
     class_dims: dict = dc_field(default_factory=dict)
     visibility: dict = dc_field(default_factory=dict)
     residual: list = dc_field(default_factory=list)
-    basis: list = dc_field(default_factory=list)
     # work counts, identical across runs: unknowns (vertex, basis element),
     # vertices with a nonempty hom space, naturality and sign-law rows
     # imposed (rows is their sum), merges (unknowns minus components), and
@@ -373,6 +379,32 @@ class SolveReport:
     merges: int = 0
     killed_zero: int = 0
     killed_parity: int = 0
+    # the built system that basis is named from; a report made without
+    # one starts with an empty basis that its maker fills
+    _system: _System | None = dc_field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def basis(self) -> list:
+        """One CenterElement per component counted, in report order.  The
+        elements are named and built on the first read: the dimensions
+        never need them."""
+        basis: list = []
+        if self._system is None:
+            return basis
+        rules, shift_p = self.params.rules, self._system.shift_p
+        for parity, _, members in _named_components(self.params, self._system):
+            if parity and self.char != 2:
+                continue
+            assignment: dict = {}
+            for key, s, coeff in members:
+                v = Vertex(*key)
+                beta = _basis_arrow(rules, shift_p, v, s)
+                mor = assignment.get(v)
+                # the identity occurs in degree 0 only, where Sigma^p v = v
+                term = Morphism(v, v if beta is None else beta.target, {beta: coeff})
+                assignment[v] = term if mor is None else mor.plus(term)
+            basis.append(CenterElement(self.p, self.variant, assignment))
+        return basis
 
     @property
     def total_dim(self) -> int:
@@ -470,19 +502,17 @@ class _System(NamedTuple):
     nonempty hom space), the naturality and sign-law rows imposed, merges
     (unknowns joined to another one: unknowns minus components), and the
     components the field may discard, for a forced zero or else for a
-    parity conflict.  components holds, in report order, each component
-    that is not forced to zero and meets the inner window, as (parity,
-    tags, members): parity is set if the component forces x = -x, tags
-    are its class tags sorted by str, and members are its unknowns in the
-    inner window as ((family, i, a, b), slot, coefficient), in
-    basis-element order.
+    parity conflict.  classes holds each component that is not forced to
+    zero and meets the inner window, by root, as (root, parity, tags):
+    parity is set if the component forces x = -x, and tags are its class
+    tags sorted by str.  That is all the dimensions read.
 
-    A coefficient is the member's sign relative to the member of least
-    str(arrow).  On a component without the parity flag the rows fix it.
-    On a parity-flagged one, which survives only in characteristic 2,
-    the rows imply both signs, so the +-1 read off depends on the order
-    in which unknowns were merged; every such choice is the same element
-    over F_2."""
+    The rest is kept to name the basis when it is read
+    (_named_components): the window, the inner window and p; lines, the
+    layout, as ((family, i, gap), ((slot, index at the least a), ...)) in
+    build order; and root and sign, the union-find hung on its roots: the
+    unknown x is sign[x] times the unknown root[x].  No Vertex, ArrowGen
+    or str is made until then."""
 
     shift_p: MappingProxyType
     unknowns: int
@@ -492,11 +522,81 @@ class _System(NamedTuple):
     merges: int
     killed_zero: int
     killed_parity: int
-    components: tuple
+    classes: tuple
+    window: int
+    inner: int
+    p: int
+    lines: tuple
+    root: tuple
+    sign: tuple
 
     @property
     def rows(self) -> int:
         return self.naturality_rows + self.sign_rows
+
+
+def _targets(params: ModelParams, f: str, i: int) -> list:
+    """The generators out of (f, i, a, b) at which the solver imposes
+    naturality, as (g, j, da, db, degree, along): the target is (g, j,
+    a + da, b + db), or (g, j, a + da, a + db) where along is False, so
+    that its gap does not move with b - a.  A listed target need not
+    carry a generator of this degree."""
+    r, n = params.r, params.n
+    targets = [(f, i, 0, 1, 0, True), (f, i, 1, 0, 0, True), (f, i, 1, 1, 0, True)]
+    if f == "X":
+        _, c1, c2 = params.sigma_steps[f, i, r]
+        targets.append((f, i, c1, c2, 0, True))
+        targets.append((f, (i + 1) % r, 0, 0, 2, False))
+        if r < n:
+            targets.append(("Z", i, 0, 0, 1, True))
+    elif f == "Y":
+        targets.append(("Z", i, 0, -n if i == 0 else 0, 1, True))
+    return targets
+
+
+def _pattern_runs(params: ModelParams, shift_p: dict, spans: dict, lines: dict):
+    """pattern(f, i, k, t): the rows of naturality at the generator from
+    (f, i, a, a + t) to its k-th target in _targets, as _row_pattern gives
+    them, or None if that target carries no generator of this degree.
+
+    For one (f, i, k) the pattern changes only where t crosses an end of
+    one of these intervals of gaps: a slot's span on the line of v or on
+    that of w (spans maps (family, i) to {slot: (lo, hi)}), the gaps of
+    the arrow v -> w, and those of each composite v -> Sigma^p w that a
+    row may test (model.arrow_gaps).  So the pattern is worked out once
+    per run of gaps between two ends, at the first line that asks for it,
+    and found again by bisecting the ends."""
+    rules = params.rules
+    runs: dict = {}
+    for (f, i), own in spans.items():
+        for k, (g, j, da, db, degree, along) in enumerate(_targets(params, f, i)):
+            sj, sa, sb = shift_p[g, j]
+            ends = {end for lo, hi in own.values() for end in (lo, hi + 1)}
+            if along:
+                # w's gap is t + db - da
+                ends.update(end + da - db for lo, hi in spans[g, j].values() for end in (lo, hi + 1))
+            arrows = [arrow_gaps(params, f, i, g, degree, (j, da, db), along)]
+            arrows += [arrow_gaps(params, f, i, g, d, (sj, da + sa, db + sb), along)
+                       for d in range(degree, 3)]
+            for lo, hi in filter(None, arrows):
+                if lo is not None:
+                    ends.add(lo)
+                if hi is not None:
+                    ends.add(hi + 1)
+            runs[f, i, k] = ((g, j, da, db, degree, along), sorted(ends))
+    memo: dict = {}
+
+    def pattern(f: str, i: int, k: int, t: int) -> tuple | None:
+        (g, j, da, db, degree, along), ends = runs[f, i, k]
+        key = (f, i, k, bisect_right(ends, t))
+        if key not in memo:
+            # arrows are unchanged along the diagonal, so any a will do
+            v, w = (f, i, 0, t), (g, j, da, (t if along else 0) + db)
+            memo[key] = None if arrow_kind(rules, *v, *w, degree) is None else _row_pattern(
+                rules, v, w, degree, shift_p[g, j], lines[f, i, t], lines.get((g, j, w[3] - da), {}))
+        return memo[key]
+
+    return pattern
 
 
 # A window's degree sweep p = 0..2n needs one system per even p and two
@@ -511,7 +611,7 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
     coefficients +-1 whatever the characteristic, so only the reading of
     a parity conflict depends on it, and that is left to the caller."""
     params = ModelParams(omega, W)
-    r, n = params.r, params.n
+    r = params.r
     rules = params.rules
     steps = params.sigma_steps
 
@@ -532,7 +632,7 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
     # along the line: lines[f, i, t] maps the slot to the index of the
     # unknown at a = start(t), and the unknown at a is that index
     # + a - start(t).  Only lines with a nonempty hom space are laid out:
-    # per slot, its gaps b - a (model.hom_gaps).
+    # per slot, its gaps b - a (model.hom_gaps), kept in spans[f, i].
     def start(t: int) -> int:
         return -W - t if t < 0 else -W
 
@@ -540,8 +640,10 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
         return W if t < 0 else W - t
 
     lines: dict = {}
+    spans: dict = {}
     count = vertices = 0
     for (f, i), shift in shift_p.items():
+        spans[f, i] = {}
         for d in (-1, 0, 1, 2):
             if d < 0:
                 gaps = (None, None) if p == 0 else None
@@ -551,6 +653,7 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
                 continue
             lo = floor[f, i] if gaps[0] is None else max(gaps[0], floor[f, i])
             hi = 2 * W if gaps[1] is None else min(gaps[1], 2 * W)
+            spans[f, i][d] = (lo, hi)
             for t in range(lo, hi + 1):
                 slots = lines.get((f, i, t))
                 if slots is None:
@@ -614,37 +717,28 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
     # The rows at a generator v -> w depend on v only through (f, i), the
     # place k of w in the list of targets and the gap t: the regions,
     # vertex_exists and so the slots of v and w are all unchanged when a
-    # and b move together.  So each pattern is worked out once per line
-    # and target, and each of its rows is imposed on every a at once: the
-    # a where v and w both lie in the box, an interval.
+    # and b move together.  So each pattern is worked out once per run of
+    # gaps (_pattern_runs), and each of its rows is imposed on every a at
+    # once: the a where v and w both lie in the box, an interval.
+    pattern = _pattern_runs(params, shift_p, spans, lines)
+    targets = {key: _targets(params, *key) for key in shift_p}
     naturality_rows = sign_rows = merges = 0
     for (f, i, t), bv in lines.items():
         a0, a1 = start(t), stop(t)
-        # targets as (g, j, shift of a, gap of w, degree)
-        targets = [(f, i, 0, t + 1, 0), (f, i, 1, t - 1, 0), (f, i, 1, t, 0)]
-        if f == "X":
-            _, c1, c2 = steps[f, i, r]
-            targets.append((f, i, c1, t + c2 - c1, 0))
-            targets.append((f, (i + 1) % r, 0, 0, 2))
-            if r < n:
-                targets.append(("Z", i, 0, t, 1))
-        elif f == "Y":
-            targets.append(("Z", i, 0, t - (n if i == 0 else 0), 1))
-        for g, j, da, u, degree in targets:
+        for k, (g, j, da, db, degree, along) in enumerate(targets[f, i]):
+            u = (t if along else 0) + db - da
             if u < floor[g, j]:
                 continue
             lo, hi = max(a0, start(u) - da), min(a1, stop(u) - da)
             if lo > hi:
                 continue
-            # a listed target need not carry a generator of this degree
-            v, w = (f, i, lo, lo + t), (g, j, lo + da, lo + da + u)
-            if arrow_kind(rules, *v, *w, degree) is None:
+            rows = pattern(f, i, k, t)
+            if rows is None:
                 continue
             bw = lines.get((g, j, u), {})
-            pattern = _row_pattern(rules, v, w, degree, shift_p[g, j], bv, bw)
             length = hi - lo + 1
-            naturality_rows += len(pattern) * length
-            for left, right in pattern:
+            naturality_rows += len(rows) * length
+            for left, right in rows:
                 if left is not None:
                     x0 = bv[left] + lo - a0
                 if right is not None:
@@ -670,48 +764,88 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
             sign_rows += len(bv) * (hi - lo + 1)
 
     # hang every unknown on its root, so that parent and weight give its
-    # root and its sign, and gather the marks at the roots
-    dead = [False] * count
-    odd = [False] * count
+    # root and its sign (a root, or a child of one, hangs already), and
+    # gather the marks at the roots
     for x in range(count):
-        root, weight[x] = find(x)
-        parent[x] = root
-        if zero[x]:
-            dead[root] = True
-        if parity[x]:
-            odd[root] = True
+        if parent[parent[x]] != parent[x]:
+            parent[x], weight[x] = find(x)
+    dead = set(compress(parent, zero))
+    odd = set(compress(parent, parity))
 
-    # the members of each component not forced to zero, and its tags
-    members: dict[int, list[tuple]] = {}
-    tags: dict[int, set] = {}
+    # The components that meet the inner window, read off each block's
+    # slice in the inner box (the a from max(-inner, -inner - t) to
+    # min(inner, inner - t)), less those forced to zero; then the class
+    # tags of each, one per block that holds a member.
+    meets: set = set()
     for (f, i, t), bv in lines.items():
-        a0 = start(t)
+        k0 = max(-inner, -inner - t) - start(t)
+        k1 = min(inner, inner - t) - start(t) + 1
+        if k0 < k1:
+            for x0 in bv.values():
+                meets.update(parent[x0 + k0:x0 + k1])
+    meets -= dead
+    tags: dict = {x: set() for x in meets}
+    for (f, i, t), bv in lines.items():
+        length = 2 * W + 1 - abs(t)
         for s, x0 in bv.items():
-            tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
-            for k in range(2 * W + 1 - abs(t)):
-                root = parent[x0 + k]
-                if dead[root]:
-                    continue
-                got = members.get(root)
-                if got is None:
-                    got = members[root] = []
-                    tags[root] = set()
-                got.append(((f, i, a0 + k, a0 + k + t), s, weight[x0 + k]))
-                tags[root].add(tag)
-    # Each one that meets the inner window becomes a basis element: its
-    # class tags, and its inner members with their coefficients relative
-    # to the member of least str(arrow), in the order the element lists
-    # them.  Components are ordered by their least (vertex, str(arrow));
-    # a Vertex orders as its key does.
+            roots = meets.intersection(parent[x0:x0 + length])
+            if roots:
+                tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
+                for x in roots:
+                    tags[x].add(tag)
+    return _System(
+        shift_p=MappingProxyType(shift_p),
+        unknowns=count,
+        vertices=vertices,
+        naturality_rows=naturality_rows,
+        sign_rows=sign_rows,
+        merges=merges,
+        killed_zero=len(dead),
+        killed_parity=len(odd - dead),
+        classes=tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets)),
+        window=W,
+        inner=inner,
+        p=p,
+        lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
+        root=tuple(parent),
+        sign=tuple(weight),
+    )
+
+
+def _named_components(params: ModelParams, system: _System) -> list:
+    """The components of system.classes in report order, as (parity,
+    tags, members): members are the component's unknowns in the inner
+    window as ((family, i, a, b), slot, coefficient), in basis-element
+    order.  Components are ordered by their least (vertex, str(arrow));
+    a Vertex orders as its key does.
+
+    A coefficient is the member's sign relative to the member of least
+    str(arrow).  On a component without the parity flag the rows fix it.
+    On a parity-flagged one, which survives only in characteristic 2,
+    the rows imply both signs, so the +-1 read off depends on the order
+    in which unknowns were merged; every such choice is the same element
+    over F_2."""
+    W, inner = system.window, system.inner
+    rules, shift_p = params.rules, system.shift_p
+    root, sign = system.root, system.sign
+    wanted = {x: (odd, tags) for x, odd, tags in system.classes}
+    members: dict[int, list[tuple]] = {x: [] for x in wanted}
+    for (f, i, t), bv in system.lines:
+        a0, length = -W - min(t, 0), 2 * W + 1 - abs(t)
+        for s, x0 in bv:
+            if wanted.keys().isdisjoint(root[x0:x0 + length]):
+                continue
+            for k in range(length):
+                got = members.get(root[x0 + k])
+                if got is not None:
+                    got.append(((f, i, a0 + k, a0 + k + t), s, sign[x0 + k]))
     components = []
-    for root, mems in members.items():
+    for x, mems in members.items():
         named = [
             (key, s, w, str(_basis_arrow(rules, shift_p, Vertex(*key), s)))
             for key, s, w in mems
             if -inner <= key[2] <= inner and -inner <= key[3] <= inner
         ]
-        if not named:
-            continue
         least = min(key for key, _, _ in mems)
         head = min(
             (key, str(_basis_arrow(rules, shift_p, Vertex(*key), s)))
@@ -721,19 +855,20 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
         ref_w = min((name, key, w) for key, _, w, name in named)[2]
         named.sort(key=lambda t: (t[0], t[3]))
         basis = tuple((key, s, w * ref_w) for key, s, w, _ in named)
-        components.append((head, odd[root], tuple(sorted(tags[root], key=str)), basis))
+        components.append((head, *wanted[x], basis))
     components.sort(key=lambda c: c[0])
-    return _System(
-        shift_p=MappingProxyType(shift_p),
-        unknowns=count,
-        vertices=vertices,
-        naturality_rows=naturality_rows,
-        sign_rows=sign_rows,
-        merges=merges,
-        killed_zero=sum(dead),
-        killed_parity=sum(o and not d for o, d in zip(odd, dead)),
-        components=tuple(c[1:] for c in components),
-    )
+    return [c[1:] for c in components]
+
+
+def _class_of(tags: tuple) -> object:
+    """What a component with these class tags counts as: 'scalar',
+    'power' or a socle class (family, q); None if it is residual, its
+    tags mixing classes or naming none."""
+    if len(tags) == 1:
+        tag = tags[0]
+        if tag in ("scalar", "power") or (isinstance(tag, tuple) and tag[0] in ("X", "Y")):
+            return tag
+    return None
 
 
 def solve_component(
@@ -759,9 +894,7 @@ def solve_component(
 
     # interpret the components over the field: outside characteristic 2
     # a parity conflict x = -x forces the component to zero
-    rules = params.rules
-    shift_p = system.shift_p
-    report = SolveReport(params, p, variant, field, window, inner_window)
+    report = SolveReport(params, p, variant, field, window, inner_window, _system=system)
     report.visibility = class_visibility_map(params, inner_window)
     report.unknowns = system.unknowns
     report.vertices = system.vertices
@@ -772,30 +905,25 @@ def solve_component(
     report.killed_zero = system.killed_zero
     if field != 2:
         report.killed_parity = system.killed_parity
-    for parity, tags, members in system.components:
+    residual = False
+    for _, parity, tags in system.classes:
         if parity and field != 2:
             continue
-        if len(tags) != 1:
-            report.residual.append(list(tags))
+        tag = _class_of(tags)
+        if tag == "scalar":
+            report.scalar_dim += 1
+        elif tag == "power":
+            report.power_dim += 1
+        elif tag is None:
+            residual = True
         else:
-            tag = tags[0]
-            if tag == "scalar":
-                report.scalar_dim += 1
-            elif tag == "power":
-                report.power_dim += 1
-            elif isinstance(tag, tuple) and tag[0] in ("X", "Y"):
-                report.class_dims[tag] = report.class_dims.get(tag, 0) + 1
-            else:
-                report.residual.append([tag])
-        assignment: dict = {}
-        for key, s, coeff in members:
-            v = Vertex(*key)
-            beta = _basis_arrow(rules, shift_p, v, s)
-            mor = assignment.get(v)
-            # the identity occurs in degree 0 only, where Sigma^p v = v
-            term = Morphism(v, v if beta is None else beta.target, {beta: coeff})
-            assignment[v] = term if mor is None else mor.plus(term)
-        report.basis.append(CenterElement(p, variant, assignment))
+            report.class_dims[tag] = report.class_dims.get(tag, 0) + 1
+    if residual:
+        # an error in the model; the names give the report order
+        report.residual = [
+            list(tags) for parity, tags, _ in _named_components(params, system)
+            if not (parity and field != 2) and _class_of(tags) is None
+        ]
     return report
 
 

@@ -3,15 +3,18 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import gradedcenter.center as center_module
 from gradedcenter.acceptance import GRID
 from gradedcenter.center import (
     CenterElement,
     GeneratorSpec,
     _build_system,
+    _named_components,
     _solve_sigma_exponent,
     check_membership,
     class_visibility_map,
@@ -34,10 +37,12 @@ from gradedcenter.model import (
     sigma,
     sigma_pow,
 )
+from gradedcenter.ring import reconcile
 
 import cell_generators
 import vertex_build
 import visibility_loop
+from line_patterns import line_patterns
 from null_space_oracle import SparseMatrix, null_space
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
@@ -555,12 +560,18 @@ def _component_shape(component):
     return parity, tags, [(key, s) for key, s, _ in members]
 
 
+def _work_counts(system):
+    return (system.unknowns, system.vertices, system.naturality_rows, system.sign_rows,
+            system.rows, system.merges, system.killed_zero, system.killed_parity)
+
+
 @pytest.mark.parametrize("rnm", GRID + [(3, 5, 3)], ids=str)
 def test_line_build_matches_vertex_build(rnm):
     r, n, m = rnm
     omega = OmegaParams(r, n, m)
+    params = params_for(r, n, m)
     for inner in (1, 4, 7):
-        W = solver_margin(params_for(r, n, m)) + inner
+        W = solver_margin(params) + inner
         for p in range(2 * n + 2):
             for sign in (1, -1):
                 got = _build_system.__wrapped__(omega, W, inner, p, sign)
@@ -568,9 +579,15 @@ def test_line_build_matches_vertex_build(rnm):
                 case = (W, inner, p, sign)
                 assert dict(got.shift_p) == dict(want.shift_p), case
                 # every work count, rows included as their sum
-                assert got[1:-1] == want[1:-1], case
-                assert len(got.components) == len(want.components), case
-                for mine, theirs in zip(got.components, want.components):
+                assert _work_counts(got) == _work_counts(want), case
+                # the build keeps each component's parity and tags, which
+                # the dimensions read, and names its members only when
+                # asked: both must agree with the vertex build
+                named = _named_components(params, got)
+                assert (Counter(c[:2] for c in named)
+                        == Counter(c[1:] for c in got.classes)), case
+                assert len(named) == len(want.components), case
+                for mine, theirs in zip(named, want.components):
                     assert _component_shape(mine) == _component_shape(theirs), case
                     # a parity-flagged component survives only in
                     # characteristic 2, and its signs are fixed only by
@@ -578,6 +595,58 @@ def test_line_build_matches_vertex_build(rnm):
                     coeffs = [[c % 2 if mine[0] else c for _, _, c in comp[2]]
                               for comp in (mine, theirs)]
                     assert coeffs[0] == coeffs[1], case
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3)], ids=str)
+def test_run_patterns_match_line_patterns(rnm, monkeypatch):
+    # every (line, target) the build imposes, in its order, gets the
+    # pattern the per-line loop works out at that line
+    runs = center_module._pattern_runs
+    built = []
+
+    def recording(params, shift_p, spans, lines):
+        pattern = runs(params, shift_p, spans, lines)
+        calls = []
+        built.append((params, shift_p, lines, calls))
+
+        def recorded(f, i, k, t):
+            got = pattern(f, i, k, t)
+            calls.append(((f, i, t), k, got))
+            return got
+
+        return recorded
+
+    monkeypatch.setattr(center_module, "_pattern_runs", recording)
+    r, n, m = rnm
+    omega = OmegaParams(r, n, m)
+    for inner in (1, 4, 7):
+        W = solver_margin(params_for(r, n, m)) + inner
+        for p in range(2 * n + 2):
+            for sign in (1, -1):
+                _build_system.__wrapped__(omega, W, inner, p, sign)
+                params, shift_p, lines, calls = built.pop()
+                assert calls == line_patterns(params, W, shift_p, lines), (W, inner, p, sign)
+
+
+@pytest.mark.parametrize("rnm", [(1, 2, 0), (2, 3, 1), (3, 3, 2), (2, 4, 2)], ids=str)
+def test_dimensions_name_nothing(rnm, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a basis arrow was named")
+
+    monkeypatch.setattr(center_module, "_basis_arrow", refuse)
+    _build_system.cache_clear()
+    r, n, m = rnm
+    # inner window 4 shows the power class of (3, 3, 2) in degree 2n
+    W = solver_margin(params_for(r, n, m)) + 4
+    params = params_for(r, n, m, window=W)
+    reports = [solve_component(params, p, variant, char, W, 4)
+               for p in range(2 * n + 1) for variant in ("graded", "commutative") for char in (2, 3)]
+    for rep in reports:
+        assert rep.format_lines()[-1] == f"total (inner window): {rep.total_dim}"
+    for variant in ("graded", "commutative"):
+        assert reconcile(params, 3, variant, 2 * n, W).ok
+    with pytest.raises(AssertionError, match="named"):
+        reports[0].basis
 
 
 def test_work_counts_repeat_and_match_vertex_build():

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,17 @@ def test_center_prints_component_report(capsys):
     assert code == 0 and err == ""
     assert out.splitlines()[0].startswith("degree 0 (graded, char 2)")
     assert "scalar: 1" in out
+
+
+def test_center_output_at_a_large_window(capsys):
+    # the full report on a window of 38,485 unknowns, byte for byte
+    args = ("--r", "3", "--n", "4", "--m", "2", "--p", "4",
+            "--variant", "graded", "--field", "3", "--window", "80")
+    code, out, err = run(capsys, "center", *args)
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "center_r3n4m2_p4_w80.txt").read_text()
+    params = ModelParams(OmegaParams(3, 4, 2), 80)
+    assert solve_component(params, 4, "graded", 3, 80, 68).unknowns == 38485
 
 
 def test_center_window_guard(capsys):

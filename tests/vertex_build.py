@@ -8,14 +8,30 @@ is that it counts naturality and sign-law rows apart, and also counts
 vertices and merges, as the line build does, and that it tests each
 target for a generator itself, as _row_pattern no longer does."""
 
-from gradedcenter.center import (
-    InconsistencyError,
-    _basis_arrow,
-    _class_tag,
-    _row_pattern,
-    _System,
-)
+from typing import NamedTuple
+
+from gradedcenter.center import InconsistencyError, _basis_arrow, _class_tag, _row_pattern
 from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_gap, sigma_shift
+
+
+class Built(NamedTuple):
+    """What the vertex build gives: the Sigma^p table, the work counts of
+    center._System, and the named components in report order, as
+    center._named_components gives them."""
+
+    shift_p: dict
+    unknowns: int
+    vertices: int
+    naturality_rows: int
+    sign_rows: int
+    merges: int
+    killed_zero: int
+    killed_parity: int
+    components: tuple
+
+    @property
+    def rows(self) -> int:
+        return self.naturality_rows + self.sign_rows
 
 
 class _UnionFind:
@@ -67,8 +83,9 @@ class _UnionFind:
         self.zero[root] = True
 
 
-def build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
-    """center._build_system, one vertex at a time and uncached."""
+def build_system(omega, W: int, inner: int, p: int, sign: int) -> Built:
+    """center._build_system, one vertex at a time and uncached, with its
+    components named as center._named_components names them."""
     params = ModelParams(omega, W)
     r, n = params.r, params.n
     rules = params.rules
@@ -180,7 +197,7 @@ def build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
         components.append((head, uf.parity[root], tuple(sorted(tags, key=str)), basis))
     components.sort(key=lambda c: c[0])
     roots = [x for x in range(count) if uf.parent[x] == x]
-    return _System(
+    return Built(
         shift_p=shift_p,
         unknowns=count,
         vertices=len(slots),
