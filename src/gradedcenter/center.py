@@ -36,17 +36,15 @@ are tested by model.arrow_kind.  The hom space of a vertex depends on
 turns the arrow's region into one interval of gaps.  So the unknowns
 are laid out per line (family, i, gap): each slot of a line with a
 nonempty hom space gets one block of consecutive indices, one per a in
-the box.  The naturality rows at a generator likewise depend on its
-source only through (family, i), the gap and the target, and along a
-line's family, index and target only where the gap crosses an end of
-a slot's interval of gaps (model.hom_gaps) or of an arrow's
-(model.arrow_gaps).  So each pattern of rows is worked out once per
-such run of gaps, and each of its rows, like each sign-law slot, is one
-union over two aligned index ranges: the a where both ends lie in the
-box.  No vertex tuple is made and no dict is read per cell.  Vertex,
-ArrowGen and Morphism objects are built only when a report's basis is
-read, and only for the components that survive and meet the inner
-window.
+the box.  Naturality is imposed at the generating arrows only (_targets),
+since it holds at a composite once it holds at the factors.  The rows at
+one of them likewise depend on its source only through (family, i), the
+gap and the target.  So each pattern of rows is worked out once per line
+and target, and each of its rows, like each sign-law slot, is one union
+over two aligned index ranges: the a where both ends lie in the box.  No
+vertex tuple is made and no dict is read per cell.  Vertex, ArrowGen and
+Morphism objects are built only when a report's basis is read, and only
+for the components that survive and meet the inner window.
 
 check_membership runs on the same integer keys and tests naturality
 with the same rule, _row_pattern, on the element's coefficients, so the
@@ -67,7 +65,6 @@ perform, so inner-window output is stable under window growth (tested).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -81,7 +78,6 @@ from .model import (
     ModelParams,
     Morphism,
     Vertex,
-    arrow_gaps,
     arrow_keys_from,
     arrow_keys_to,
     arrow_kind,
@@ -540,63 +536,33 @@ def _targets(params: ModelParams, f: str, i: int) -> list:
     naturality, as (g, j, da, db, degree, along): the target is (g, j,
     a + da, b + db), or (g, j, a + da, a + db) where along is False, so
     that its gap does not move with b - a.  A listed target need not
-    carry a generator of this degree."""
+    carry a generator of this degree.
+
+    Naturality at a composite follows from naturality at its factors, so
+    only generating arrows are listed: the steps (0, 1) and (1, 0) within
+    the family, X's e' corner to (i + 1, a, a) and the arrows into Z.
+    Every other arrow of degree 0 within a family, the diagonal step
+    (1, 1) and X's Sigma^r step included, runs from (a, b) to some (a',
+    b') with a' >= a and b' >= b.  By the model's composition rule it is
+    the composite of the (0, 1) steps up to (a, b') and then the (1, 0)
+    steps across to (a', b'), because these are arrows:
+    - the vertices passed lie in the box, whose sides hold a, a', b and
+      b';
+    - they exist, because their gaps run from b - a up to b' - a and then
+      down to b' - a', never below the least gap that both ends reach;
+    - each step lies in the region of the arrow's kind: only f' and f''
+      bound the target's a from above, by the source's b plus a constant,
+      and the steps up only raise b while the steps across stop at a',
+      where the composite's bound holds."""
     r, n = params.r, params.n
-    targets = [(f, i, 0, 1, 0, True), (f, i, 1, 0, 0, True), (f, i, 1, 1, 0, True)]
+    targets = [(f, i, 0, 1, 0, True), (f, i, 1, 0, 0, True)]
     if f == "X":
-        _, c1, c2 = params.sigma_steps[f, i, r]
-        targets.append((f, i, c1, c2, 0, True))
         targets.append((f, (i + 1) % r, 0, 0, 2, False))
         if r < n:
             targets.append(("Z", i, 0, 0, 1, True))
     elif f == "Y":
         targets.append(("Z", i, 0, -n if i == 0 else 0, 1, True))
     return targets
-
-
-def _pattern_runs(params: ModelParams, shift_p: dict, spans: dict, lines: dict):
-    """pattern(f, i, k, t): the rows of naturality at the generator from
-    (f, i, a, a + t) to its k-th target in _targets, as _row_pattern gives
-    them, or None if that target carries no generator of this degree.
-
-    For one (f, i, k) the pattern changes only where t crosses an end of
-    one of these intervals of gaps: a slot's span on the line of v or on
-    that of w (spans maps (family, i) to {slot: (lo, hi)}), the gaps of
-    the arrow v -> w, and those of each composite v -> Sigma^p w that a
-    row may test (model.arrow_gaps).  So the pattern is worked out once
-    per run of gaps between two ends, at the first line that asks for it,
-    and found again by bisecting the ends."""
-    rules = params.rules
-    runs: dict = {}
-    for (f, i), own in spans.items():
-        for k, (g, j, da, db, degree, along) in enumerate(_targets(params, f, i)):
-            sj, sa, sb = shift_p[g, j]
-            ends = {end for lo, hi in own.values() for end in (lo, hi + 1)}
-            if along:
-                # w's gap is t + db - da
-                ends.update(end + da - db for lo, hi in spans[g, j].values() for end in (lo, hi + 1))
-            arrows = [arrow_gaps(params, f, i, g, degree, (j, da, db), along)]
-            arrows += [arrow_gaps(params, f, i, g, d, (sj, da + sa, db + sb), along)
-                       for d in range(degree, 3)]
-            for lo, hi in filter(None, arrows):
-                if lo is not None:
-                    ends.add(lo)
-                if hi is not None:
-                    ends.add(hi + 1)
-            runs[f, i, k] = ((g, j, da, db, degree, along), sorted(ends))
-    memo: dict = {}
-
-    def pattern(f: str, i: int, k: int, t: int) -> tuple | None:
-        (g, j, da, db, degree, along), ends = runs[f, i, k]
-        key = (f, i, k, bisect_right(ends, t))
-        if key not in memo:
-            # arrows are unchanged along the diagonal, so any a will do
-            v, w = (f, i, 0, t), (g, j, da, (t if along else 0) + db)
-            memo[key] = None if arrow_kind(rules, *v, *w, degree) is None else _row_pattern(
-                rules, v, w, degree, shift_p[g, j], lines[f, i, t], lines.get((g, j, w[3] - da), {}))
-        return memo[key]
-
-    return pattern
 
 
 # A window's degree sweep p = 0..2n needs one system per even p and two
@@ -632,7 +598,7 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
     # along the line: lines[f, i, t] maps the slot to the index of the
     # unknown at a = start(t), and the unknown at a is that index
     # + a - start(t).  Only lines with a nonempty hom space are laid out:
-    # per slot, its gaps b - a (model.hom_gaps), kept in spans[f, i].
+    # per slot, its gaps b - a (model.hom_gaps).
     def start(t: int) -> int:
         return -W - t if t < 0 else -W
 
@@ -640,10 +606,8 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
         return W if t < 0 else W - t
 
     lines: dict = {}
-    spans: dict = {}
     count = vertices = 0
     for (f, i), shift in shift_p.items():
-        spans[f, i] = {}
         for d in (-1, 0, 1, 2):
             if d < 0:
                 gaps = (None, None) if p == 0 else None
@@ -653,7 +617,6 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
                 continue
             lo = floor[f, i] if gaps[0] is None else max(gaps[0], floor[f, i])
             hi = 2 * W if gaps[1] is None else min(gaps[1], 2 * W)
-            spans[f, i][d] = (lo, hi)
             for t in range(lo, hi + 1):
                 slots = lines.get((f, i, t))
                 if slots is None:
@@ -717,25 +680,25 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
     # The rows at a generator v -> w depend on v only through (f, i), the
     # place k of w in the list of targets and the gap t: the regions,
     # vertex_exists and so the slots of v and w are all unchanged when a
-    # and b move together.  So each pattern is worked out once per run of
-    # gaps (_pattern_runs), and each of its rows is imposed on every a at
-    # once: the a where v and w both lie in the box, an interval.
-    pattern = _pattern_runs(params, shift_p, spans, lines)
+    # and b move together.  So each pattern is worked out once per line
+    # and target, and each of its rows is imposed on every a at once: the
+    # a where v and w both lie in the box, an interval.
     targets = {key: _targets(params, *key) for key in shift_p}
     naturality_rows = sign_rows = merges = 0
     for (f, i, t), bv in lines.items():
         a0, a1 = start(t), stop(t)
-        for k, (g, j, da, db, degree, along) in enumerate(targets[f, i]):
+        for g, j, da, db, degree, along in targets[f, i]:
             u = (t if along else 0) + db - da
             if u < floor[g, j]:
                 continue
             lo, hi = max(a0, start(u) - da), min(a1, stop(u) - da)
             if lo > hi:
                 continue
-            rows = pattern(f, i, k, t)
-            if rows is None:
+            v, w = (f, i, lo, lo + t), (g, j, lo + da, lo + da + u)
+            if arrow_kind(rules, *v, *w, degree) is None:
                 continue
             bw = lines.get((g, j, u), {})
+            rows = _row_pattern(rules, v, w, degree, shift_p[g, j], bv, bw)
             length = hi - lo + 1
             naturality_rows += len(rows) * length
             for left, right in rows:

@@ -44,8 +44,7 @@ KIND_BY_SIGNATURE = {
 # b + m at i = 0 and b elsewhere, "a-n@r-1" is a - n at i = r - 1 and a
 # elsewhere.  Arrows out of a vertex and arrows into it are both read from
 # here, through params.sides and params.rules: by region, _region_inv,
-# arrow_kind (so arrow_of_degree), arrow_gaps (so hom_gaps) and
-# acceptance._arrow_matrices.
+# arrow_kind (so arrow_of_degree), hom_gaps and acceptance._arrow_matrices.
 REGION_TABLE = {
     "f'": ("a", "b+m@0", "b", None),
     "g'": ("a", "b+m@0", None, None),
@@ -270,23 +269,8 @@ def hom_gaps(params: ModelParams, family: str, i: int, degree: int,
     of the given degree to its translate (family, j, a + da, b + db),
     shift = (j, da, db): (lo, hi) with None for an unbounded end, or None
     if there is no such gap.  arrow_kind for every (a, b) at once."""
-    return arrow_gaps(params, family, i, family, degree, shift)
-
-
-def arrow_gaps(params: ModelParams, family: str, i: int, target: str, degree: int,
-               shift: tuple[int, int, int], along: bool = True
-               ) -> tuple[int | None, int | None] | None:
-    """hom_gaps for an arrow into the family target: the gaps t = b - a at
-    which (family, i, a, b) has a generator arrow of the given degree to
-    (target, j, a + da, b + db), shift = (j, da, db), as (lo, hi) or
-    None.  With along=False the arrow goes to (target, j, a + da, a + db)
-    instead, whose gap does not move with t; a degree-0 arrow is then the
-    identity at one gap, which an interval cannot leave out, so only
-    degrees above 0 are answered."""
     j, da, db = shift
-    if degree == 0 and not along:
-        raise ValueError("arrow_gaps answers degree 0 only along the diagonal")
-    rule = params.rules.get((family, target, degree, i))
+    rule = params.rules.get((family, family, degree, i))
     if rule is None or rule[1] != j or (degree == 0 and j == i and da == db == 0):
         return None
     lo = hi = None
@@ -297,7 +281,7 @@ def arrow_gaps(params: ModelParams, family: str, i: int, target: str, degree: in
         # side k bounds target coordinate k // 2, which minus source
         # coordinate `coord` is slope * t + (da, db)[k // 2]; even k is a
         # lower bound, odd k an upper one
-        slope = (k // 2 if along else 0) - coord
+        slope = k // 2 - coord
         bound = offset - (da, db)[k // 2]
         lower = k % 2 == 0
         if slope == 0:

@@ -14,7 +14,6 @@ from gradedcenter.model import (
     Morphism,
     Vertex,
     _region_inv,
-    arrow_gaps,
     arrow_kind,
     arrow_of_degree,
     arrows_from,
@@ -22,6 +21,7 @@ from gradedcenter.model import (
     compose,
     enumerate_arrows,
     enumerate_vertices,
+    hom_gaps,
     least_gap,
     make_vertex,
     region,
@@ -237,28 +237,24 @@ def test_degree_zero_excludes_identity_slot():
 
 @pytest.mark.parametrize("rnm", [(1, 1, 0), (1, 2, 1), (2, 2, 1), (2, 3, 2), (3, 4, 2), (3, 5, 3)],
                          ids=str)
-def test_arrow_gaps_match_arrow_kind(rnm):
-    # the interval of gaps against arrow_kind gap by gap, for targets that
-    # move along the diagonal with the source and for targets of fixed gap
+def test_hom_gaps_match_arrow_kind(rnm):
+    # the interval of gaps against arrow_kind gap by gap, for targets in
+    # the same family that move along the diagonal with the source
     params = ModelParams(OmegaParams(*rnm))
     r = params.r
     offsets = range(-3, 4)
-    for f, g, degree, i in itertools.product(FAMILIES, FAMILIES, range(3), range(r)):
-        rule = params.rules.get((f, g, degree, i))
+    for f, degree, i in itertools.product(FAMILIES, range(3), range(r)):
+        rule = params.rules.get((f, f, degree, i))
         for j in {0 if rule is None else rule[1], (i + 1) % r}:
-            for da, db, along in itertools.product(offsets, offsets, (True, False)):
-                if degree == 0 and not along:
-                    with pytest.raises(ValueError):
-                        arrow_gaps(params, f, i, g, degree, (j, da, db), along)
-                    continue
-                gaps = arrow_gaps(params, f, i, g, degree, (j, da, db), along)
+            for da, db in itertools.product(offsets, offsets):
+                gaps = hom_gaps(params, f, i, degree, (j, da, db))
                 lo, hi = (None, None) if gaps is None else gaps
                 for t in range(-12, 13):
-                    want = arrow_kind(params.rules, f, i, 0, t, g, j, da, (t if along else 0) + db,
+                    want = arrow_kind(params.rules, f, i, 0, t, f, j, da, t + db,
                                       degree) is not None
                     got = (gaps is not None and (lo is None or lo <= t)
                            and (hi is None or t <= hi))
-                    assert got == want, (f, i, g, j, degree, da, db, along, t)
+                    assert got == want, (f, i, j, degree, da, db, t)
 
 
 def test_arrows_are_sigma_equivariant():

@@ -5,8 +5,11 @@ Every vertex with a nonempty hom space gets a dict of its unknowns, and
 the rows at each vertex are imposed one union at a time on a union-find
 object with union by rank.  The only change from the build it replaced
 is that it counts naturality and sign-law rows apart, and also counts
-vertices and merges, as the line build does, and that it tests each
-target for a generator itself, as _row_pattern no longer does."""
+vertices and merges, as the line build does, that it tests each target
+for a generator itself, as _row_pattern no longer does, and that it also
+counts the naturality rows at the generating targets alone: all of them
+but the diagonal step (1, 1) and X's Sigma^r step, which are composites
+of the others and which the line build leaves out."""
 
 from typing import NamedTuple
 
@@ -16,8 +19,9 @@ from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_
 
 class Built(NamedTuple):
     """What the vertex build gives: the Sigma^p table, the work counts of
-    center._System, and the named components in report order, as
-    center._named_components gives them."""
+    center._System, the naturality rows at the generating targets, and
+    the named components in report order, as center._named_components
+    gives them."""
 
     shift_p: dict
     unknowns: int
@@ -27,6 +31,7 @@ class Built(NamedTuple):
     merges: int
     killed_zero: int
     killed_parity: int
+    generating_rows: int
     components: tuple
 
     @property
@@ -121,7 +126,7 @@ def build_system(omega, W: int, inner: int, p: int, sign: int) -> Built:
                     got[d] = count
                     count += 1
     uf = _UnionFind(count)
-    naturality_rows = sign_rows = 0
+    naturality_rows = sign_rows = generating_rows = 0
 
     patterns: dict = {}
     for (f, i, a, b), bv in slots.items():
@@ -135,6 +140,8 @@ def build_system(omega, W: int, inner: int, p: int, sign: int) -> Built:
                 targets.append(("Z", i, a, b, 1))
         elif f == "Y":
             targets.append(("Z", i, a, b - d0 * n, 1))
+        # the places in targets of the composites (1, 1) and Sigma^r
+        composite = (2, 3) if f == "X" else (2,)
         for k, (g, j, ta, tb, degree) in enumerate(targets):
             if not (-W <= ta <= W and -W <= tb <= W) or tb - ta < floor[g, j]:
                 continue
@@ -146,6 +153,8 @@ def build_system(omega, W: int, inner: int, p: int, sign: int) -> Built:
                     () if arrow_kind(rules, *v, *w, degree) is None
                     else _row_pattern(rules, v, w, degree, shift_p[g, j], bv, bw))
             naturality_rows += len(pattern)
+            if k not in composite:
+                generating_rows += len(pattern)
             for left, right in pattern:
                 if left is not None and right is not None:
                     uf.union(bv[left], bw[right], 1)
@@ -206,5 +215,6 @@ def build_system(omega, W: int, inner: int, p: int, sign: int) -> Built:
         merges=count - len(roots),
         killed_zero=sum(uf.zero[x] for x in roots),
         killed_parity=sum(uf.parity[x] and not uf.zero[x] for x in roots),
+        generating_rows=generating_rows,
         components=tuple(c[1:] for c in components),
     )
