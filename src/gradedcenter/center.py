@@ -53,9 +53,12 @@ arrows at the support as integer ranges (model.arrow_keys_from and
 arrow_keys_to), which start each row at the least gap of a vertex
 (model.least_gap) instead of testing every cell, and it works each
 pattern out once per call and per key: the rows at an arrow are
-unchanged when both endpoints move along the diagonal together.
-Vertex and ArrowGen objects are built only to name a failure.
-make_generator likewise walks only the generator's support.
+unchanged when both endpoints move along the diagonal together.  Each
+term must be the basis arrow of a slot that model.hom_gaps allows at its
+vertex.  Vertex and ArrowGen objects are built only to name a failure.
+make_generator walks the generator's support one line (family, i, gap)
+at a time, tests the line's slot once against model.hom_gaps, and builds
+every value with the solver's _basis_arrow.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -130,10 +133,8 @@ class GeneratorSpec:
             if r != n - 1:
                 return (False, f"{self.name} needs r = n - 1")
         elif self.name == "eta_zero":
-            if r < n and not (r == 1 and m == 0):
-                return (False, "eta_zero needs r = 1 and m = 0 when r < n")
-            if r == n and n != 1:
-                return (False, "eta_zero needs n = 1 when r = n")
+            if (r, m) != (1, 0):
+                return (False, "eta_zero needs r = 1 and m = 0")
         elif self.name == "eta_power":
             if r != n:
                 return (False, "eta_power needs r = n")
@@ -164,84 +165,61 @@ class CenterElement:
         return all(mor.is_zero(char) for mor in self.assignment.values())
 
 
-def _solve_sigma_exponent(params: ModelParams, base: Vertex, v: Vertex) -> int:
-    """The unique p with Sigma^p base = v; raises if there is none."""
-    r = params.r
-    steps = (v.i - base.i) % r
-    w = sigma_pow(params, base, steps)
-    cycle = sigma_shift(params, v.family, 0, r)[1]
-    p = steps + (v.a - w.a) // cycle * r if cycle else steps
-    if sigma_pow(params, base, p) != v:
-        raise ValueError(f"{v!r} is not a Sigma-shift of {base!r}")
-    return p
-
-
 def _socle_gap(params: ModelParams, family: str, q: int, i: int) -> int:
     """b - a on the index-i vertices of the socle class (family, q): q,
     plus n at index 0 of Y, where the Y vertices start at gap n."""
     return q + (params.n if family == "Y" and i == 0 else 0)
 
 
+def _in_gaps(gaps: tuple | None, t: int) -> bool:
+    """Whether the gap t lies in gaps, an interval from model.hom_gaps."""
+    return gaps is not None and (gaps[0] is None or gaps[0] <= t) and (gaps[1] is None or t <= gaps[1])
+
+
 def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> CenterElement:
-    """The generator as a CenterElement on the box [-window, window]^2.
-    Only its support is walked, and Sigma^p is read once per index."""
+    """The generator as a CenterElement on the box [-window, window]^2:
+    the basis arrow of one slot at every vertex of its support, walked in
+    (a, b) order.  The support's gaps b - a form one interval per index:
+    one gap for a socle generator, every gap from k(n + m) - d0 m up for
+    eta_power(k), where d0 m is m at index 0 and 0 elsewhere (X's least
+    gap at k = 0, where the slot is the identity's)."""
     ok, why = spec.admissible(params)
     if not ok:
         raise ValueError(f"inadmissible generator for (r,n,m)=({params.r},{params.n},{params.m}): {why}")
     r, n, m = params.r, params.n, params.m
-    W = window
+    W, q = window, spec.q
     p = spec.degree(params)
-    rules = params.rules
-    assignment: dict = {}
-
-    def put(v: Vertex, shift: tuple, degree: int, coeff: int, missing: str):
-        """Assign coeff times the arrow of this degree from v to its
-        translate by shift, which must be a generator."""
-        j, da, db = shift
-        w = (v.family, j, v.a + da, v.b + db)
-        kind = arrow_kind(rules, v.family, v.i, v.a, v.b, *w, degree)
-        if kind is None:
-            raise InconsistencyError(f"{missing} {v!r}")
-        assignment[v] = Morphism.of_gen(ArrowGen(kind, v, Vertex(*w), degree), coeff)
-
     if spec.name in ("eta_prime", "eta_dprime"):
-        q = spec.q
-        base = Vertex("Y", 0, 0, n + q)
-        for i in range(r):
-            shift = sigma_shift(params, "Y", i, n)
-            gap = _socle_gap(params, "Y", q, i)
-            # gap >= 0, so b = a + gap in [-W, W] needs only b <= W
-            for a in range(-W, W - gap + 1):
-                v = Vertex("Y", i, a, a + gap)
-                coeff = 1
-                if spec.name == "eta_prime":
-                    exp = _solve_sigma_exponent(params, base, v)
-                    coeff = -1 if (n * exp) % 2 else 1
-                put(v, shift, 2, coeff, "missing e'' under")
-        variant = "graded" if spec.name == "eta_prime" else "commutative"
-        return CenterElement(p, variant, assignment)
-
-    if spec.name == "eta_zero":
-        q = spec.q
-        for a in range(-W, W - q + 1):
-            put(Vertex("X", 0, a, a + q), (0, 0, 0), 2, 1, "missing e' self-arrow at")
-        return CenterElement(0, "commutative", assignment)
-
-    # eta_power(k): the identity (k = 0) or the f' arrow to Sigma^(kn) v
-    # on every vertex of gap at least k(n + m) - d0 m, where d0 m is m at
-    # index 0 and 0 elsewhere; at k = 0 that is X's least gap
-    k = spec.q
+        family, slot, missing = "Y", 2, "missing e'' under"
+    elif spec.name == "eta_zero":
+        family, slot, missing = "X", 2, "missing e' self-arrow at"
+    else:
+        family, slot, missing = "X", 0 if q else -1, "missing f' power arrow at"
+    shift_p = {(family, i): sigma_shift(params, family, i, p) for i in range(r)}
+    assignment: dict = {}
     for i in range(r):
-        shift = sigma_shift(params, "X", i, k * n)
-        lo = max(least_gap(params, "X", i), k * (n + m) - (m if i == 0 else 0))
+        if spec.name == "eta_power":
+            lo, hi = max(least_gap(params, "X", i), q * (n + m) - (m if i == 0 else 0)), 2 * W
+        else:
+            lo = hi = _socle_gap(params, family, q, i)
+        if slot >= 0:
+            hom = hom_gaps(params, family, i, slot, shift_p[family, i])
+            for t in range(lo, min(hi, 2 * W) + 1):
+                if not _in_gaps(hom, t):
+                    raise InconsistencyError(f"{missing} {Vertex(family, i, -W, t - W)!r}")
+        # eta_prime's sign at v is (-1)^(n e) for the e with v = Sigma^e
+        # of the base Y(0, 0, n + q).  As r = n - 1, Sigma^r moves Y by
+        # (-1, -1), so the index-i vertex at a is Sigma^(i + r (a_i - a))
+        # of the base, where a_i is the a of Sigma^i of it; n r = n (n - 1)
+        # is even, so the sign is (-1)^(n i).
+        coeff = -1 if spec.name == "eta_prime" and n * i % 2 else 1
         for a in range(-W, W + 1):
-            for b in range(max(-W, a + lo), W + 1):
-                v = Vertex("X", i, a, b)
-                if k == 0:
-                    assignment[v] = Morphism.identity(v)
-                else:
-                    put(v, shift, 0, 1, "missing f' power arrow at")
-    return CenterElement(k * n, "commutative", assignment)
+            for b in range(max(-W, a + lo), min(W, a + hi) + 1):
+                v = Vertex(family, i, a, b)
+                beta = _basis_arrow(params.rules, shift_p, v, slot)
+                assignment[v] = Morphism.identity(v) if beta is None else Morphism.of_gen(beta, coeff)
+    variant = "graded" if spec.name == "eta_prime" else "commutative"
+    return CenterElement(p, variant, assignment)
 
 
 def membership_margin(params: ModelParams) -> int:
@@ -283,14 +261,24 @@ def check_membership(
     # Sigma^p per (family, i), as a translation (j, da, db)
     shift_p = {(f, i): sigma_shift(params, f, i, p) for f in FAMILIES for i in range(params.r)}
     # {(family, i, a, b): (slots, {slot: coefficient})}, slots as in the
-    # solver
+    # solver.  The value must lie in Hom(v, Sigma^p v): its endpoints, and
+    # so those of its terms, are v and Sigma^p v, and each term is the
+    # basis arrow of a slot whose gaps, read once per (family, i, degree),
+    # hold b - a.
     coeffs: dict = {}
+    hom = lru_cache(None)(lambda f, i, d: hom_gaps(params, f, i, d, shift_p[f, i]))
     for v, mor in el.assignment.items():
-        j, da, db = shift_p[v.family, v.i]
-        if mor.source != v or mor.target != Vertex(v.family, j, v.a + da, v.b + db):
+        f, i, a, b = v.family, v.i, v.a, v.b
+        j, da, db = shift_p[f, i]
+        ok = mor.source == v and mor.target == Vertex(f, j, a + da, b + db)
+        slots = {}
+        for t, c in mor.terms.items():
+            if t is not None:
+                ok = ok and _in_gaps(hom(f, i, t.degree), b - a) and t.kind == rules[f, f, t.degree, i][0]
+            slots[-1 if t is None else t.degree] = c
+        if not ok:
             raise ValueError(f"the value at {v!r} is not in Hom(v, Sigma^{p} v)")
-        slots = {-1 if t is None else t.degree: c for t, c in mor.terms.items()}
-        coeffs[v.family, v.i, v.a, v.b] = (tuple(slots), slots)
+        coeffs[f, i, a, b] = (tuple(slots), slots)
     empty = ((), {})
     patterns: dict = {}
 
@@ -504,7 +492,7 @@ class _System(NamedTuple):
     tags sorted by str.  That is all the dimensions read.
 
     The rest is kept to name the basis when it is read
-    (_named_components): the window, the inner window and p; lines, the
+    (_named_components): the window and the inner window; lines, the
     layout, as ((family, i, gap), ((slot, index at the least a), ...)) in
     build order; and root and sign, the union-find hung on its roots: the
     unknown x is sign[x] times the unknown root[x].  No Vertex, ArrowGen
@@ -521,7 +509,6 @@ class _System(NamedTuple):
     classes: tuple
     window: int
     inner: int
-    p: int
     lines: tuple
     root: tuple
     sign: tuple
@@ -768,7 +755,6 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
         classes=tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets)),
         window=W,
         inner=inner,
-        p=p,
         lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
         root=tuple(parent),
         sign=tuple(weight),

@@ -1,16 +1,36 @@
 """The box walk that gradedcenter.center's make_generator replaces, kept
 unchanged as its differential oracle: eta_power tests every cell of the
-box with vertex_exists and skips the cells below its support, and every
-generator finds its arrow with sigma_pow and arrow_of_degree."""
+box with vertex_exists and skips the cells below its support, every
+generator finds its arrow with sigma_pow and arrow_of_degree, and
+eta_prime finds its sign by solving Sigma^e(base) = v at every vertex."""
 
 from gradedcenter.center import (
     CenterElement,
     GeneratorSpec,
     InconsistencyError,
     _socle_gap,
-    _solve_sigma_exponent,
 )
-from gradedcenter.model import ModelParams, Morphism, Vertex, arrow_of_degree, sigma_pow, vertex_exists
+from gradedcenter.model import (
+    ModelParams,
+    Morphism,
+    Vertex,
+    arrow_of_degree,
+    sigma_pow,
+    sigma_shift,
+    vertex_exists,
+)
+
+
+def _solve_sigma_exponent(params: ModelParams, base: Vertex, v: Vertex) -> int:
+    """The unique p with Sigma^p base = v; raises if there is none."""
+    r = params.r
+    steps = (v.i - base.i) % r
+    w = sigma_pow(params, base, steps)
+    cycle = sigma_shift(params, v.family, 0, r)[1]
+    p = steps + (v.a - w.a) // cycle * r if cycle else steps
+    if sigma_pow(params, base, p) != v:
+        raise ValueError(f"{v!r} is not a Sigma-shift of {base!r}")
+    return p
 
 
 def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> CenterElement:

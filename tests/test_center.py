@@ -15,7 +15,6 @@ from gradedcenter.center import (
     GeneratorSpec,
     _build_system,
     _named_components,
-    _solve_sigma_exponent,
     check_membership,
     class_visibility_map,
     make_generator,
@@ -37,9 +36,10 @@ from gradedcenter.model import (
     sigma,
     sigma_pow,
 )
-from gradedcenter.ring import reconcile
+from gradedcenter.ring import reconcile, theorem_case
 
 import cell_generators
+from cell_generators import _solve_sigma_exponent
 import vertex_build
 import visibility_loop
 from null_space_oracle import SparseMatrix, null_space
@@ -82,6 +82,7 @@ def test_generator_admissibility():
         ("eta_zero", (1, 3, 0), True),
         ("eta_zero", (1, 3, 1), False),
         ("eta_zero", (1, 1, 0), True),
+        ("eta_zero", (1, 1, 1), False),
         ("eta_zero", (2, 2, 0), False),
         ("eta_power", (2, 2, 1), True),
         ("eta_power", (1, 2, 0), False),
@@ -92,6 +93,26 @@ def test_generator_admissibility():
         if not expected:
             with pytest.raises(ValueError):
                 make_generator(params_for(*rnm), GeneratorSpec(name), 8)
+
+
+def test_generator_admissibility_matches_the_table():
+    # a generator is admissible exactly when the table row has its
+    # component: eta_power a polynomial base, eta_zero the socle item at
+    # shift 0, eta_prime and eta_dprime the one at shift n
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            for m in range(5):
+                params = params_for(r, n, m)
+                row = theorem_case(params, 2, "commutative")
+                shifts = {shift for shift, _ in row.socle}
+                want = {
+                    "eta_power": row.base != "F",
+                    "eta_zero": 0 in shifts,
+                    "eta_prime": n in shifts,
+                    "eta_dprime": n in shifts,
+                }
+                for name, expected in want.items():
+                    assert GeneratorSpec(name).admissible(params)[0] == expected, (name, r, n, m)
 
 
 def test_generator_degrees():
@@ -232,6 +253,17 @@ def test_membership_rejects_value_outside_its_hom_space():
     el = CenterElement(eta.p, eta.variant, {**eta.assignment, v: Morphism.identity(v)})
     with pytest.raises(ValueError, match="not in Hom"):
         check_membership(p, el, 10, 6)
+    # right endpoints, but every e'' term relabelled as an arrow of
+    # another degree or kind, none of which Hom(v, Sigma^n v) holds
+    eta = make_generator(p, GeneratorSpec("eta_prime", 1), 10)
+    for kind, degree in (("e''", 0), ("e''", 1), ("e''", 3), ("e'", 2)):
+        assignment = {}
+        for v, mor in eta.assignment.items():
+            (gen, coeff), = mor.terms.items()
+            gen = ArrowGen(kind, gen.source, gen.target, degree)
+            assignment[v] = Morphism.of_gen(gen, coeff)
+        with pytest.raises(ValueError, match="not in Hom"):
+            check_membership(p, CenterElement(eta.p, eta.variant, assignment), 10, 6)
 
 
 def _perfbench_inputs():
@@ -469,6 +501,24 @@ def test_solver_matches_null_space_oracle(rnm, W, p_list, variant, char):
         rep = solve_component(params, p, variant, char, W, Wi)
         want = _oracle_inner_dim(params, p, variant, char, W, Wi)
         assert rep.total_dim == want, (rnm, p, variant, char)
+
+
+@pytest.mark.parametrize("rnm", GRID, ids=str)
+def test_solver_basis_is_natural_at_every_arrow(rnm):
+    # the solver imposes naturality at the generating arrows only
+    # (_targets); check_membership walks every arrow at the support, on
+    # the solver's inner box less the membership margin
+    params = params_for(*rnm)
+    inner = membership_margin(params) + 2
+    W = solver_margin(params) + inner
+    params = params_for(*rnm, window=W)
+    for p in range(2 * params.n + 2):
+        for variant in ("graded", "commutative"):
+            for char in (2, 3):
+                rep = solve_component(params, p, variant, char, W, inner)
+                for el in rep.basis:
+                    got = check_membership(params, el, inner, inner - membership_margin(params), char=char)
+                    assert got == (True, None), (p, variant, char)
 
 
 # differential oracle: the object-based solver that the integer-coded one
