@@ -48,14 +48,18 @@ for the components that survive and meet the inner window.
 
 check_membership runs on the same integer keys and tests naturality
 with the same rule, _row_pattern, on the element's coefficients, so the
-solver and the check share one statement of naturality.  It walks the
-arrows at the support as integer ranges (model.arrow_keys_from and
-arrow_keys_to), which start each row at the least gap of a vertex
-(model.least_gap) instead of testing every cell, and it works each
-pattern out once per call and per key: the rows at an arrow are
-unchanged when both endpoints move along the diagonal together.  Each
-term must be the basis arrow of a slot that model.hom_gaps allows at its
-vertex.  Vertex and ArrowGen objects are built only to name a failure.
+solver and the check share one statement of naturality.  It tests the
+same generating arrows (_targets) that touch the support: those out of
+each inner support vertex, and those into it from off-support sources,
+read off the table inverted.  With the sign law, which it checks too,
+they imply naturality at every arrow of the inner box; the arrow walk
+it replaced is kept in tests/ as the oracle.  It works each pattern out
+once per call and per key: the rows at an arrow are unchanged when both
+endpoints move along the diagonal together.  Each term must be the
+basis arrow of a slot that model.hom_gaps allows at its vertex.  The
+result is the pair (ok, why), which also counts the naturality and
+sign-law rows tested.  Vertex and ArrowGen objects are built only to
+name a failure.
 make_generator walks the generator's support one line (family, i, gap)
 at a time, tests the line's slot once against model.hom_gaps, and builds
 every value with the solver's _basis_arrow.
@@ -81,8 +85,6 @@ from .model import (
     ModelParams,
     Morphism,
     Vertex,
-    arrow_keys_from,
-    arrow_keys_to,
     arrow_kind,
     arrow_of_degree,  # unused here: the benchmark's tracer wraps it by name
     arrows_from,  # unused here: the benchmark's tracer wraps it by name
@@ -226,6 +228,29 @@ def membership_margin(params: ModelParams) -> int:
     return 1 + max(params.n, params.m)
 
 
+class Membership(tuple):
+    """What check_membership returns: the pair (ok, why), with the rows it
+    tested, counted the same way on every run.  naturality_rows counts
+    every row of each generating arrow tested, sign_rows every slot
+    compared by the sign law; a failing check counts up to its failure."""
+
+    naturality_rows: int
+    sign_rows: int
+
+    def __new__(cls, ok: bool, why: str | None, naturality_rows: int, sign_rows: int):
+        self = super().__new__(cls, (ok, why))
+        self.naturality_rows = naturality_rows
+        self.sign_rows = sign_rows
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.naturality_rows, self.sign_rows)
+
+    @property
+    def rows(self) -> int:
+        return self.naturality_rows + self.sign_rows
+
+
 def check_membership(
     params: ModelParams,
     el: CenterElement,
@@ -233,20 +258,25 @@ def check_membership(
     inner_window: int,
     char: int = 3,
     variant: str | None = None,
-) -> tuple[bool, str | None]:
+) -> Membership:
     """Verify naturality and the sign law for el on the inner window.
 
     The check runs on integers, as the solver does: a vertex is the key
-    (family, i, a, b), and el becomes its coefficients per slot.  The
-    arrows at each inner support vertex come from model.arrow_keys_from
-    and arrow_keys_to as integer ranges that start at each row's least
-    gap.  Naturality at an arrow is the solver's row rule, _row_pattern,
-    on the coefficients mod char.  A pattern is unchanged when both
-    endpoints move along the diagonal together, so within one call it is
-    worked out once per (families, indices, gap, target offset, degree,
-    slots of both endpoints).  Rows where neither endpoint carries
-    support are 0 = 0 and are skipped; that restriction is exact, not an
-    approximation.  Objects are built only to name the first failure.
+    (family, i, a, b), and el becomes its coefficients per slot.
+    Naturality is tested at the generating arrows (_targets) with both
+    ends in the inner box: the arrows out of each inner support vertex
+    to its targets, and those into it from off-support sources, read off
+    the same table inverted.  Given the sign law, which is checked too,
+    they imply naturality at every arrow of the box (tested).  Naturality
+    at an arrow is the solver's row rule, _row_pattern, on the
+    coefficients mod char.  A pattern is unchanged when both endpoints
+    move along the diagonal together, so within one call it is worked out
+    once per (families, indices, gap, target offset, degree, slots of
+    both endpoints).  Rows where neither endpoint carries support are
+    0 = 0 and are skipped; that restriction is exact, not an
+    approximation.  Objects are built only to name the first failure:
+    the first failing arrow in this walk's order, else the first vertex
+    where the sign law fails.
     """
     FieldScalar(0, char)
     variant = variant or el.variant
@@ -258,8 +288,24 @@ def check_membership(
     Wi = inner_window
     sign = -1 if (variant == "graded" and p % 2) else 1
     rules, steps = params.rules, params.sigma_steps
-    # Sigma^p per (family, i), as a translation (j, da, db)
-    shift_p = {(f, i): sigma_shift(params, f, i, p) for f in FAMILIES for i in range(params.r)}
+    # Sigma^p and Sigma^-1 per (family, i), as translations (j, da, db)
+    keys = [(f, i) for f in FAMILIES for i in range(params.r)]
+    shift_p = {key: sigma_shift(params, *key, p) for key in keys}
+    shift_back = {key: sigma_shift(params, *key, -1) for key in keys}
+    # the least gap b - a of a vertex, per (family, i) of these
+    # parameters (-2 Wi on Z: the least in the inner box); the generating
+    # arrows out of each (family, i), and the same arrows listed at their
+    # targets, as (f, i, da, db, degree, along) from the source (f, i)
+    floor = {}
+    for f in params.families:
+        for i in range(params.r):
+            lo = least_gap(params, f, i)
+            floor[f, i] = -2 * Wi if lo is None else lo
+    targets = {key: _targets(params, *key) for key in keys}
+    sources: dict = {key: [] for key in keys}
+    for f, i in floor:
+        for g, j, da, db, degree, along in targets[f, i]:
+            sources[g, j].append((f, i, da, db, degree, along))
     # {(family, i, a, b): (slots, {slot: coefficient})}, slots as in the
     # solver.  The value must lie in Hom(v, Sigma^p v): its endpoints, and
     # so those of its terms, are v and Sigma^p v, and each term is the
@@ -270,7 +316,9 @@ def check_membership(
     for v, mor in el.assignment.items():
         f, i, a, b = v.family, v.i, v.a, v.b
         j, da, db = shift_p[f, i]
-        ok = mor.source == v and mor.target == Vertex(f, j, a + da, b + db)
+        tgt = mor.target
+        ok = mor.source is v or mor.source == v
+        ok = ok and (tgt.family, tgt.i, tgt.a, tgt.b) == (f, j, a + da, b + db)
         slots = {}
         for t, c in mor.terms.items():
             if t is not None:
@@ -281,8 +329,10 @@ def check_membership(
         coeffs[f, i, a, b] = (tuple(slots), slots)
     empty = ((), {})
     patterns: dict = {}
+    naturality_rows = sign_rows = 0
 
     def natural_at(v: tuple, w: tuple, degree: int) -> bool:
+        nonlocal naturality_rows
         f, i, a, b = v
         g, j, ta, tb = w
         sv, cv = coeffs.get(v, empty)
@@ -291,36 +341,59 @@ def check_membership(
         rows = patterns.get(key)
         if rows is None:
             rows = patterns[key] = _row_pattern(rules, v, w, degree, shift_p[g, j], cv, cw)
+        naturality_rows += len(rows)
         for s, t in rows:
             if (cv.get(s, 0) - cw.get(t, 0)) % char:
                 return False
         return True
 
-    def failure(kind: str, v: tuple, w: tuple, degree: int) -> tuple[bool, str]:
+    def failure(kind: str, v: tuple, w: tuple, degree: int) -> Membership:
         gen = ArrowGen(kind, Vertex(*v), Vertex(*w), degree)
-        return (False, f"naturality fails at {gen!r}")
+        return Membership(False, f"naturality fails at {gen!r}", naturality_rows, sign_rows)
 
     def inner(v: tuple) -> bool:
         return -Wi <= v[2] <= Wi and -Wi <= v[3] <= Wi
 
     inner_support = sorted(v for v in coeffs if inner(v))
-    # arrows out of the support
+    # generating arrows out of the support: to (g, j, a + da, b + db), or
+    # to (g, j, a + da, a + db) where along is False
     for v in inner_support:
-        for kind, w, degree in arrow_keys_from(params, *v, Wi):
-            if not natural_at(v, w, degree):
+        f, i, a, b = v
+        for g, j, da, db, degree, along in targets[f, i]:
+            w = (g, j, a + da, (b if along else a) + db)
+            lo = floor.get((g, j))
+            if lo is None or w[3] - w[2] < lo or not inner(w):
+                continue
+            kind = arrow_kind(rules, *v, *w, degree)
+            if kind is not None and not natural_at(v, w, degree):
                 return failure(kind, v, w, degree)
-    # arrows into the support from off-support sources
+    # generating arrows into the support from off-support sources: one
+    # source per target, or where along is False (X's e' corner into
+    # (i + 1, a, a)) the column of sources (i, a, b') over every b'
     for w in inner_support:
-        for kind, v, degree in arrow_keys_to(params, *w, Wi):
-            if v not in coeffs and not natural_at(v, w, degree):
-                return failure(kind, v, w, degree)
+        g, j, ta, tb = w
+        for f, i, da, db, degree, along in sources[g, j]:
+            a = ta - da
+            if along:
+                bs = (tb - db,)
+            elif tb - ta == db - da:
+                bs = range(-Wi, Wi + 1)
+            else:
+                continue
+            for b in bs:
+                v = (f, i, a, b)
+                if v in coeffs or b - a < floor[f, i] or not inner(v):
+                    continue
+                kind = arrow_kind(rules, *v, *w, degree)
+                if kind is not None and not natural_at(v, w, degree):
+                    return failure(kind, v, w, degree)
     # sign law on Sigma-pairs touching the support: Sigma keeps each
     # term's kind and degree, so eta at Sigma u and Sigma eta_u are
     # compared slot by slot
     checked = set()
     for v in sorted(coeffs):
         f, i, a, b = v
-        j, da, db = sigma_shift(params, f, i, -1)
+        j, da, db = shift_back[f, i]
         for u in (v, (f, j, a + da, b + db)):
             if u in checked or not inner(u):
                 continue
@@ -328,9 +401,11 @@ def check_membership(
             sj, s1, s2 = steps[u[0], u[1], 1]
             cu = coeffs.get(u, empty)[1]
             cs = coeffs.get((u[0], sj, u[2] + s1, u[3] + s2), empty)[1]
-            if any((cs.get(s, 0) - sign * cu.get(s, 0)) % char for s in cu.keys() | cs.keys()):
-                return (False, f"sign law fails at {Vertex(*u)!r}")
-    return (True, None)
+            slots = cu.keys() | cs.keys()
+            sign_rows += len(slots)
+            if any((cs.get(s, 0) - sign * cu.get(s, 0)) % char for s in slots):
+                return Membership(False, f"sign law fails at {Vertex(*u)!r}", naturality_rows, sign_rows)
+    return Membership(True, None, naturality_rows, sign_rows)
 
 
 def solver_margin(params: ModelParams) -> int:
@@ -453,11 +528,11 @@ def _row_pattern(rules: dict, v: tuple, w: tuple, degree: int, shift: tuple,
     """Naturality at the generator v -> w of this degree, v and w as
     (family, i, a, b) and shift Sigma^p at w: one row per degree of the
     composite v -> Sigma^p w, as (slot of v, slot of w) with None where
-    that side has no term.  v -> w must be a generator: check_membership
-    passes only the arrows it enumerates, and the solver tests each of
-    its targets with arrow_kind first.  The solver passes every slot of
-    v and w and imposes the rows as unions; check_membership passes the
-    slots an element fills and tests them."""
+    that side has no term.  v -> w must be a generator: the solver and
+    check_membership both test each of their targets with arrow_kind
+    first.  The solver passes every slot of v and w and imposes the rows
+    as unions; check_membership passes the slots an element fills and
+    tests them."""
     f, i, a, b = v
     g, _, ta, tb = w
     sj, sa, sb = shift
@@ -540,7 +615,16 @@ def _targets(params: ModelParams, f: str, i: int) -> list:
     - each step lies in the region of the arrow's kind: only f' and f''
       bound the target's a from above, by the source's b plus a constant,
       and the steps up only raise b while the steps across stop at a',
-      where the composite's bound holds."""
+      where the composite's bound holds.
+
+    Not every arrow is such a composite: on (r, n, m) = (2, 2, 0) the e'
+    arrow X(0)[0,2] -> X(1)[-2,0] is none, because no listed arrow lowers
+    a.  Its rows follow from the rows at the listed arrows only together
+    with the sign law.  So completeness for an arbitrary element needs the
+    sign law: the solver imposes it on every unknown, and check_membership
+    checks it.  tests/membership_span.py shows that on every GRID row the
+    rows at the listed arrows of a box and the sign law imply the rows at
+    every arrow of the box."""
     r, n = params.r, params.n
     targets = [(f, i, 0, 1, 0, True), (f, i, 1, 0, 0, True)]
     if f == "X":

@@ -313,11 +313,16 @@ class Morphism:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for t, c in self.terms.items():
+        # a term built with these endpoints holds the same objects, so
+        # identity is tested before equality
+        source, target = self.source, self.target
+        for t in self.terms:
             if t is None:
-                if self.source != self.target:
+                if source is not target and source != target:
                     raise ValueError("identity term on a non-endomorphism")
-            elif t.source != self.source or t.target != self.target:
+            elif (t.source is not source and t.source != source) or (
+                t.target is not target and t.target != target
+            ):
                 raise ValueError("term endpoints do not match morphism endpoints")
 
     @staticmethod

@@ -1,6 +1,8 @@
 import importlib.util
 import os
+import pickle
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -26,22 +28,27 @@ from gradedcenter.center import (
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.hom import hom_basis
 from gradedcenter.model import (
+    KIND_TABLE,
     ArrowGen,
     ModelParams,
     Morphism,
     Vertex,
     arrow_of_degree,
     arrows_from,
+    compose,
     enumerate_vertices,
     sigma,
+    sigma_mor_pow,
     sigma_pow,
 )
 from gradedcenter.ring import reconcile, theorem_case
 
+from arrow_walk_membership import check_membership as arrow_walk_check_membership
 import cell_generators
 from cell_generators import _solve_sigma_exponent
 import vertex_build
 import visibility_loop
+from membership_span import unimplied_rows
 from null_space_oracle import SparseMatrix, null_space
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
@@ -348,6 +355,118 @@ def test_membership_breakages_match_object_membership():
     assert seen == {None, "naturality", "sign law"}
 
 
+_NAMED_ARROW = re.compile(
+    r"naturality fails at ([^:]+):(\w)\((\d+)\)\[(-?\d+),(-?\d+)\]->(\w)\((\d+)\)\[(-?\d+),(-?\d+)\]")
+_NAMED_VERTEX = re.compile(r"sign law fails at (\w)\((\d+)\)\[(-?\d+),(-?\d+)\]")
+
+
+def _witness_fails(params, el, why, char, sign, inner):
+    """Whether the arrow or vertex that a failing check names lies in the
+    inner box and fails there in the object oracle's terms: naturality
+    by compose and sigma_mor_pow, or the sign law on Sigma-pairs."""
+
+    def eta(v):
+        return el.value_at(params, v)
+
+    def boxed(*vs):
+        return all(max(abs(v.a), abs(v.b)) <= inner for v in vs)
+
+    named = _NAMED_ARROW.fullmatch(why)
+    if named:
+        kind, f, i, a, b, g, j, c, d = named.groups()
+        v, w = Vertex(f, int(i), int(a), int(b)), Vertex(g, int(j), int(c), int(d))
+        gen = arrow_of_degree(params, v, w, KIND_TABLE[kind][2])
+        assert gen is not None and gen.kind == kind, why
+        phi = Morphism.of_gen(gen)
+        lhs = compose(params, sigma_mor_pow(params, phi, el.p), eta(v))
+        rhs = compose(params, eta(w), phi)
+        return boxed(v, w) and not lhs.plus(rhs.scaled(-1)).is_zero(char)
+    f, i, a, b = _NAMED_VERTEX.fullmatch(why).groups()
+    u = Vertex(f, int(i), int(a), int(b))
+    diff = eta(sigma(params, u)).plus(sigma_mor_pow(params, eta(u), 1).scaled(-sign))
+    return boxed(u) and not diff.is_zero(char)
+
+
+def test_membership_breakage_witnesses():
+    # check_membership tests naturality at the generating arrows only, so
+    # on a broken element it may name another failing arrow than the
+    # object oracle, or the sign law where the oracle names an arrow.  Its
+    # verdict must be the oracle's, and what it names must fail.  Each
+    # element is broken at one to three inner support vertices, or on the
+    # support's whole Sigma-orbit through one of them, which keeps the sign
+    # law and leaves naturality to find the breakage.
+    rng = random.Random(15)
+    seen = set()
+    for extra in (0, 1):
+        for params, el, W, inner in _membership_cases(extra):
+            inside = [v for v in sorted(el.assignment) if max(abs(v.a), abs(v.b)) <= inner]
+            steps = (2 * W + 1) * params.r
+            for orbit in (False, True) * 2:
+                if orbit:
+                    v = rng.choice(inside)
+                    chosen = [u for u in (sigma_pow(params, v, k) for k in range(-steps, steps + 1))
+                              if u in el.assignment]
+                else:
+                    chosen = rng.sample(inside, min(len(inside), rng.randint(1, 3)))
+                # None drops the vertices from the support; 0 keeps them
+                # with a zero value
+                scale = rng.choice([None, 0, 2] if orbit else [None, 0, -1, 2])
+                assignment = dict(el.assignment)
+                for v in chosen:
+                    if scale is None:
+                        del assignment[v]
+                    else:
+                        assignment[v] = assignment[v].scaled(scale)
+                broken = CenterElement(el.p, el.variant, assignment)
+                variant, char = rng.choice(["graded", "commutative"]), rng.choice([2, 3, 5])
+                ok, why = check_membership(params, broken, W, inner, char=char, variant=variant)
+                want = object_check_membership(params, broken, W, inner, char=char, variant=variant)
+                assert ok == want[0], (params.omega, el.p, why, want)
+                if not ok:
+                    sign = -1 if variant == "graded" and el.p % 2 else 1
+                    assert _witness_fails(params, broken, why, char, sign, inner), (params.omega, el.p, why)
+                seen.add(why.split(" fails")[0] if why else None)
+    assert seen == {None, "naturality", "sign law"}
+
+
+@pytest.mark.parametrize("rnm", GRID, ids=str)
+def test_generating_rows_imply_every_row(rnm):
+    # check_membership tests the generating rows and the sign law; on the
+    # inner boxes Wi = 1, 2 they imply the row at every arrow of the box,
+    # in every degree 0..2n+1 under each sign law the check applies
+    r, n, m = rnm
+    for Wi in (1, 2):
+        params = params_for(r, n, m, window=Wi + 1 + max(n, m))
+        for p in range(2 * n + 2):
+            for sign in (1, -1) if p % 2 else (1,):
+                assert unimplied_rows(params, Wi, p, sign) == {2: [], 3: []}, (Wi, p, sign)
+
+
+def test_generating_rows_need_the_sign_law():
+    params = params_for(2, 2, 0, window=5)
+    assert unimplied_rows(params, 2, 2, 1) == {2: [], 3: []}
+    gaps = unimplied_rows(params, 2, 2, 1, sign_law=False)
+    assert gaps[2] and gaps[3]
+
+
+def test_membership_reports_rows_checked():
+    params = params_for(3, 3, 0, window=10)
+    eta = make_generator(params, GeneratorSpec("eta_power", 1), 10)
+    got = check_membership(params, eta, 10, 6, char=3)
+    ok, why = got
+    assert (ok, why) == got == (True, None)
+    assert got.naturality_rows > 0 and got.sign_rows > 0
+    assert got.rows == got.naturality_rows + got.sign_rows
+    again = check_membership(params, eta, 10, 6, char=3)
+    assert (again.naturality_rows, again.sign_rows) == (got.naturality_rows, got.sign_rows)
+    copy = pickle.loads(pickle.dumps(got))
+    assert copy == got and copy.rows == got.rows
+    # a failing check counts up to its failure
+    failed = check_membership(params, eta, 10, 6, char=3, variant="graded")
+    assert failed[0] is False and "sign law" in failed[1]
+    assert failed.naturality_rows == got.naturality_rows and 0 < failed.sign_rows <= got.sign_rows
+
+
 def test_solver_margin_formula():
     assert solver_margin(params_for(1, 2, 0)) == 6
     assert solver_margin(params_for(2, 3, 1)) == 9
@@ -506,8 +625,8 @@ def test_solver_matches_null_space_oracle(rnm, W, p_list, variant, char):
 @pytest.mark.parametrize("rnm", GRID, ids=str)
 def test_solver_basis_is_natural_at_every_arrow(rnm):
     # the solver imposes naturality at the generating arrows only
-    # (_targets); check_membership walks every arrow at the support, on
-    # the solver's inner box less the membership margin
+    # (_targets); the oracle walks every arrow at the support, on the
+    # solver's inner box less the membership margin
     params = params_for(*rnm)
     inner = membership_margin(params) + 2
     W = solver_margin(params) + inner
@@ -517,7 +636,8 @@ def test_solver_basis_is_natural_at_every_arrow(rnm):
             for char in (2, 3):
                 rep = solve_component(params, p, variant, char, W, inner)
                 for el in rep.basis:
-                    got = check_membership(params, el, inner, inner - membership_margin(params), char=char)
+                    got = arrow_walk_check_membership(
+                        params, el, inner, inner - membership_margin(params), char=char)
                     assert got == (True, None), (p, variant, char)
 
 
