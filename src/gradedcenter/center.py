@@ -42,27 +42,37 @@ one of them likewise depend on its source only through (family, i), the
 gap and the target.  So each pattern of rows is worked out once per line
 and target, and each of its rows, like each sign-law slot, is one union
 over two aligned index ranges: the a where both ends lie in the box.  No
-vertex tuple is made and no dict is read per cell.  Vertex, ArrowGen and
-Morphism objects are built only when a report's basis is read, and only
-for the components that survive and meet the inner window.
+vertex tuple is made and no dict is read per cell.  Vertex and ArrowGen
+objects are built only when a report's basis is read, and only to order
+the members of the components that survive and meet the inner window.
 
-check_membership runs on the same integer keys and tests naturality
-with the same rule, _row_pattern, on the element's coefficients, so the
-solver and the check share one statement of naturality.  It tests the
-same generating arrows (_targets) that touch the support: those out of
-each inner support vertex, and those into it from off-support sources,
-read off the table inverted.  With the sign law, which it checks too,
-they imply naturality at every arrow of the inner box; the arrow walk
-it replaced is kept in tests/ as the oracle.  It works each pattern out
-once per call and per key: the rows at an arrow are unchanged when both
-endpoints move along the diagonal together.  Each term must be the
-basis arrow of a slot that model.hom_gaps allows at its vertex.  The
+A CenterElement holds one integer form, the slot map {(family, i, a,
+b): {slot: coefficient}}, with slots as in the solver.  make_generator,
+a report's basis and multiply fill it directly; its assignment is a
+read-only view over it that builds a Morphism, from the _basis_arrow of
+each slot, only when a value is read.  make_generator walks the
+generator's support one line (family, i, gap) at a time and tests the
+line's slot once against model.hom_gaps.  multiply works slot by slot: a
+product's slot is the sum of its factors' slots, the identity's -1 being
+the unit, and the term is kept where model.arrow_kind accepts the
+composite.  An element built by hand from Morphism values is converted
+to its slot map by _slot_map, which checks each value's endpoints and
+kinds.
+
+check_membership runs on the slot map and tests naturality with the
+solver's rule, _row_pattern, on its coefficients, so the solver and the
+check share one statement of naturality.  It tests the same generating
+arrows (_targets) that touch the support: those out of each inner
+support vertex, and those into it from off-support sources, read off the
+table inverted.  With the sign law, which it checks too, they imply
+naturality at every arrow of the inner box; the arrow walk it replaced
+is kept in tests/ as the oracle.  It works each pattern out once per
+call and per key: the rows at an arrow are unchanged when both endpoints
+move along the diagonal together.  Every slot must be one that
+model.hom_gaps allows at its vertex, or the identity's in degree 0.  The
 result is the pair (ok, why), which also counts the naturality and
 sign-law rows tested.  Vertex and ArrowGen objects are built only to
 name a failure.
-make_generator walks the generator's support one line (family, i, gap)
-at a time, tests the line's slot once against model.hom_gaps, and builds
-every value with the solver's _basis_arrow.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -72,6 +82,7 @@ perform, so inner-window output is stable under window growth (tested).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -89,12 +100,12 @@ from .model import (
     arrow_of_degree,  # unused here: the benchmark's tracer wraps it by name
     arrows_from,  # unused here: the benchmark's tracer wraps it by name
     arrows_to,  # unused here: the benchmark's tracer wraps it by name
-    compose,
+    compose,  # unused here: the benchmark's tracer wraps it by name
     enumerate_vertices,  # unused here: the benchmark's tracer wraps it by name
     hom_gaps,
     least_gap,
     sigma,  # unused here: the benchmark's tracer wraps it by name
-    sigma_mor_pow,
+    sigma_mor_pow,  # unused here: the benchmark's tracer wraps it by name
     sigma_pow,
     sigma_shift,
 )
@@ -143,19 +154,69 @@ class GeneratorSpec:
         return (True, "")
 
 
+class _SlotView(Mapping):
+    """A center element's values as a read-only Mapping {Vertex:
+    Morphism} over its slot map {(family, i, a, b): {slot: coefficient}}
+    in degree p on the parameters' omega.  Keys come in the map's order.
+    A value's Morphism is built from the _basis_arrow of each slot only
+    when it is read, so len, in and key iteration build none."""
+
+    __slots__ = ("_params", "_p", "_slots", "_shift")
+
+    def __init__(self, params: ModelParams, p: int, slots: dict):
+        self._params, self._p, self._slots, self._shift = params, p, slots, None
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __iter__(self):
+        return (Vertex(*key) for key in self._slots)
+
+    def __contains__(self, v) -> bool:
+        return isinstance(v, Vertex) and (v.family, v.i, v.a, v.b) in self._slots
+
+    def __getitem__(self, v: Vertex) -> Morphism:
+        value = self._slots.get((v.family, v.i, v.a, v.b)) if isinstance(v, Vertex) else None
+        if value is None:
+            raise KeyError(v)
+        params = self._params
+        if self._shift is None:
+            keys = [(f, i) for f in FAMILIES for i in range(params.r)]
+            self._shift = {key: sigma_shift(params, *key, self._p) for key in keys}
+        j, da, db = self._shift[v.family, v.i]
+        target = Vertex(v.family, j, v.a + da, v.b + db)
+        return Morphism(v, target, {_basis_arrow(params.rules, self._shift, v, s): c for s, c in value.items()})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _SlotView) and (other._params.omega, other._p) == (self._params.omega, self._p):
+            return self._slots == other._slots
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class CenterElement:
-    """A finitely supported assignment v -> (morphism v -> Sigma^p v)."""
+    """A finitely supported assignment v -> (morphism v -> Sigma^p v).
+
+    make_generator, a report's basis and multiply hold it as its slot map
+    (see the module docstring), and assignment is a read-only view of it.
+    An element may also be built by hand from a dict {Vertex: Morphism};
+    assignment is then a read-only copy of that dict, and _slot_map
+    converts it where the slots are needed."""
 
     p: int
     variant: str
-    assignment: dict
+    assignment: Mapping
 
     def __post_init__(self):
         if self.variant not in ("graded", "commutative"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.p < 0:
             raise ValueError("degree must be >= 0")
+        if not isinstance(self.assignment, _SlotView):
+            object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
     def value_at(self, params: ModelParams, v: Vertex) -> Morphism:
         got = self.assignment.get(v)
@@ -164,13 +225,55 @@ class CenterElement:
         return Morphism.zero(v, sigma_pow(params, v, self.p))
 
     def is_zero(self, char: int | None = None) -> bool:
-        return all(mor.is_zero(char) for mor in self.assignment.values())
+        view = self.assignment
+        if isinstance(view, _SlotView):
+            values = view._slots.values()
+        else:
+            values = (mor.terms for mor in view.values())
+        coeffs = [c for value in values for c in value.values()]
+        return not any(coeffs) if char is None else all(c % char == 0 for c in coeffs)
+
+
+def _slot_map(params: ModelParams, el: CenterElement) -> dict:
+    """el's values as its slot map {(family, i, a, b): {slot:
+    coefficient}}.  An element that holds one on these parameters' omega
+    gives it as it is.  Any other is converted value by value, which
+    checks that each runs from v to Sigma^p v and that each term's kind
+    is the one its degree, the slot, has; check_membership tests the
+    slots against the hom space."""
+    view = el.assignment
+    if isinstance(view, _SlotView) and view._params.omega == params.omega:
+        return view._slots
+    rules = params.rules
+    slots: dict = {}
+    for v, mor in view.items():
+        f, i, a, b = v.family, v.i, v.a, v.b
+        j, da, db = sigma_shift(params, f, i, el.p)
+        tgt = mor.target
+        ok = mor.source is v or mor.source == v
+        ok = ok and (tgt.family, tgt.i, tgt.a, tgt.b) == (f, j, a + da, b + db)
+        value = {}
+        for t, c in mor.terms.items():
+            if t is not None:
+                rule = rules.get((f, f, t.degree, i))
+                ok = ok and rule is not None and t.kind == rule[0]
+            value[-1 if t is None else t.degree] = c
+        if not ok:
+            raise ValueError(f"the value at {v!r} is not in Hom(v, Sigma^{el.p} v)")
+        slots[f, i, a, b] = value
+    return slots
 
 
 def _socle_gap(params: ModelParams, family: str, q: int, i: int) -> int:
     """b - a on the index-i vertices of the socle class (family, q): q,
     plus n at index 0 of Y, where the Y vertices start at gap n."""
     return q + (params.n if family == "Y" and i == 0 else 0)
+
+
+def _power_gap(params: ModelParams, k: int, i: int) -> int:
+    """The least gap b - a of eta_power(k)'s support on index i of X, for
+    k >= 1: k(n + m), less m at index 0, where X's gaps start at -m."""
+    return k * (params.n + params.m) - (params.m if i == 0 else 0)
 
 
 def _in_gaps(gaps: tuple | None, t: int) -> bool:
@@ -184,11 +287,12 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
     (a, b) order.  The support's gaps b - a form one interval per index:
     one gap for a socle generator, every gap from k(n + m) - d0 m up for
     eta_power(k), where d0 m is m at index 0 and 0 elsewhere (X's least
-    gap at k = 0, where the slot is the identity's)."""
+    gap at k = 0, where the slot is the identity's).  Each vertex gets
+    the slot map's value {slot: coefficient}; no Morphism is built."""
     ok, why = spec.admissible(params)
     if not ok:
         raise ValueError(f"inadmissible generator for (r,n,m)=({params.r},{params.n},{params.m}): {why}")
-    r, n, m = params.r, params.n, params.m
+    r, n = params.r, params.n
     W, q = window, spec.q
     p = spec.degree(params)
     if spec.name in ("eta_prime", "eta_dprime"):
@@ -198,10 +302,10 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
     else:
         family, slot, missing = "X", 0 if q else -1, "missing f' power arrow at"
     shift_p = {(family, i): sigma_shift(params, family, i, p) for i in range(r)}
-    assignment: dict = {}
+    slots: dict = {}
     for i in range(r):
         if spec.name == "eta_power":
-            lo, hi = max(least_gap(params, "X", i), q * (n + m) - (m if i == 0 else 0)), 2 * W
+            lo, hi = max(least_gap(params, "X", i), _power_gap(params, q, i)), 2 * W
         else:
             lo = hi = _socle_gap(params, family, q, i)
         if slot >= 0:
@@ -217,11 +321,9 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
         coeff = -1 if spec.name == "eta_prime" and n * i % 2 else 1
         for a in range(-W, W + 1):
             for b in range(max(-W, a + lo), min(W, a + hi) + 1):
-                v = Vertex(family, i, a, b)
-                beta = _basis_arrow(params.rules, shift_p, v, slot)
-                assignment[v] = Morphism.identity(v) if beta is None else Morphism.of_gen(beta, coeff)
+                slots[family, i, a, b] = {slot: coeff}
     variant = "graded" if spec.name == "eta_prime" else "commutative"
-    return CenterElement(p, variant, assignment)
+    return CenterElement(p, variant, _SlotView(params, p, slots))
 
 
 def membership_margin(params: ModelParams) -> int:
@@ -262,7 +364,7 @@ def check_membership(
     """Verify naturality and the sign law for el on the inner window.
 
     The check runs on integers, as the solver does: a vertex is the key
-    (family, i, a, b), and el becomes its coefficients per slot.
+    (family, i, a, b), and el is read as its slot map (_slot_map).
     Naturality is tested at the generating arrows (_targets) with both
     ends in the inner box: the arrows out of each inner support vertex
     to its targets, and those into it from off-support sources, read off
@@ -306,27 +408,18 @@ def check_membership(
     for f, i in floor:
         for g, j, da, db, degree, along in targets[f, i]:
             sources[g, j].append((f, i, da, db, degree, along))
-    # {(family, i, a, b): (slots, {slot: coefficient})}, slots as in the
-    # solver.  The value must lie in Hom(v, Sigma^p v): its endpoints, and
-    # so those of its terms, are v and Sigma^p v, and each term is the
-    # basis arrow of a slot whose gaps, read once per (family, i, degree),
-    # hold b - a.
+    # {(family, i, a, b): (slots, {slot: coefficient})}, from the slot
+    # map.  Each value must lie in Hom(v, Sigma^p v): every slot is the
+    # identity's, in degree 0 only, or a degree whose gaps, read once per
+    # (family, i, degree), hold b - a.
     coeffs: dict = {}
     hom = lru_cache(None)(lambda f, i, d: hom_gaps(params, f, i, d, shift_p[f, i]))
-    for v, mor in el.assignment.items():
-        f, i, a, b = v.family, v.i, v.a, v.b
-        j, da, db = shift_p[f, i]
-        tgt = mor.target
-        ok = mor.source is v or mor.source == v
-        ok = ok and (tgt.family, tgt.i, tgt.a, tgt.b) == (f, j, a + da, b + db)
-        slots = {}
-        for t, c in mor.terms.items():
-            if t is not None:
-                ok = ok and _in_gaps(hom(f, i, t.degree), b - a) and t.kind == rules[f, f, t.degree, i][0]
-            slots[-1 if t is None else t.degree] = c
-        if not ok:
-            raise ValueError(f"the value at {v!r} is not in Hom(v, Sigma^{p} v)")
-        coeffs[f, i, a, b] = (tuple(slots), slots)
+    for key, value in _slot_map(params, el).items():
+        f, i, a, b = key
+        for s in value:
+            if not (p == 0 if s == -1 else _in_gaps(hom(f, i, s), b - a)):
+                raise ValueError(f"the value at {Vertex(*key)!r} is not in Hom(v, Sigma^{p} v)")
+        coeffs[key] = (tuple(value), value)
     empty = ((), {})
     patterns: dict = {}
     naturality_rows = sign_rows = 0
@@ -444,25 +537,19 @@ class SolveReport:
 
     @cached_property
     def basis(self) -> list:
-        """One CenterElement per component counted, in report order.  The
-        elements are named and built on the first read: the dimensions
-        never need them."""
+        """One CenterElement per component counted, in report order, whose
+        slot map holds the component's members.  The elements are named
+        and built on the first read: the dimensions never need them."""
         basis: list = []
         if self._system is None:
             return basis
-        rules, shift_p = self.params.rules, self._system.shift_p
         for parity, _, members in _named_components(self.params, self._system):
             if parity and self.char != 2:
                 continue
-            assignment: dict = {}
+            slots: dict = {}
             for key, s, coeff in members:
-                v = Vertex(*key)
-                beta = _basis_arrow(rules, shift_p, v, s)
-                mor = assignment.get(v)
-                # the identity occurs in degree 0 only, where Sigma^p v = v
-                term = Morphism(v, v if beta is None else beta.target, {beta: coeff})
-                assignment[v] = term if mor is None else mor.plus(term)
-            basis.append(CenterElement(self.p, self.variant, assignment))
+                slots.setdefault(key, {})[s] = coeff
+            basis.append(CenterElement(self.p, self.variant, _SlotView(self.params, self.p, slots)))
         return basis
 
     @property
@@ -521,6 +608,17 @@ def class_visibility_map(params: ModelParams, inner_window: int) -> dict:
         for q in range(2 * inner_window - min(offsets) + 1):
             out[(family, q)] = "full" if q <= full else "partial"
     return out
+
+
+def power_visible(params: ModelParams, p: int, inner_window: int) -> bool:
+    """Whether the power class in degree p meets the inner box, where the
+    solver counts it.  The class exists when r = n and p = k n with
+    k >= 1: it is eta_power(k)'s, whose least gap, _power_gap at index 0,
+    must lie in the box [-B, B]^2 with B = inner_window, which holds the
+    gaps up to 2B."""
+    r, n = params.r, params.n
+    k, rest = divmod(p, n)
+    return r == n and k >= 1 and rest == 0 and _power_gap(params, k, 0) <= 2 * inner_window
 
 
 def _row_pattern(rules: dict, v: tuple, w: tuple, degree: int, shift: tuple,
@@ -961,15 +1059,36 @@ def solve_component(
 
 
 def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterElement:
-    """Pointwise product (a.b)_v = Sigma^{p_b}(a_v) o b_v."""
+    """Pointwise product (a.b)_v = Sigma^{p_b}(a_v) o b_v, on slot maps.
+    Sigma keeps a term's kind and degree, so a term of a_v in slot s_a
+    and one of b_v in slot s_b compose to the arrow v -> Sigma^(p_a + p_b)
+    v of degree s_a + s_b, with coefficient c_a c_b, where that arrow
+    exists (model.arrow_kind); the identity's slot -1 is the unit."""
     p = a.p + b.p
-    assignment: dict = {}
-    for v, bv in b.assignment.items():
-        av = a.assignment.get(v)
-        if av is None:
+    rules = params.rules
+    slots_a = _slot_map(params, a)
+    shift = {(f, i): sigma_shift(params, f, i, p) for f in FAMILIES for i in range(params.r)}
+    product: dict = {}
+    for key, value_b in _slot_map(params, b).items():
+        value_a = slots_a.get(key)
+        if value_a is None:
             continue
-        shifted = sigma_mor_pow(params, av, b.p)
-        prod = compose(params, shifted, bv)
-        if not prod.is_zero():
-            assignment[v] = prod
-    return CenterElement(p, a.variant, assignment)
+        f, i, x, y = key
+        terms: dict = {}
+        for s_b, c_b in value_b.items():
+            for s_a, c_a in value_a.items():
+                if s_b < 0 or s_a < 0:
+                    s = s_a if s_b < 0 else s_b
+                else:
+                    s = s_a + s_b
+                    j, da, db = shift[f, i]
+                    if arrow_kind(rules, f, i, x, y, f, j, x + da, y + db, s) is None:
+                        continue
+                c = terms.get(s, 0) + c_a * c_b
+                if c:
+                    terms[s] = c
+                else:
+                    terms.pop(s, None)
+        if terms:
+            product[key] = terms
+    return CenterElement(p, a.variant, _SlotView(params, p, product))

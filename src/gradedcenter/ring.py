@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .center import solve_component, solver_margin
+from .center import power_visible, solve_component, solver_margin
 from .gf import FieldScalar
 from .model import ModelParams
 
@@ -117,7 +117,9 @@ def reconcile(
     0 and one power class in each positive degree divisible by its
     generator degree; each socle item contributes one dimension per
     fully visible class at its shift (partially visible classes may
-    fall outside the inner window and report 0).
+    fall outside the inner window and report 0).  The power class has
+    no such allowance: a window whose inner box cannot show it in some
+    degree up to the bound (center.power_visible) is refused.
 
     The degrees are solved one after another by solve_component, whose
     built systems are cached by (r, n, m), window, inner window, degree
@@ -132,6 +134,12 @@ def reconcile(
             f"window {window} too small: margin alone is {solver_margin(params)}"
         )
     pres = theorem_case(params, field, variant)
+    for p in range(degree_bound + 1):
+        if _expected_power(pres, p) and not power_visible(params, p, inner):
+            raise ValueError(
+                f"window {window} too small: inner window {inner} cannot show"
+                f" the power class in degree {p}"
+            )
     report = ReconcileReport(params, field, variant, degree_bound, window, pres)
     shift_family = {0: "X", params.n: "Y"}
     for p in range(degree_bound + 1):

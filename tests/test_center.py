@@ -22,6 +22,7 @@ from gradedcenter.center import (
     make_generator,
     membership_margin,
     multiply,
+    power_visible,
     solve_component,
     solver_margin,
 )
@@ -194,6 +195,29 @@ def test_center_element_basics():
         CenterElement(-1, "graded", {})
 
 
+def test_assignment_view_builds_no_morphism(monkeypatch):
+    # the tracer counts a generator by len(el.assignment); len, in, key
+    # iteration, is_zero, products and membership read the slot map, and
+    # a Morphism is built only when a value is read
+    built = []
+    init = Morphism.__post_init__
+    monkeypatch.setattr(Morphism, "__post_init__", lambda mor: (built.append(mor), init(mor))[1])
+    p = params_for(2, 3, 1, window=10)
+    el = make_generator(p, GeneratorSpec("eta_dprime", 1), 10)
+    view = el.assignment
+    keys = list(view)
+    assert len(view) == len(keys) == len(set(view)) > 0
+    assert all(v in view for v in keys) and Vertex("X", 0, 0, 0) not in view and "Y" not in view
+    assert view.keys() == make_generator(p, GeneratorSpec("eta_prime", 1), 10).assignment.keys()
+    assert not el.is_zero() and multiply(p, el, el).is_zero()
+    assert check_membership(p, el, 10, 6)[0]
+    rep = solve_component(params_for(1, 2, 0, window=9), 2, "graded", 3, 9, 3)
+    assert len(rep.basis[0].assignment) > 0
+    assert built == []
+    mor = view[keys[0]]
+    assert built == [mor] and el.value_at(p, keys[0]) == mor
+
+
 def test_multiply_unit_law():
     p = params_for(1, 1, 0, window=6)
     unit = make_generator(p, GeneratorSpec("eta_power", 0), 6)
@@ -350,7 +374,13 @@ def test_membership_breakages_match_object_membership():
             broken = CenterElement(el.p, el.variant, assignment)
             char = rng.choice([2, 3, 5])
             got = check_membership(params, broken, W, inner, char=char)
-            assert got == object_check_membership(params, broken, W, inner, char=char)
+            want = object_check_membership(params, broken, W, inner, char=char)
+            # the verdict is the oracle's; a failure may name another
+            # witness than the oracle's, but what it names must fail
+            assert got[0] == want[0], (params.omega, el.p, got, want)
+            if not got[0]:
+                sign = -1 if el.variant == "graded" and el.p % 2 else 1
+                assert _witness_fails(params, broken, got[1], char, sign, inner), (params.omega, el.p, got)
             seen.add(got[1].split(" fails")[0] if got[1] else None)
     assert seen == {None, "naturality", "sign law"}
 
@@ -496,6 +526,20 @@ def test_solve_component_degree_zero_shape():
     lines = rep.format_lines()
     assert lines[0].startswith("degree 0")
     assert lines[-1] == f"total (inner window): {rep.total_dim}"
+
+
+def test_power_visible_is_where_the_solver_counts_the_power_class():
+    # power_visible, the one statement of where the power class meets the
+    # inner box, against the solver's power_dim on every degree 0..3n
+    for n in (1, 2, 3):
+        for m in range(4):
+            for inner in range(1, 3 * (n + m) // 2 + 2):
+                W = solver_margin(params_for(n, n, m)) + inner
+                params = params_for(n, n, m, window=W)
+                for p in range(3 * n + 1):
+                    rep = solve_component(params, p, "commutative", 3, W, inner)
+                    assert rep.power_dim == power_visible(params, p, inner), (n, m, inner, p)
+    assert not power_visible(params_for(2, 3, 0), 3, 10)
 
 
 def test_visibility_map_monotone():
@@ -720,7 +764,14 @@ def test_cached_system_is_not_aliased():
     _build_system.cache_clear()
     first = solve_component(params, 2, "graded", 3, 9, 3)
     assert first.basis and first.class_dims
-    first.basis[0].assignment.clear()
+    # an element's values are a read-only view of its slot map
+    view = first.basis[0].assignment
+    v = next(iter(view))
+    with pytest.raises(TypeError):
+        view[v] = view[v]
+    with pytest.raises(TypeError):
+        del view[v]
+    assert not any(hasattr(view, name) for name in ("clear", "pop", "update", "setdefault"))
     first.basis.clear()
     first.class_dims[("X", 0)] = 99
     first.residual.append(["mutated"])

@@ -1,5 +1,6 @@
 import pytest
 
+from gradedcenter.center import solver_margin
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.model import ModelParams
 from gradedcenter.ring import (
@@ -93,6 +94,20 @@ def test_reconcile_guards():
         reconcile(params, 3, "graded", -1, 10)
     with pytest.raises(ValueError):
         reconcile(params, 3, "graded", 2, 6)  # margin 6 leaves no inner box
+
+
+def test_reconcile_refuses_a_window_that_hides_the_power_class():
+    # on (1, 1, 3) the power class of degree 3 starts at gap
+    # k(n + m) - m = 9, and an inner box [-4, 4]^2 holds gaps up to 8
+    params = ModelParams(OmegaParams(1, 1, 3), 10)
+    W = solver_margin(params) + 4
+    with pytest.raises(ValueError, match="power class in degree 3"):
+        reconcile(ModelParams(params.omega, W), 3, "commutative", 3, W)
+    # the same window shows every degree below 3
+    assert reconcile(ModelParams(params.omega, W), 3, "commutative", 2, W).ok
+    W += 1
+    rep = reconcile(ModelParams(params.omega, W), 3, "commutative", 3, W)
+    assert rep.ok and rep.lines[3] == "p=3: ok (scalar 0, power 1, 0 socle classes)"
 
 
 def test_reconcile_matches_table_small():
