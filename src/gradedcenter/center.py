@@ -16,15 +16,19 @@ makes the union-find and keeps it, hung on its roots, as immutable
 tuples, with the Sigma^p translation table, the line layout, the work
 counts, and the parity flag and class tags of each component that is
 not forced to zero and meets the inner window.  It is cached by (omega,
-window, inner window, p, sign).  The field is not part of the key,
-because no row reads it: it decides only whether a parity-flagged
-component survives.  The variant enters only through the sign, -1 for
-the graded center at odd p, so the four (variant, char) pairs of one
-degree need at most two systems.  The interpret step runs on every
-call: it drops parity-flagged components outside characteristic 2 and
-counts the rest by class.  The dimensions need nothing more, so the
-report's basis is named and built afresh only when it is read, and no
-caller shares cached state.
+window, inner window, p).  The field is not part of the key, because no
+row reads it: it decides only whether a parity-flagged component
+survives.  Nor is the variant.  The two sign laws differ only at odd p,
+eta Sigma = -Sigma eta for the graded center against eta Sigma = Sigma
+eta, and a row's sign never decides which unknowns it joins, only the
+weight of the join.  So the build imposes the graded law (-1)^p, and
+the commutative reading at odd p is the same union-find with every sign
++1: no component has a parity conflict, and every basis coefficient is
++1.  One system serves the four (variant, char) pairs of a degree.  The
+interpret step runs on every call: it drops parity-flagged components
+outside characteristic 2 and counts the rest by class.  The dimensions
+need nothing more, so the report's basis is named and built afresh only
+when it is read, and no caller shares cached state.
 
 The system is built on plain integers, one diagonal line at a time.  A
 vertex is the tuple (family, i, a, b) and an unknown is a vertex plus a
@@ -42,9 +46,10 @@ one of them likewise depend on its source only through (family, i), the
 gap and the target.  So each pattern of rows is worked out once per line
 and target, and each of its rows, like each sign-law slot, is one union
 over two aligned index ranges: the a where both ends lie in the box.  No
-vertex tuple is made and no dict is read per cell.  Vertex and ArrowGen
-objects are built only when a report's basis is read, and only to order
-the members of the components that survive and meet the inner window.
+vertex tuple is made and no dict is read per cell.  Naming a report's
+basis builds no Vertex or ArrowGen either: the members are ordered by
+their keys and slots, and an arrow's name, which fixes the sign of a
+signed component, is formatted from its key.
 
 A CenterElement holds one integer form, the slot map {(family, i, a,
 b): {slot: coefficient}}, with slots as in the solver.  make_generator,
@@ -599,11 +604,21 @@ def class_visibility_map(params: ModelParams, inner_window: int) -> dict:
     if every index of the class has support in the guarded box,
     'partial' if some index has support in the inner box.  Class
     (family, q) lies at gap q + _socle_gap(params, family, 0, i) on
-    index i, and a box [-B, B]^2 with B >= 0 holds the gaps up to 2B."""
-    guarded = inner_window - (params.n + params.m + 2)
+    index i, and a box [-B, B]^2 with B >= 0 holds the gaps up to 2B.
+    The map depends on (omega, inner window) alone, so it is worked out
+    once per pair, and each call gets its own copy."""
+    return dict(_visibility(params.omega, inner_window))
+
+
+# One entry: a reconcile call asks for the same pair in every degree, and
+# so do the four (variant, char) passes over one window.
+@lru_cache(maxsize=1)
+def _visibility(omega, inner_window: int) -> dict:
+    """class_visibility_map, shared by every caller: never mutated."""
+    guarded = inner_window - (omega.n + omega.m + 2)
     out = {}
-    for family in ["X"] + (["Y"] if params.r < params.n else []):
-        offsets = [_socle_gap(params, family, 0, i) for i in range(params.r)]
+    for family in ["X"] + (["Y"] if omega.r < omega.n else []):
+        offsets = [_socle_gap(omega, family, 0, i) for i in range(omega.r)]
         full = 2 * guarded - max(offsets) if guarded >= 0 else -1
         for q in range(2 * inner_window - min(offsets) + 1):
             out[(family, q)] = "full" if q <= full else "partial"
@@ -652,7 +667,8 @@ def _row_pattern(rules: dict, v: tuple, w: tuple, degree: int, shift: tuple,
 
 
 class _System(NamedTuple):
-    """One built system: what solve_component reads back for any field.
+    """One reading of a built system: what solve_component reads back for
+    any field, under one sign law.
 
     shift_p maps (family, i) to Sigma^p as a translation (j, da, db).
     The work counts are: unknowns, vertices (cells of the box with a
@@ -668,8 +684,11 @@ class _System(NamedTuple):
     (_named_components): the window and the inner window; lines, the
     layout, as ((family, i, gap), ((slot, index at the least a), ...)) in
     build order; and root and sign, the union-find hung on its roots: the
-    unknown x is sign[x] times the unknown root[x].  No Vertex, ArrowGen
-    or str is made until then."""
+    unknown x is sign[x] times the unknown root[x].  plain is set where
+    every sign is +1, so that sign is not read: at even p, and in the
+    commutative reading of a build at odd p, which shares root and sign
+    with the graded reading.  No Vertex, ArrowGen or str is made until
+    then."""
 
     shift_p: MappingProxyType
     unknowns: int
@@ -685,6 +704,7 @@ class _System(NamedTuple):
     lines: tuple
     root: tuple
     sign: tuple
+    plain: bool
 
     @property
     def rows(self) -> int:
@@ -734,18 +754,26 @@ def _targets(params: ModelParams, f: str, i: int) -> list:
     return targets
 
 
-# A window's degree sweep p = 0..2n needs one system per even p and two
-# per odd p (sign +1 and -1): 3n + 1 in all, 13 on the acceptance GRID
-# (n <= 4), so every (variant, char) pair of one window is served from
-# the systems the first pair built.
+# A window's degree sweep p = 0..2n needs one system per degree, 2n + 1
+# in all, so the 13 entries hold a whole window up to n = 6 (the
+# acceptance GRID needs 9), and every (variant, char) pair of one window
+# is served from the systems the first pair built.
 @lru_cache(maxsize=13)
-def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
+def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
     """Solve the union-find system of degree p on the window W, with the
-    sign law Sigma eta = sign * eta Sigma, and keep what a report on the
-    inner window needs.  The field is not an argument: the rows have
-    coefficients +-1 whatever the characteristic, so only the reading of
-    a parity conflict depends on it, and that is left to the caller."""
+    graded sign law eta Sigma = (-1)^p Sigma eta, and keep what a report
+    on the inner window needs, as the pair (graded reading, commutative
+    reading).  Every naturality row has weight +1 and only the sign-law
+    rows carry (-1)^p, which never decides whether a row merges two
+    components.  So the commutative reading at odd p is the same
+    union-find with every weight +1: plain, with no parity flag and
+    killed_parity 0.  At even p the two readings are one.
+
+    The field is not an argument either: the rows have coefficients +-1
+    whatever the characteristic, so only the reading of a parity conflict
+    depends on it, and that is left to the caller."""
     params = ModelParams(omega, W)
+    sign = -1 if p % 2 else 1
     r = params.r
     rules = params.rules
     steps = params.sigma_steps
@@ -925,7 +953,7 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
                 tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
                 for x in roots:
                     tags[x].add(tag)
-    return _System(
+    graded = _System(
         shift_p=MappingProxyType(shift_p),
         unknowns=count,
         vertices=vertices,
@@ -940,25 +968,51 @@ def _build_system(omega, W: int, inner: int, p: int, sign: int) -> _System:
         lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
         root=tuple(parent),
         sign=tuple(weight),
+        plain=sign == 1,
     )
+    if sign == 1:
+        return graded, graded
+    commutative = graded._replace(
+        killed_parity=0,
+        classes=tuple((x, False, tags) for x, _, tags in graded.classes),
+        plain=True,
+    )
+    return graded, commutative
+
+
+def _arrow_name(rules: dict, shift_p, key: tuple, slot: int) -> str:
+    """str(_basis_arrow(...)) of the member (key, slot), formatted from
+    its key: "None" for the identity, else the arrow's repr."""
+    if slot < 0:
+        return "None"
+    f, i, a, b = key
+    j, da, db = shift_p[f, i]
+    return f"{rules[f, f, slot, i][0]}:{f}({i})[{a},{b}]->{f}({j})[{a + da},{b + db}]"
 
 
 def _named_components(params: ModelParams, system: _System) -> list:
     """The components of system.classes in report order, as (parity,
     tags, members): members are the component's unknowns in the inner
     window as ((family, i, a, b), slot, coefficient), in basis-element
-    order.  Components are ordered by their least (vertex, str(arrow));
-    a Vertex orders as its key does.
+    order: by vertex, then str(arrow).  Components are ordered by their
+    least (vertex, str(arrow)); a Vertex orders as its key does.
+
+    At one vertex every member's arrow has the same ends, so its name is
+    a prefix, "None" or the kind and ":", followed by a common tail, and
+    no prefix starts another: the prefixes order the members of a vertex
+    as their names do.  Names are formatted (_arrow_name) only where they
+    order members of different vertices, to pick the sign.
 
     A coefficient is the member's sign relative to the member of least
-    str(arrow).  On a component without the parity flag the rows fix it.
-    On a parity-flagged one, which survives only in characteristic 2,
-    the rows imply both signs, so the +-1 read off depends on the order
-    in which unknowns were merged; every such choice is the same element
-    over F_2."""
+    str(arrow); where every member has one sign, as in a plain reading,
+    each coefficient is +1.  On a component without the parity flag the
+    rows fix it.  On a parity-flagged one, which survives only in
+    characteristic 2, the rows imply both signs, so the +-1 read off
+    depends on the order in which unknowns were merged; every such choice
+    is the same element over F_2."""
     W, inner = system.window, system.inner
     rules, shift_p = params.rules, system.shift_p
-    root, sign = system.root, system.sign
+    root, sign, plain = system.root, system.sign, system.plain
     wanted = {x: (odd, tags) for x, odd, tags in system.classes}
     members: dict[int, list[tuple]] = {x: [] for x in wanted}
     for (f, i, t), bv in system.lines:
@@ -966,27 +1020,23 @@ def _named_components(params: ModelParams, system: _System) -> list:
         for s, x0 in bv:
             if wanted.keys().isdisjoint(root[x0:x0 + length]):
                 continue
+            prefix = "None" if s < 0 else rules[f, f, s, i][0] + ":"
             for k in range(length):
                 got = members.get(root[x0 + k])
                 if got is not None:
-                    got.append(((f, i, a0 + k, a0 + k + t), s, sign[x0 + k]))
+                    got.append(((f, i, a0 + k, a0 + k + t), prefix, s, 1 if plain else sign[x0 + k]))
     components = []
     for x, mems in members.items():
-        named = [
-            (key, s, w, str(_basis_arrow(rules, shift_p, Vertex(*key), s)))
-            for key, s, w in mems
-            if -inner <= key[2] <= inner and -inner <= key[3] <= inner
-        ]
-        least = min(key for key, _, _ in mems)
-        head = min(
-            (key, str(_basis_arrow(rules, shift_p, Vertex(*key), s)))
-            for key, s, _ in mems
-            if key == least
-        )
-        ref_w = min((name, key, w) for key, _, w, name in named)[2]
-        named.sort(key=lambda t: (t[0], t[3]))
-        basis = tuple((key, s, w * ref_w) for key, s, w, _ in named)
-        components.append((head, *wanted[x], basis))
+        # (vertex, prefix) is unique to a member, so plain tuple order is
+        # the (vertex, str(arrow)) order
+        named = sorted(m for m in mems if -inner <= m[0][2] <= inner and -inner <= m[0][3] <= inner)
+        signs = {w for *_, w in named}
+        if len(signs) == 1:
+            ref_w = signs.pop()
+        else:
+            ref_w = min((_arrow_name(rules, shift_p, key, s), key, w) for key, _, s, w in named)[2]
+        basis = tuple((key, s, w * ref_w) for key, _, s, w in named)
+        components.append((min(mems)[:2], *wanted[x], basis))
     components.sort(key=lambda c: c[0])
     return [c[1:] for c in components]
 
@@ -1020,8 +1070,8 @@ def solve_component(
             f"window {window} too small: need inner_window + margin"
             f" = {inner_window} + {solver_margin(params)}"
         )
-    sign = -1 if (variant == "graded" and p % 2) else 1
-    system = _build_system(params.omega, window, inner_window, p, sign)
+    graded, commutative = _build_system(params.omega, window, inner_window, p)
+    system = graded if variant == "graded" else commutative
 
     # interpret the components over the field: outside characteristic 2
     # a parity conflict x = -x forces the component to zero

@@ -12,8 +12,9 @@ nilpotent part is the socle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
-from .center import power_visible, solve_component, solver_margin
+from .center import _build_system, class_visibility_map, power_visible, solve_component, solver_margin
 from .gf import FieldScalar
 from .model import ModelParams
 
@@ -85,6 +86,20 @@ def reduced_and_nil(pres: RingPresentation) -> tuple[str, str]:
     return (pres.base_str(), pres.socle_str() if pres.socle else "0")
 
 
+class DegreeWork(NamedTuple):
+    """One degree of a reconcile call: the solve's work counts (see
+    center.SolveReport), and whether this call built the degree's system
+    or the cache of built systems served it."""
+
+    p: int
+    unknowns: int
+    rows: int
+    merges: int
+    killed_zero: int
+    killed_parity: int
+    built: bool
+
+
 @dataclass
 class ReconcileReport:
     params: ModelParams
@@ -96,6 +111,8 @@ class ReconcileReport:
     ok: bool = True
     lines: list = dc_field(default_factory=list)
     mismatches: list = dc_field(default_factory=list)
+    # one DegreeWork per degree, p = 0..degree_bound
+    degrees: list = dc_field(default_factory=list)
 
 
 def _expected_power(pres: RingPresentation, p: int) -> int:
@@ -122,10 +139,11 @@ def reconcile(
     degree up to the bound (center.power_visible) is refused.
 
     The degrees are solved one after another by solve_component, whose
-    built systems are cached by (r, n, m), window, inner window, degree
-    and sign law, and not by field or variant: the four (variant, char)
-    pairs of one window share them.  parallel has no effect; it is
-    accepted so that existing callers keep working."""
+    built systems are cached by (r, n, m), window, inner window and
+    degree, and not by field or variant: the four (variant, char) pairs
+    of one window share them, and report.degrees says which degrees this
+    call built.  parallel has no effect; it is accepted so that existing
+    callers keep working."""
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     inner = window - solver_margin(params)
@@ -142,8 +160,14 @@ def reconcile(
             )
     report = ReconcileReport(params, field, variant, degree_bound, window, pres)
     shift_family = {0: "X", params.n: "Y"}
+    # every degree's report carries the same visibility map
+    full = [cls for cls, vis in sorted(class_visibility_map(params, inner).items()) if vis == "full"]
+    misses = _build_system.cache_info().misses
     for p in range(degree_bound + 1):
         rep = solve_component(params, p, variant, field, window, inner)
+        before, misses = misses, _build_system.cache_info().misses
+        report.degrees.append(DegreeWork(p, rep.unknowns, rep.rows, rep.merges,
+                                         rep.killed_zero, rep.killed_parity, misses > before))
         problems = []
         exp_scalar = 1 if p == 0 else 0
         if rep.scalar_dim != exp_scalar:
@@ -159,11 +183,9 @@ def reconcile(
                 problems.append(f"unexpected class {fam} q={q} (dim {dim})")
             elif dim > 1:
                 problems.append(f"class {fam} q={q} has dim {dim} > 1")
-        for (fam, q), vis in sorted(rep.visibility.items()):
-            if fam not in expected_families:
-                continue
+        for fam, q in full:
             dim = rep.class_dims.get((fam, q), 0)
-            if vis == "full" and dim != 1:
+            if fam in expected_families and dim != 1:
                 problems.append(f"missing class {fam} q={q} (dim {dim}, fully visible)")
         if rep.residual:
             problems.append(f"{len(rep.residual)} residual component(s)")

@@ -8,10 +8,12 @@ from gradedcenter.acceptance import (
     _arrow_matrices,
     _assoc_counts,
     _box_coords,
+    _c5_reconcile,
     _params,
     _sigma_failure,
     run_criterion,
 )
+from gradedcenter.center import _build_system
 from gradedcenter.model import KIND_TABLE, Vertex, arrow_of_degree, sigma_pow, vertex_exists
 
 from dense_assoc import dense_assoc_counts
@@ -144,3 +146,12 @@ def test_assoc_violations_match_dense_oracle(kind, i, k, delta):
         if not counts[0] == counts[1] == counts[2]
     ]
     assert bad
+
+
+def test_criterion_5_builds_one_system_per_degree():
+    # four reconcile passes per GRID row, degrees 0..2n: the first pass
+    # builds 2n + 1 systems and the cache serves the other three
+    _build_system.cache_clear()
+    ok, detail = _c5_reconcile()
+    assert ok, detail
+    assert _build_system.cache_info().misses == sum(2 * n + 1 for _, n, _ in GRID) == 210

@@ -15,6 +15,8 @@ from gradedcenter.acceptance import GRID
 from gradedcenter.center import (
     CenterElement,
     GeneratorSpec,
+    _arrow_name,
+    _basis_arrow,
     _build_system,
     _named_components,
     check_membership,
@@ -50,6 +52,7 @@ from cell_generators import _solve_sigma_exponent
 import vertex_build
 import visibility_loop
 from membership_span import unimplied_rows
+from named_components import named_components
 from null_space_oracle import SparseMatrix, null_space
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
@@ -752,8 +755,9 @@ def test_cached_systems_match_fresh_solves(rnm):
         _build_system.cache_clear()
         served = [solve_component(params, p, variant, char, W, 1) for variant, char in cases + spot]
         info = _build_system.cache_info()
-        # one system per sign law: graded and commutative differ at odd p only
-        assert (info.misses, info.hits) == (1 + p % 2, len(served) - 1 - p % 2), p
+        # one system per degree: at odd p the commutative variant reads
+        # the graded build with every sign +1
+        assert (info.misses, info.hits) == (1, len(served) - 1), p
         for (variant, char), rep in zip(cases + spot, served):
             want = _fresh_solve(params, p, variant, char, W, 1)
             assert _cached_report(rep) == _cached_report(want), (p, variant, char)
@@ -812,8 +816,16 @@ def test_line_build_matches_vertex_build(rnm):
     for inner in (1, 4, 7):
         W = solver_margin(params) + inner
         for p in range(2 * n + 2):
-            for sign in (1, -1):
-                got = _build_system.__wrapped__(omega, W, inner, p, sign)
+            # the graded reading under the sign law (-1)^p and, at odd p,
+            # the commutative reading of the same build under +1; at even
+            # p the two laws agree and the readings are one
+            graded, commutative = _build_system.__wrapped__(omega, W, inner, p)
+            readings = [(graded, -1 if p % 2 else 1)]
+            if p % 2:
+                readings.append((commutative, 1))
+            else:
+                assert commutative is graded
+            for got, sign in readings:
                 want = vertex_build.build_system(omega, W, inner, p, sign)
                 case = (W, inner, p, sign)
                 assert dict(got.shift_p) == dict(want.shift_p), case
@@ -834,11 +846,46 @@ def test_line_build_matches_vertex_build(rnm):
                     assert _component_shape(mine) == _component_shape(theirs), case
                     # a parity-flagged component survives only in
                     # characteristic 2, and its signs are fixed only by
-                    # the order of the merges
+                    # the order of the merges; the commutative reading
+                    # has no such component, so its signs are exact
                     coeffs = [[c % 2 if mine[0] else c for _, _, c in comp[2]]
                               for comp in (mine, theirs)]
                     assert coeffs[0] == coeffs[1], case
     assert generating < every
+
+
+# differential oracle for the naming: the object naming that
+# _named_components replaced must give the same components, coefficients
+# included, from the same system
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3)], ids=str)
+def test_named_components_match_object_naming(rnm):
+    r, n, m = rnm
+    omega = OmegaParams(r, n, m)
+    params = params_for(r, n, m)
+    rules = params.rules
+    for inner in (1, 4):
+        W = solver_margin(params) + inner
+        for p in range(2 * n + 2):
+            graded, commutative = _build_system.__wrapped__(omega, W, inner, p)
+            for system in (graded, commutative) if p % 2 else (graded,):
+                got = _named_components(params, system)
+                assert got == named_components(params, system), (W, p, system.plain)
+                for _, _, members in got:
+                    for key, s, _ in members:
+                        want = str(_basis_arrow(rules, system.shift_p, Vertex(*key), s))
+                        assert _arrow_name(rules, system.shift_p, key, s) == want
+
+
+def test_named_components_match_object_naming_at_a_large_window():
+    # (3, 4, 2) at W = 80: graded, so signed, at p = 3, and plain at p = 4
+    params = params_for(3, 4, 2, window=80)
+    Wi = 80 - solver_margin(params)
+    for p in (3, 4):
+        system = solve_component(params, p, "graded", 3, 80, Wi)._system
+        assert system.plain == (p == 4)
+        assert _named_components(params, system) == named_components(params, system), p
 
 
 @pytest.mark.parametrize("rnm", [(1, 2, 0), (2, 3, 1), (3, 3, 2), (2, 4, 2)], ids=str)
@@ -847,6 +894,7 @@ def test_dimensions_name_nothing(rnm, monkeypatch):
         raise AssertionError("a basis arrow was named")
 
     monkeypatch.setattr(center_module, "_basis_arrow", refuse)
+    monkeypatch.setattr(center_module, "_arrow_name", refuse)
     _build_system.cache_clear()
     r, n, m = rnm
     # inner window 4 shows the power class of (3, 3, 2) in degree 2n
@@ -858,8 +906,11 @@ def test_dimensions_name_nothing(rnm, monkeypatch):
         assert rep.format_lines()[-1] == f"total (inner window): {rep.total_dim}"
     for variant in ("graded", "commutative"):
         assert reconcile(params, 3, variant, 2 * n, W).ok
+    # the basis of a plain reading is named from integer keys alone; an
+    # arrow is built when a value is read
+    basis = reports[0].basis
     with pytest.raises(AssertionError, match="named"):
-        reports[0].basis
+        next(iter(basis[0].assignment.values()))
 
 
 def test_work_counts_repeat_and_match_vertex_build():

@@ -1,9 +1,10 @@
 import pytest
 
-from gradedcenter.center import solver_margin
+from gradedcenter.center import _build_system, solve_component, solver_margin
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.model import ModelParams
 from gradedcenter.ring import (
+    DegreeWork,
     ReconcileReport,
     RingPresentation,
     reconcile,
@@ -137,3 +138,23 @@ def test_reconcile_parallel_keyword_is_inert():
     pooled = reconcile(params, 3, "graded", 4, 10, parallel=True)
     assert serial.lines == pooled.lines
     assert serial.ok and pooled.ok
+
+
+def test_reconcile_reports_each_degree_and_who_built_it():
+    # four passes over one window of (2, 3, 1): the first builds one system
+    # per degree, and the cache serves every later pass
+    params = ModelParams(OmegaParams(2, 3, 1), 10)
+    W = solver_margin(params) + 4
+    params = ModelParams(params.omega, W)
+    _build_system.cache_clear()
+    passes = [reconcile(params, char, variant, 6, W)
+              for variant in ("graded", "commutative") for char in (2, 3)]
+    for k, rep in enumerate(passes):
+        assert rep.ok, rep.mismatches
+        assert [d.p for d in rep.degrees] == list(range(7))
+        assert [d.built for d in rep.degrees] == [k == 0] * 7, k
+        for d in rep.degrees:
+            solved = solve_component(params, d.p, rep.variant, rep.field, W, 4)
+            assert d == DegreeWork(d.p, solved.unknowns, solved.rows, solved.merges,
+                                   solved.killed_zero, solved.killed_parity, d.built)
+    assert _build_system.cache_info().misses == 7
