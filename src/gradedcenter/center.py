@@ -8,14 +8,18 @@ with coefficient +-1, because parallel basis elements have distinct
 degrees.  The whole system is therefore a signed union-find over
 unknowns (vertex, basis element): rows merge two unknowns up to sign or
 force one to zero; a forced x = -x kills the component unless the field
-has characteristic 2.  The union-find is four local lists (parent,
-weight, zero and parity marks) with path halving.
+has characteristic 2.  The union-find (_SignedForest) is flat: every
+unknown always holds its root and its sign relative to it, so a row
+imposed on a range of unknowns whose roots already agree is settled by
+comparing slices, a range of single unknowns hangs on the other side's
+roots by slice assignment, and any other merge relabels the smaller
+component, whose members it finds on a ring threaded through one list.
 
 solve_component works in two steps.  The build step (_build_system)
-makes the union-find and keeps it, hung on its roots, as immutable
-tuples, with the Sigma^p translation table, the line layout, the work
-counts, and the parity flag and class tags of each component that is
-not forced to zero and meets the inner window.  It is cached by (omega,
+makes the union-find and keeps its roots and signs as immutable tuples,
+with the Sigma^p translation table, the line layout, the work counts,
+and the parity flag and class tags of each component that is not forced
+to zero and meets the inner window.  It is cached by (omega,
 window, inner window, p).  The field is not part of the key, because no
 row reads it: it decides only whether a parity-flagged component
 survives.  Nor is the variant.  The two sign laws differ only at odd p,
@@ -551,9 +555,14 @@ class SolveReport:
         for parity, _, members in _named_components(self.params, self._system):
             if parity and self.char != 2:
                 continue
+            # members come by vertex, each vertex's slots together
             slots: dict = {}
+            last = None
             for key, s, coeff in members:
-                slots.setdefault(key, {})[s] = coeff
+                if key != last:
+                    value = slots[key] = {}
+                    last = key
+                value[s] = coeff
             basis.append(CenterElement(self.p, self.variant, _SlotView(self.params, self.p, slots)))
         return basis
 
@@ -754,6 +763,94 @@ def _targets(params: ModelParams, f: str, i: int) -> list:
     return targets
 
 
+class _SignedForest:
+    """A signed union-find on the unknowns 0..count-1, kept flat: every
+    unknown x always holds its root, root[x], and its sign relative to
+    it, sign[x], so that x = sign[x] * root[x].  The members of each
+    component form a ring through next, and size is read at roots.
+    joined marks the unknowns of components with two or more members.
+    The marks zero, set by the caller where a row forces an unknown to
+    zero, and parity, set where a row forces x = -x, sit on any member of
+    a component and are read at its root."""
+
+    __slots__ = ("root", "sign", "next", "size", "joined", "zero", "parity")
+
+    def __init__(self, count: int):
+        self.root = list(range(count))
+        self.sign = [1] * count
+        # the same int objects as root, so the ring costs one pointer each
+        self.next = self.root[:]
+        self.size = [1] * count
+        self.joined = bytearray(count)
+        self.zero = bytearray(count)
+        self.parity = bytearray(count)
+
+    def unite(self, x0: int, y0: int, length: int, s: int) -> int:
+        """Impose x = s * y along the aligned ranges from x0 and y0, and
+        return the number of merges.
+
+        A range whose roots are already equal pair by pair is settled by
+        comparing slices, signs included.  Where the two sides do not meet
+        and one of them is all single unknowns, that side hangs on the
+        other side's roots by slice assignment (_hang).  Any other pair
+        relabels the smaller of its two components (union by size) by
+        walking its ring."""
+        root, sign = self.root, self.sign
+        x1, y1 = x0 + length, y0 + length
+        xroots, yroots = root[x0:x1], root[y0:y1]
+        if xroots == yroots:
+            ys = sign[y0:y1]
+            if sign[x0:x1] == (ys if s == 1 else list(map(int.__neg__, ys))):
+                return 0
+        elif x1 <= y0 or y1 <= x0:
+            if self.joined.find(1, y0, y1) < 0:
+                return self._hang(y0, x0, length, s, yroots, xroots)
+            if self.joined.find(1, x0, x1) < 0:
+                return self._hang(x0, y0, length, s, xroots, yroots)
+        nxt, size, joined, parity = self.next, self.size, self.joined, self.parity
+        merged = 0
+        for x, y in zip(range(x0, x1), range(y0, y1)):
+            rx, ry = root[x], root[y]
+            # ry = w * rx, from x = sign[x] rx and y = sign[y] ry
+            w = sign[x] * s * sign[y]
+            if rx == ry:
+                if w != 1:
+                    parity[rx] = 1
+                continue
+            if size[rx] < size[ry]:
+                rx, ry = ry, rx
+            size[rx] += size[ry]
+            z = ry
+            while True:
+                root[z] = rx
+                if w != 1:
+                    sign[z] = -sign[z]
+                z = nxt[z]
+                if z == ry:
+                    break
+            nxt[rx], nxt[ry] = nxt[ry], nxt[rx]
+            joined[x] = joined[y] = 1
+            merged += 1
+        return merged
+
+    def _hang(self, y0: int, x0: int, length: int, s: int, ys: list, xroots: list) -> int:
+        """Impose y = s * x along ranges that do not meet, where each y is
+        its own root, as listed in ys, and xroots lists the roots of the x:
+        every y joins its x's component, next to x in its ring, and each
+        is one merge."""
+        root, sign, nxt, size, joined = self.root, self.sign, self.next, self.size, self.joined
+        y1, x1 = y0 + length, x0 + length
+        root[y0:y1] = xroots
+        xs = sign[x0:x1]
+        sign[y0:y1] = xs if s == 1 else list(map(int.__neg__, xs))
+        nxt[y0:y1] = nxt[x0:x1]
+        nxt[x0:x1] = ys
+        joined[x0:x1] = joined[y0:y1] = b"\1" * length
+        for x in xroots:
+            size[x] += 1
+        return length
+
+
 # A window's degree sweep p = 0..2n needs one system per degree, 2n + 1
 # in all, so the 13 entries hold a whole window up to n = 6 (the
 # acceptance GRID needs 9), and every (variant, char) pair of one window
@@ -789,19 +886,13 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
             floor[f, i] = -2 * W if lo is None else lo
 
     # The line (f, i, t) is the diagonal of vertices (f, i, a, a + t) in
-    # the box, a from start(t) to stop(t), none if |t| > 2W.  Hom(v,
-    # Sigma^p v) depends on the gap t alone, so each slot of it (-1 for
-    # the identity, else the arrow's degree) gets one block of unknowns
-    # along the line: lines[f, i, t] maps the slot to the index of the
-    # unknown at a = start(t), and the unknown at a is that index
-    # + a - start(t).  Only lines with a nonempty hom space are laid out:
-    # per slot, its gaps b - a (model.hom_gaps).
-    def start(t: int) -> int:
-        return -W - t if t < 0 else -W
-
-    def stop(t: int) -> int:
-        return W if t < 0 else W - t
-
+    # the box, a from -W - min(t, 0) to W - max(t, 0), none if |t| > 2W.
+    # Hom(v, Sigma^p v) depends on the gap t alone, so each slot of it
+    # (-1 for the identity, else the arrow's degree) gets one block of
+    # unknowns along the line: lines[f, i, t] maps the slot to the index
+    # of the unknown at the least a, and the unknown at a is that index
+    # plus a less the least a.  Only lines with a nonempty hom space are
+    # laid out: per slot, its gaps b - a (model.hom_gaps).
     lines: dict = {}
     count = vertices = 0
     for (f, i), shift in shift_p.items():
@@ -822,73 +913,24 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
                 slots[d] = count
                 count += 2 * W + 1 - abs(t)
 
-    # A signed union-find on the unknowns: x = weight[x] * parent[x].
-    # The zero and parity marks sit on any member of a component and are
-    # gathered at the roots at the end.
-    parent = list(range(count))
-    weight = [1] * count
-    zero = [False] * count
-    parity = [False] * count
-
-    def find(x: int) -> tuple[int, int]:
-        """The root of x and the sign of x relative to it.  Each step
-        hangs x on its grandparent (path halving); a root's weight is 1,
-        so the step is also right when the parent is the root."""
-        w = 1
-        up = parent[x]
-        while up != x:
-            wx = weight[x] = weight[x] * weight[up]
-            parent[x] = up = parent[up]
-            w *= wx
-            x = up
-            up = parent[x]
-        return x, w
-
-    def unite(x0: int, y0: int, length: int, s: int) -> int:
-        """Impose x = s * y along the aligned ranges from x0 and y0, and
-        return the number of merges; the loop runs find on x and on y
-        inline."""
-        merged = 0
-        for x, y in zip(range(x0, x0 + length), range(y0, y0 + length)):
-            wx = 1
-            up = parent[x]
-            while up != x:
-                w = weight[x] = weight[x] * weight[up]
-                parent[x] = up = parent[up]
-                wx *= w
-                x = up
-                up = parent[x]
-            wy = 1
-            up = parent[y]
-            while up != y:
-                w = weight[y] = weight[y] * weight[up]
-                parent[y] = up = parent[up]
-                wy *= w
-                y = up
-                up = parent[y]
-            if x != y:
-                parent[y] = x
-                weight[y] = wx * s * wy
-                merged += 1
-            elif wx != s * wy:
-                parity[x] = True
-        return merged
-
     # The rows at a generator v -> w depend on v only through (f, i), the
     # place k of w in the list of targets and the gap t: the regions,
     # vertex_exists and so the slots of v and w are all unchanged when a
     # and b move together.  So each pattern is worked out once per line
     # and target, and each of its rows is imposed on every a at once: the
     # a where v and w both lie in the box, an interval.
+    forest = _SignedForest(count)
+    zero = forest.zero
     targets = {key: _targets(params, *key) for key in shift_p}
     naturality_rows = sign_rows = merges = 0
     for (f, i, t), bv in lines.items():
-        a0, a1 = start(t), stop(t)
+        a0, a1 = -W - min(t, 0), W - max(t, 0)
         for g, j, da, db, degree, along in targets[f, i]:
             u = (t if along else 0) + db - da
             if u < floor[g, j]:
                 continue
-            lo, hi = max(a0, start(u) - da), min(a1, stop(u) - da)
+            b0 = -W - min(u, 0)
+            lo, hi = max(a0, b0 - da), min(a1, W - max(u, 0) - da)
             if lo > hi:
                 continue
             v, w = (f, i, lo, lo + t), (g, j, lo + da, lo + da + u)
@@ -902,17 +944,18 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
                 if left is not None:
                     x0 = bv[left] + lo - a0
                 if right is not None:
-                    y0 = bw[right] + lo + da - start(u)
+                    y0 = bw[right] + lo + da - b0
                 if left is None:
-                    zero[y0:y0 + length] = [True] * length
+                    zero[y0:y0 + length] = b"\1" * length
                 elif right is None:
-                    zero[x0:x0 + length] = [True] * length
+                    zero[x0:x0 + length] = b"\1" * length
                 else:
-                    merges += unite(x0, y0, length, 1)
+                    merges += forest.unite(x0, y0, length, 1)
         # sign law v -> Sigma v: Sigma beta starts at Sigma v, same degree
         sj, s1, s2 = steps[f, i, 1]
         u = t + s2 - s1
-        lo, hi = max(a0, start(u) - s1), min(a1, stop(u) - s1)
+        b0 = -W - min(u, 0)
+        lo, hi = max(a0, b0 - s1), min(a1, W - max(u, 0) - s1)
         if lo <= hi:
             other = lines.get((f, sj, u), {})
             for s, x in bv.items():
@@ -920,17 +963,15 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
                 if y is None:
                     raise InconsistencyError(
                         f"suspension of unknown left the system at {Vertex(f, i, lo, lo + t)!r}")
-                merges += unite(y + lo + s1 - start(u), x + lo - a0, hi - lo + 1, sign)
+                merges += forest.unite(y + lo + s1 - b0, x + lo - a0, hi - lo + 1, sign)
             sign_rows += len(bv) * (hi - lo + 1)
 
-    # hang every unknown on its root, so that parent and weight give its
-    # root and its sign (a root, or a child of one, hangs already), and
-    # gather the marks at the roots
-    for x in range(count):
-        if parent[parent[x]] != parent[x]:
-            parent[x], weight[x] = find(x)
-    dead = set(compress(parent, zero))
-    odd = set(compress(parent, parity))
+    # every unknown holds its root already: gather the marks there
+    root, signs = forest.root, forest.sign
+    dead = set(compress(root, zero))
+    odd = set(compress(root, forest.parity))
+    # free the ring and the sizes before the tuples below are made
+    del forest
 
     # The components that meet the inner window, read off each block's
     # slice in the inner box (the a from max(-inner, -inner - t) to
@@ -938,17 +979,18 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
     # tags of each, one per block that holds a member.
     meets: set = set()
     for (f, i, t), bv in lines.items():
-        k0 = max(-inner, -inner - t) - start(t)
-        k1 = min(inner, inner - t) - start(t) + 1
+        a0 = -W - min(t, 0)
+        k0 = max(-inner, -inner - t) - a0
+        k1 = min(inner, inner - t) - a0 + 1
         if k0 < k1:
             for x0 in bv.values():
-                meets.update(parent[x0 + k0:x0 + k1])
+                meets.update(root[x0 + k0:x0 + k1])
     meets -= dead
     tags: dict = {x: set() for x in meets}
     for (f, i, t), bv in lines.items():
         length = 2 * W + 1 - abs(t)
         for s, x0 in bv.items():
-            roots = meets.intersection(parent[x0:x0 + length])
+            roots = meets.intersection(root[x0:x0 + length])
             if roots:
                 tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
                 for x in roots:
@@ -966,8 +1008,8 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
         window=W,
         inner=inner,
         lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
-        root=tuple(parent),
-        sign=tuple(weight),
+        root=tuple(root),
+        sign=tuple(signs),
         plain=sign == 1,
     )
     if sign == 1:
@@ -1014,29 +1056,48 @@ def _named_components(params: ModelParams, system: _System) -> list:
     rules, shift_p = params.rules, system.shift_p
     root, sign, plain = system.root, system.sign, system.plain
     wanted = {x: (odd, tags) for x, odd, tags in system.classes}
+    heads: dict = {}
     members: dict[int, list[tuple]] = {x: [] for x in wanted}
     for (f, i, t), bv in system.lines:
         a0, length = -W - min(t, 0), 2 * W + 1 - abs(t)
+        # the block's slice in the inner box, the a from max(-inner,
+        # -inner - t) to min(inner, inner - t), if any
+        k0 = max(-inner, -inner - t) - a0
+        k1 = max(k0, min(inner, inner - t) - a0 + 1)
         for s, x0 in bv:
-            if wanted.keys().isdisjoint(root[x0:x0 + length]):
+            block = root[x0:x0 + length]
+            found = wanted.keys() & block
+            if not found:
                 continue
             prefix = "None" if s < 0 else rules[f, f, s, i][0] + ":"
-            for k in range(length):
-                got = members.get(root[x0 + k])
-                if got is not None:
-                    got.append(((f, i, a0 + k, a0 + k + t), prefix, s, 1 if plain else sign[x0 + k]))
+            # a component's least member in the block is its least a
+            for x in found:
+                k = block.index(x)
+                head = ((f, i, a0 + k, a0 + k + t), prefix)
+                if x not in heads or head < heads[x]:
+                    heads[x] = head
+            # the members in the inner slice, per component, as ((f, i,
+            # a, a + t), prefix, s, sign), read off with slices and maps
+            part = block[k0:k1]
+            signs = [1] * len(part) if plain else sign[x0 + k0:x0 + k1]
+            for x in found.intersection(part):
+                at = list(map(x.__eq__, part))
+                a = list(compress(range(a0 + k0, a0 + k1), at))
+                keys = zip([f] * len(a), [i] * len(a), a, map(t.__add__, a))
+                members[x] += zip(keys, [prefix] * len(a), [s] * len(a), compress(signs, at))
     components = []
     for x, mems in members.items():
         # (vertex, prefix) is unique to a member, so plain tuple order is
         # the (vertex, str(arrow)) order
-        named = sorted(m for m in mems if -inner <= m[0][2] <= inner and -inner <= m[0][3] <= inner)
-        signs = {w for *_, w in named}
-        if len(signs) == 1:
-            ref_w = signs.pop()
+        mems.sort()
+        if plain:
+            ref_w = 1
+        elif len({w for *_, w in mems}) == 1:
+            ref_w = mems[0][3]
         else:
-            ref_w = min((_arrow_name(rules, shift_p, key, s), key, w) for key, _, s, w in named)[2]
-        basis = tuple((key, s, w * ref_w) for key, _, s, w in named)
-        components.append((min(mems)[:2], *wanted[x], basis))
+            ref_w = min((_arrow_name(rules, shift_p, key, s), key, w) for key, _, s, w in mems)[2]
+        basis = tuple((key, s, w * ref_w) for key, _, s, w in mems)
+        components.append((heads[x], *wanted[x], basis))
     components.sort(key=lambda c: c[0])
     return [c[1:] for c in components]
 

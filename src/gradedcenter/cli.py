@@ -104,12 +104,20 @@ def _cmd_hom(args) -> int:
     return 0
 
 
+# the work counts of a SolveReport that center --stats prints, in order;
+# they repeat exactly from run to run
+_STATS = ("unknowns", "vertices", "naturality_rows", "sign_rows", "merges", "killed_zero", "killed_parity")
+
+
 def _cmd_center(args) -> int:
     params = ModelParams(_omega(args), args.window)
     inner = args.window - solver_margin(params)
     rep = solve_component(params, args.p, args.variant, args.field, args.window, inner)
     for line in rep.format_lines():
         print(line)
+    if args.stats:
+        for name in _STATS:
+            print(f"{name}: {getattr(rep, name)}")
     if rep.residual:
         print("error: residual (mixed-class) components in solver output", file=sys.stderr)
         return 2
@@ -179,6 +187,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", choices=("graded", "commutative"), default="graded")
     p.add_argument("--field", type=int, default=3, help="prime field characteristic")
     p.add_argument("--window", type=int, default=10, help="outer window half-width")
+    p.add_argument("--stats", action="store_true", help="also print the solver's work counts")
     p.set_defaults(func=_cmd_center)
 
     p = sub.add_parser("ring", help="classification-table presentation for (r, n, m)")

@@ -124,6 +124,26 @@ def test_center_output_at_a_large_window(capsys):
     assert solve_component(params, 4, "graded", 3, 80, 68).unknowns == 38485
 
 
+def test_center_stats_prints_the_work_counts(capsys):
+    # after the usual lines, one count per line, the same bytes on a
+    # rebuild; on (1, 1, 0) at p = 1 the graded sign law kills a component
+    args = ("center", "--r", "1", "--n", "1", "--m", "0", "--p", "1", "--window", "6")
+    code, plain, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    runs = []
+    for _ in range(2):
+        _build_system.cache_clear()
+        runs.append(run(capsys, *args, "--stats"))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err) == (0, "") and out.startswith(plain)
+    rep = solve_component(ModelParams(OmegaParams(1, 1, 0), 6), 1, "graded", 3, 6, 2)
+    assert rep.killed_parity == 1
+    names = ("unknowns", "vertices", "naturality_rows", "sign_rows", "merges",
+             "killed_zero", "killed_parity")
+    assert out[len(plain):].splitlines() == [f"{name}: {getattr(rep, name)}" for name in names]
+
+
 def test_center_window_guard(capsys):
     code, _out, err = run(
         capsys, "center", "--r", "2", "--n", "3", "--m", "1",

@@ -1,6 +1,6 @@
 import pytest
 
-from gradedcenter.center import _build_system, solve_component, solver_margin
+from gradedcenter.center import _build_system, power_visible, solve_component, solver_margin
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.model import ModelParams
 from gradedcenter.ring import (
@@ -158,3 +158,24 @@ def test_reconcile_reports_each_degree_and_who_built_it():
             assert d == DegreeWork(d.p, solved.unknowns, solved.rows, solved.merges,
                                    solved.killed_zero, solved.killed_parity, d.built)
     assert _build_system.cache_info().misses == 7
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reconcile_beyond_the_grid(n):
+    # every r <= n and m <= 3, both variants over F_2, F_3 and F_5, in
+    # degrees 0..2n+1, at inner window 2n + 2, raised where that box cannot
+    # show the power class of some degree kn up to the bound: (1, 1, 3)
+    # runs at inner window 5
+    for r in range(1, n + 1):
+        for m in range(4):
+            omega = OmegaParams(r, n, m)
+            inner = 2 * n + 2
+            while r == n and not all(power_visible(omega, k * n, inner)
+                                     for k in range(1, (2 * n + 1) // n + 1)):
+                inner += 1
+            W = solver_margin(omega) + inner
+            params = ModelParams(omega, W)
+            for variant in ("graded", "commutative"):
+                for char in (2, 3, 5):
+                    rep = reconcile(params, char, variant, 2 * n + 1, W)
+                    assert rep.ok, (r, n, m, variant, char, rep.mismatches)
