@@ -37,23 +37,25 @@ when it is read, and no caller shares cached state.
 The system is built on plain integers, one diagonal line at a time.  A
 vertex is the tuple (family, i, a, b) and an unknown is a vertex plus a
 slot: -1 for the identity, or the degree of the basis arrow, whose kind
-the two families fix.  Sigma and Sigma^p are translations per (family,
-i) (model.sigma_shift, from the step table of ModelParams), and arrows
-are tested by model.arrow_kind.  The hom space of a vertex depends on
-(family, i) and the gap b - a alone: for each degree, model.hom_gaps
-turns the arrow's region into one interval of gaps.  So the unknowns
-are laid out per line (family, i, gap): each slot of a line with a
-nonempty hom space gets one block of consecutive indices, one per a in
-the box.  Naturality is imposed at the generating arrows only (_targets),
-since it holds at a composite once it holds at the factors.  The rows at
-one of them likewise depend on its source only through (family, i), the
-gap and the target.  So each pattern of rows is worked out once per line
-and target, and each of its rows, like each sign-law slot, is one union
-over two aligned index ranges: the a where both ends lie in the box.  No
-vertex tuple is made and no dict is read per cell.  Naming a report's
-basis builds no Vertex or ArrowGen either: the members are ordered by
-their keys and slots, and an arrow's name, which fixes the sign of a
-signed component, is formatted from its key.
+the two families fix.  Arrows are tested by model.arrow_kind.  _frame
+states, once per (omega, p) for the solver, the generators, the product
+and the membership check, Sigma^p as a translation per (family, i)
+(model.sigma_shift), the gaps b - a of a vertex (model.least_gap)
+and the slots of Hom(v, Sigma^p v), which depend on (family, i) and the
+gap alone: one interval of gaps each (model.hom_gaps), the identity's in
+degree 0 only.  So the unknowns are laid out per line (family, i, gap):
+each slot of a line with a nonempty hom space gets one block of
+consecutive indices, one per a in the box.  Naturality is imposed at the
+generating arrows only (_targets), since it holds at a composite once it
+holds at the factors.  The rows at one of them likewise depend on its
+source only through (family, i), the gap and the target.  So each
+pattern of rows is worked out once per line and target, and each of its
+rows, like each sign-law slot, is one union over two aligned index
+ranges: the a where both ends lie in the box.  No vertex tuple is made
+and no dict is read per cell.  Naming a report's basis builds no Vertex
+or ArrowGen either: the members are ordered by their keys and slots, and
+an arrow's name, which fixes the sign of a signed component, is
+formatted from its key.
 
 A CenterElement holds one integer form, the slot map {(family, i, a,
 b): {slot: coefficient}}, with slots as in the solver.  make_generator,
@@ -61,12 +63,12 @@ a report's basis and multiply fill it directly; its assignment is a
 read-only view over it that builds a Morphism, from the _basis_arrow of
 each slot, only when a value is read.  make_generator walks the
 generator's support one line (family, i, gap) at a time and tests the
-line's slot once against model.hom_gaps.  multiply works slot by slot: a
-product's slot is the sum of its factors' slots, the identity's -1 being
-the unit, and the term is kept where model.arrow_kind accepts the
-composite.  An element built by hand from Morphism values is converted
-to its slot map by _slot_map, which checks each value's endpoints and
-kinds.
+line's slot once against the frame's gaps.  multiply works slot by
+slot: a product's slot is the sum of its factors' slots, the identity's
+-1 being the unit, and the term is kept where the frame of the product's
+degree holds that slot at the gap.  An element built by hand from
+Morphism values is converted to its slot map by _slot_map, which checks
+that each value sits at a vertex and checks its endpoints and kinds.
 
 check_membership runs on the slot map and tests naturality with the
 solver's rule, _row_pattern, on its coefficients, so the solver and the
@@ -77,11 +79,10 @@ table inverted.  With the sign law, which it checks too, they imply
 naturality at every arrow of the inner box; the arrow walk it replaced
 is kept in tests/ as the oracle.  It works each pattern out once per
 call and per key: the rows at an arrow are unchanged when both endpoints
-move along the diagonal together.  Every slot must be one that
-model.hom_gaps allows at its vertex, or the identity's in degree 0.  The
-result is the pair (ok, why), which also counts the naturality and
-sign-law rows tested.  Vertex and ArrowGen objects are built only to
-name a failure.
+move along the diagonal together.  Every slot must be one whose gaps in
+the frame hold its vertex's gap.  The result is the pair (ok, why),
+which also counts the naturality and sign-law rows tested.  Vertex and
+ArrowGen objects are built only to name a failure.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -100,7 +101,6 @@ from typing import NamedTuple
 
 from .gf import FieldScalar
 from .model import (
-    FAMILIES,
     ArrowGen,
     ModelParams,
     Morphism,
@@ -170,10 +170,10 @@ class _SlotView(Mapping):
     A value's Morphism is built from the _basis_arrow of each slot only
     when it is read, so len, in and key iteration build none."""
 
-    __slots__ = ("_params", "_p", "_slots", "_shift")
+    __slots__ = ("_params", "_p", "_slots")
 
     def __init__(self, params: ModelParams, p: int, slots: dict):
-        self._params, self._p, self._slots, self._shift = params, p, slots, None
+        self._params, self._p, self._slots = params, p, slots
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -188,13 +188,10 @@ class _SlotView(Mapping):
         value = self._slots.get((v.family, v.i, v.a, v.b)) if isinstance(v, Vertex) else None
         if value is None:
             raise KeyError(v)
-        params = self._params
-        if self._shift is None:
-            keys = [(f, i) for f in FAMILIES for i in range(params.r)]
-            self._shift = {key: sigma_shift(params, *key, self._p) for key in keys}
-        j, da, db = self._shift[v.family, v.i]
+        shift = _frame(self._params.omega, self._p)[0]
+        j, da, db = shift[v.family, v.i]
         target = Vertex(v.family, j, v.a + da, v.b + db)
-        return Morphism(v, target, {_basis_arrow(params.rules, self._shift, v, s): c for s, c in value.items()})
+        return Morphism(v, target, {_basis_arrow(self._params.rules, shift, v, s): c for s, c in value.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _SlotView) and (other._params.omega, other._p) == (self._params.omega, self._p):
@@ -247,17 +244,21 @@ def _slot_map(params: ModelParams, el: CenterElement) -> dict:
     """el's values as its slot map {(family, i, a, b): {slot:
     coefficient}}.  An element that holds one on these parameters' omega
     gives it as it is.  Any other is converted value by value, which
-    checks that each runs from v to Sigma^p v and that each term's kind
-    is the one its degree, the slot, has; check_membership tests the
-    slots against the hom space."""
+    checks that v is a vertex of these parameters, that each value runs
+    from v to Sigma^p v and that each term's kind is the one its degree,
+    the slot, has; check_membership tests the slots against the hom
+    space."""
     view = el.assignment
     if isinstance(view, _SlotView) and view._params.omega == params.omega:
         return view._slots
     rules = params.rules
+    shift, _, vertex_gaps = _frame(params.omega, el.p)
     slots: dict = {}
     for v, mor in view.items():
         f, i, a, b = v.family, v.i, v.a, v.b
-        j, da, db = sigma_shift(params, f, i, el.p)
+        if not _in_gaps(vertex_gaps.get((f, i)), b - a):
+            raise ValueError(f"no vertex {f}({i})[{a},{b}] for these parameters")
+        j, da, db = shift[f, i]
         tgt = mor.target
         ok = mor.source is v or mor.source == v
         ok = ok and (tgt.family, tgt.i, tgt.a, tgt.b) == (f, j, a + da, b + db)
@@ -286,8 +287,33 @@ def _power_gap(params: ModelParams, k: int, i: int) -> int:
 
 
 def _in_gaps(gaps: tuple | None, t: int) -> bool:
-    """Whether the gap t lies in gaps, an interval from model.hom_gaps."""
+    """Whether the gap t lies in gaps, an interval of a frame (_frame)."""
     return gaps is not None and (gaps[0] is None or gaps[0] <= t) and (gaps[1] is None or t <= gaps[1])
+
+
+# Shared like model._region_tables: never mutated.
+@lru_cache(maxsize=128)
+def _frame(omega, p: int) -> tuple[dict, dict, dict]:
+    """What a degree-p element may hold at each (family, i) of omega, as
+    three tables: Sigma^p as a translation (j, da, db) (model.sigma_shift);
+    {(family, i, slot): (lo, hi)}, the interval of gaps b - a of each
+    slot with a nonempty one (model.hom_gaps; None for an unbounded end),
+    the identity's slot -1 in degree 0 only, at every gap; and the gaps of
+    a vertex, (least gap, None) (model.least_gap; None on Z, where every
+    gap is one).  A family or index that omega lacks has no entry."""
+    params = ModelParams(omega)
+    shift, gaps, vertex_gaps = {}, {}, {}
+    for f in params.families:
+        for i in range(params.r):
+            shift[f, i] = sigma_shift(params, f, i, p)
+            vertex_gaps[f, i] = (least_gap(params, f, i), None)
+            if p == 0:
+                gaps[f, i, -1] = (None, None)
+            for d in (0, 1, 2):
+                hom = hom_gaps(params, f, i, d, shift[f, i])
+                if hom is not None:
+                    gaps[f, i, d] = hom
+    return shift, gaps, vertex_gaps
 
 
 def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> CenterElement:
@@ -310,18 +336,17 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
         family, slot, missing = "X", 2, "missing e' self-arrow at"
     else:
         family, slot, missing = "X", 0 if q else -1, "missing f' power arrow at"
-    shift_p = {(family, i): sigma_shift(params, family, i, p) for i in range(r)}
+    _, gaps, vertex_gaps = _frame(params.omega, p)
     slots: dict = {}
     for i in range(r):
         if spec.name == "eta_power":
-            lo, hi = max(least_gap(params, "X", i), _power_gap(params, q, i)), 2 * W
+            lo, hi = max(vertex_gaps["X", i][0], _power_gap(params, q, i)), 2 * W
         else:
             lo = hi = _socle_gap(params, family, q, i)
-        if slot >= 0:
-            hom = hom_gaps(params, family, i, slot, shift_p[family, i])
-            for t in range(lo, min(hi, 2 * W) + 1):
-                if not _in_gaps(hom, t):
-                    raise InconsistencyError(f"{missing} {Vertex(family, i, -W, t - W)!r}")
+        hom = gaps.get((family, i, slot))
+        for t in range(lo, min(hi, 2 * W) + 1):
+            if not _in_gaps(hom, t):
+                raise InconsistencyError(f"{missing} {Vertex(family, i, -W, t - W)!r}")
         # eta_prime's sign at v is (-1)^(n e) for the e with v = Sigma^e
         # of the base Y(0, 0, n + q).  As r = n - 1, Sigma^r moves Y by
         # (-1, -1), so the index-i vertex at a is Sigma^(i + r (a_i - a))
@@ -373,7 +398,9 @@ def check_membership(
     """Verify naturality and the sign law for el on the inner window.
 
     The check runs on integers, as the solver does: a vertex is the key
-    (family, i, a, b), and el is read as its slot map (_slot_map).
+    (family, i, a, b), and el is read as its slot map (_slot_map).  A
+    value at a cell that is not a vertex, or with a slot that the frame of
+    degree p (_frame) does not hold at its gap, raises ValueError.
     Naturality is tested at the generating arrows (_targets) with both
     ends in the inner box: the arrows out of each inner support vertex
     to its targets, and those into it from off-support sources, read off
@@ -399,35 +426,24 @@ def check_membership(
     Wi = inner_window
     sign = -1 if (variant == "graded" and p % 2) else 1
     rules, steps = params.rules, params.sigma_steps
-    # Sigma^p and Sigma^-1 per (family, i), as translations (j, da, db)
-    keys = [(f, i) for f in FAMILIES for i in range(params.r)]
-    shift_p = {key: sigma_shift(params, *key, p) for key in keys}
-    shift_back = {key: sigma_shift(params, *key, -1) for key in keys}
-    # the least gap b - a of a vertex, per (family, i) of these
-    # parameters (-2 Wi on Z: the least in the inner box); the generating
-    # arrows out of each (family, i), and the same arrows listed at their
-    # targets, as (f, i, da, db, degree, along) from the source (f, i)
-    floor = {}
-    for f in params.families:
-        for i in range(params.r):
-            lo = least_gap(params, f, i)
-            floor[f, i] = -2 * Wi if lo is None else lo
-    targets = {key: _targets(params, *key) for key in keys}
-    sources: dict = {key: [] for key in keys}
-    for f, i in floor:
+    # Sigma^p, the slots of Hom(v, Sigma^p v) and the gaps of a vertex
+    # per (family, i), and Sigma^-1; the generating arrows out of each
+    # (family, i), and the same arrows listed at their targets, as (f, i,
+    # da, db, degree, along) from the source (f, i)
+    shift_p, gaps, vertex_gaps = _frame(params.omega, p)
+    shift_back = _frame(params.omega, -1)[0]
+    targets = {key: _targets(params, *key) for key in shift_p}
+    sources: dict = {key: [] for key in shift_p}
+    for f, i in shift_p:
         for g, j, da, db, degree, along in targets[f, i]:
             sources[g, j].append((f, i, da, db, degree, along))
     # {(family, i, a, b): (slots, {slot: coefficient})}, from the slot
-    # map.  Each value must lie in Hom(v, Sigma^p v): every slot is the
-    # identity's, in degree 0 only, or a degree whose gaps, read once per
-    # (family, i, degree), hold b - a.
+    # map, each value in Hom(v, Sigma^p v): every slot's gaps hold b - a
     coeffs: dict = {}
-    hom = lru_cache(None)(lambda f, i, d: hom_gaps(params, f, i, d, shift_p[f, i]))
     for key, value in _slot_map(params, el).items():
         f, i, a, b = key
-        for s in value:
-            if not (p == 0 if s == -1 else _in_gaps(hom(f, i, s), b - a)):
-                raise ValueError(f"the value at {Vertex(*key)!r} is not in Hom(v, Sigma^{p} v)")
+        if not all(_in_gaps(gaps.get((f, i, s)), b - a) for s in value):
+            raise ValueError(f"the value at {Vertex(*key)!r} is not in Hom(v, Sigma^{p} v)")
         coeffs[key] = (tuple(value), value)
     empty = ((), {})
     patterns: dict = {}
@@ -463,8 +479,7 @@ def check_membership(
         f, i, a, b = v
         for g, j, da, db, degree, along in targets[f, i]:
             w = (g, j, a + da, (b if along else a) + db)
-            lo = floor.get((g, j))
-            if lo is None or w[3] - w[2] < lo or not inner(w):
+            if not _in_gaps(vertex_gaps.get((g, j)), w[3] - w[2]) or not inner(w):
                 continue
             kind = arrow_kind(rules, *v, *w, degree)
             if kind is not None and not natural_at(v, w, degree):
@@ -484,7 +499,7 @@ def check_membership(
                 continue
             for b in bs:
                 v = (f, i, a, b)
-                if v in coeffs or b - a < floor[f, i] or not inner(v):
+                if v in coeffs or not _in_gaps(vertex_gaps.get((f, i)), b - a) or not inner(v):
                     continue
                 kind = arrow_kind(rules, *v, *w, degree)
                 if kind is not None and not natural_at(v, w, degree):
@@ -871,19 +886,12 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
     depends on it, and that is left to the caller."""
     params = ModelParams(omega, W)
     sign = -1 if p % 2 else 1
-    r = params.r
     rules = params.rules
     steps = params.sigma_steps
 
-    # per (family, i): Sigma^p as a translation (j, da, db), and the least
-    # b - a of a vertex (model.least_gap), -2W on Z, the least in the box
-    shift_p: dict = {}
-    floor: dict = {}
-    for f in params.families:
-        for i in range(r):
-            shift_p[f, i] = sigma_shift(params, f, i, p)
-            lo = least_gap(params, f, i)
-            floor[f, i] = -2 * W if lo is None else lo
+    # per (family, i): Sigma^p as a translation (j, da, db), the slots of
+    # Hom(v, Sigma^p v) with their gaps, and the gaps of a vertex
+    shift_p, gaps, vertex_gaps = _frame(omega, p)
 
     # The line (f, i, t) is the diagonal of vertices (f, i, a, a + t) in
     # the box, a from -W - min(t, 0) to W - max(t, 0), none if |t| > 2W.
@@ -892,26 +900,19 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
     # unknowns along the line: lines[f, i, t] maps the slot to the index
     # of the unknown at the least a, and the unknown at a is that index
     # plus a less the least a.  Only lines with a nonempty hom space are
-    # laid out: per slot, its gaps b - a (model.hom_gaps).
+    # laid out: per slot, its gaps b - a that a vertex of the box has.
     lines: dict = {}
     count = vertices = 0
-    for (f, i), shift in shift_p.items():
-        for d in (-1, 0, 1, 2):
-            if d < 0:
-                gaps = (None, None) if p == 0 else None
-            else:
-                gaps = hom_gaps(params, f, i, d, shift)
-            if gaps is None:
-                continue
-            lo = floor[f, i] if gaps[0] is None else max(gaps[0], floor[f, i])
-            hi = 2 * W if gaps[1] is None else min(gaps[1], 2 * W)
-            for t in range(lo, hi + 1):
-                slots = lines.get((f, i, t))
-                if slots is None:
-                    slots = lines[f, i, t] = {}
-                    vertices += 2 * W + 1 - abs(t)
-                slots[d] = count
-                count += 2 * W + 1 - abs(t)
+    for (f, i, d), (lo, hi) in gaps.items():
+        lo = max(x for x in (lo, vertex_gaps[f, i][0], -2 * W) if x is not None)
+        hi = 2 * W if hi is None else min(hi, 2 * W)
+        for t in range(lo, hi + 1):
+            slots = lines.get((f, i, t))
+            if slots is None:
+                slots = lines[f, i, t] = {}
+                vertices += 2 * W + 1 - abs(t)
+            slots[d] = count
+            count += 2 * W + 1 - abs(t)
 
     # The rows at a generator v -> w depend on v only through (f, i), the
     # place k of w in the list of targets and the gap t: the regions,
@@ -927,7 +928,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
         a0, a1 = -W - min(t, 0), W - max(t, 0)
         for g, j, da, db, degree, along in targets[f, i]:
             u = (t if along else 0) + db - da
-            if u < floor[g, j]:
+            if not _in_gaps(vertex_gaps.get((g, j)), u):
                 continue
             b0 = -W - min(u, 0)
             lo, hi = max(a0, b0 - da), min(a1, W - max(u, 0) - da)
@@ -1174,11 +1175,11 @@ def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterE
     Sigma keeps a term's kind and degree, so a term of a_v in slot s_a
     and one of b_v in slot s_b compose to the arrow v -> Sigma^(p_a + p_b)
     v of degree s_a + s_b, with coefficient c_a c_b, where that arrow
-    exists (model.arrow_kind); the identity's slot -1 is the unit."""
+    exists: where the frame of degree p_a + p_b (_frame) holds the slot
+    s_a + s_b at v's gap.  The identity's slot -1 is the unit."""
     p = a.p + b.p
-    rules = params.rules
+    gaps = _frame(params.omega, p)[1]
     slots_a = _slot_map(params, a)
-    shift = {(f, i): sigma_shift(params, f, i, p) for f in FAMILIES for i in range(params.r)}
     product: dict = {}
     for key, value_b in _slot_map(params, b).items():
         value_a = slots_a.get(key)
@@ -1192,8 +1193,7 @@ def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterE
                     s = s_a if s_b < 0 else s_b
                 else:
                     s = s_a + s_b
-                    j, da, db = shift[f, i]
-                    if arrow_kind(rules, f, i, x, y, f, j, x + da, y + db, s) is None:
+                    if not _in_gaps(gaps.get((f, i, s)), y - x):
                         continue
                 c = terms.get(s, 0) + c_a * c_b
                 if c:

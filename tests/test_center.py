@@ -18,6 +18,7 @@ from gradedcenter.center import (
     _arrow_name,
     _basis_arrow,
     _build_system,
+    _frame,
     _named_components,
     check_membership,
     class_visibility_map,
@@ -40,9 +41,13 @@ from gradedcenter.model import (
     arrows_from,
     compose,
     enumerate_vertices,
+    hom_gaps,
+    least_gap,
     sigma,
     sigma_mor_pow,
     sigma_pow,
+    sigma_shift,
+    vertex_exists,
 )
 from gradedcenter.ring import reconcile, theorem_case
 
@@ -298,6 +303,62 @@ def test_membership_rejects_value_outside_its_hom_space():
             assignment[v] = Morphism.of_gen(gen, coeff)
         with pytest.raises(ValueError, match="not in Hom"):
             check_membership(p, CenterElement(eta.p, eta.variant, assignment), 10, 6)
+
+
+BOX10 = [(a, b) for a in range(-10, 11) for b in range(-10, 11)]
+
+
+# cells of a family or index that the parameters lack, or below the least
+# gap of their family: -m = -1 at X(0) of (2, 2, 1), 0 at X(1)
+@pytest.mark.parametrize("rnm, cells", [
+    ((2, 2, 0), [Vertex("Y", i, a, b) for i in range(2) for a, b in BOX10]),
+    ((2, 2, 1), [Vertex("X", i, a, b) for i in range(2) for a, b in BOX10]),
+    ((2, 2, 1), [Vertex("X", 1, 0, -1)]),
+    ((2, 3, 0), [Vertex("X", 5, 0, 0)]),
+    ((2, 3, 0), [Vertex("Q", 0, 0, 0)]),
+], ids=["Y on (2, 2, 0)", "X box on (2, 2, 1)", "X(1) gap -1 on (2, 2, 1)", "X(5) on (2, 3, 0)",
+        "Q on (2, 3, 0)"])
+def test_values_off_the_vertices_are_rejected(rnm, cells):
+    # the identity at cells that are not vertices: the first two were
+    # accepted as central, the third was checked as if X(1)[0,-1] were a
+    # vertex, and the last two failed on a lookup (KeyError); the third
+    # also catches a gate that reads X(1)'s least gap 0 as missing
+    params = params_for(*rnm)
+    el = CenterElement(0, "graded", {v: Morphism.identity(v) for v in cells})
+    with pytest.raises(ValueError, match=r"no vertex .* for these parameters"):
+        check_membership(params, el, 10, 6)
+    with pytest.raises(ValueError, match=r"no vertex .* for these parameters"):
+        multiply(params, el, el)
+    with pytest.raises(ValueError, match=r"no vertex .* for these parameters"):
+        multiply(params, CenterElement(0, "graded", {}), el)
+    # on the vertices alone, the identity is central
+    vertices = {v: Morphism.identity(v) for v in cells
+                if v.family in params.families and 0 <= v.i < params.r
+                and vertex_exists(params, v.family, v.i, v.coord)}
+    el = CenterElement(0, "graded", vertices)
+    assert check_membership(params, el, 10, 6) == (True, None)
+    assert multiply(params, el, el).assignment == el.assignment
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (4, 6, 2)], ids=str)
+def test_frame_matches_the_model(rnm):
+    # each table of center._frame against fresh model calls, p = -1..4n+2
+    params = ModelParams(OmegaParams(*rnm))
+    keys = [(f, i) for f in params.families for i in range(params.r)]
+    for p in range(-1, 4 * params.n + 3):
+        shift, gaps, vertex_gaps = _frame(params.omega, p)
+        assert list(shift) == keys and list(vertex_gaps) == keys, p
+        want = {}
+        for f, i in keys:
+            assert shift[f, i] == sigma_shift(params, f, i, p), (f, i, p)
+            assert vertex_gaps[f, i] == (least_gap(params, f, i), None), (f, i, p)
+            if p == 0:
+                want[f, i, -1] = (None, None)
+            for s in (0, 1, 2):
+                hom = hom_gaps(params, f, i, s, sigma_shift(params, f, i, p))
+                if hom is not None:
+                    want[f, i, s] = hom
+        assert gaps == want, p
 
 
 def _perfbench_inputs():

@@ -4,10 +4,20 @@ from pathlib import Path
 import pytest
 
 import gradedcenter.center
-from gradedcenter.center import InconsistencyError, _build_system, solve_component
+from gradedcenter.center import InconsistencyError, _build_system, _frame, solve_component
 from gradedcenter.cli import main
 from gradedcenter.gentle import OmegaParams, build_lambda, format_quiver, parse_quiver
 from gradedcenter.model import ModelParams
+
+
+@pytest.fixture
+def fresh_frames():
+    """center._frame caches what center.hom_gaps gave: clear it before a
+    test that patches hom_gaps, so the patch is read, and after it, so no
+    later test reads a frame built from the patch."""
+    _frame.cache_clear()
+    yield
+    _frame.cache_clear()
 
 
 def run(capsys, *argv):
@@ -187,7 +197,7 @@ def test_check_single_criterion(capsys):
     assert out.startswith("criterion 1 (gentle grid): PASS")
 
 
-def test_internal_inconsistency_exits_2(capsys, monkeypatch):
+def test_internal_inconsistency_exits_2(capsys, monkeypatch, fresh_frames):
     # with every hom space empty, criterion 4's first generator misses
     # its e'' arrow and make_generator reports an inconsistency
     monkeypatch.setattr(gradedcenter.center, "hom_gaps", lambda *args: None)
@@ -221,7 +231,7 @@ def test_outputs_are_deterministic(capsys):
     assert first == second
 
 
-def test_sign_law_inconsistency_exits_2(capsys, monkeypatch):
+def test_sign_law_inconsistency_exits_2(capsys, monkeypatch, fresh_frames):
     # with the degree-0 slot of X(1) dropped, the sign law at p = 2 carries
     # each unknown of that slot on X(0) to an unknown that is not there
     hom_gaps = gradedcenter.center.hom_gaps

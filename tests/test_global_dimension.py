@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from gradedcenter.acceptance import GRID
 from gradedcenter.center import solve_component, solver_margin
 from gradedcenter.gentle import OmegaParams, build_lambda, parse_quiver
 from gradedcenter.model import ModelParams
@@ -49,7 +48,11 @@ def test_infinite_global_dimension_iff_polynomial_base():
                         assert infinite == (base != "F"), (r, n, m, char, variant)
 
 
-@pytest.mark.parametrize("rnm", GRID, ids=str)
+# the acceptance GRID (n <= 4, m <= 2) and beyond: every r <= n <= 6, m <= 3
+WIDE = [(r, n, m) for n in range(1, 7) for r in range(1, n + 1) for m in range(4)]
+
+
+@pytest.mark.parametrize("rnm", WIDE, ids=str)
 def test_infinite_global_dimension_iff_solver_finds_a_power_class(rnm):
     # Degree 2n is a multiple of the polynomial generator's degree in
     # both variants, and an inner window of (2n + m) / 2 reaches the gap

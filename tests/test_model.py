@@ -235,26 +235,34 @@ def test_degree_zero_excludes_identity_slot():
     assert g is not None and g.kind == "f'"
 
 
-@pytest.mark.parametrize("rnm", [(1, 1, 0), (1, 2, 1), (2, 2, 1), (2, 3, 2), (3, 4, 2), (3, 5, 3)],
+@pytest.mark.parametrize("rnm", [(1, 1, 0), (1, 2, 1), (2, 2, 1), (2, 3, 2), (3, 4, 2), (3, 5, 3), (4, 6, 2)],
                          ids=str)
 def test_hom_gaps_match_arrow_kind(rnm):
     # the interval of gaps against arrow_kind gap by gap, for targets in
-    # the same family that move along the diagonal with the source
+    # the same family that move along the diagonal with the source: every
+    # small offset, and each translate Sigma^p for p = 0..4n+2, the rule
+    # center.multiply reads, in degrees up to 4, the largest slot of a
+    # product, from sources on a small box
     params = ModelParams(OmegaParams(*rnm))
-    r = params.r
+    r, n, m = params.r, params.n, params.m
     offsets = range(-3, 4)
-    for f, degree, i in itertools.product(FAMILIES, range(3), range(r)):
+    for f, degree, i in itertools.product(FAMILIES, range(5), range(r)):
         rule = params.rules.get((f, f, degree, i))
-        for j in {0 if rule is None else rule[1], (i + 1) % r}:
-            for da, db in itertools.product(offsets, offsets):
-                gaps = hom_gaps(params, f, i, degree, (j, da, db))
-                lo, hi = (None, None) if gaps is None else gaps
-                for t in range(-12, 13):
-                    want = arrow_kind(params.rules, f, i, 0, t, f, j, da, t + db,
-                                      degree) is not None
-                    got = (gaps is not None and (lo is None or lo <= t)
-                           and (hi is None or t <= hi))
-                    assert got == want, (f, i, j, degree, da, db, t)
+        shifts = {(j, da, db) for j in {0 if rule is None else rule[1], (i + 1) % r}
+                  for da, db in itertools.product(offsets, offsets)}
+        shifts.update(sigma_shift(params, f, i, p) for p in range(4 * n + 3))
+        for j, da, db in sorted(shifts):
+            gaps = hom_gaps(params, f, i, degree, (j, da, db))
+            lo, hi = (None, None) if gaps is None else gaps
+            # every bound of a region is a source coordinate plus 0, m or
+            # -n, so the gaps past this reach all read alike
+            reach = max(12, abs(da) + abs(db) + n + m + 2)
+            for a, t in itertools.product(range(-2, 3), range(-reach, reach + 1)):
+                want = arrow_kind(params.rules, f, i, a, a + t, f, j, a + da, a + t + db,
+                                  degree) is not None
+                got = (gaps is not None and (lo is None or lo <= t)
+                       and (hi is None or t <= hi))
+                assert got == want, (f, i, j, degree, da, db, a, t)
 
 
 def test_arrows_are_sigma_equivariant():

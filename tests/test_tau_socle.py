@@ -6,15 +6,17 @@ from the model, never from the classification tables."""
 
 import pytest
 
-from gradedcenter.acceptance import GRID
 from gradedcenter.center import solve_component, solver_margin
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.model import ModelParams, enumerate_vertices, sigma_pow, tau
 
 INNER = 6
 
+# the acceptance GRID (n <= 4, m <= 2) and beyond: every r <= n <= 6, m <= 3
+WIDE = [(r, n, m) for n in range(1, 7) for r in range(1, n + 1) for m in range(4)]
 
-@pytest.mark.parametrize("rnm", GRID, ids=str)
+
+@pytest.mark.parametrize("rnm", WIDE, ids=str)
 def test_socle_families_are_where_tau_is_a_suspension(rnm):
     r, n, m = rnm
     omega = OmegaParams(r, n, m)
