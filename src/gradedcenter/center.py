@@ -48,10 +48,12 @@ each slot of a line with a nonempty hom space gets one block of
 consecutive indices, one per a in the box.  Naturality is imposed at the
 generating arrows only (_targets), since it holds at a composite once it
 holds at the factors.  The rows at one of them likewise depend on its
-source only through (family, i), the gap and the target.  So each
-pattern of rows is worked out once per line and target, and each of its
-rows, like each sign-law slot, is one union over two aligned index
-ranges: the a where both ends lie in the box.  No vertex tuple is made
+source only through (family, i), the gap and the target, and on the
+gap only within a bound B per (family, i) (_plan_bound).  So a line's
+plan, its targets with their patterns of rows (_line_plans), is worked
+out once per (family, i, gap clamped to [-B, B]), and each of its rows,
+like each sign-law slot, is one union over two aligned index ranges:
+the a where both ends lie in the box.  No vertex tuple is made
 and no dict is read per cell.  Naming a report's basis builds no Vertex
 or ArrowGen either: the members are ordered by their keys and slots, and
 an arrow's name, which fixes the sign of a signed component, is
@@ -778,6 +780,72 @@ def _targets(params: ModelParams, f: str, i: int) -> list:
     return targets
 
 
+def _plan_bound(omega, shift: tuple) -> int:
+    """B for the lines of one (family, i), where shift is Sigma^p there
+    as (j, da, db): max(|da|, |db|) + n + m + 2.  A line's plan
+    (_line_plans) at a gap t with |t| >= B is its plan at t clamped to
+    [-B, B].
+
+    The plan is made of tests on t: whether a target is a vertex and
+    carries a generator, which slots the line and the target hold
+    (model.hom_gaps) and which rows the pattern keeps.  Each compares a
+    difference of coordinates with a region side's offset, 0, m or -n,
+    and the difference is c0 + s t with slope s in {-1, 0, 1} and c0 made
+    of a target offset (_targets) and a coordinate of a Sigma^p
+    translation: each is a constant of (omega, p).  A test against the
+    threshold c flips at most once, at t = c, so it is settled for
+    |t| >= |c| + 1.  Every |c| is at most M + max(n, m) + 1, where M =
+    max(|da|, |db|):
+    - the target tests compare offsets alone: |c| <= max(n, m) + 1;
+    - the line's slots and its own (family, i) targets, at gap t + 1 or
+      t - 1, move by Sigma^p at (family, i): |c| <= M + max(n, m) + 1;
+    - X's e' corner targets gap 0, and Z's slots do not depend on the
+      gap.  A row to another index or into Z has a kind only where
+      Sigma^p keeps the index, at p = 0 mod r, where Sigma^p is whole
+      cycles: the same translation at every index of X, and on Z the
+      same as on X in a (which g' bounds) and as on Y in b (which g''
+      bounds).  There |c| <= M + m, or M + n for the offset -n of Y's
+      arrow into Z at index 0."""
+    return max(abs(shift[1]), abs(shift[2])) + omega.n + omega.m + 2
+
+
+def _line_plans(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) -> list:
+    """The plans of the lines (f, i, t) in degree p, for t = t0..t1 in
+    turn.  A line's plan is its naturality rows: one (g, j, da, du,
+    along, rows) per generating target (_targets) whose row pattern is
+    not empty, in _targets' order.  The target of (f, i, a, a + t) is
+    (g, j, a + da, a + da + u), at the gap u = du plus t where along is
+    set; rows is _row_pattern at the a where both ends lie in the box.
+    The plans are read off the frame's slot intervals (_frame), so they
+    hold the slots of a target line the box does not reach, and they
+    depend on the gap and never on the window."""
+    shift_p, gaps, vertex_gaps = _frame(params.omega, p)
+    rules = params.rules
+
+    def slot_gaps(g: str, j: int) -> list:
+        return [(s, gaps[g, j, s]) for s in (-1, 0, 1, 2) if (g, j, s) in gaps]
+
+    mine = slot_gaps(f, i)
+    targets = [(g, j, da, db - da, degree, along, vertex_gaps[g, j], shift_p[g, j], slot_gaps(g, j))
+               for g, j, da, db, degree, along in _targets(params, f, i)]
+    plans = []
+    for t in range(t0, t1 + 1):
+        v = (f, i, 0, t)
+        v_slots = [s for s, interval in mine if _in_gaps(interval, t)]
+        plan = []
+        for g, j, da, du, degree, along, exists, shift, theirs in targets:
+            u = (t if along else 0) + du
+            w = (g, j, da, da + u)
+            if not _in_gaps(exists, u) or arrow_kind(rules, *v, *w, degree) is None:
+                continue
+            w_slots = [s for s, interval in theirs if _in_gaps(interval, u)]
+            rows = _row_pattern(rules, v, w, degree, shift, v_slots, w_slots)
+            if rows:
+                plan.append((g, j, da, du, along, rows))
+        plans.append(tuple(plan))
+    return plans
+
+
 class _SignedForest:
     """A signed union-find on the unknowns 0..count-1, kept flat: every
     unknown x always holds its root, root[x], and its sign relative to
@@ -866,11 +934,12 @@ class _SignedForest:
         return length
 
 
-# A window's degree sweep p = 0..2n needs one system per degree, 2n + 1
-# in all, so the 13 entries hold a whole window up to n = 6 (the
-# acceptance GRID needs 9), and every (variant, char) pair of one window
-# is served from the systems the first pair built.
-@lru_cache(maxsize=13)
+# A window's degree sweep p = 0..2n + 1 needs one system per degree,
+# 2n + 2 in all, so the 14 entries hold a whole window up to n = 6 (the
+# acceptance GRID sweeps p = 0..2n and needs 9), and every (variant,
+# char) pair of one window is served from the systems the first pair
+# built.
+@lru_cache(maxsize=14)
 def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
     """Solve the union-find system of degree p on the window W, with the
     graded sign law eta Sigma = (-1)^p Sigma eta, and keep what a report
@@ -883,7 +952,20 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
 
     The field is not an argument either: the rows have coefficients +-1
     whatever the characteristic, so only the reading of a parity conflict
-    depends on it, and that is left to the caller."""
+    depends on it, and that is left to the caller.
+
+    The naturality rows of a line (family, i, t) are its plan
+    (_line_plans): the targets whose row pattern is not empty, with their
+    rows.  The plan depends on t only through thresholds: every region
+    side, target offset and Sigma^p translation is a constant of (omega,
+    p), and each test is linear in t with slope -1, 0 or 1.  So it is
+    the same at every gap t with |t| >= B = max(|da|, |db|) + n + m + 2,
+    (da, db) Sigma^p's translation at (family, i) (_plan_bound says why).
+    Each plan is worked out once per (family, i, t clamped to [-B, B]),
+    and a line does only the range arithmetic and the unions of its
+    plan's rows.  The unions come in the order of a build that works out
+    each line's rows itself, tests/line_build.py, so the system is that
+    build's field for field, root and sign included."""
     params = ModelParams(omega, W)
     sign = -1 if p % 2 else 1
     rules = params.rules
@@ -901,11 +983,16 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
     # of the unknown at the least a, and the unknown at a is that index
     # plus a less the least a.  Only lines with a nonempty hom space are
     # laid out: per slot, its gaps b - a that a vertex of the box has.
+    # span[f, i] is the least and the greatest gap of a line.
     lines: dict = {}
+    span: dict = {}
     count = vertices = 0
     for (f, i, d), (lo, hi) in gaps.items():
         lo = max(x for x in (lo, vertex_gaps[f, i][0], -2 * W) if x is not None)
         hi = 2 * W if hi is None else min(hi, 2 * W)
+        if lo <= hi:
+            least, greatest = span.get((f, i), (lo, hi))
+            span[f, i] = (min(least, lo), max(greatest, hi))
         for t in range(lo, hi + 1):
             slots = lines.get((f, i, t))
             if slots is None:
@@ -915,30 +1002,34 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
             count += 2 * W + 1 - abs(t)
 
     # The rows at a generator v -> w depend on v only through (f, i), the
-    # place k of w in the list of targets and the gap t: the regions,
-    # vertex_exists and so the slots of v and w are all unchanged when a
-    # and b move together.  So each pattern is worked out once per line
-    # and target, and each of its rows is imposed on every a at once: the
-    # a where v and w both lie in the box, an interval.
+    # target and the gap t, and on t only within [-B, B] (_plan_bound).
+    # So the plans of (f, i) are worked out once, from the least to the
+    # greatest of its lines' gaps clamped to [-B, B] (_line_plans), as
+    # plans[f, i] = (first gap, B, plans), and each line reads the plan
+    # of its clamped gap and imposes each of its rows on every a at once:
+    # the a where v and w both lie in the box, an interval.
     forest = _SignedForest(count)
     zero = forest.zero
-    targets = {key: _targets(params, *key) for key in shift_p}
+    plans: dict = {}
+    for (f, i), (least, greatest) in span.items():
+        c = _plan_bound(omega, shift_p[f, i])
+        first = max(least, -c)
+        plans[f, i] = (first, c, _line_plans(params, p, f, i, first, min(greatest, c)))
+    unite = forest.unite
     naturality_rows = sign_rows = merges = 0
     for (f, i, t), bv in lines.items():
-        a0, a1 = -W - min(t, 0), W - max(t, 0)
-        for g, j, da, db, degree, along in targets[f, i]:
-            u = (t if along else 0) + db - da
-            if not _in_gaps(vertex_gaps.get((g, j)), u):
-                continue
-            b0 = -W - min(u, 0)
-            lo, hi = max(a0, b0 - da), min(a1, W - max(u, 0) - da)
+        # the a of the line, and of its target line at the gap u, in the
+        # box: a0..a1 and b0..b1
+        a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
+        first, c, by_gap = plans[f, i]
+        for g, j, da, du, along, rows in by_gap[(t if -c < t < c else (c if t > 0 else -c)) - first]:
+            u = (t if along else 0) + du
+            b0, b1 = (-W - u, W) if u < 0 else (-W, W - u)
+            lo = b0 - da if b0 - da > a0 else a0
+            hi = b1 - da if b1 - da < a1 else a1
             if lo > hi:
                 continue
-            v, w = (f, i, lo, lo + t), (g, j, lo + da, lo + da + u)
-            if arrow_kind(rules, *v, *w, degree) is None:
-                continue
-            bw = lines.get((g, j, u), {})
-            rows = _row_pattern(rules, v, w, degree, shift_p[g, j], bv, bw)
+            bw = lines.get((g, j, u))
             length = hi - lo + 1
             naturality_rows += len(rows) * length
             for left, right in rows:
@@ -951,12 +1042,13 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
                 elif right is None:
                     zero[x0:x0 + length] = b"\1" * length
                 else:
-                    merges += forest.unite(x0, y0, length, 1)
+                    merges += unite(x0, y0, length, 1)
         # sign law v -> Sigma v: Sigma beta starts at Sigma v, same degree
         sj, s1, s2 = steps[f, i, 1]
         u = t + s2 - s1
-        b0 = -W - min(u, 0)
-        lo, hi = max(a0, b0 - s1), min(a1, W - max(u, 0) - s1)
+        b0, b1 = (-W - u, W) if u < 0 else (-W, W - u)
+        lo = b0 - s1 if b0 - s1 > a0 else a0
+        hi = b1 - s1 if b1 - s1 < a1 else a1
         if lo <= hi:
             other = lines.get((f, sj, u), {})
             for s, x in bv.items():
@@ -964,7 +1056,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
                 if y is None:
                     raise InconsistencyError(
                         f"suspension of unknown left the system at {Vertex(f, i, lo, lo + t)!r}")
-                merges += forest.unite(y + lo + s1 - b0, x + lo - a0, hi - lo + 1, sign)
+                merges += unite(y + lo + s1 - b0, x + lo - a0, hi - lo + 1, sign)
             sign_rows += len(bv) * (hi - lo + 1)
 
     # every unknown holds its root already: gather the marks there
@@ -972,7 +1064,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
     dead = set(compress(root, zero))
     odd = set(compress(root, forest.parity))
     # free the ring and the sizes before the tuples below are made
-    del forest
+    del forest, unite
 
     # The components that meet the inner window, read off each block's
     # slice in the inner box (the a from max(-inner, -inner - t) to

@@ -19,7 +19,10 @@ from gradedcenter.center import (
     _basis_arrow,
     _build_system,
     _frame,
+    _line_plans,
     _named_components,
+    _plan_bound,
+    _System,
     check_membership,
     class_visibility_map,
     make_generator,
@@ -54,6 +57,7 @@ from gradedcenter.ring import reconcile, theorem_case
 from arrow_walk_membership import check_membership as arrow_walk_check_membership
 import cell_generators
 from cell_generators import _solve_sigma_exponent
+import line_build
 import vertex_build
 import visibility_loop
 from membership_span import unimplied_rows
@@ -913,6 +917,57 @@ def test_line_build_matches_vertex_build(rnm):
                               for comp in (mine, theirs)]
                     assert coeffs[0] == coeffs[1], case
     assert generating < every
+
+
+# differential oracle for the plan build: the per-line build that it
+# replaced imposes the same rows in the same order, so every field of
+# both readings must be identical, root and sign included
+
+
+def assert_same_build(omega, W, inner, p):
+    got = _build_system.__wrapped__(omega, W, inner, p)
+    want = line_build.build_system(omega, W, inner, p)
+    case = (omega, W, inner, p)
+    for mine, theirs in zip(got, want):
+        for name in _System._fields:
+            assert getattr(mine, name) == getattr(theirs, name), (case, name)
+    assert (got[1] is got[0]) == (want[1] is want[0]) == (p % 2 == 0), case
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (4, 6, 2)], ids=str)
+def test_plan_build_matches_line_build(rnm):
+    omega = OmegaParams(*rnm)
+    for inner in (1, 4, 9):
+        W = solver_margin(omega) + inner
+        for p in range(2 * rnm[1] + 2):
+            assert_same_build(omega, W, inner, p)
+
+
+@pytest.mark.parametrize("p", [0, 4])
+def test_plan_build_matches_line_build_at_a_large_window(p):
+    omega = OmegaParams(3, 4, 2)
+    assert_same_build(omega, 80, 80 - solver_margin(omega), p)
+
+
+def test_line_plans_are_constant_beyond_the_bound():
+    # every r <= n <= 6, m <= 3, p = 0..2n+1 and (family, i): on a
+    # window whose gaps reach 2B on both sides, the plan at each gap t,
+    # every target's rows, is the plan at t clamped to [-B, B]
+    cases = 0
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for m in range(4):
+                omega = OmegaParams(r, n, m)
+                params = ModelParams(omega)
+                for p in range(2 * n + 2):
+                    for (f, i), shift in _frame(omega, p)[0].items():
+                        cases += 1
+                        bound = _plan_bound(omega, shift)
+                        plans = _line_plans(params, p, f, i, -2 * bound, 2 * bound)
+                        for t in range(-2 * bound, 2 * bound + 1):
+                            clamped = max(-bound, min(bound, t))
+                            assert plans[t + 2 * bound] == plans[clamped + 2 * bound], (r, n, m, p, f, i, t)
+    assert cases == 5936
 
 
 # differential oracle for the naming: the object naming that

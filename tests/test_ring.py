@@ -179,3 +179,18 @@ def test_reconcile_beyond_the_grid(n):
                 for char in (2, 3, 5):
                     rep = reconcile(params, char, variant, 2 * n + 1, W)
                     assert rep.ok, (r, n, m, variant, char, rep.mismatches)
+
+
+def test_reconcile_at_n_6_serves_a_second_pass_from_the_cache():
+    # degrees 0..2n + 1 at n = 6 are 14 systems, and the cache holds them
+    # all, so a second (variant, char) pass over the window builds none
+    omega = OmegaParams(5, 6, 1)
+    W = solver_margin(omega) + 14
+    params = ModelParams(omega, W)
+    _build_system.cache_clear()
+    first = reconcile(params, 3, "graded", 13, W)
+    second = reconcile(params, 2, "commutative", 13, W)
+    assert first.ok and second.ok
+    assert [d.built for d in first.degrees] == [True] * 14
+    assert [d.built for d in second.degrees] == [False] * 14
+    assert _build_system.cache_info().misses == 14
