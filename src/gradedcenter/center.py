@@ -55,36 +55,43 @@ out once per (family, i, gap clamped to [-B, B]), and each of its rows,
 like each sign-law slot, is one union over two aligned index ranges:
 the a where both ends lie in the box.  No vertex tuple is made
 and no dict is read per cell.  Naming a report's basis builds no Vertex
-or ArrowGen either: the members are ordered by their keys and slots, and
-an arrow's name, which fixes the sign of a signed component, is
-formatted from its key.
+or ArrowGen either: each block's slice of roots and signs is cut into
+runs where a neighbour differs, and an arrow's name, which fixes the
+sign of a signed component, is formatted from its key once per run.
 
-A CenterElement holds one integer form, the slot map {(family, i, a,
-b): {slot: coefficient}}, with slots as in the solver.  make_generator,
-a report's basis and multiply fill it directly; its assignment is a
-read-only view over it that builds a Morphism, from the _basis_arrow of
-each slot, only when a value is read.  make_generator walks the
-generator's support one line (family, i, gap) at a time and tests the
-line's slot once against the frame's gaps.  multiply works slot by
-slot: a product's slot is the sum of its factors' slots, the identity's
--1 being the unit, and the term is kept where the frame of the product's
-degree holds that slot at the gap.  An element built by hand from
-Morphism values is converted to its slot map by _slot_map, which checks
-that each value sits at a vertex and checks its endpoints and kinds.
+A CenterElement holds one integer form, the run map {(family, i, t,
+slot): ((a_lo, a_hi, coefficient), ...)}: along each line (family, i,
+t = b - a), a run is a maximal interval of a on which the slot holds one
+coefficient.  Every row is unchanged under the diagonal translation (a,
+b) -> (a + 1, b + 1), so an element is constant along each line until
+the box clips it: a generator is one run per line of its support, not
+one entry per cell.  make_generator, a report's basis and multiply fill
+the run map directly; its assignment is a read-only view over it that
+builds a Morphism, from the _basis_arrow of each slot, only when a value
+is read.  make_generator tests each line's slot once against the frame's
+gaps.  multiply intersects the two factors' runs line by line: a
+product's slot is the sum of its factors' slots, the identity's -1 being
+the unit, and the term is kept where the frame of the product's degree
+holds that slot at the gap.  An element built by hand from Morphism
+values is converted to runs by _slot_map, which checks that each value
+sits at a vertex and checks its endpoints and kinds.
 
-check_membership runs on the slot map and tests naturality with the
-solver's rule, _row_pattern, on its coefficients, so the solver and the
-check share one statement of naturality.  It tests the same generating
-arrows (_targets) that touch the support: those out of each inner
-support vertex, and those into it from off-support sources, read off the
-table inverted.  With the sign law, which it checks too, they imply
-naturality at every arrow of the inner box; the arrow walk it replaced
-is kept in tests/ as the oracle.  It works each pattern out once per
-call and per key: the rows at an arrow are unchanged when both endpoints
-move along the diagonal together.  Every slot must be one whose gaps in
-the frame hold its vertex's gap.  The result is the pair (ok, why),
-which also counts the naturality and sign-law rows tested.  Vertex and
-ArrowGen objects are built only to name a failure.
+check_membership runs on the runs and tests naturality with the solver's
+rule, _row_pattern, so the solver and the check share one statement of
+naturality.  It tests the same generating arrows (_targets, tabled once
+per omega by _arrow_table) that touch the support: those out of each
+inner support vertex, and those into it from off-support sources.  With
+the sign law, which it checks too, they imply naturality at every arrow
+of the inner box; the arrow walk it replaced is kept in tests/ as the
+oracle.  It lays each source line beside its target line, and each line
+beside its image under Sigma, and tests the rows once per interval on
+which both sides hold the same values; its row counts are the lengths of
+those intervals.  Each run's line must be a vertex's and its slot one
+whose gaps in the frame hold the line's gap.  The result is the pair (ok,
+why), which also counts the naturality and sign-law rows tested; on a
+failure they, and the arrow or vertex named, are those of the walk cell
+by cell it replaced (tests/slot_map_membership.py).  Vertex and ArrowGen
+objects are built only to name a failure.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -98,6 +105,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import compress
+from bisect import bisect_right
+from operator import itemgetter, ne, or_
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -167,27 +176,52 @@ class GeneratorSpec:
 
 class _SlotView(Mapping):
     """A center element's values as a read-only Mapping {Vertex:
-    Morphism} over its slot map {(family, i, a, b): {slot: coefficient}}
-    in degree p on the parameters' omega.  Keys come in the map's order.
-    A value's Morphism is built from the _basis_arrow of each slot only
-    when it is read, so len, in and key iteration build none."""
+    Morphism} over its run map {(family, i, t, slot): ((a_lo, a_hi,
+    coefficient), ...)} in degree p on the parameters' omega.  Each run is
+    a maximal interval of a on the line (family, i, t = b - a) whose slot
+    holds one coefficient; a cell held with no term at all, which only
+    _slot_map makes, is held in the slot None.  Keys come in (family, i,
+    a, b) order.  The runs are grouped line by line (_lines) on the first
+    read, and a value's Morphism is built from the _basis_arrow of each
+    slot only when it is read, so len, in and key iteration build none."""
 
-    __slots__ = ("_params", "_p", "_slots")
+    __slots__ = ("_params", "_p", "_runs", "_pieces")
 
-    def __init__(self, params: ModelParams, p: int, slots: dict):
-        self._params, self._p, self._slots = params, p, slots
+    def __init__(self, params: ModelParams, p: int, runs: dict):
+        self._params, self._p, self._runs = params, p, runs
+        self._pieces = None
+
+    @property
+    def lines(self) -> dict:
+        """The held cells line by line (_lines), worked out once."""
+        if self._pieces is None:
+            self._pieces = _lines(self._runs)
+        return self._pieces
+
+    def _value(self, v) -> dict | None:
+        if not isinstance(v, Vertex):
+            return None
+        pieces = self.lines.get((v.family, v.i, v.b - v.a))
+        if pieces:
+            k = bisect_right(pieces, v.a, key=itemgetter(0)) - 1
+            if k >= 0 and v.a <= pieces[k][1]:
+                return pieces[k][2]
+        return None
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return sum(hi - lo + 1 for pieces in self.lines.values() for lo, hi, _ in pieces)
 
     def __iter__(self):
-        return (Vertex(*key) for key in self._slots)
+        keys = [(f, i, a, a + t) for (f, i, t), pieces in self.lines.items()
+                for lo, hi, _ in pieces for a in range(lo, hi + 1)]
+        keys.sort()
+        return (Vertex(*key) for key in keys)
 
     def __contains__(self, v) -> bool:
-        return isinstance(v, Vertex) and (v.family, v.i, v.a, v.b) in self._slots
+        return self._value(v) is not None
 
     def __getitem__(self, v: Vertex) -> Morphism:
-        value = self._slots.get((v.family, v.i, v.a, v.b)) if isinstance(v, Vertex) else None
+        value = self._value(v)
         if value is None:
             raise KeyError(v)
         shift = _frame(self._params.omega, self._p)[0]
@@ -197,7 +231,7 @@ class _SlotView(Mapping):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _SlotView) and (other._params.omega, other._p) == (self._params.omega, self._p):
-            return self._slots == other._slots
+            return self._runs == other._runs
         return super().__eq__(other)
 
     def __repr__(self) -> str:
@@ -208,11 +242,11 @@ class _SlotView(Mapping):
 class CenterElement:
     """A finitely supported assignment v -> (morphism v -> Sigma^p v).
 
-    make_generator, a report's basis and multiply hold it as its slot map
+    make_generator, a report's basis and multiply hold it as its run map
     (see the module docstring), and assignment is a read-only view of it.
     An element may also be built by hand from a dict {Vertex: Morphism};
     assignment is then a read-only copy of that dict, and _slot_map
-    converts it where the slots are needed."""
+    converts it where the runs are needed."""
 
     p: int
     variant: str
@@ -235,27 +269,38 @@ class CenterElement:
     def is_zero(self, char: int | None = None) -> bool:
         view = self.assignment
         if isinstance(view, _SlotView):
-            values = view._slots.values()
+            coeffs = [c for runs in view._runs.values() for _, _, c in runs]
         else:
-            values = (mor.terms for mor in view.values())
-        coeffs = [c for value in values for c in value.values()]
+            coeffs = [c for mor in view.values() for c in mor.terms.values()]
         return not any(coeffs) if char is None else all(c % char == 0 for c in coeffs)
 
 
-def _slot_map(params: ModelParams, el: CenterElement) -> dict:
-    """el's values as its slot map {(family, i, a, b): {slot:
-    coefficient}}.  An element that holds one on these parameters' omega
-    gives it as it is.  Any other is converted value by value, which
-    checks that v is a vertex of these parameters, that each value runs
-    from v to Sigma^p v and that each term's kind is the one its degree,
-    the slot, has; check_membership tests the slots against the hom
-    space."""
+def _as_runs(spans: list) -> tuple:
+    """Disjoint (a_lo, a_hi, coefficient) of one line and slot, in order
+    of a, as its runs: neighbours that touch and agree are merged."""
+    runs: list = []
+    for lo, hi, c in spans:
+        if runs and runs[-1][1] == lo - 1 and runs[-1][2] == c:
+            runs[-1] = (runs[-1][0], hi, c)
+        else:
+            runs.append((lo, hi, c))
+    return tuple(runs)
+
+
+def _slot_map(params: ModelParams, el: CenterElement) -> _SlotView:
+    """el's values as a _SlotView on these parameters' omega.  An element
+    that holds one gives it as it is.  Any other is converted value by
+    value, which checks that v is a vertex of these parameters, that each
+    value runs from v to Sigma^p v and that each term's kind is the one
+    its degree, the slot, has; check_membership tests the slots against
+    the hom space.  A value with no term keeps its cell, in the slot
+    None."""
     view = el.assignment
     if isinstance(view, _SlotView) and view._params.omega == params.omega:
-        return view._slots
+        return view
     rules = params.rules
     shift, _, vertex_gaps = _frame(params.omega, el.p)
-    slots: dict = {}
+    cells: dict = {}
     for v, mor in view.items():
         f, i, a, b = v.family, v.i, v.a, v.b
         if not _in_gaps(vertex_gaps.get((f, i)), b - a):
@@ -264,16 +309,63 @@ def _slot_map(params: ModelParams, el: CenterElement) -> dict:
         tgt = mor.target
         ok = mor.source is v or mor.source == v
         ok = ok and (tgt.family, tgt.i, tgt.a, tgt.b) == (f, j, a + da, b + db)
-        value = {}
         for t, c in mor.terms.items():
             if t is not None:
                 rule = rules.get((f, f, t.degree, i))
                 ok = ok and rule is not None and t.kind == rule[0]
-            value[-1 if t is None else t.degree] = c
+            cells.setdefault((f, i, b - a, -1 if t is None else t.degree), []).append((a, a, c))
         if not ok:
             raise ValueError(f"the value at {v!r} is not in Hom(v, Sigma^{el.p} v)")
-        slots[f, i, a, b] = value
-    return slots
+        if not mor.terms:
+            cells.setdefault((f, i, b - a, None), []).append((a, a, 0))
+    return _SlotView(params, el.p, {key: _as_runs(sorted(at)) for key, at in cells.items()})
+
+
+def _lines(runs: dict) -> dict:
+    """A run map's cells line by line: {(family, i, t): pieces}, where the
+    pieces (a_lo, a_hi, value) lie in order of a and cover each cell held
+    once, and value is the {slot: coefficient} of every cell of the piece
+    ({} at a cell held in the slot None alone).  A line with one slot has
+    its runs as its pieces; each further slot is laid beside them
+    (_overlay)."""
+    lines: dict = {}
+    for (f, i, t, s), spans in runs.items():
+        mine = [(lo, hi, {} if s is None else {s: c}) for lo, hi, c in spans]
+        held = lines.get((f, i, t))
+        if held:
+            lo, hi = min(held[0][0], mine[0][0]), max(held[-1][1], mine[-1][1])
+            mine = [(a0, a1, {**(x or {}), **(y or {})}) for a0, a1, x, y in _overlay(held, mine, 0, lo, hi)
+                    if x is not None or y is not None]
+        lines[f, i, t] = mine
+    return lines
+
+
+def _overlay(x: list, y: list, d: int, lo: int, hi: int) -> list:
+    """Two lines' pieces (_lines) side by side over a = lo..hi, y read at
+    a + d: (a0, a1, vx, vy) for each interval on which both values stay
+    the same, vx or vy None where that line holds no cell."""
+    out = []
+    k = n = 0
+    a = lo
+    while a <= hi:
+        while k < len(x) and x[k][1] < a:
+            k += 1
+        while n < len(y) and y[n][1] - d < a:
+            n += 1
+        end, vx, vy = hi, None, None
+        if k < len(x):
+            if x[k][0] <= a:
+                vx, end = x[k][2], min(end, x[k][1])
+            else:
+                end = min(end, x[k][0] - 1)
+        if n < len(y):
+            if y[n][0] - d <= a:
+                vy, end = y[n][2], min(end, y[n][1] - d)
+            else:
+                end = min(end, y[n][0] - d - 1)
+        out.append((a, end, vx, vy))
+        a = end + 1
+    return out
 
 
 def _socle_gap(params: ModelParams, family: str, q: int, i: int) -> int:
@@ -318,14 +410,32 @@ def _frame(omega, p: int) -> tuple[dict, dict, dict]:
     return shift, gaps, vertex_gaps
 
 
+# Shared like _frame: never mutated.
+@lru_cache(maxsize=128)
+def _arrow_table(omega) -> tuple[dict, dict]:
+    """The generating arrows (_targets) per (family, i) of omega, as two
+    tables: those out of (f, i), as _targets lists them, and those into
+    (g, j), as (f, i, da, db, degree, along) from the source (f, i), by
+    source and then in _targets' order."""
+    params = ModelParams(omega)
+    keys = [(f, i) for f in params.families for i in range(params.r)]
+    targets = {key: tuple(_targets(params, *key)) for key in keys}
+    sources: dict = {key: [] for key in keys}
+    for f, i in keys:
+        for g, j, da, db, degree, along in targets[f, i]:
+            sources[g, j].append((f, i, da, db, degree, along))
+    return targets, {key: tuple(listed) for key, listed in sources.items()}
+
+
 def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> CenterElement:
     """The generator as a CenterElement on the box [-window, window]^2:
-    the basis arrow of one slot at every vertex of its support, walked in
-    (a, b) order.  The support's gaps b - a form one interval per index:
-    one gap for a socle generator, every gap from k(n + m) - d0 m up for
-    eta_power(k), where d0 m is m at index 0 and 0 elsewhere (X's least
-    gap at k = 0, where the slot is the identity's).  Each vertex gets
-    the slot map's value {slot: coefficient}; no Morphism is built."""
+    the basis arrow of one slot at every vertex of its support.  The
+    support's gaps b - a form one interval per index: one gap for a socle
+    generator, every gap from k(n + m) - d0 m up for eta_power(k), where
+    d0 m is m at index 0 and 0 elsewhere (X's least gap at k = 0, where
+    the slot is the identity's).  Each line (family, i, gap) of the
+    support is one run of the run map, its coefficient fixed by the
+    index; no Morphism is built."""
     ok, why = spec.admissible(params)
     if not ok:
         raise ValueError(f"inadmissible generator for (r,n,m)=({params.r},{params.n},{params.m}): {why}")
@@ -339,27 +449,28 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
     else:
         family, slot, missing = "X", 0 if q else -1, "missing f' power arrow at"
     _, gaps, vertex_gaps = _frame(params.omega, p)
-    slots: dict = {}
+    runs: dict = {}
     for i in range(r):
         if spec.name == "eta_power":
             lo, hi = max(vertex_gaps["X", i][0], _power_gap(params, q, i)), 2 * W
         else:
             lo = hi = _socle_gap(params, family, q, i)
         hom = gaps.get((family, i, slot))
-        for t in range(lo, min(hi, 2 * W) + 1):
-            if not _in_gaps(hom, t):
-                raise InconsistencyError(f"{missing} {Vertex(family, i, -W, t - W)!r}")
         # eta_prime's sign at v is (-1)^(n e) for the e with v = Sigma^e
         # of the base Y(0, 0, n + q).  As r = n - 1, Sigma^r moves Y by
         # (-1, -1), so the index-i vertex at a is Sigma^(i + r (a_i - a))
         # of the base, where a_i is the a of Sigma^i of it; n r = n (n - 1)
         # is even, so the sign is (-1)^(n i).
         coeff = -1 if spec.name == "eta_prime" and n * i % 2 else 1
-        for a in range(-W, W + 1):
-            for b in range(max(-W, a + lo), min(W, a + hi) + 1):
-                slots[family, i, a, b] = {slot: coeff}
+        for t in range(lo, min(hi, 2 * W) + 1):
+            if not _in_gaps(hom, t):
+                raise InconsistencyError(f"{missing} {Vertex(family, i, -W, t - W)!r}")
+            # the a of the line in the box [-W, W]^2
+            a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
+            if a0 <= a1:
+                runs[family, i, t, slot] = ((a0, a1, coeff),)
     variant = "graded" if spec.name == "eta_prime" else "commutative"
-    return CenterElement(p, variant, _SlotView(params, p, slots))
+    return CenterElement(p, variant, _SlotView(params, p, runs))
 
 
 def membership_margin(params: ModelParams) -> int:
@@ -389,6 +500,14 @@ class Membership(tuple):
         return self.naturality_rows + self.sign_rows
 
 
+def _at(key: tuple, a: int) -> tuple:
+    """The place in a walk's order of the cell at a of an interval whose
+    key is (f, i, c, c2, k, cb): (f, i, a + c, a + c2, k, a + cb), which
+    rises with a."""
+    f, i, c, c2, k, cb = key
+    return (f, i, a + c, a + c2, k, a + cb)
+
+
 def check_membership(
     params: ModelParams,
     el: CenterElement,
@@ -399,24 +518,32 @@ def check_membership(
 ) -> Membership:
     """Verify naturality and the sign law for el on the inner window.
 
-    The check runs on integers, as the solver does: a vertex is the key
-    (family, i, a, b), and el is read as its slot map (_slot_map).  A
-    value at a cell that is not a vertex, or with a slot that the frame of
-    degree p (_frame) does not hold at its gap, raises ValueError.
-    Naturality is tested at the generating arrows (_targets) with both
-    ends in the inner box: the arrows out of each inner support vertex
-    to its targets, and those into it from off-support sources, read off
-    the same table inverted.  Given the sign law, which is checked too,
-    they imply naturality at every arrow of the box (tested).  Naturality
-    at an arrow is the solver's row rule, _row_pattern, on the
-    coefficients mod char.  A pattern is unchanged when both endpoints
-    move along the diagonal together, so within one call it is worked out
-    once per (families, indices, gap, target offset, degree, slots of
-    both endpoints).  Rows where neither endpoint carries support are
-    0 = 0 and are skipped; that restriction is exact, not an
-    approximation.  Objects are built only to name the first failure:
-    the first failing arrow in this walk's order, else the first vertex
-    where the sign law fails.
+    The check runs on el's runs (_slot_map), a line (family, i, t = b - a)
+    at a time, where the solver runs a line's unknowns.  A run on a line
+    that is no vertex's, or in a slot that the frame of degree p (_frame)
+    does not hold at its gap, raises ValueError.  Naturality is tested at
+    the generating arrows (_arrow_table) with both ends in the inner box:
+    the arrows out of each inner support vertex to its targets, and those
+    into it from off-support sources.  Given the sign law, which is
+    checked too, they imply naturality at every arrow of the box (tested).
+    Naturality at an arrow is the solver's row rule, _row_pattern, on the
+    coefficients mod char.  Every row is unchanged when both endpoints
+    move along the diagonal together, so a source line and a target line
+    are laid side by side (_overlay), and on each interval where both
+    values stay the same the rows are worked out and tested once and
+    counted times its length; rows where neither endpoint carries support
+    are 0 = 0 and are skipped, which is exact.  The sign law pairs each
+    line with its image under Sigma the same way.
+
+    The counts and the failure are those of a walk cell by cell, kept in
+    tests/slot_map_membership.py: first the arrows out of the inner
+    support in (vertex, target) order, then those into it in (vertex,
+    source, source's b) order, then the sign law at the vertices u in the
+    order in which the sorted support, v and then Sigma^-1 v, reaches
+    them.  A failing interval fails at its first a, which comes first in
+    that order, so the failure named is the least of them, and the rows
+    counted are those up to it.  Vertex and ArrowGen objects are built
+    only to name it.
     """
     FieldScalar(0, char)
     variant = variant or el.variant
@@ -429,102 +556,151 @@ def check_membership(
     sign = -1 if (variant == "graded" and p % 2) else 1
     rules, steps = params.rules, params.sigma_steps
     # Sigma^p, the slots of Hom(v, Sigma^p v) and the gaps of a vertex
-    # per (family, i), and Sigma^-1; the generating arrows out of each
-    # (family, i), and the same arrows listed at their targets, as (f, i,
-    # da, db, degree, along) from the source (f, i)
+    # per (family, i), and Sigma^-1; the generating arrows out of and
+    # into each (family, i)
     shift_p, gaps, vertex_gaps = _frame(params.omega, p)
     shift_back = _frame(params.omega, -1)[0]
-    targets = {key: _targets(params, *key) for key in shift_p}
-    sources: dict = {key: [] for key in shift_p}
-    for f, i in shift_p:
-        for g, j, da, db, degree, along in targets[f, i]:
-            sources[g, j].append((f, i, da, db, degree, along))
-    # {(family, i, a, b): (slots, {slot: coefficient})}, from the slot
-    # map, each value in Hom(v, Sigma^p v): every slot's gaps hold b - a
-    coeffs: dict = {}
-    for key, value in _slot_map(params, el).items():
-        f, i, a, b = key
-        if not all(_in_gaps(gaps.get((f, i, s)), b - a) for s in value):
-            raise ValueError(f"the value at {Vertex(*key)!r} is not in Hom(v, Sigma^{p} v)")
-        coeffs[key] = (tuple(value), value)
-    empty = ((), {})
+    targets, sources = _arrow_table(params.omega)
+    view = _slot_map(params, el)
+    for (f, i, t, s), runs in view._runs.items():
+        a = runs[0][0]
+        if not _in_gaps(vertex_gaps.get((f, i)), t):
+            raise ValueError(f"no vertex {f}({i})[{a},{a + t}] for these parameters")
+        if s is not None and not _in_gaps(gaps.get((f, i, s)), t):
+            raise ValueError(f"the value at {Vertex(f, i, a, a + t)!r} is not in Hom(v, Sigma^{p} v)")
+    lines = view.lines
     patterns: dict = {}
-    naturality_rows = sign_rows = 0
 
-    def natural_at(v: tuple, w: tuple, degree: int) -> bool:
-        nonlocal naturality_rows
-        f, i, a, b = v
-        g, j, ta, tb = w
-        sv, cv = coeffs.get(v, empty)
-        sw, cw = coeffs.get(w, empty)
-        key = (f, i, g, j, b - a, ta - a, tb - a, degree, sv, sw)
+    def inner(t: int) -> tuple:
+        # the a of the line at gap t in the inner box
+        return (-Wi - t, Wi) if t < 0 else (-Wi, Wi - t)
+
+    def rows_at(f, i, t, g, j, da, u, degree, vv, vw) -> tuple:
+        # the rows at (f, i, a, a + t) -> (g, j, a + da, a + da + u)
+        key = (f, i, g, j, t, da, u, degree, tuple(vv), tuple(vw))
         rows = patterns.get(key)
         if rows is None:
-            rows = patterns[key] = _row_pattern(rules, v, w, degree, shift_p[g, j], cv, cw)
-        naturality_rows += len(rows)
-        for s, t in rows:
-            if (cv.get(s, 0) - cw.get(t, 0)) % char:
-                return False
-        return True
+            rows = patterns[key] = _row_pattern(rules, (f, i, 0, t), (g, j, da, da + u), degree,
+                                                shift_p[g, j], vv, vw)
+        return rows
 
-    def failure(kind: str, v: tuple, w: tuple, degree: int) -> Membership:
-        gen = ArrowGen(kind, Vertex(*v), Vertex(*w), degree)
-        return Membership(False, f"naturality fails at {gen!r}", naturality_rows, sign_rows)
+    def natural(rows, vv, vw) -> bool:
+        return not any((vv.get(s, 0) - vw.get(t, 0)) % char for s, t in rows)
 
-    def inner(v: tuple) -> bool:
-        return -Wi <= v[2] <= Wi and -Wi <= v[3] <= Wi
+    # Each walk keeps its intervals as (rows per cell, a0, a1, keys), the
+    # keys (_at) placing the cell at a in the walk's order, and its
+    # failures as (place of the first a, what to name); on a failure the
+    # rows up to it are counted by bisection.
+    def counted(spans: list, star: tuple | None) -> int:
+        if star is None:
+            return sum(rows * (a1 - a0 + 1) for rows, a0, a1, _ in spans)
+        return sum(rows * max(bisect_right(range(a0, a1 + 1), star, key=lambda a: _at(key, a)) for key in keys)
+                   for rows, a0, a1, keys in spans)
 
-    inner_support = sorted(v for v in coeffs if inner(v))
-    # generating arrows out of the support: to (g, j, a + da, b + db), or
-    # to (g, j, a + da, a + db) where along is False
-    for v in inner_support:
-        f, i, a, b = v
-        for g, j, da, db, degree, along in targets[f, i]:
-            w = (g, j, a + da, (b if along else a) + db)
-            if not _in_gaps(vertex_gaps.get((g, j)), w[3] - w[2]) or not inner(w):
+    def arrow(kind, v, w, degree) -> str:
+        return f"naturality fails at {ArrowGen(kind, Vertex(*v), Vertex(*w), degree)!r}"
+
+    # generating arrows out of the inner support, to (g, j, a + da, b +
+    # db), or to (g, j, a + da, a + db) where along is False: the target
+    # line's gap u
+    out_spans: list = []
+    failed: list = []
+    for (f, i, t), pieces in lines.items():
+        lo_v, hi_v = inner(t)
+        if lo_v > hi_v:
+            continue
+        for k, (g, j, da, db, degree, along) in enumerate(targets[f, i]):
+            u = (t if along else 0) + db - da
+            if not _in_gaps(vertex_gaps.get((g, j)), u):
                 continue
-            kind = arrow_kind(rules, *v, *w, degree)
-            if kind is not None and not natural_at(v, w, degree):
-                return failure(kind, v, w, degree)
-    # generating arrows into the support from off-support sources: one
-    # source per target, or where along is False (X's e' corner into
-    # (i + 1, a, a)) the column of sources (i, a, b') over every b'
-    for w in inner_support:
-        g, j, ta, tb = w
-        for f, i, da, db, degree, along in sources[g, j]:
-            a = ta - da
+            kind = arrow_kind(rules, f, i, 0, t, g, j, da, da + u, degree)
+            if kind is None:
+                continue
+            lo_w, hi_w = inner(u)
+            key = (f, i, 0, t, k, 0)
+            for a0, a1, vv, vw in _overlay(pieces, lines.get((g, j, u), ()), da, max(lo_v, lo_w - da),
+                                           min(hi_v, hi_w - da)):
+                if vv is None:
+                    continue
+                vw = vw or {}
+                rows = rows_at(f, i, t, g, j, da, u, degree, vv, vw)
+                out_spans.append((len(rows), a0, a1, (key,)))
+                if not natural(rows, vv, vw):
+                    failed.append((_at(key, a0), kind, (f, i, a0, a0 + t), (g, j, a0 + da, a0 + da + u), degree))
+    if failed:
+        star, *named = min(failed)
+        return Membership(False, arrow(*named), counted(out_spans, star), 0)
+    naturality_rows = counted(out_spans, None)
+
+    # generating arrows into the inner support from off-support sources:
+    # one source line per target line, or where along is False (X's e'
+    # corner into (i + 1, a, a)) every line of sources (i, a, b') with
+    # b' in the box
+    in_spans: list = []
+    for (g, j, u), pieces in lines.items():
+        lo_w, hi_w = inner(u)
+        if lo_w > hi_w:
+            continue
+        for k, (f, i, da, db, degree, along) in enumerate(sources[g, j]):
             if along:
-                bs = (tb - db,)
-            elif tb - ta == db - da:
-                bs = range(-Wi, Wi + 1)
+                source_gaps = (u - db + da,)
+            elif u == db - da:
+                source_gaps = range(-2 * Wi, 2 * Wi + 1)
             else:
                 continue
-            for b in bs:
-                v = (f, i, a, b)
-                if v in coeffs or not _in_gaps(vertex_gaps.get((f, i)), b - a) or not inner(v):
+            for t in source_gaps:
+                if not _in_gaps(vertex_gaps.get((f, i)), t):
                     continue
-                kind = arrow_kind(rules, *v, *w, degree)
-                if kind is not None and not natural_at(v, w, degree):
-                    return failure(kind, v, w, degree)
-    # sign law on Sigma-pairs touching the support: Sigma keeps each
-    # term's kind and degree, so eta at Sigma u and Sigma eta_u are
-    # compared slot by slot
-    checked = set()
-    for v in sorted(coeffs):
-        f, i, a, b = v
+                kind = arrow_kind(rules, f, i, 0, t, g, j, da, da + u, degree)
+                if kind is None:
+                    continue
+                lo_v, hi_v = inner(t)
+                key = (g, j, 0, u, k, t - da)
+                for a0, a1, vw, vv in _overlay(pieces, lines.get((f, i, t), ()), -da, max(lo_w, lo_v + da),
+                                               min(hi_w, hi_v + da)):
+                    if vw is None or vv is not None:
+                        continue
+                    rows = rows_at(f, i, t, g, j, da, u, degree, {}, vw)
+                    in_spans.append((len(rows), a0, a1, (key,)))
+                    if not natural(rows, {}, vw):
+                        failed.append((_at(key, a0), kind, (f, i, a0 - da, a0 - da + t),
+                                       (g, j, a0, a0 + u), degree))
+    if failed:
+        star, *named = min(failed)
+        return Membership(False, arrow(*named), naturality_rows + counted(in_spans, star), 0)
+    naturality_rows += counted(in_spans, None)
+
+    # sign law on Sigma-pairs touching the support, the lines that hold
+    # it and their images under Sigma^-1: Sigma keeps each term's kind and
+    # degree, so eta at Sigma u and Sigma eta_u are compared slot by slot.
+    # u is reached from the support at (u, 0) if it is held, else at
+    # (Sigma u, 1)
+    visit = dict.fromkeys(lines)
+    for f, i, t in lines:
         j, da, db = shift_back[f, i]
-        for u in (v, (f, j, a + da, b + db)):
-            if u in checked or not inner(u):
+        visit[f, j, t + db - da] = None
+    sign_spans: list = []
+    for f, i, t in visit:
+        lo, hi = inner(t)
+        if lo > hi:
+            continue
+        sj, s1, s2 = steps[f, i, 1]
+        ts = t + s2 - s1
+        held, image = (f, i, 0, t, 0, 0), (f, sj, s1, t + s2, 1, 0)
+        for a0, a1, vu, vs in _overlay(lines.get((f, i, t), ()), lines.get((f, sj, ts), ()), s1, lo, hi):
+            if vu is None and vs is None:
                 continue
-            checked.add(u)
-            sj, s1, s2 = steps[u[0], u[1], 1]
-            cu = coeffs.get(u, empty)[1]
-            cs = coeffs.get((u[0], sj, u[2] + s1, u[3] + s2), empty)[1]
+            keys = ((held,) if vu is not None else ()) + ((image,) if vs is not None else ())
+            cu, cs = vu or {}, vs or {}
             slots = cu.keys() | cs.keys()
-            sign_rows += len(slots)
+            sign_spans.append((len(slots), a0, a1, keys))
             if any((cs.get(s, 0) - sign * cu.get(s, 0)) % char for s in slots):
-                return Membership(False, f"sign law fails at {Vertex(*u)!r}", naturality_rows, sign_rows)
-    return Membership(True, None, naturality_rows, sign_rows)
+                failed.append((min(_at(key, a0) for key in keys), (f, i, a0, a0 + t)))
+    if failed:
+        star, u = min(failed)
+        return Membership(False, f"sign law fails at {Vertex(*u)!r}", naturality_rows,
+                          counted(sign_spans, star))
+    return Membership(True, None, naturality_rows, counted(sign_spans, None))
 
 
 def solver_margin(params: ModelParams) -> int:
@@ -564,24 +740,13 @@ class SolveReport:
     @cached_property
     def basis(self) -> list:
         """One CenterElement per component counted, in report order, whose
-        slot map holds the component's members.  The elements are named
+        run map holds the component's members.  The elements are named
         and built on the first read: the dimensions never need them."""
-        basis: list = []
         if self._system is None:
-            return basis
-        for parity, _, members in _named_components(self.params, self._system):
-            if parity and self.char != 2:
-                continue
-            # members come by vertex, each vertex's slots together
-            slots: dict = {}
-            last = None
-            for key, s, coeff in members:
-                if key != last:
-                    value = slots[key] = {}
-                    last = key
-                value[s] = coeff
-            basis.append(CenterElement(self.p, self.variant, _SlotView(self.params, self.p, slots)))
-        return basis
+            return []
+        return [CenterElement(self.p, self.variant, _SlotView(self.params, self.p, runs))
+                for parity, _, runs in _named_components(self.params, self._system)
+                if not (parity and self.char != 2)]
 
     @property
     def total_dim(self) -> int:
@@ -1125,18 +1290,33 @@ def _arrow_name(rules: dict, shift_p, key: tuple, slot: int) -> str:
     return f"{rules[f, f, slot, i][0]}:{f}({i})[{a},{b}]->{f}({j})[{a + da},{b + db}]"
 
 
+def _least_name(lo: int, hi: int) -> int:
+    """The a in lo..hi whose decimal string, followed by ",", sorts first
+    as str: a negative a if there is one, and among those of one sign the
+    least magnitude of some length, since strings of one length sort as
+    their numbers do and "," sorts before every digit."""
+    least, most = (max(1, -hi), -lo) if lo < 0 else (lo, hi)
+    best = min(str(max(least, 10 ** (k - 1) if k > 1 else 0))
+               for k in range(len(str(least)), len(str(most)) + 1))
+    return -int(best) if lo < 0 else int(best)
+
+
 def _named_components(params: ModelParams, system: _System) -> list:
     """The components of system.classes in report order, as (parity,
-    tags, members): members are the component's unknowns in the inner
-    window as ((family, i, a, b), slot, coefficient), in basis-element
-    order: by vertex, then str(arrow).  Components are ordered by their
-    least (vertex, str(arrow)); a Vertex orders as its key does.
+    tags, runs): runs is the run map of the component's unknowns in the
+    inner window, {(family, i, t, slot): ((a_lo, a_hi, coefficient),
+    ...)} with its keys in order, read off each block's root and sign
+    slices where a neighbour differs.  Expanded, the members ((family, i,
+    a, b), slot, coefficient) in order of vertex and then str(arrow) are
+    the basis element's.  Components are ordered by their least (vertex,
+    str(arrow)); a Vertex orders as its key does.
 
     At one vertex every member's arrow has the same ends, so its name is
     a prefix, "None" or the kind and ":", followed by a common tail, and
     no prefix starts another: the prefixes order the members of a vertex
     as their names do.  Names are formatted (_arrow_name) only where they
-    order members of different vertices, to pick the sign.
+    order members of different vertices, to pick the sign, and then once
+    per run, at the a whose name sorts first (_least_name).
 
     A coefficient is the member's sign relative to the member of least
     str(arrow); where every member has one sign, as in a plain reading,
@@ -1150,7 +1330,7 @@ def _named_components(params: ModelParams, system: _System) -> list:
     root, sign, plain = system.root, system.sign, system.plain
     wanted = {x: (odd, tags) for x, odd, tags in system.classes}
     heads: dict = {}
-    members: dict[int, list[tuple]] = {x: [] for x in wanted}
+    found_runs: dict[int, list[tuple]] = {x: [] for x in wanted}
     for (f, i, t), bv in system.lines:
         a0, length = -W - min(t, 0), 2 * W + 1 - abs(t)
         # the block's slice in the inner box, the a from max(-inner,
@@ -1169,28 +1349,38 @@ def _named_components(params: ModelParams, system: _System) -> list:
                 head = ((f, i, a0 + k, a0 + k + t), prefix)
                 if x not in heads or head < heads[x]:
                     heads[x] = head
-            # the members in the inner slice, per component, as ((f, i,
-            # a, a + t), prefix, s, sign), read off with slices and maps
+            # the runs in the inner slice: a run starts where the root, or
+            # the sign, differs from its left neighbour's
             part = block[k0:k1]
-            signs = [1] * len(part) if plain else sign[x0 + k0:x0 + k1]
-            for x in found.intersection(part):
-                at = list(map(x.__eq__, part))
-                a = list(compress(range(a0 + k0, a0 + k1), at))
-                keys = zip([f] * len(a), [i] * len(a), a, map(t.__add__, a))
-                members[x] += zip(keys, [prefix] * len(a), [s] * len(a), compress(signs, at))
+            if not part:
+                continue
+            starts = map(ne, part[1:], part[:-1])
+            if not plain:
+                signs = sign[x0 + k0:x0 + k1]
+                starts = map(or_, starts, map(ne, signs[1:], signs[:-1]))
+            cuts = [0, *compress(range(1, len(part)), starts), len(part)]
+            for lo, end in zip(cuts, cuts[1:]):
+                runs = found_runs.get(part[lo])
+                if runs is not None:
+                    lo_a = a0 + k0 + lo
+                    runs.append(((f, i, t, s), lo_a, lo_a + end - lo - 1, 1 if plain else signs[lo]))
     components = []
-    for x, mems in members.items():
-        # (vertex, prefix) is unique to a member, so plain tuple order is
-        # the (vertex, str(arrow)) order
-        mems.sort()
-        if plain:
-            ref_w = 1
-        elif len({w for *_, w in mems}) == 1:
-            ref_w = mems[0][3]
+    for x, runs in found_runs.items():
+        weights = {w for *_, w in runs}
+        if len(weights) == 1:
+            ref_w = weights.pop()
         else:
-            ref_w = min((_arrow_name(rules, shift_p, key, s), key, w) for key, _, s, w in mems)[2]
-        basis = tuple((key, s, w * ref_w) for key, _, s, w in mems)
-        components.append((heads[x], *wanted[x], basis))
+            # the sign of the member whose name sorts first: per run, the
+            # member at the a whose name sorts first there
+            names = []
+            for (f, i, t, s), lo, hi, w in runs:
+                a = _least_name(lo, hi)
+                names.append((_arrow_name(rules, shift_p, (f, i, a, a + t), s), w))
+            ref_w = min(names)[1]
+        by_key: dict = {}
+        for key, lo, hi, w in sorted(runs):
+            by_key.setdefault(key, []).append((lo, hi, w * ref_w))
+        components.append((heads[x], *wanted[x], {key: tuple(spans) for key, spans in by_key.items()}))
     components.sort(key=lambda c: c[0])
     return [c[1:] for c in components]
 
@@ -1263,35 +1453,40 @@ def solve_component(
 
 
 def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterElement:
-    """Pointwise product (a.b)_v = Sigma^{p_b}(a_v) o b_v, on slot maps.
+    """Pointwise product (a.b)_v = Sigma^{p_b}(a_v) o b_v, on runs.
     Sigma keeps a term's kind and degree, so a term of a_v in slot s_a
     and one of b_v in slot s_b compose to the arrow v -> Sigma^(p_a + p_b)
     v of degree s_a + s_b, with coefficient c_a c_b, where that arrow
     exists: where the frame of degree p_a + p_b (_frame) holds the slot
-    s_a + s_b at v's gap.  The identity's slot -1 is the unit."""
+    s_a + s_b at v's gap.  The identity's slot -1 is the unit.  The two
+    factors' lines are laid side by side (_overlay), and the product is
+    worked out once on each interval where both values stay the same."""
     p = a.p + b.p
     gaps = _frame(params.omega, p)[1]
-    slots_a = _slot_map(params, a)
-    product: dict = {}
-    for key, value_b in _slot_map(params, b).items():
-        value_a = slots_a.get(key)
-        if value_a is None:
+    lines_a = _slot_map(params, a).lines
+    spans: dict = {}
+    for (f, i, t), pieces_b in _slot_map(params, b).lines.items():
+        pieces_a = lines_a.get((f, i, t))
+        if not pieces_a:
             continue
-        f, i, x, y = key
-        terms: dict = {}
-        for s_b, c_b in value_b.items():
-            for s_a, c_a in value_a.items():
-                if s_b < 0 or s_a < 0:
-                    s = s_a if s_b < 0 else s_b
-                else:
-                    s = s_a + s_b
-                    if not _in_gaps(gaps.get((f, i, s)), y - x):
-                        continue
-                c = terms.get(s, 0) + c_a * c_b
-                if c:
-                    terms[s] = c
-                else:
-                    terms.pop(s, None)
-        if terms:
-            product[key] = terms
-    return CenterElement(p, a.variant, _SlotView(params, p, product))
+        lo, hi = max(pieces_a[0][0], pieces_b[0][0]), min(pieces_a[-1][1], pieces_b[-1][1])
+        for a0, a1, value_b, value_a in _overlay(pieces_b, pieces_a, 0, lo, hi):
+            if value_a is None or value_b is None:
+                continue
+            terms: dict = {}
+            for s_b, c_b in value_b.items():
+                for s_a, c_a in value_a.items():
+                    if s_b < 0 or s_a < 0:
+                        s = s_a if s_b < 0 else s_b
+                    else:
+                        s = s_a + s_b
+                        if not _in_gaps(gaps.get((f, i, s)), t):
+                            continue
+                    c = terms.get(s, 0) + c_a * c_b
+                    if c:
+                        terms[s] = c
+                    else:
+                        terms.pop(s, None)
+            for s, c in terms.items():
+                spans.setdefault((f, i, t, s), []).append((a0, a1, c))
+    return CenterElement(p, a.variant, _SlotView(params, p, {key: _as_runs(at) for key, at in spans.items()}))

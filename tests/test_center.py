@@ -19,9 +19,12 @@ from gradedcenter.center import (
     _basis_arrow,
     _build_system,
     _frame,
+    _least_name,
     _line_plans,
-    _named_components,
+    _lines,
     _plan_bound,
+    _slot_map,
+    _SlotView,
     _System,
     check_membership,
     class_visibility_map,
@@ -65,6 +68,8 @@ from named_components import named_components
 from null_space_oracle import SparseMatrix, null_space
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
+import slot_map_membership
+from slot_map_membership import expand, named_members
 
 
 def params_for(r, n, m, window=10):
@@ -398,6 +403,28 @@ def test_membership_matches_object_membership(extra):
             assert got == want, (params.omega, el.p, W, variant, char)
 
 
+def _counted(got):
+    """A Membership as (ok, why, naturality_rows, sign_rows)."""
+    return (*got, got.naturality_rows, got.sign_rows)
+
+
+def test_membership_matches_slot_map_check():
+    # the check on runs against the cell-by-cell check on slot maps that
+    # it replaced: verdict, witness and both row counts, on every
+    # criterion-4 generator, the benchmark's three windows and every
+    # (variant, char)
+    pairs = [(variant, char) for variant in ("graded", "commutative") for char in (2, 3, 5)]
+    seen = set()
+    for extra in (0, 1, 2):
+        for params, el, W, inner in _membership_cases(extra):
+            for variant, char in pairs:
+                got = check_membership(params, el, W, inner, char=char, variant=variant)
+                want = slot_map_membership.check_membership(params, el, W, inner, char=char, variant=variant)
+                assert _counted(got) == want, (params.omega, el.p, W, variant, char)
+                seen.add(got[0])
+    assert seen == {True, False}
+
+
 def test_make_generator_matches_cell_oracle():
     # Every criterion-4 generator, plus eta_power(0), on criterion 4's
     # window W = 12 and on the benchmark's three smallest windows: the
@@ -443,6 +470,7 @@ def test_membership_breakages_match_object_membership():
             char = rng.choice([2, 3, 5])
             got = check_membership(params, broken, W, inner, char=char)
             want = object_check_membership(params, broken, W, inner, char=char)
+            assert _counted(got) == slot_map_membership.check_membership(params, broken, W, inner, char=char)
             # the verdict is the oracle's; a failure may name another
             # witness than the oracle's, but what it names must fail
             assert got[0] == want[0], (params.omega, el.p, got, want)
@@ -517,7 +545,10 @@ def test_membership_breakage_witnesses():
                         assignment[v] = assignment[v].scaled(scale)
                 broken = CenterElement(el.p, el.variant, assignment)
                 variant, char = rng.choice(["graded", "commutative"]), rng.choice([2, 3, 5])
-                ok, why = check_membership(params, broken, W, inner, char=char, variant=variant)
+                got = check_membership(params, broken, W, inner, char=char, variant=variant)
+                assert _counted(got) == slot_map_membership.check_membership(
+                    params, broken, W, inner, char=char, variant=variant), (params.omega, el.p)
+                ok, why = got
                 want = object_check_membership(params, broken, W, inner, char=char, variant=variant)
                 assert ok == want[0], (params.omega, el.p, why, want)
                 if not ok:
@@ -903,7 +934,7 @@ def test_line_build_matches_vertex_build(rnm):
                 # the build keeps each component's parity and tags, which
                 # the dimensions read, and names its members only when
                 # asked: both must agree with the vertex build
-                named = _named_components(params, got)
+                named = named_members(params, got)
                 assert (Counter(c[:2] for c in named)
                         == Counter(c[1:] for c in got.classes)), case
                 assert len(named) == len(want.components), case
@@ -986,7 +1017,7 @@ def test_named_components_match_object_naming(rnm):
         for p in range(2 * n + 2):
             graded, commutative = _build_system.__wrapped__(omega, W, inner, p)
             for system in (graded, commutative) if p % 2 else (graded,):
-                got = _named_components(params, system)
+                got = named_members(params, system)
                 assert got == named_components(params, system), (W, p, system.plain)
                 for _, _, members in got:
                     for key, s, _ in members:
@@ -1001,7 +1032,83 @@ def test_named_components_match_object_naming_at_a_large_window():
     for p in (3, 4):
         system = solve_component(params, p, "graded", 3, 80, Wi)._system
         assert system.plain == (p == 4)
-        assert _named_components(params, system) == named_components(params, system), p
+        assert named_members(params, system) == named_components(params, system), p
+
+
+# the runs of a report's basis against the slot maps of the members that
+# the object naming gives, element by element
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (4, 6, 2)], ids=str)
+def test_basis_runs_expand_to_slot_maps(rnm):
+    r, n, m = rnm
+    params = params_for(r, n, m)
+    for inner in (1, 4, 9):
+        W = solver_margin(params) + inner
+        params = params_for(r, n, m, window=W)
+        for p in range(2 * n + 2):
+            for variant in ("graded", "commutative"):
+                system = solve_component(params, p, variant, 2, W, inner)._system
+                named = named_components(params, system)
+                for char in (2, 3, 5):
+                    basis = solve_component(params, p, variant, char, W, inner).basis
+                    want = []
+                    for parity, _, members in named:
+                        if parity and char != 2:
+                            continue
+                        slots: dict = {}
+                        for key, s, c in members:
+                            slots.setdefault(key, {})[s] = c
+                        want.append(slots)
+                    case = (W, p, variant, char)
+                    assert [list(expand(el.assignment._runs).items()) for el in basis] == \
+                        [list(slots.items()) for slots in want], case
+                    for el, slots in zip(basis, want):
+                        view = el.assignment
+                        assert len(view) == len(slots), case
+                        assert [(v.family, v.i, v.a, v.b) for v in view] == list(slots), case
+                # a hand-built copy converts back to the same runs
+                if basis:
+                    el = basis[-1]
+                    copy = CenterElement(el.p, el.variant, dict(el.assignment))
+                    assert _slot_map(params, copy)._runs == el.assignment._runs, (W, p, variant)
+
+
+def test_run_counts_at_large_windows():
+    # (3, 4, 2), p = 4, graded, F_3: the elements, their members (vertex,
+    # slot) and their runs, which grow linearly in the window where the
+    # members grow quadratically
+    for W, elements, members, runs in ((40, 57, 4737, 167), (80, 137, 27817, 407)):
+        params = params_for(3, 4, 2, window=W)
+        basis = solve_component(params, 4, "graded", 3, W, W - solver_margin(params)).basis
+        held = [spans for el in basis for spans in el.assignment._runs.values()]
+        assert len(basis) == elements, W
+        assert sum(hi - lo + 1 for spans in held for lo, hi, _ in spans) == members, W
+        assert sum(map(len, held)) == runs, W
+
+
+def test_lines_hold_each_cell_once():
+    # a line with overlapping runs in two slots and a cell held with no
+    # term: its pieces cover each cell once, in order, with every slot
+    runs = {("X", 0, 2, -1): ((-5, 0, 1), (1, 3, 2)), ("X", 0, 2, 2): ((-2, 4, 1),),
+            ("X", 0, 2, None): ((6, 7, 0),), ("X", 0, 3, 0): ((0, 0, 5),)}
+    lines = _lines(runs)
+    cells = [((f, i, a, a + t), value) for (f, i, t), pieces in lines.items()
+             for lo, hi, value in pieces for a in range(lo, hi + 1)]
+    assert sorted(cells) == list(expand(runs).items())
+    for pieces in lines.values():
+        assert all(hi < lo for (_, hi, _), (lo, _, _) in zip(pieces, pieces[1:]))
+    view = _SlotView(params_for(1, 1, 0), 0, runs)
+    assert len(view) == len(cells) == 13
+    assert [(v.family, v.i, v.a, v.b) for v in view] == list(expand(runs))
+    assert Vertex("X", 0, 6, 8) in view and Vertex("X", 0, 5, 7) not in view
+
+
+def test_least_name_is_the_least_str():
+    # the a of a run whose name sorts first, against every a of the run
+    for lo in range(-120, 121, 7):
+        for hi in range(lo, lo + 1100, 13):
+            assert _least_name(lo, hi) == min(range(lo, hi + 1), key=lambda a: f"{a},"), (lo, hi)
 
 
 @pytest.mark.parametrize("rnm", [(1, 2, 0), (2, 3, 1), (3, 3, 2), (2, 4, 2)], ids=str)

@@ -1,4 +1,4 @@
-"""Products of center elements: multiply on slot maps against the object
+"""Products of center elements: multiply on runs against the object
 oracle, and the ring structure read off the solver's own bases."""
 
 import pytest
@@ -8,7 +8,6 @@ from gradedcenter.center import (
     GeneratorSpec,
     _class_of,
     _named_components,
-    _slot_map,
     make_generator,
     multiply,
     power_visible,
@@ -20,6 +19,7 @@ from gradedcenter.model import ModelParams
 from gradedcenter.ring import theorem_case
 
 import object_products
+from slot_map_membership import expand
 
 
 def params_for(r, n, m, window=10):
@@ -87,11 +87,11 @@ def _coordinates(params, product, basis, char):
     coordinate is read at its first member.  The components have disjoint
     supports, so the combination must equal product at every slot."""
     got = {(key, s): c % char
-           for key, value in _slot_map(params, product).items() for s, c in value.items() if c % char}
+           for key, value in expand(product.assignment._runs).items() for s, c in value.items() if c % char}
     want: dict = {}
     coords = []
     for el in basis:
-        members = [(key, s, c) for key, value in _slot_map(params, el).items() for s, c in value.items()]
+        members = [(key, s, c) for key, value in expand(el.assignment._runs).items() for s, c in value.items()]
         key, s, c = members[0]
         coord = got.get((key, s), 0) * c % char
         coords.append(coord)
@@ -102,7 +102,11 @@ def _coordinates(params, product, basis, char):
     return coords
 
 
-@pytest.mark.parametrize("rnm", GRID, ids=str)
+# every row r <= n <= 6, m <= 3; the GRID rows keep their ids
+WIDE = [(r, n, m) for n in range(1, 7) for r in range(1, n + 1) for m in range(4)]
+
+
+@pytest.mark.parametrize("rnm", WIDE, ids=str)
 def test_solver_bases_multiply_as_the_table_says(rnm):
     # The table's T(base, socle): the scalar is the unit, the power class
     # times itself is a nonzero multiple of the power class, and a socle

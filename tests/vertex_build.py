@@ -20,8 +20,8 @@ from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_
 class Built(NamedTuple):
     """What the vertex build gives: the Sigma^p table, the work counts of
     center._System, the naturality rows at the generating targets, and
-    the named components in report order, as center._named_components
-    gives them."""
+    the named components in report order, with their members, as
+    slot_map_membership.named_members gives center._named_components."""
 
     shift_p: dict
     unknowns: int
