@@ -73,8 +73,12 @@ gaps.  multiply intersects the two factors' runs line by line: a
 product's slot is the sum of its factors' slots, the identity's -1 being
 the unit, and the term is kept where the frame of the product's degree
 holds that slot at the gap.  An element built by hand from Morphism
-values is converted to runs by _slot_map, which checks that each value
-sits at a vertex and checks its endpoints and kinds.
+values is converted to runs by _slot_map, the one gate for such values,
+which multiply and check_membership share: each value must sit at a
+vertex and run from it to its image under Sigma^p, and each term's slot
+must be one whose gaps in the frame hold the vertex's gap, with the
+slot's kind.  The library's own elements hold valid runs by
+construction and pass as they are.
 
 check_membership runs on the runs and tests naturality with the solver's
 rule, _row_pattern, so the solver and the check share one statement of
@@ -86,12 +90,11 @@ of the inner box; the arrow walk it replaced is kept in tests/ as the
 oracle.  It lays each source line beside its target line, and each line
 beside its image under Sigma, and tests the rows once per interval on
 which both sides hold the same values; its row counts are the lengths of
-those intervals.  Each run's line must be a vertex's and its slot one
-whose gaps in the frame hold the line's gap.  The result is the pair (ok,
-why), which also counts the naturality and sign-law rows tested; on a
-failure they, and the arrow or vertex named, are those of the walk cell
-by cell it replaced (tests/slot_map_membership.py).  Vertex and ArrowGen
-objects are built only to name a failure.
+those intervals.  The result is the pair (ok, why), which also counts
+the naturality and sign-law rows tested; on a failure they, and the
+arrow or vertex named, are those of the walk cell by cell it replaced
+(tests/slot_map_membership.py).  Vertex and ArrowGen objects are built
+only to name a failure.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -288,18 +291,20 @@ def _as_runs(spans: list) -> tuple:
 
 
 def _slot_map(params: ModelParams, el: CenterElement) -> _SlotView:
-    """el's values as a _SlotView on these parameters' omega.  An element
-    that holds one gives it as it is.  Any other is converted value by
-    value, which checks that v is a vertex of these parameters, that each
-    value runs from v to Sigma^p v and that each term's kind is the one
-    its degree, the slot, has; check_membership tests the slots against
-    the hom space.  A value with no term keeps its cell, in the slot
-    None."""
+    """el's values as a _SlotView on these parameters' omega, and the one
+    gate for values built by hand.  An element that holds a view of this
+    omega and degree gives it as it is: make_generator, a report's basis
+    and multiply lay out only slots that the frame holds.  Any other is
+    converted value by value, which checks that v is a vertex of these
+    parameters, that each value runs from v to Sigma^p v, and that each
+    term's slot, its degree, is one whose gaps in the frame hold v's gap
+    and whose kind is the term's; otherwise it raises ValueError.  A value
+    with no term keeps its cell, in the slot None."""
     view = el.assignment
-    if isinstance(view, _SlotView) and view._params.omega == params.omega:
+    if isinstance(view, _SlotView) and (view._params.omega, view._p) == (params.omega, el.p):
         return view
     rules = params.rules
-    shift, _, vertex_gaps = _frame(params.omega, el.p)
+    shift, gaps, vertex_gaps = _frame(params.omega, el.p)
     cells: dict = {}
     for v, mor in view.items():
         f, i, a, b = v.family, v.i, v.a, v.b
@@ -311,8 +316,9 @@ def _slot_map(params: ModelParams, el: CenterElement) -> _SlotView:
         ok = ok and (tgt.family, tgt.i, tgt.a, tgt.b) == (f, j, a + da, b + db)
         for t, c in mor.terms.items():
             if t is not None:
-                rule = rules.get((f, f, t.degree, i))
-                ok = ok and rule is not None and t.kind == rule[0]
+                # a slot that the frame holds at the gap has a rule
+                ok = ok and _in_gaps(gaps.get((f, i, t.degree)), b - a)
+                ok = ok and t.kind == rules[f, f, t.degree, i][0]
             cells.setdefault((f, i, b - a, -1 if t is None else t.degree), []).append((a, a, c))
         if not ok:
             raise ValueError(f"the value at {v!r} is not in Hom(v, Sigma^{el.p} v)")
@@ -519,9 +525,8 @@ def check_membership(
     """Verify naturality and the sign law for el on the inner window.
 
     The check runs on el's runs (_slot_map), a line (family, i, t = b - a)
-    at a time, where the solver runs a line's unknowns.  A run on a line
-    that is no vertex's, or in a slot that the frame of degree p (_frame)
-    does not hold at its gap, raises ValueError.  Naturality is tested at
+    at a time, where the solver runs a line's unknowns; a value built by
+    hand that _slot_map rejects raises ValueError.  Naturality is tested at
     the generating arrows (_arrow_table) with both ends in the inner box:
     the arrows out of each inner support vertex to its targets, and those
     into it from off-support sources.  Given the sign law, which is
@@ -555,20 +560,12 @@ def check_membership(
     Wi = inner_window
     sign = -1 if (variant == "graded" and p % 2) else 1
     rules, steps = params.rules, params.sigma_steps
-    # Sigma^p, the slots of Hom(v, Sigma^p v) and the gaps of a vertex
-    # per (family, i), and Sigma^-1; the generating arrows out of and
-    # into each (family, i)
-    shift_p, gaps, vertex_gaps = _frame(params.omega, p)
+    # Sigma^p and the gaps of a vertex per (family, i), and Sigma^-1;
+    # the generating arrows out of and into each (family, i)
+    shift_p, _, vertex_gaps = _frame(params.omega, p)
     shift_back = _frame(params.omega, -1)[0]
     targets, sources = _arrow_table(params.omega)
-    view = _slot_map(params, el)
-    for (f, i, t, s), runs in view._runs.items():
-        a = runs[0][0]
-        if not _in_gaps(vertex_gaps.get((f, i)), t):
-            raise ValueError(f"no vertex {f}({i})[{a},{a + t}] for these parameters")
-        if s is not None and not _in_gaps(gaps.get((f, i, s)), t):
-            raise ValueError(f"the value at {Vertex(f, i, a, a + t)!r} is not in Hom(v, Sigma^{p} v)")
-    lines = view.lines
+    lines = _slot_map(params, el).lines
     patterns: dict = {}
 
     def inner(t: int) -> tuple:
@@ -1460,7 +1457,9 @@ def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterE
     exists: where the frame of degree p_a + p_b (_frame) holds the slot
     s_a + s_b at v's gap.  The identity's slot -1 is the unit.  The two
     factors' lines are laid side by side (_overlay), and the product is
-    worked out once on each interval where both values stay the same."""
+    worked out once on each interval where both values stay the same.  A
+    factor built by hand passes _slot_map's gate, the membership check's,
+    first."""
     p = a.p + b.p
     gaps = _frame(params.omega, p)[1]
     lines_a = _slot_map(params, a).lines

@@ -420,30 +420,20 @@ def tau(params: ModelParams, v: Vertex) -> Vertex:
     return Vertex(v.family, v.i, v.a - 1, v.b - 1)
 
 
-def _family_representative(params: ModelParams, family: str, i: int) -> Vertex:
-    if family == "Y":
-        return Vertex("Y", i, 0, params.n)
-    return Vertex(family, i, 0, 0)
-
-
 def tau_sigma_periodic(params: ModelParams) -> tuple[bool, list[tuple[str, int]]]:
-    """Search tau v = Sigma^p v per family over |p| <= 2(n+m)+2.
+    """The families on which tau = Sigma^p, each with its p, solved.
 
-    The equation is translation-invariant and, for p a multiple of r,
-    index-independent, so checking one representative per index is exact.
+    tau keeps the index and moves (a, b) by (-1, -1).  Sigma^p keeps every
+    index only where r divides p, and there it is p / r cycles of the one
+    translation (c1, c2) of Sigma^r, the same from every index.  So p
+    exists exactly where c1 = c2 = +-1, and it is -r c1.
     """
-    bound = 2 * (params.n + params.m) + 2
+    r = params.r
     witnesses: list[tuple[str, int]] = []
     for family in params.families:
-        for p in range(-bound, bound + 1):
-            if all(
-                tau(params, rep) == sigma_pow(params, rep, p)
-                for rep in (
-                    _family_representative(params, family, i) for i in range(params.r)
-                )
-            ):
-                witnesses.append((family, p))
-                break
+        _, c1, c2 = sigma_shift(params, family, 0, r)
+        if c1 == c2 and c1 in (1, -1):
+            witnesses.append((family, -r * c1))
     return (bool(witnesses), witnesses)
 
 

@@ -2,12 +2,14 @@
 
 import pytest
 
+import gradedcenter.acceptance as acceptance
 from gradedcenter.acceptance import (
     CRITERIA,
     GRID,
     _arrow_matrices,
     _assoc_counts,
     _box_coords,
+    _c4_membership,
     _c5_reconcile,
     _params,
     _sigma_failure,
@@ -17,6 +19,7 @@ from gradedcenter.center import _build_system
 from gradedcenter.model import KIND_TABLE, Vertex, arrow_of_degree, sigma_pow, vertex_exists
 
 from dense_assoc import dense_assoc_counts
+from membership_cases import membership_cases
 from sigma_walk import _sigma_functorial
 
 # each criterion's detail line, pinned so that a drifting count fails
@@ -155,3 +158,29 @@ def test_criterion_5_builds_one_system_per_degree():
     ok, detail = _c5_reconcile()
     assert ok, detail
     assert _build_system.cache_info().misses == sum(2 * n + 1 for _, n, _ in GRID) == 210
+
+
+def test_criterion_4_checks_the_listed_cases(monkeypatch):
+    # the single rule makes the same checks, with the same predictions, as
+    # the three loop nests it replaced; on a passing run each check's
+    # verdict is its prediction
+    specs, calls = {}, []
+    real_make, real_check = acceptance.make_generator, acceptance.check_membership
+
+    def make_generator(params, spec, window):
+        el = real_make(params, spec, window)
+        specs[id(el)] = (params.r, params.n, params.m, spec.name, spec.q)
+        return el
+
+    def check_membership(params, el, window, inner_window, char, variant):
+        got = real_check(params, el, window, inner_window, char=char, variant=variant)
+        calls.append((*specs[id(el)], variant, char, got[0]))
+        return got
+
+    monkeypatch.setattr(acceptance, "make_generator", make_generator)
+    monkeypatch.setattr(acceptance, "check_membership", check_membership)
+    ok, detail = _c4_membership()
+    assert ok, detail
+    want = membership_cases()
+    assert len(want) == 496 and sum(not case[-1] for case in want) == 36
+    assert sorted(calls) == sorted(want)

@@ -312,6 +312,21 @@ def test_membership_rejects_value_outside_its_hom_space():
             assignment[v] = Morphism.of_gen(gen, coeff)
         with pytest.raises(ValueError, match="not in Hom"):
             check_membership(p, CenterElement(eta.p, eta.variant, assignment), 10, 6)
+    # the right kind and endpoints, but no arrow: f' is no arrow X(0)[0,0]
+    # -> X(0)[1,1] = Sigma X(0)[0,0] on (1, 1, 0), so products reject it
+    # too, whichever factor holds it; so does a view read in another degree
+    p = params_for(1, 1, 0, window=10)
+    v = Vertex("X", 0, 0, 0)
+    f1 = CenterElement(1, "graded", {v: Morphism.of_gen(ArrowGen("f'", v, sigma_pow(p, v, 1), 0))})
+    unit = CenterElement(0, "graded", {v: Morphism.identity(v)})
+    eta = make_generator(p, GeneratorSpec("eta_power", 1), 10)
+    for el in (f1, CenterElement(eta.p + 1, eta.variant, eta.assignment)):
+        with pytest.raises(ValueError, match="not in Hom"):
+            check_membership(p, el, 10, 6)
+        with pytest.raises(ValueError, match="not in Hom"):
+            multiply(p, el, unit)
+        with pytest.raises(ValueError, match="not in Hom"):
+            multiply(p, unit, el)
 
 
 BOX10 = [(a, b) for a in range(-10, 11) for b in range(-10, 11)]

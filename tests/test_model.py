@@ -36,6 +36,7 @@ from gradedcenter.model import (
 )
 
 import cell_arrows
+import tau_search
 import vertex_closed_form
 from iterated_sigma import iterated_sigma_mor_pow, iterated_sigma_pow, sigma_mor
 from region_ladders import _region as ladder_region
@@ -383,8 +384,8 @@ def test_tau_is_diagonal_shift():
 
 
 def test_tau_sigma_periodic_closed_form():
-    for r, n, m in [(1, 1, 0), (1, 1, 1), (1, 2, 0), (2, 3, 0), (1, 3, 0),
-                    (1, 3, 1), (2, 2, 0), (3, 4, 0), (3, 4, 2), (2, 4, 0)]:
+    # every r <= n <= 6, m <= 3; the search in tests/ is the oracle
+    for r, n, m in [(r, n, m) for n in range(1, 7) for r in range(1, n + 1) for m in range(4)]:
         p = params_for(r, n, m)
         periodic, witnesses = tau_sigma_periodic(p)
         if r == n:
@@ -392,6 +393,7 @@ def test_tau_sigma_periodic_closed_form():
         else:
             expected = r == n - 1 or (r == 1 and m == 0)
         assert periodic == expected, (r, n, m)
+        assert (periodic, witnesses) == tau_search.tau_sigma_periodic(p), (r, n, m)
         for family, q in witnesses:
             assert q % r == 0
             rep = Vertex(family, 0, 0, n if family == "Y" else 0)
