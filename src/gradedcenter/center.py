@@ -83,18 +83,21 @@ construction and pass as they are.
 check_membership runs on the runs and tests naturality with the solver's
 rule, _row_pattern, so the solver and the check share one statement of
 naturality.  It tests the same generating arrows (_targets, tabled once
-per omega by _arrow_table) that touch the support: those out of each
-inner support vertex, and those into it from off-support sources.  With
-the sign law, which it checks too, they imply naturality at every arrow
-of the inner box; the arrow walk it replaced is kept in tests/ as the
-oracle.  It lays each source line beside its target line, and each line
-beside its image under Sigma, and tests the rows once per interval on
-which both sides hold the same values; its row counts are the lengths of
-those intervals.  The result is the pair (ok, why), which also counts
-the naturality and sign-law rows tested; on a failure they, and the
-arrow or vertex named, are those of the walk cell by cell it replaced
-(tests/slot_map_membership.py).  Vertex and ArrowGen objects are built
-only to name a failure.
+per omega by _arrow_table) that touch the support, in one walk over the
+arrows with an end on it: from each line that holds support, and from
+each source line of an arrow into one, to each target, gated and laid
+out once per (line, target).  With the sign law, which it checks too,
+they imply naturality at every arrow of the inner box; the arrow walk
+it replaced is kept in tests/ as the oracle.  It lays each source line
+beside its target line, and each line beside its image under Sigma, and
+tests the rows once per interval on which both sides hold the same
+values; its row counts are the lengths of those intervals.  The result
+is the pair (ok, why), which also counts the naturality and sign-law
+rows tested; on a failure they, and the arrow or vertex named, are those
+of the walk cell by cell it replaced (tests/slot_map_membership.py),
+whose order, the arrows out of the support, then those into it, then
+the sign law, is unchanged: each interval's place in it is a key
+(_at).  Vertex and ArrowGen objects are built only to name a failure.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -421,15 +424,18 @@ def _frame(omega, p: int) -> tuple[dict, dict, dict]:
 def _arrow_table(omega) -> tuple[dict, dict]:
     """The generating arrows (_targets) per (family, i) of omega, as two
     tables: those out of (f, i), as _targets lists them, and those into
-    (g, j), as (f, i, da, db, degree, along) from the source (f, i), by
-    source and then in _targets' order."""
+    (g, j), as (f, i, da, db, k, along) from the source (f, i), k the
+    arrow's place in the source's targets.  The sources are listed by
+    family (X < Y < Z), then by index, then by k, so an arrow's (f, i, k)
+    is its place among the arrows into (g, j): the order of the one walk
+    of check_membership, which keys an arrow into the support by it."""
     params = ModelParams(omega)
     keys = [(f, i) for f in params.families for i in range(params.r)]
     targets = {key: tuple(_targets(params, *key)) for key in keys}
     sources: dict = {key: [] for key in keys}
     for f, i in keys:
-        for g, j, da, db, degree, along in targets[f, i]:
-            sources[g, j].append((f, i, da, db, degree, along))
+        for k, (g, j, da, db, _, along) in enumerate(targets[f, i]):
+            sources[g, j].append((f, i, da, db, k, along))
     return targets, {key: tuple(listed) for key, listed in sources.items()}
 
 
@@ -442,6 +448,8 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
     the slot is the identity's).  Each line (family, i, gap) of the
     support is one run of the run map, its coefficient fixed by the
     index; no Morphism is built."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
     ok, why = spec.admissible(params)
     if not ok:
         raise ValueError(f"inadmissible generator for (r,n,m)=({params.r},{params.n},{params.m}): {why}")
@@ -507,11 +515,12 @@ class Membership(tuple):
 
 
 def _at(key: tuple, a: int) -> tuple:
-    """The place in a walk's order of the cell at a of an interval whose
-    key is (f, i, c, c2, k, cb): (f, i, a + c, a + c2, k, a + cb), which
-    rises with a."""
-    f, i, c, c2, k, cb = key
-    return (f, i, a + c, a + c2, k, a + cb)
+    """The place in the walk's order of the cell at a of an interval whose
+    key is (walk, f, i, c, c2, k, cb): (walk, f, i, a + c, a + c2, k, a +
+    cb), which rises with a.  walk is 0 for the arrows out of the support,
+    1 for those into it and 2 for the sign law."""
+    walk, f, i, c, c2, k, cb = key
+    return (walk, f, i, a + c, a + c2, k, a + cb)
 
 
 def check_membership(
@@ -527,26 +536,29 @@ def check_membership(
     The check runs on el's runs (_slot_map), a line (family, i, t = b - a)
     at a time, where the solver runs a line's unknowns; a value built by
     hand that _slot_map rejects raises ValueError.  Naturality is tested at
-    the generating arrows (_arrow_table) with both ends in the inner box:
-    the arrows out of each inner support vertex to its targets, and those
-    into it from off-support sources.  Given the sign law, which is
-    checked too, they imply naturality at every arrow of the box (tested).
-    Naturality at an arrow is the solver's row rule, _row_pattern, on the
-    coefficients mod char.  Every row is unchanged when both endpoints
-    move along the diagonal together, so a source line and a target line
-    are laid side by side (_overlay), and on each interval where both
-    values stay the same the rows are worked out and tested once and
-    counted times its length; rows where neither endpoint carries support
-    are 0 = 0 and are skipped, which is exact.  The sign law pairs each
-    line with its image under Sigma the same way.
+    the generating arrows (_arrow_table) with both ends in the inner box
+    and an end on the support, in one walk: from each line that holds
+    support or is the source line of an arrow into it, to each of its
+    targets.  Given the sign law, which is checked too, they imply
+    naturality at every arrow of the box (tested).  Naturality at an
+    arrow is the solver's row rule, _row_pattern, on the coefficients mod
+    char.  Every row is unchanged when both endpoints move along the
+    diagonal together, so a source line and a target line are laid side
+    by side (_overlay), and on each interval where both values stay the
+    same the rows are worked out and tested once and counted times its
+    length; rows where neither endpoint carries support are 0 = 0 and are
+    skipped, which is exact.  The sign law pairs each line with its image
+    under Sigma the same way.
 
     The counts and the failure are those of a walk cell by cell, kept in
-    tests/slot_map_membership.py: first the arrows out of the inner
-    support in (vertex, target) order, then those into it in (vertex,
-    source, source's b) order, then the sign law at the vertices u in the
-    order in which the sorted support, v and then Sigma^-1 v, reaches
-    them.  A failing interval fails at its first a, which comes first in
-    that order, so the failure named is the least of them, and the rows
+    tests/slot_map_membership.py, whose order is unchanged: first the
+    arrows out of the inner support in (vertex, target) order, then those
+    into it from off the support in (vertex, source, source's b) order,
+    then the sign law at the vertices u in the order in which the sorted
+    support, v and then Sigma^-1 v, reaches them.  Each interval's key
+    (_at) places its cells in that order, whichever line the walk reached
+    it from.  A failing interval fails at its first a, which comes first
+    in that order, so the failure named is the least of them, and the rows
     counted are those up to it.  Vertex and ArrowGen objects are built
     only to name it.
     """
@@ -566,23 +578,10 @@ def check_membership(
     shift_back = _frame(params.omega, -1)[0]
     targets, sources = _arrow_table(params.omega)
     lines = _slot_map(params, el).lines
-    patterns: dict = {}
 
     def inner(t: int) -> tuple:
         # the a of the line at gap t in the inner box
         return (-Wi - t, Wi) if t < 0 else (-Wi, Wi - t)
-
-    def rows_at(f, i, t, g, j, da, u, degree, vv, vw) -> tuple:
-        # the rows at (f, i, a, a + t) -> (g, j, a + da, a + da + u)
-        key = (f, i, g, j, t, da, u, degree, tuple(vv), tuple(vw))
-        rows = patterns.get(key)
-        if rows is None:
-            rows = patterns[key] = _row_pattern(rules, (f, i, 0, t), (g, j, da, da + u), degree,
-                                                shift_p[g, j], vv, vw)
-        return rows
-
-    def natural(rows, vv, vw) -> bool:
-        return not any((vv.get(s, 0) - vw.get(t, 0)) % char for s, t in rows)
 
     # Each walk keeps its intervals as (rows per cell, a0, a1, keys), the
     # keys (_at) placing the cell at a in the walk's order, and its
@@ -594,78 +593,56 @@ def check_membership(
         return sum(rows * max(bisect_right(range(a0, a1 + 1), star, key=lambda a: _at(key, a)) for key in keys)
                    for rows, a0, a1, keys in spans)
 
-    def arrow(kind, v, w, degree) -> str:
-        return f"naturality fails at {ArrowGen(kind, Vertex(*v), Vertex(*w), degree)!r}"
+    # the lines the arrows start from: the held lines and the source lines
+    # of the arrows into them; where along is False (X's e' corner into
+    # (i + 1, a, a)) every line of sources (i, a, b') with b' in the box
+    starts = dict.fromkeys(lines)
+    for g, j, u in lines:
+        for f, i, da, db, k, along in sources[g, j]:
+            if along:
+                starts[f, i, u - db + da] = None
+            elif u == db - da:
+                starts.update(dict.fromkeys((f, i, t) for t in range(-2 * Wi, 2 * Wi + 1)))
 
-    # generating arrows out of the inner support, to (g, j, a + da, b +
-    # db), or to (g, j, a + da, a + db) where along is False: the target
-    # line's gap u
-    out_spans: list = []
+    # generating arrows from (f, i, a, a + t) to (g, j, a + da, b + db),
+    # or to (g, j, a + da, a + db) where along is False: the target line's
+    # gap u.  A cell whose source is held is out of the support (walk 0),
+    # one whose source is empty and whose target is held is into it (walk
+    # 1), keyed by the target's place and then the source's (f, i, k) and b
+    spans: list = []
     failed: list = []
-    for (f, i, t), pieces in lines.items():
+    for f, i, t in starts:
         lo_v, hi_v = inner(t)
-        if lo_v > hi_v:
+        if lo_v > hi_v or not _in_gaps(vertex_gaps.get((f, i)), t):
             continue
+        v_line = lines.get((f, i, t), ())
         for k, (g, j, da, db, degree, along) in enumerate(targets[f, i]):
             u = (t if along else 0) + db - da
-            if not _in_gaps(vertex_gaps.get((g, j)), u):
+            w_line = lines.get((g, j, u), ())
+            if not (v_line or w_line) or not _in_gaps(vertex_gaps.get((g, j)), u):
                 continue
             kind = arrow_kind(rules, f, i, 0, t, g, j, da, da + u, degree)
             if kind is None:
                 continue
             lo_w, hi_w = inner(u)
-            key = (f, i, 0, t, k, 0)
-            for a0, a1, vv, vw in _overlay(pieces, lines.get((g, j, u), ()), da, max(lo_v, lo_w - da),
-                                           min(hi_v, hi_w - da)):
-                if vv is None:
+            out_key, in_key = (0, f, i, 0, t, k, 0), (1, g, j, da, da + u, (f, i, k), t)
+            for a0, a1, vv, vw in _overlay(v_line, w_line, da, max(lo_v, lo_w - da), min(hi_v, hi_w - da)):
+                if vv is not None:
+                    vw, key = vw or {}, out_key
+                elif vw is not None:
+                    vv, key = {}, in_key
+                else:
                     continue
-                vw = vw or {}
-                rows = rows_at(f, i, t, g, j, da, u, degree, vv, vw)
-                out_spans.append((len(rows), a0, a1, (key,)))
-                if not natural(rows, vv, vw):
-                    failed.append((_at(key, a0), kind, (f, i, a0, a0 + t), (g, j, a0 + da, a0 + da + u), degree))
+                rows = _row_pattern(rules, (f, i, 0, t), (g, j, da, da + u), degree, shift_p[g, j], vv, vw)
+                spans.append((len(rows), a0, a1, (key,)))
+                if any((vv.get(s, 0) - vw.get(s2, 0)) % char for s, s2 in rows):
+                    failed.append((_at(key, a0), kind, (f, i, a0, a0 + t), (g, j, a0 + da, a0 + da + u),
+                                   degree))
     if failed:
-        star, *named = min(failed)
-        return Membership(False, arrow(*named), counted(out_spans, star), 0)
-    naturality_rows = counted(out_spans, None)
-
-    # generating arrows into the inner support from off-support sources:
-    # one source line per target line, or where along is False (X's e'
-    # corner into (i + 1, a, a)) every line of sources (i, a, b') with
-    # b' in the box
-    in_spans: list = []
-    for (g, j, u), pieces in lines.items():
-        lo_w, hi_w = inner(u)
-        if lo_w > hi_w:
-            continue
-        for k, (f, i, da, db, degree, along) in enumerate(sources[g, j]):
-            if along:
-                source_gaps = (u - db + da,)
-            elif u == db - da:
-                source_gaps = range(-2 * Wi, 2 * Wi + 1)
-            else:
-                continue
-            for t in source_gaps:
-                if not _in_gaps(vertex_gaps.get((f, i)), t):
-                    continue
-                kind = arrow_kind(rules, f, i, 0, t, g, j, da, da + u, degree)
-                if kind is None:
-                    continue
-                lo_v, hi_v = inner(t)
-                key = (g, j, 0, u, k, t - da)
-                for a0, a1, vw, vv in _overlay(pieces, lines.get((f, i, t), ()), -da, max(lo_w, lo_v + da),
-                                               min(hi_w, hi_v + da)):
-                    if vw is None or vv is not None:
-                        continue
-                    rows = rows_at(f, i, t, g, j, da, u, degree, {}, vw)
-                    in_spans.append((len(rows), a0, a1, (key,)))
-                    if not natural(rows, {}, vw):
-                        failed.append((_at(key, a0), kind, (f, i, a0 - da, a0 - da + t),
-                                       (g, j, a0, a0 + u), degree))
-    if failed:
-        star, *named = min(failed)
-        return Membership(False, arrow(*named), naturality_rows + counted(in_spans, star), 0)
-    naturality_rows += counted(in_spans, None)
+        star, kind, v, w, degree = min(failed)
+        gen = ArrowGen(kind, Vertex(*v), Vertex(*w), degree)
+        return Membership(False, f"naturality fails at {gen!r}", counted(spans, star), 0)
+    naturality_rows = counted(spans, None)
 
     # sign law on Sigma-pairs touching the support, the lines that hold
     # it and their images under Sigma^-1: Sigma keeps each term's kind and
@@ -683,7 +660,7 @@ def check_membership(
             continue
         sj, s1, s2 = steps[f, i, 1]
         ts = t + s2 - s1
-        held, image = (f, i, 0, t, 0, 0), (f, sj, s1, t + s2, 1, 0)
+        held, image = (2, f, i, 0, t, 0, 0), (2, f, sj, s1, t + s2, 1, 0)
         for a0, a1, vu, vs in _overlay(lines.get((f, i, t), ()), lines.get((f, sj, ts), ()), s1, lo, hi):
             if vu is None and vs is None:
                 continue
@@ -1127,7 +1104,15 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
     and a line does only the range arithmetic and the unions of its
     plan's rows.  The unions come in the order of a build that works out
     each line's rows itself, tests/line_build.py, so the system is that
-    build's field for field, root and sign included."""
+    build's field for field, root and sign included.
+
+    A line whose Hom(v, Sigma^p v) is 0 gets no unknowns and no plan, so
+    the rows out of it are never imposed: rows (None, s) that force the
+    target's slot s to 0, such as (None, e'') at Y(0)[a, a+2] ->
+    Y(0)[a, a+3] on (1, 2, 0) at p = 3.  The solutions satisfy them all
+    the same; check_membership tests them, and
+    tests/test_center.py::test_solver_basis_passes_membership_beyond_the_grid
+    runs it on every basis of every row r <= n <= 6, m <= 3."""
     params = ModelParams(omega, W)
     sign = -1 if p % 2 else 1
     rules = params.rules

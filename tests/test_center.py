@@ -266,6 +266,8 @@ def test_membership_margin_and_window_guard():
         check_membership(p, el, 10, 0)
     with pytest.raises(ValueError):
         check_membership(p, el, 10, 5, variant="projective")
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        make_generator(params_for(1, 2, 0), GeneratorSpec("eta_prime", 0), -3)
 
 
 def test_membership_variant_table():
@@ -438,6 +440,21 @@ def test_membership_matches_slot_map_check():
                 assert _counted(got) == want, (params.omega, el.p, W, variant, char)
                 seen.add(got[0])
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("rnm", [(1, 1, 1), (2, 2, 1), (2, 2, 2)], ids=str)
+def test_membership_counts_every_arrow_into_the_support(rnm):
+    # the identity on the gap-0 lines alone, times char: every row holds,
+    # so every arrow into the support is counted, X's e' corner from each
+    # line (i - 1, a, b') of the inner box included
+    for char in (2, 3):
+        params = params_for(*rnm)
+        el = make_generator(params, GeneratorSpec("eta_power", 0), 10)
+        diagonal = {v: mor.scaled(char) for v, mor in el.assignment.items() if v.a == v.b}
+        el = CenterElement(0, el.variant, diagonal)
+        got = check_membership(params, el, 10, 3, char=char)
+        assert got[0]
+        assert _counted(got) == slot_map_membership.check_membership(params, el, 10, 3, char=char)
 
 
 def test_make_generator_matches_cell_oracle():
@@ -797,6 +814,27 @@ def test_solver_basis_is_natural_at_every_arrow(rnm):
                     got = arrow_walk_check_membership(
                         params, el, inner, inner - membership_margin(params), char=char)
                     assert got == (True, None), (p, variant, char)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_solver_basis_passes_membership_beyond_the_grid(n):
+    # every r <= n and m <= 3 in degrees 0..2n + 1: check_membership also
+    # tests the rows out of a line whose Hom(v, Sigma^p v) is 0, which the
+    # solver never imposes (_build_system)
+    checks = 0
+    for r in range(1, n + 1):
+        for m in range(4):
+            params = params_for(r, n, m)
+            inner = membership_margin(params) + 1
+            W = solver_margin(params) + inner
+            params = params_for(r, n, m, window=W)
+            for p in range(2 * n + 2):
+                for variant, char in (("graded", 3), ("commutative", 3), ("graded", 2)):
+                    for el in solve_component(params, p, variant, char, W, inner).basis:
+                        got = check_membership(params, el, inner, 1, char=char, variant=variant)
+                        assert got == (True, None), (r, n, m, p, variant, char)
+                        checks += 1
+    assert checks
 
 
 # differential oracle: the object-based solver that the integer-coded one

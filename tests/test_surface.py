@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -28,3 +29,28 @@ def test_benchmark_tracer_names_resolve():
     missing = [(module, name) for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_every_import_is_read():
+    # a name a module imports is read there, exported in its __all__, or
+    # rebound there by the benchmark's tracer; anything else is dead
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    rebound = {(module, name) for module, name, _span, _count in tracing.BOUNDARIES}
+    dead = []
+    for path in sorted((ROOT / "src" / "gradedcenter").glob("*.py")):
+        module = "gradedcenter" + ("" if path.stem == "__init__" else "." + path.stem)
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
+        dead += [(module, name) for name in imported
+                 if name not in read and name not in exported and (module, name) not in rebound]
+    assert dead == []
