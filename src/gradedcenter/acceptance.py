@@ -274,12 +274,6 @@ def _c3_hom_oracle():
 # ---------------------------------------------------------------- criterion 4
 
 
-# the sign law each generator is built to satisfy; the other law agrees
-# with it exactly where the degree is even or the characteristic is 2
-_OWN_LAW = {"eta_prime": "graded", "eta_dprime": "commutative", "eta_zero": "commutative",
-            "eta_power": "commutative"}
-
-
 def _c4_membership():
     W = 12
     cases = [((n - 1, n, m), GeneratorSpec(name, q)) for n in (2, 3, 4) for m in (0, 1, 2)
@@ -293,7 +287,10 @@ def _c4_membership():
         el = make_generator(params, spec, W)
         for char in (2, 3):
             for variant in ("graded", "commutative"):
-                expected = variant == _OWN_LAW[spec.name] or el.p % 2 == 0 or char == 2
+                # el.variant is the sign law make_generator built it to
+                # satisfy; the other law agrees with it exactly where the
+                # degree is even or the characteristic is 2
+                expected = variant == el.variant or el.p % 2 == 0 or char == 2
                 ok, why = check_membership(
                     params, el, W, W - membership_margin(params), char=char, variant=variant
                 )

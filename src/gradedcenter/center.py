@@ -563,7 +563,7 @@ def check_membership(
     only to name it.
     """
     FieldScalar(0, char)
-    variant = variant or el.variant
+    variant = el.variant if variant is None else variant
     if variant not in ("graded", "commutative"):
         raise ValueError(f"unknown variant {variant!r}")
     if inner_window < 1 or inner_window + membership_margin(params) > window:

@@ -113,13 +113,11 @@ def format_quiver(q: GentleQuiver) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_connected(q: GentleQuiver, skip_arrow: str | None = None) -> bool:
+def _is_connected(q: GentleQuiver) -> bool:
     if not q.vertices:
         return True
     adj: dict[str, set[str]] = {v: set() for v in q.vertices}
-    for name, src, tgt in q.arrows:
-        if name == skip_arrow:
-            continue
+    for _, src, tgt in q.arrows:
         adj[src].add(tgt)
         adj[tgt].add(src)
     seen = {q.vertices[0]}
@@ -143,24 +141,21 @@ def is_gentle(q: GentleQuiver) -> tuple[bool, list[str]]:
     (4) same as (3) with "not a relation" replaced by "a relation".
     """
     violations: list[str] = []
-    arrow_map = q.arrow_map()
     rels = set(q.relations)
     if not _is_connected(q):
         violations.append("quiver is not connected")
-    out_count: dict[str, list[str]] = {v: [] for v in q.vertices}
-    in_count: dict[str, list[str]] = {v: [] for v in q.vertices}
+    starts: dict[str, list[str]] = {v: [] for v in q.vertices}
+    ends: dict[str, list[str]] = {v: [] for v in q.vertices}
     for name, src, tgt in q.arrows:
-        out_count[src].append(name)
-        in_count[tgt].append(name)
+        starts[src].append(name)
+        ends[tgt].append(name)
     for v in q.vertices:
-        if len(out_count[v]) > 2:
+        if len(starts[v]) > 2:
             violations.append(f"axiom (1): more than two arrows start at vertex {v}")
-        if len(in_count[v]) > 2:
+        if len(ends[v]) > 2:
             violations.append(f"axiom (1): more than two arrows end at vertex {v}")
-    for b in arrow_map:
-        b_src, b_tgt = arrow_map[b]
-        pred = [a for a in arrow_map if arrow_map[a][1] == b_src]
-        succ = [c for c in arrow_map if arrow_map[c][0] == b_tgt]
+    for b, b_src, b_tgt in q.arrows:
+        pred, succ = ends[b_src], starts[b_tgt]
         nonrel_pred = [a for a in pred if (b, a) not in rels]
         rel_pred = [a for a in pred if (b, a) in rels]
         nonrel_succ = [c for c in succ if (c, b) not in rels]
@@ -177,73 +172,63 @@ def is_gentle(q: GentleQuiver) -> tuple[bool, list[str]]:
 
 
 def is_one_cycle(q: GentleQuiver) -> bool:
-    """True iff the quiver is connected with as many arrows as vertices."""
+    """True iff the quiver has a vertex, is connected and has as many
+    arrows as vertices: then its underlying graph has exactly one cycle,
+    which cycle_arrows finds.  The empty quiver has no cycle."""
     ok, _ = is_gentle(q)
     if not ok:
         raise ValueError("quiver is not gentle")
-    return len(q.arrows) == len(q.vertices) and _is_connected(q)
-
-
-def _cycle_vertices(q: GentleQuiver, cycle: set[str]) -> list[str]:
-    """The unique undirected cycle as a vertex list, traversed starting at
-    the lexicographically smallest cycle vertex toward its smaller neighbor."""
-    adj: dict[str, list[tuple[str, str]]] = {}
-    for name in cycle:
-        src, tgt = q.arrow_map()[name]
-        adj.setdefault(src, []).append((tgt, name))
-        adj.setdefault(tgt, []).append((src, name))
-    start = min(adj)
-    neighbors = sorted(w for w, _ in adj[start])
-    walk = [start]
-    # A loop is a cycle of length 1.
-    if neighbors[0] == start:
-        return walk
-    prev, cur = start, neighbors[0]
-    while cur != start:
-        walk.append(cur)
-        nxt = next((w for w, _ in sorted(adj[cur]) if w != prev), prev)
-        prev, cur = cur, nxt
-    return walk
+    return bool(q.vertices) and len(q.arrows) == len(q.vertices) and _is_connected(q)
 
 
 def cycle_arrows(q: GentleQuiver) -> tuple[set[str], set[str], set[str]]:
     """Partition arrows into (clockwise, anticlockwise, non-cycle).
 
-    An arrow lies on the cycle iff removing it keeps the underlying graph
-    connected.  "Clockwise" means agreeing with the canonical traversal of
-    the unique undirected cycle.
+    The cycle is what is left after stripping leaves, vertices with one
+    arrow end (a loop has two), until none is left.  It is walked once
+    from its least vertex, first along the arrow with the least (vertex
+    across it, whether it points into the start), then at each vertex
+    along the arrow it did not arrive on; an arrow is clockwise when the
+    walk runs from its source.  So a loop is clockwise, and so are both
+    arrows of an antiparallel pair.  The only tie is a parallel pair,
+    where one rule decides: the lesser name is clockwise.  The quiver
+    must be one-cycle, so not empty.
     """
     if not is_one_cycle(q):
         raise ValueError("quiver is not one-cycle")
-    if not q.arrows:
-        return set(), set(), set()
     arrow_map = q.arrow_map()
-    on_cycle = {name for name in arrow_map if _is_connected(q, skip_arrow=name)}
-    non_cycle = set(arrow_map) - on_cycle
-    walk = _cycle_vertices(q, on_cycle)
-    k = len(walk)
-    pos = {v: idx for idx, v in enumerate(walk)}
-    clockwise: set[str] = set()
-    anticlockwise: set[str] = set()
-    for name in on_cycle:
+    ends: dict[str, list[str]] = {v: [] for v in q.vertices}
+    for name, src, tgt in q.arrows:
+        ends[src].append(name)
+        ends[tgt].append(name)
+    leaves = [v for v in q.vertices if len(ends[v]) == 1]
+    while leaves:
+        (name,) = ends.pop(leaves.pop())
+        for w in arrow_map[name]:
+            if w in ends:
+                ends[w].remove(name)
+                if len(ends[w]) == 1:
+                    leaves.append(w)
+    start = min(ends)
+
+    def key(name: str) -> tuple[str, bool]:
         src, tgt = arrow_map[name]
-        if k == 1:
-            # Loop convention: the single loop counts as clockwise.
-            clockwise.add(name)
-        elif pos[tgt] == (pos[src] + 1) % k:
-            clockwise.add(name)
-        else:
-            anticlockwise.add(name)
-    if k == 2 and len(on_cycle) == 2:
-        # Parallel pair: positions cannot separate the two arrows, so
-        # orient them by direction: they point opposite ways around the
-        # 2-cycle exactly when they share source and target.
-        a, b = sorted(on_cycle)
+        return (src if tgt == start else tgt, tgt == start)
+
+    forward: dict[str, bool] = {}
+    v, name = start, min(ends[start], key=key)
+    while name not in forward:
+        src, tgt = arrow_map[name]
+        forward[name] = src == v
+        v = tgt if src == v else src
+        a, b = ends[v]
+        name = b if name == a else a
+    if len(forward) == 2:
+        a, b = sorted(forward)
         if arrow_map[a] == arrow_map[b]:
-            clockwise, anticlockwise = {a}, {b}
-        else:
-            clockwise, anticlockwise = {a, b}, set()
-    return clockwise, anticlockwise, non_cycle
+            forward = {a: True, b: False}
+    clockwise = {name for name, fwd in forward.items() if fwd}
+    return clockwise, set(forward) - clockwise, set(arrow_map) - set(forward)
 
 
 def clock_condition(q: GentleQuiver) -> bool:

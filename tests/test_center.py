@@ -270,6 +270,17 @@ def test_membership_margin_and_window_guard():
         make_generator(params_for(1, 2, 0), GeneratorSpec("eta_prime", 0), -3)
 
 
+def test_membership_defaults_the_variant_only_when_none():
+    # an empty variant is an unknown one, not a request for el's own law
+    p = params_for(2, 3, 1)
+    el = make_generator(p, GeneratorSpec("eta_prime", 1), 10)
+    assert el.variant == "graded" and el.p % 2
+    assert check_membership(p, el, 10, 5) == check_membership(p, el, 10, 5, variant="graded")
+    for bad in ("", "bogus"):
+        with pytest.raises(ValueError, match=f"unknown variant {bad!r}"):
+            check_membership(p, el, 10, 5, variant=bad)
+
+
 def test_membership_variant_table():
     # even n: both sign laws hold; odd n: the swapped variant needs char 2
     p = params_for(1, 2, 0, window=10)

@@ -46,6 +46,14 @@ def test_validate_reports_violations_without_failing(tmp_path, capsys):
     assert "axiom" in out
 
 
+def test_validate_empty_file_has_no_cycle(tmp_path, capsys):
+    path = tmp_path / "empty.quiver"
+    path.write_text("")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 0 and err == ""
+    assert out == "gentle: yes, one-cycle: no, clock condition: n/a\n"
+
+
 def test_validate_missing_file(capsys):
     code, _out, err = run(capsys, "validate", "/no/such/file.quiver")
     assert code == 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cycle_removal
 from gradedcenter.gentle import (
     GentleQuiver,
     OmegaParams,
@@ -20,6 +21,24 @@ KRONECKER = GentleQuiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2")), ())
 
 def delta(r, n, m):
     return build_lambda(OmegaParams(r, n, m))
+
+
+def relabel(q, rng):
+    """q with its vertices and arrows renamed by seeded permutations of
+    their names and listed in a shuffled order."""
+    vnames = list(q.vertices)
+    rng.shuffle(vnames)
+    vmap = dict(zip(q.vertices, vnames))
+    anames = [name for name, _, _ in q.arrows]
+    rng.shuffle(anames)
+    amap = dict(zip((name for name, _, _ in q.arrows), anames))
+    arrows = [(amap[name], vmap[s], vmap[t]) for name, s, t in q.arrows]
+    rng.shuffle(arrows)
+    return GentleQuiver(
+        tuple(rng.sample(vnames, len(vnames))),
+        tuple(arrows),
+        tuple((amap[b], amap[a]) for b, a in q.relations),
+    )
 
 
 def test_parse_roundtrip():
@@ -154,25 +173,10 @@ def test_cycle_arrows_removal_oracle():
         cw, acw, rest = cycle_arrows(q)
         names = {name for name, _, _ in q.arrows}
         assert cw | acw | rest == names
-
-        def connected_without(skip):
-            adj = {v: set() for v in q.vertices}
-            for name, s, t in q.arrows:
-                if name != skip:
-                    adj[s].add(t)
-                    adj[t].add(s)
-            seen, stack = {q.vertices[0]}, [q.vertices[0]]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return len(seen) == len(q.vertices)
-
         for name in cw | acw:
-            assert connected_without(name)
+            assert cycle_removal._is_connected(q, skip_arrow=name)
         for name in rest:
-            assert not connected_without(name)
+            assert not cycle_removal._is_connected(q, skip_arrow=name)
 
 
 def test_clock_condition_examples():
@@ -230,15 +234,126 @@ def test_clock_condition_relabel_invariant():
         q = delta(r, n, m)
         expected = clock_condition(q)
         for _ in range(5):
-            vperm = list(q.vertices)
-            rng.shuffle(vperm)
-            vmap = dict(zip(q.vertices, vperm))
-            aperm = [name for name, _, _ in q.arrows]
-            rng.shuffle(aperm)
-            amap = dict(zip((name for name, _, _ in q.arrows), aperm))
-            q2 = GentleQuiver(
-                tuple(sorted(vperm)),
-                tuple((amap[name], vmap[s], vmap[t]) for name, s, t in q.arrows),
-                tuple((amap[b], amap[a]) for b, a in q.relations),
-            )
-            assert clock_condition(q2) == expected, (r, n, m)
+            assert clock_condition(relabel(q, rng)) == expected, (r, n, m)
+
+
+# ------------------------------------------------- against tests/cycle_removal.py
+
+
+def assert_matches_removal(q):
+    assert is_gentle(q) == cycle_removal.is_gentle(q)
+    if not is_gentle(q)[0]:
+        for check in (is_one_cycle, cycle_removal.is_one_cycle):
+            with pytest.raises(ValueError, match="not gentle"):
+                check(q)
+        return
+    assert is_one_cycle(q) == cycle_removal.is_one_cycle(q)
+    if is_one_cycle(q):
+        assert cycle_arrows(q) == cycle_removal.cycle_arrows(q)
+        assert clock_condition(q) == cycle_removal.clock_condition(q)
+
+
+def random_one_cycle(rng):
+    """A connected quiver with as many arrows as vertices: a random tree
+    plus one arrow, which may be a loop or parallel to a tree arrow, with
+    a random subset of its composable pairs as relations."""
+    k = rng.randint(1, 7)
+    names = rng.sample("pqrstuvwxyz", k)
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, k)]
+    edges.append((rng.choice(names), rng.choice(names)))
+    arrows = []
+    for label, (u, w) in zip(rng.sample("abcdefghij", k), edges):
+        arrows.append((label, u, w) if rng.random() < 0.5 else (label, w, u))
+    relations = [(b, a) for a, _, a_tgt in arrows for b, b_src, _ in arrows
+                 if a_tgt == b_src and rng.random() < 0.4]
+    return GentleQuiver(tuple(rng.sample(names, k)), tuple(arrows), tuple(relations))
+
+
+def random_quiver(rng):
+    """Any quiver on at most 5 vertices and 7 arrows: disconnected ones,
+    vertices where three arrows start or end, and violations of axioms
+    (3) and (4) included."""
+    k = rng.randint(0, 5)
+    names = rng.sample("pqrstuvwxyz", k)
+    arrows = [(label, rng.choice(names), rng.choice(names))
+              for label in rng.sample("abcdefghij", rng.randint(0, 7) if k else 0)]
+    relations = [(b, a) for a, _, a_tgt in arrows for b, b_src, _ in arrows
+                 if a_tgt == b_src and rng.random() < 0.4]
+    return GentleQuiver(tuple(names), tuple(arrows), tuple(relations))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cycle_matches_removal_on_relabelled_lambda(n):
+    rng = random.Random(n)
+    for r in range(1, n + 1):
+        for m in range(4):
+            q = delta(r, n, m)
+            assert_matches_removal(q)
+            for _ in range(5):
+                assert_matches_removal(relabel(q, rng))
+
+
+def two_cycles():
+    """The loop, and each 2-cycle on vertices 1 < 2 under both namings
+    of its arrows: a parallel pair out of 1, one into 1, and an
+    antiparallel pair, each with every gentle set of relations: a
+    parallel pair has no composable pair, an antiparallel pair two, and
+    all four sets of them are gentle."""
+    yield GentleQuiver(("1",), (("a", "1", "1"),), ())
+    yield GentleQuiver(("1",), (("a", "1", "1"),), (("a", "a"),))
+    for ends in ((("1", "2"), ("1", "2")), (("2", "1"), ("2", "1")), (("1", "2"), ("2", "1"))):
+        for first, second in (("a", "b"), ("b", "a")):
+            arrows = ((first, *ends[0]), (second, *ends[1]))
+            pairs = [(b, a) for a, _, a_tgt in arrows for b, b_src, _ in arrows if a_tgt == b_src]
+            for mask in range(1 << len(pairs)):
+                rels = tuple(pair for bit, pair in enumerate(pairs) if mask >> bit & 1)
+                q = GentleQuiver(("1", "2"), arrows, rels)
+                if is_gentle(q)[0]:
+                    yield q
+
+
+def test_two_cycles_match_removal():
+    quivers = list(two_cycles())
+    assert len(quivers) == 2 + 2 + 2 + 2 * 4
+    for q in quivers:
+        assert_matches_removal(q)
+    # a parallel pair's lesser name is clockwise, whichever way it points
+    into_1 = GentleQuiver(("1", "2"), (("b", "2", "1"), ("a", "2", "1")), ())
+    assert cycle_arrows(into_1) == ({"a"}, {"b"}, set())
+    antiparallel = GentleQuiver(("1", "2"), (("b", "1", "2"), ("a", "2", "1")), ())
+    assert cycle_arrows(antiparallel) == ({"a", "b"}, set(), set())
+
+
+def test_cycle_matches_removal_on_random_one_cycle_quivers():
+    rng = random.Random(25)
+    gentle = 0
+    for _ in range(1500):
+        q = random_one_cycle(rng)
+        assert_matches_removal(q)
+        gentle += is_gentle(q)[0]
+    assert gentle > 500
+
+
+def test_is_gentle_matches_the_arrow_scan_on_random_quivers():
+    rng = random.Random(52)
+    verdicts = set()
+    for _ in range(3000):
+        q = random_quiver(rng)
+        if q.vertices:
+            assert_matches_removal(q)
+        else:
+            assert is_gentle(q) == cycle_removal.is_gentle(q) == (True, [])
+        verdicts.add(is_gentle(q)[0])
+    assert verdicts == {True, False}
+
+
+def test_empty_quiver_has_no_cycle():
+    empty = GentleQuiver((), (), ())
+    assert is_gentle(empty) == (True, [])
+    assert not is_one_cycle(empty)
+    # the removal oracle counts the empty quiver as one-cycle
+    assert cycle_removal.is_one_cycle(empty)
+    with pytest.raises(ValueError, match="not one-cycle"):
+        cycle_arrows(empty)
+    with pytest.raises(ValueError, match="not one-cycle"):
+        clock_condition(empty)

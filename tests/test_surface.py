@@ -54,3 +54,30 @@ def test_every_import_is_read():
         dead += [(module, name) for name in imported
                  if name not in read and name not in exported and (module, name) not in rebound]
     assert dead == []
+
+
+def test_every_private_name_is_read():
+    # a private name defined at module level, or a private method of a
+    # module-level class, is read somewhere in src/; anything else is dead
+    defined, read = [], set()
+    for path in sorted((ROOT / "src" / "gradedcenter").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+                if isinstance(node, ast.ClassDef):
+                    names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(path.stem, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(defined) > 50
+    assert [(module, name) for module, name in defined if name not in read] == []
