@@ -26,10 +26,8 @@ from .center import (
 from .gentle import (
     OmegaParams,
     build_lambda,
-    clock_condition,
     format_quiver,
-    is_gentle,
-    is_one_cycle,
+    survey,
 )
 from .hom import hom_basis, hom_dim_closed_form
 from .model import (
@@ -66,12 +64,12 @@ def _c1_gentle_grid():
         for r in range(1, n + 1):
             for m in range(4):
                 q = build_lambda(OmegaParams(r, n, m))
-                ok, violations = is_gentle(q)
-                if not ok:
+                violations, one_cycle, clock = survey(q)
+                if violations:
                     return False, f"(r,n,m)=({r},{n},{m}) not gentle: {violations[0]}"
-                if not is_one_cycle(q):
+                if not one_cycle:
                     return False, f"(r,n,m)=({r},{n},{m}) not one-cycle"
-                if clock_condition(q):
+                if clock:
                     return False, f"(r,n,m)=({r},{n},{m}) satisfies the clock condition"
                 if len(q.relations) != r:
                     return False, (

@@ -17,22 +17,21 @@ component, whose members it finds on a ring threaded through one list.
 
 solve_component works in two steps.  The build step (_build_system)
 makes the union-find and keeps its roots and signs as immutable tuples,
-with the Sigma^p translation table, the line layout, the work counts,
-and the parity flag and class tags of each component that is not forced
-to zero and meets the inner window.  It is cached by (omega,
-window, inner window, p).  The field is not part of the key, because no
-row reads it: it decides only whether a parity-flagged component
-survives.  Nor is the variant.  The two sign laws differ only at odd p,
-eta Sigma = -Sigma eta for the graded center against eta Sigma = Sigma
-eta, and a row's sign never decides which unknowns it joins, only the
-weight of the join.  So the build imposes the graded law (-1)^p, and
-the commutative reading at odd p is the same union-find with every sign
-+1: no component has a parity conflict, and every basis coefficient is
-+1.  One system serves the four (variant, char) pairs of a degree.  The
-interpret step runs on every call: it drops parity-flagged components
-outside characteristic 2 and counts the rest by class.  The dimensions
-need nothing more, so the report's basis is named and built afresh only
-when it is read, and no caller shares cached state.
+with the line layout, the work counts, and the parity flag and class
+tags of each component that is not forced to zero and meets the inner
+window.  It is cached by (omega, window, inner window, p), and one
+system serves the four (variant, char) pairs of a degree.  No row reads
+the field: it decides only whether a parity-flagged component survives.
+The two sign laws differ only at odd p, eta Sigma = -Sigma eta for the
+graded center against eta Sigma = Sigma eta, and a row's sign decides
+only the weight of a join, never which unknowns it joins.  So the build
+imposes the graded law (-1)^p, and the report reads the variant where
+it reads the field: the commutative reading at odd p ignores the parity
+flags and reads every sign as +1.  The interpret step runs on every
+call: it drops the parity-flagged components that the reading discards
+and counts the rest by class.  The dimensions need nothing more, so the
+report's basis is named and built afresh only when it is read, and no
+caller shares cached state.
 
 The system is built on plain integers, one diagonal line at a time.  A
 vertex is the tuple (family, i, a, b) and an unknown is a vertex plus a
@@ -707,9 +706,17 @@ class SolveReport:
     merges: int = 0
     killed_zero: int = 0
     killed_parity: int = 0
-    # the built system that basis is named from; a report made without
-    # one starts with an empty basis that its maker fills
+    # whether this call built its system or the cache served it
+    built: bool = dc_field(default=False, repr=False, compare=False)
+    # the built system that basis is named from, under the variant; a
+    # report made without one starts with an empty basis its maker fills
     _system: _System | None = dc_field(default=None, repr=False, compare=False)
+
+    @property
+    def _plain(self) -> bool:
+        """Whether the reading takes every sign as +1 and ignores parity
+        flags: under the commutative law, and at even p, where both agree."""
+        return self.variant == "commutative" or self.p % 2 == 0
 
     @cached_property
     def basis(self) -> list:
@@ -719,8 +726,7 @@ class SolveReport:
         if self._system is None:
             return []
         return [CenterElement(self.p, self.variant, _SlotView(self.params, self.p, runs))
-                for parity, _, runs in _named_components(self.params, self._system)
-                if not (parity and self.char != 2)]
+                for parity, _, runs in _named_components(self) if not (parity and self.char != 2)]
 
     @property
     def total_dim(self) -> int:
@@ -832,10 +838,10 @@ def _row_pattern(rules: dict, v: tuple, w: tuple, degree: int, shift: tuple,
 
 
 class _System(NamedTuple):
-    """One reading of a built system: what solve_component reads back for
-    any field, under one sign law.
+    """A built system under the graded sign law: what the union-find
+    decided, which solve_component reads for every (variant, field) pair
+    of its degree.
 
-    shift_p maps (family, i) to Sigma^p as a translation (j, da, db).
     The work counts are: unknowns, vertices (cells of the box with a
     nonempty hom space), the naturality and sign-law rows imposed, merges
     (unknowns joined to another one: unknowns minus components), and the
@@ -846,16 +852,11 @@ class _System(NamedTuple):
     tags sorted by str.  That is all the dimensions read.
 
     The rest is kept to name the basis when it is read
-    (_named_components): the window and the inner window; lines, the
-    layout, as ((family, i, gap), ((slot, index at the least a), ...)) in
-    build order; and root and sign, the union-find hung on its roots: the
-    unknown x is sign[x] times the unknown root[x].  plain is set where
-    every sign is +1, so that sign is not read: at even p, and in the
-    commutative reading of a build at odd p, which shares root and sign
-    with the graded reading.  No Vertex, ArrowGen or str is made until
-    then."""
+    (_named_components): lines, the layout, as ((family, i, gap), ((slot,
+    index at the least a), ...)) in build order; and root and sign, the
+    union-find hung on its roots: the unknown x is sign[x] times the
+    unknown root[x].  No Vertex, ArrowGen or str is made until then."""
 
-    shift_p: MappingProxyType
     unknowns: int
     vertices: int
     naturality_rows: int
@@ -864,12 +865,9 @@ class _System(NamedTuple):
     killed_zero: int
     killed_parity: int
     classes: tuple
-    window: int
-    inner: int
     lines: tuple
     root: tuple
     sign: tuple
-    plain: bool
 
     @property
     def rows(self) -> int:
@@ -1079,15 +1077,15 @@ class _SignedForest:
 # char) pair of one window is served from the systems the first pair
 # built.
 @lru_cache(maxsize=14)
-def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
+def _build_system(omega, W: int, inner: int, p: int) -> _System:
     """Solve the union-find system of degree p on the window W, with the
     graded sign law eta Sigma = (-1)^p Sigma eta, and keep what a report
-    on the inner window needs, as the pair (graded reading, commutative
-    reading).  Every naturality row has weight +1 and only the sign-law
-    rows carry (-1)^p, which never decides whether a row merges two
-    components.  So the commutative reading at odd p is the same
-    union-find with every weight +1: plain, with no parity flag and
-    killed_parity 0.  At even p the two readings are one.
+    on the inner window needs.  Every naturality row has weight +1 and
+    only the sign-law rows carry (-1)^p, which never decides whether a
+    row merges two components.  So the commutative law at odd p is the
+    same union-find with every weight +1, and no parity conflict: the
+    report reads it from this system (SolveReport._plain).  At even p
+    the two laws agree, and every sign is +1.
 
     The field is not an argument either: the rows have coefficients +-1
     whatever the characteristic, so only the reading of a parity conflict
@@ -1235,8 +1233,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
                 tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
                 for x in roots:
                     tags[x].add(tag)
-    graded = _System(
-        shift_p=MappingProxyType(shift_p),
+    return _System(
         unknowns=count,
         vertices=vertices,
         naturality_rows=naturality_rows,
@@ -1245,21 +1242,10 @@ def _build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
         killed_zero=len(dead),
         killed_parity=len(odd - dead),
         classes=tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets)),
-        window=W,
-        inner=inner,
         lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
         root=tuple(root),
         sign=tuple(signs),
-        plain=sign == 1,
     )
-    if sign == 1:
-        return graded, graded
-    commutative = graded._replace(
-        killed_parity=0,
-        classes=tuple((x, False, tags) for x, _, tags in graded.classes),
-        plain=True,
-    )
-    return graded, commutative
 
 
 def _arrow_name(rules: dict, shift_p, key: tuple, slot: int) -> str:
@@ -1283,14 +1269,15 @@ def _least_name(lo: int, hi: int) -> int:
     return -int(best) if lo < 0 else int(best)
 
 
-def _named_components(params: ModelParams, system: _System) -> list:
-    """The components of system.classes in report order, as (parity,
-    tags, runs): runs is the run map of the component's unknowns in the
-    inner window, {(family, i, t, slot): ((a_lo, a_hi, coefficient),
-    ...)} with its keys in order, read off each block's root and sign
-    slices where a neighbour differs.  Expanded, the members ((family, i,
-    a, b), slot, coefficient) in order of vertex and then str(arrow) are
-    the basis element's.  Components are ordered by their least (vertex,
+def _named_components(report: SolveReport) -> list:
+    """The components of the report's system's classes in report order,
+    read under its variant, as (parity, tags, runs): runs is the run map
+    of the component's unknowns in the report's inner window, {(family,
+    i, t, slot): ((a_lo, a_hi, coefficient), ...)} with its keys in
+    order, read off each block's root and sign slices where a neighbour
+    differs.  Expanded, the members ((family, i, a, b), slot,
+    coefficient) in order of vertex and then str(arrow) are the basis
+    element's.  Components are ordered by their least (vertex,
     str(arrow)); a Vertex orders as its key does.
 
     At one vertex every member's arrow has the same ends, so its name is
@@ -1301,16 +1288,18 @@ def _named_components(params: ModelParams, system: _System) -> list:
     per run, at the a whose name sorts first (_least_name).
 
     A coefficient is the member's sign relative to the member of least
-    str(arrow); where every member has one sign, as in a plain reading,
-    each coefficient is +1.  On a component without the parity flag the
+    str(arrow); where every member has one sign, as in a plain reading
+    (SolveReport._plain), which ignores the parity flags, each
+    coefficient is +1.  On a component without the parity flag the
     rows fix it.  On a parity-flagged one, which survives only in
     characteristic 2, the rows imply both signs, so the +-1 read off
     depends on the order in which unknowns were merged; every such choice
     is the same element over F_2."""
-    W, inner = system.window, system.inner
-    rules, shift_p = params.rules, system.shift_p
-    root, sign, plain = system.root, system.sign, system.plain
-    wanted = {x: (odd, tags) for x, odd, tags in system.classes}
+    params, system, plain = report.params, report._system, report._plain
+    W, inner = report.window, report.inner_window
+    rules, shift_p = params.rules, _frame(params.omega, report.p)[0]
+    root, sign = system.root, system.sign
+    wanted = {x: (odd and not plain, tags) for x, odd, tags in system.classes}
     heads: dict = {}
     found_runs: dict[int, list[tuple]] = {x: [] for x in wanted}
     for (f, i, t), bv in system.lines:
@@ -1396,12 +1385,15 @@ def solve_component(
             f"window {window} too small: need inner_window + margin"
             f" = {inner_window} + {solver_margin(params)}"
         )
-    graded, commutative = _build_system(params.omega, window, inner_window, p)
-    system = graded if variant == "graded" else commutative
+    misses = _build_system.cache_info().misses
+    system = _build_system(params.omega, window, inner_window, p)
+    built = _build_system.cache_info().misses > misses
 
-    # interpret the components over the field: outside characteristic 2
-    # a parity conflict x = -x forces the component to zero
-    report = SolveReport(params, p, variant, field, window, inner_window, _system=system)
+    # interpret the components under the variant and over the field: a
+    # parity conflict x = -x, which a plain reading ignores, forces the
+    # component to zero outside characteristic 2
+    report = SolveReport(params, p, variant, field, window, inner_window, built=built, _system=system)
+    kills = field != 2 and not report._plain
     report.visibility = class_visibility_map(params, inner_window)
     report.unknowns = system.unknowns
     report.vertices = system.vertices
@@ -1410,11 +1402,11 @@ def solve_component(
     report.rows = system.rows
     report.merges = system.merges
     report.killed_zero = system.killed_zero
-    if field != 2:
+    if kills:
         report.killed_parity = system.killed_parity
     residual = False
     for _, parity, tags in system.classes:
-        if parity and field != 2:
+        if parity and kills:
             continue
         tag = _class_of(tags)
         if tag == "scalar":
@@ -1428,7 +1420,7 @@ def solve_component(
     if residual:
         # an error in the model; the names give the report order
         report.residual = [
-            list(tags) for parity, tags, _ in _named_components(params, system)
+            list(tags) for parity, tags, _ in _named_components(report)
             if not (parity and field != 2) and _class_of(tags) is None
         ]
     return report

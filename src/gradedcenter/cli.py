@@ -19,11 +19,9 @@ from .gentle import (
     OmegaParams,
     QuiverParseError,
     build_lambda,
-    clock_condition,
     format_quiver,
-    is_gentle,
-    is_one_cycle,
     parse_quiver,
+    survey,
 )
 from .hom import hom_basis, hom_dim_closed_form
 from .model import ModelParams, make_vertex, window_dot
@@ -55,21 +53,12 @@ def _cmd_validate(args) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    q = parse_quiver(text)
-    gentle_ok, violations = is_gentle(q)
-    if gentle_ok:
-        one_cycle = is_one_cycle(q)
-        if one_cycle:
-            clock = "satisfied" if clock_condition(q) else "not satisfied"
-        else:
-            clock = "n/a"
-        cycle_str = "yes" if one_cycle else "no"
-    else:
-        cycle_str = "n/a"
-        clock = "n/a"
+    violations, one_cycle, clock = survey(parse_quiver(text))
+    cycle_str = {None: "n/a", True: "yes", False: "no"}[one_cycle]
+    clock_str = {None: "n/a", True: "satisfied", False: "not satisfied"}[clock]
     print(
-        f"gentle: {'yes' if gentle_ok else 'no'},"
-        f" one-cycle: {cycle_str}, clock condition: {clock}"
+        f"gentle: {'no' if violations else 'yes'},"
+        f" one-cycle: {cycle_str}, clock condition: {clock_str}"
     )
     for v in violations:
         print(v)

@@ -178,7 +178,20 @@ def is_one_cycle(q: GentleQuiver) -> bool:
     ok, _ = is_gentle(q)
     if not ok:
         raise ValueError("quiver is not gentle")
+    return _is_one_cycle(q)
+
+
+def _is_one_cycle(q: GentleQuiver) -> bool:
     return bool(q.vertices) and len(q.arrows) == len(q.vertices) and _is_connected(q)
+
+
+def survey(q: GentleQuiver) -> tuple[list[str], bool | None, bool | None]:
+    """What validate prints: is_gentle's violations, then is_one_cycle
+    and clock_condition where they apply, else None; gentleness is
+    checked once."""
+    ok, violations = is_gentle(q)
+    one_cycle = _is_one_cycle(q) if ok else None
+    return violations, one_cycle, _clock(q, _cycle_arrows(q)) if one_cycle else None
 
 
 def cycle_arrows(q: GentleQuiver) -> tuple[set[str], set[str], set[str]]:
@@ -196,6 +209,10 @@ def cycle_arrows(q: GentleQuiver) -> tuple[set[str], set[str], set[str]]:
     """
     if not is_one_cycle(q):
         raise ValueError("quiver is not one-cycle")
+    return _cycle_arrows(q)
+
+
+def _cycle_arrows(q: GentleQuiver) -> tuple[set[str], set[str], set[str]]:
     arrow_map = q.arrow_map()
     ends: dict[str, list[str]] = {v: [] for v in q.vertices}
     for name, src, tgt in q.arrows:
@@ -234,7 +251,11 @@ def cycle_arrows(q: GentleQuiver) -> tuple[set[str], set[str], set[str]]:
 def clock_condition(q: GentleQuiver) -> bool:
     """True iff equally many relations sit on clockwise and anticlockwise
     cycle arrows.  The value does not depend on the traversal direction."""
-    cw, acw, _ = cycle_arrows(q)
+    return _clock(q, cycle_arrows(q))
+
+
+def _clock(q: GentleQuiver, partition: tuple) -> bool:
+    cw, acw, _ = partition
     n_cw = sum(1 for beta, alpha in q.relations if beta in cw and alpha in cw)
     n_acw = sum(1 for beta, alpha in q.relations if beta in acw and alpha in acw)
     return n_cw == n_acw

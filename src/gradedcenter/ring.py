@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from .center import _build_system, class_visibility_map, power_visible, solve_component, solver_margin
+from .center import class_visibility_map, power_visible, solve_component, solver_margin
 from .gf import FieldScalar
 from .model import ModelParams
 
@@ -138,10 +138,10 @@ def reconcile(
     no such allowance: a window whose inner box cannot show it in some
     degree up to the bound (center.power_visible) is refused.
 
-    The degrees are solved one after another by solve_component, whose
-    built systems are cached by (r, n, m), window, inner window and
-    degree, and not by field or variant: the four (variant, char) pairs
-    of one window share them, and report.degrees says which degrees this
+    The degrees are solved one after another by solve_component, which
+    builds one system per (r, n, m), window, inner window and degree and
+    reads it under any variant and field: the four (variant, char) pairs
+    of one window share it, and report.degrees says which degrees this
     call built.  parallel has no effect; it is accepted so that existing
     callers keep working."""
     if degree_bound < 0:
@@ -162,12 +162,10 @@ def reconcile(
     shift_family = {0: "X", params.n: "Y"}
     # every degree's report carries the same visibility map
     full = [cls for cls, vis in sorted(class_visibility_map(params, inner).items()) if vis == "full"]
-    misses = _build_system.cache_info().misses
     for p in range(degree_bound + 1):
         rep = solve_component(params, p, variant, field, window, inner)
-        before, misses = misses, _build_system.cache_info().misses
         report.degrees.append(DegreeWork(p, rep.unknowns, rep.rows, rep.merges,
-                                         rep.killed_zero, rep.killed_parity, misses > before))
+                                         rep.killed_zero, rep.killed_parity, rep.built))
         problems = []
         exp_scalar = 1 if p == 0 else 0
         if rep.scalar_dim != exp_scalar:

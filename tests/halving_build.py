@@ -1,25 +1,23 @@
-"""The path-halving signed union-find build that gradedcenter.center's
-flat _build_system replaces, kept as its differential oracle.  The
-function is the one it replaced, unchanged but for its name and the
-cache: every row walks both of its unknowns up to their roots, halving
-the paths, and a last pass hangs every unknown on its root."""
+"""The path-halving signed union-find build that gradedcenter.center's flat
+_build_system replaces, kept as its differential oracle.  The function
+is the one it replaced, unchanged but for its name, the cache and its
+return, the one system that _build_system returns: every row walks both
+of its unknowns up to their roots, halving the paths, and a last pass
+hangs every unknown on its root."""
 
 from itertools import compress
-from types import MappingProxyType
 
 from gradedcenter.center import InconsistencyError, _class_tag, _row_pattern, _System, _targets
 from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_gap, sigma_shift
 
 
-def build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
+def build_system(omega, W: int, inner: int, p: int) -> _System:
     """Solve the union-find system of degree p on the window W, with the
     graded sign law eta Sigma = (-1)^p Sigma eta, and keep what a report
-    on the inner window needs, as the pair (graded reading, commutative
-    reading).  Every naturality row has weight +1 and only the sign-law
-    rows carry (-1)^p, which never decides whether a row merges two
-    components.  So the commutative reading at odd p is the same
-    union-find with every weight +1: plain, with no parity flag and
-    killed_parity 0.  At even p the two readings are one.
+    on the inner window needs.  Every naturality row has weight +1 and
+    only the sign-law rows carry (-1)^p, which never decides whether a
+    row merges two components, so the report reads the commutative law
+    from this system too.
 
     The field is not an argument either: the rows have coefficients +-1
     whatever the characteristic, so only the reading of a parity conflict
@@ -205,8 +203,7 @@ def build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
                 tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
                 for x in roots:
                     tags[x].add(tag)
-    graded = _System(
-        shift_p=MappingProxyType(shift_p),
+    return _System(
         unknowns=count,
         vertices=vertices,
         naturality_rows=naturality_rows,
@@ -215,18 +212,7 @@ def build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
         killed_zero=len(dead),
         killed_parity=len(odd - dead),
         classes=tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets)),
-        window=W,
-        inner=inner,
         lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
         root=tuple(parent),
         sign=tuple(weight),
-        plain=sign == 1,
     )
-    if sign == 1:
-        return graded, graded
-    commutative = graded._replace(
-        killed_parity=0,
-        classes=tuple((x, False, tags) for x, _, tags in graded.classes),
-        plain=True,
-    )
-    return graded, commutative

@@ -1,14 +1,13 @@
-"""The line-by-line system build that gradedcenter.center's
-_build_system replaces, kept as its differential oracle.  The function
-is the one it replaced, unchanged but for its name and the cache: it
-tests the arrow at each target and works out each row pattern once per
-line and target, where _build_system reads one plan per (family, i,
-clamped gap).  It builds on center's _SignedForest and imposes the rows
-in the same order, so root and sign come out identical, not just
-equivalent."""
+"""The line-by-line system build that gradedcenter.center's _build_system
+replaces, kept as its differential oracle.  The function is the one it
+replaced, unchanged but for its name, the cache and its return, the one
+system that _build_system returns: it tests the arrow at each target and
+works out each row pattern once per line and target, where _build_system
+reads one plan per (family, i, clamped gap).  It builds on center's
+_SignedForest and imposes the rows in the same order, so root and sign
+come out identical, not just equivalent."""
 
 from itertools import compress
-from types import MappingProxyType
 
 from gradedcenter.center import (
     InconsistencyError,
@@ -23,15 +22,13 @@ from gradedcenter.center import (
 from gradedcenter.model import ModelParams, Vertex, arrow_kind
 
 
-def build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
+def build_system(omega, W: int, inner: int, p: int) -> _System:
     """Solve the union-find system of degree p on the window W, with the
     graded sign law eta Sigma = (-1)^p Sigma eta, and keep what a report
-    on the inner window needs, as the pair (graded reading, commutative
-    reading).  Every naturality row has weight +1 and only the sign-law
-    rows carry (-1)^p, which never decides whether a row merges two
-    components.  So the commutative reading at odd p is the same
-    union-find with every weight +1: plain, with no parity flag and
-    killed_parity 0.  At even p the two readings are one.
+    on the inner window needs.  Every naturality row has weight +1 and
+    only the sign-law rows carry (-1)^p, which never decides whether a
+    row merges two components, so the report reads the commutative law
+    from this system too.
 
     The field is not an argument either: the rows have coefficients +-1
     whatever the characteristic, so only the reading of a parity conflict
@@ -148,8 +145,7 @@ def build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
                 tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
                 for x in roots:
                     tags[x].add(tag)
-    graded = _System(
-        shift_p=MappingProxyType(shift_p),
+    return _System(
         unknowns=count,
         vertices=vertices,
         naturality_rows=naturality_rows,
@@ -158,18 +154,7 @@ def build_system(omega, W: int, inner: int, p: int) -> tuple[_System, _System]:
         killed_zero=len(dead),
         killed_parity=len(odd - dead),
         classes=tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets)),
-        window=W,
-        inner=inner,
         lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
         root=tuple(root),
         sign=tuple(signs),
-        plain=sign == 1,
     )
-    if sign == 1:
-        return graded, graded
-    commutative = graded._replace(
-        killed_parity=0,
-        classes=tuple((x, False, tags) for x, _, tags in graded.classes),
-        plain=True,
-    )
-    return graded, commutative

@@ -1,19 +1,22 @@
 """The naming of a built system's components that gradedcenter.center's
 _named_components replaces, kept as its differential oracle: every
 member's arrow is built as a Vertex and an ArrowGen and ordered by its
-str.  The only change from the function it replaced is that it reads the
-system's plain flag, where every sign is +1."""
+str.  The only change from the function it replaced is that it reads a
+report's system under the report's variant: a plain reading
+(SolveReport._plain) takes every sign as +1 and ignores the parity
+flags."""
 
-from gradedcenter.center import _basis_arrow
-from gradedcenter.model import ModelParams, Vertex
+from gradedcenter.center import SolveReport, _basis_arrow, _frame
+from gradedcenter.model import Vertex
 
 
-def named_components(params: ModelParams, system) -> list:
+def named_components(report: SolveReport) -> list:
     """center._named_components, naming every member by str(arrow)."""
-    W, inner = system.window, system.inner
-    rules, shift_p = params.rules, system.shift_p
+    params, system, plain = report.params, report._system, report._plain
+    W, inner = report.window, report.inner_window
+    rules, shift_p = params.rules, _frame(params.omega, report.p)[0]
     root, sign = system.root, system.sign
-    wanted = {x: (odd, tags) for x, odd, tags in system.classes}
+    wanted = {x: (odd and not plain, tags) for x, odd, tags in system.classes}
     members: dict[int, list[tuple]] = {x: [] for x in wanted}
     for (f, i, t), bv in system.lines:
         a0, length = -W - min(t, 0), 2 * W + 1 - abs(t)
@@ -23,7 +26,7 @@ def named_components(params: ModelParams, system) -> list:
             for k in range(length):
                 got = members.get(root[x0 + k])
                 if got is not None:
-                    got.append(((f, i, a0 + k, a0 + k + t), s, 1 if system.plain else sign[x0 + k]))
+                    got.append(((f, i, a0 + k, a0 + k + t), s, 1 if plain else sign[x0 + k]))
     components = []
     for x, mems in members.items():
         named = [

@@ -46,11 +46,12 @@ def members(params: ModelParams, shift_p, runs: dict) -> tuple:
     return tuple(sorted(cells, key=lambda m: (m[0], _arrow_name(rules, shift_p, m[0], m[1]))))
 
 
-def named_members(params: ModelParams, system) -> list:
+def named_members(report) -> list:
     """center._named_components with each component's runs expanded to
     its members (members), the form tests/named_components.py gives."""
-    return [(parity, tags, members(params, system.shift_p, runs))
-            for parity, tags, runs in _named_components(params, system)]
+    shift_p = _frame(report.params.omega, report.p)[0]
+    return [(parity, tags, members(report.params, shift_p, runs))
+            for parity, tags, runs in _named_components(report)]
 
 
 def slot_map(params: ModelParams, el: CenterElement) -> dict:

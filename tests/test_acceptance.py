@@ -1,5 +1,7 @@
 """Acceptance gate: every criterion must pass, one printed line each."""
 
+import hashlib
+
 import pytest
 
 import gradedcenter.acceptance as acceptance
@@ -158,6 +160,30 @@ def test_criterion_5_builds_one_system_per_degree():
     ok, detail = _c5_reconcile()
     assert ok, detail
     assert _build_system.cache_info().misses == sum(2 * n + 1 for _, n, _ in GRID) == 210
+
+
+def test_criterion_5_degree_work_is_pinned(monkeypatch):
+    # every reconcile pass's DegreeWork list from a cold cache, pinned by
+    # the totals of each count and a digest of the whole list: the first
+    # pass per row builds every degree, and the other three read their
+    # counts, under their own (variant, char), from the systems it built
+    got = []
+
+    def recording(params, field, variant, *args):
+        rep = reconcile(params, field, variant, *args)
+        got.append(((params.r, params.n, params.m), variant, field, [tuple(d) for d in rep.degrees]))
+        return rep
+
+    reconcile = acceptance.reconcile
+    monkeypatch.setattr(acceptance, "reconcile", recording)
+    _build_system.cache_clear()
+    assert _c5_reconcile()[0]
+    degrees = [d for *_, listed in got for d in listed]
+    assert len(got) == 120 and len(degrees) == 840
+    # unknowns, rows, merges, killed_zero, killed_parity, built
+    assert [sum(d[k] for d in degrees) for k in range(1, 7)] == [1009356, 3322496, 1004172, 584, 6, 210]
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == "d8b654e159c8a4ce3fff33c4f4401b4f65e86e32018c5eaea6e03e246a144f2f"
 
 
 def test_criterion_4_checks_the_listed_cases(monkeypatch):

@@ -468,6 +468,33 @@ def test_membership_counts_every_arrow_into_the_support(rnm):
         assert _counted(got) == slot_map_membership.check_membership(params, el, 10, 3, char=char)
 
 
+@pytest.mark.parametrize("W, first, rows", [
+    (4, "f':X(0)[0,-1]->X(0)[0,0]", 14),
+    (7, "f':X(0)[0,-1]->X(0)[0,0]", 83),
+])
+def test_membership_orders_the_arrows_into_one_cell(W, first, rows):
+    # the identity in degree 0 on the X cells with a, b >= 0 of (2, 2, 1):
+    # every arrow out of the support stays in it, and the first failure is
+    # at X(0)[0,0], the least cell that arrows enter from off the support,
+    # two of them: the step up from X(0)[0,-1] and the step across from
+    # X(0)[-1,0].  The walk takes them in the order of their sources' (f,
+    # i, k) and b, as the cell-by-cell walk does, so the failure named is
+    # the step up and the rows counted stop there; keyed by the target
+    # alone, the check would name the step across and count its row too
+    params = params_for(2, 2, 1, window=W)
+    inner = W - membership_margin(params)
+    runs = {}
+    for i in range(2):
+        for t in range(-2 * W, 2 * W + 1):
+            lo, hi = max(0, -t, -W - min(t, 0)), W - max(t, 0)
+            if lo <= hi:
+                runs["X", i, t, -1] = ((lo, hi, 1),)
+    el = CenterElement(0, "graded", _SlotView(params, 0, runs))
+    got = _counted(check_membership(params, el, W, inner))
+    assert got == slot_map_membership.check_membership(params, el, W, inner)
+    assert got == (False, f"naturality fails at {first}", rows, 0)
+
+
 def test_make_generator_matches_cell_oracle():
     # Every criterion-4 generator, plus eta_power(0), on criterion 4's
     # window W = 12 and on the benchmark's three smallest windows: the
@@ -945,6 +972,29 @@ def test_cached_system_is_not_aliased():
     assert _cached_report(again) == _cached_report(_fresh_solve(params, 2, "graded", 3, 9, 3))
 
 
+def test_report_says_whether_it_built_its_system():
+    # built is true exactly on a cache miss: the first (variant, char) pair
+    # of a degree builds its system and the other three read it, until a
+    # sweep of 15 degrees evicts the first; built takes no part in
+    # equality or repr
+    W = solver_margin(params_for(1, 7, 0)) + 1
+    params = params_for(1, 7, 0, window=W)
+    cases = [(variant, char) for variant in ("graded", "commutative") for char in (2, 3)]
+    _build_system.cache_clear()
+    seen = []
+    for p in list(range(15)) + [0, 14]:
+        for variant, char in cases:
+            misses = _build_system.cache_info().misses
+            rep = solve_component(params, p, variant, char, W, 1)
+            assert rep.built == (_build_system.cache_info().misses > misses), (p, variant, char)
+            seen.append(rep.built)
+            assert "built" not in repr(rep)
+    assert seen == [True, False, False, False] * 16 + [False] * 4
+    _build_system.cache_clear()
+    built, served = (solve_component(params, 14, "graded", 3, W, 1) for _ in range(2))
+    assert (built.built, served.built) == (True, False) and built == served
+
+
 # differential oracle for the build: the vertex-by-vertex build that the
 # line-by-line one replaced must give the same system
 
@@ -976,19 +1026,18 @@ def test_line_build_matches_vertex_build(rnm):
     for inner in (1, 4, 7):
         W = solver_margin(params) + inner
         for p in range(2 * n + 2):
-            # the graded reading under the sign law (-1)^p and, at odd p,
-            # the commutative reading of the same build under +1; at even
-            # p the two laws agree and the readings are one
-            graded, commutative = _build_system.__wrapped__(omega, W, inner, p)
-            readings = [(graded, -1 if p % 2 else 1)]
-            if p % 2:
-                readings.append((commutative, 1))
-            else:
-                assert commutative is graded
-            for got, sign in readings:
+            # one build per degree, read over F_3 under the graded sign law
+            # (-1)^p and, at odd p, under the commutative law +1; at even p
+            # the two laws agree and the readings are one
+            readings = [("graded", -1 if p % 2 else 1)] + ([("commutative", 1)] if p % 2 else [])
+            reports = [solve_component(params_for(r, n, m, window=W), p, variant, 3, W, inner)
+                       for variant, _ in readings]
+            system = reports[0]._system
+            assert all(got._system is system for got in reports), (W, inner, p)
+            for got, (_, sign) in zip(reports, readings):
                 want = vertex_build.build_system(omega, W, inner, p, sign)
                 case = (W, inner, p, sign)
-                assert dict(got.shift_p) == dict(want.shift_p), case
+                assert _frame(omega, p)[0] == dict(want.shift_p), case
                 # every work count, rows included as their sum, with the
                 # naturality rows those at the generating targets
                 assert _work_counts(got) == _generating_counts(want), case
@@ -998,9 +1047,9 @@ def test_line_build_matches_vertex_build(rnm):
                 # the build keeps each component's parity and tags, which
                 # the dimensions read, and names its members only when
                 # asked: both must agree with the vertex build
-                named = named_members(params, got)
+                named = named_members(got)
                 assert (Counter(c[:2] for c in named)
-                        == Counter(c[1:] for c in got.classes)), case
+                        == Counter((parity and sign == -1, tags) for _, parity, tags in system.classes)), case
                 assert len(named) == len(want.components), case
                 for mine, theirs in zip(named, want.components):
                     assert _component_shape(mine) == _component_shape(theirs), case
@@ -1016,17 +1065,15 @@ def test_line_build_matches_vertex_build(rnm):
 
 # differential oracle for the plan build: the per-line build that it
 # replaced imposes the same rows in the same order, so every field of
-# both readings must be identical, root and sign included
+# the system must be identical, root and sign included
 
 
 def assert_same_build(omega, W, inner, p):
     got = _build_system.__wrapped__(omega, W, inner, p)
     want = line_build.build_system(omega, W, inner, p)
     case = (omega, W, inner, p)
-    for mine, theirs in zip(got, want):
-        for name in _System._fields:
-            assert getattr(mine, name) == getattr(theirs, name), (case, name)
-    assert (got[1] is got[0]) == (want[1] is want[0]) == (p % 2 == 0), case
+    for name in _System._fields:
+        assert getattr(got, name) == getattr(want, name), (case, name)
 
 
 @pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (4, 6, 2)], ids=str)
@@ -1079,14 +1126,15 @@ def test_named_components_match_object_naming(rnm):
     for inner in (1, 4):
         W = solver_margin(params) + inner
         for p in range(2 * n + 2):
-            graded, commutative = _build_system.__wrapped__(omega, W, inner, p)
-            for system in (graded, commutative) if p % 2 else (graded,):
-                got = named_members(params, system)
-                assert got == named_components(params, system), (W, p, system.plain)
+            shift_p = _frame(omega, p)[0]
+            for variant in ("graded", "commutative") if p % 2 else ("graded",):
+                report = solve_component(params_for(r, n, m, window=W), p, variant, 3, W, inner)
+                got = named_members(report)
+                assert got == named_components(report), (W, p, variant)
                 for _, _, members in got:
                     for key, s, _ in members:
-                        want = str(_basis_arrow(rules, system.shift_p, Vertex(*key), s))
-                        assert _arrow_name(rules, system.shift_p, key, s) == want
+                        want = str(_basis_arrow(rules, shift_p, Vertex(*key), s))
+                        assert _arrow_name(rules, shift_p, key, s) == want
 
 
 def test_named_components_match_object_naming_at_a_large_window():
@@ -1094,9 +1142,10 @@ def test_named_components_match_object_naming_at_a_large_window():
     params = params_for(3, 4, 2, window=80)
     Wi = 80 - solver_margin(params)
     for p in (3, 4):
-        system = solve_component(params, p, "graded", 3, 80, Wi)._system
-        assert system.plain == (p == 4)
-        assert named_members(params, system) == named_components(params, system), p
+        report = solve_component(params, p, "graded", 3, 80, Wi)
+        assert report._plain == (p == 4)
+        assert (set(report._system.sign) == {1}) == (p == 4)
+        assert named_members(report) == named_components(report), p
 
 
 # the runs of a report's basis against the slot maps of the members that
@@ -1112,8 +1161,7 @@ def test_basis_runs_expand_to_slot_maps(rnm):
         params = params_for(r, n, m, window=W)
         for p in range(2 * n + 2):
             for variant in ("graded", "commutative"):
-                system = solve_component(params, p, variant, 2, W, inner)._system
-                named = named_components(params, system)
+                named = named_components(solve_component(params, p, variant, 2, W, inner))
                 for char in (2, 3, 5):
                     basis = solve_component(params, p, variant, char, W, inner).basis
                     want = []

@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 
 import gradedcenter.center
+import gradedcenter.cli
+import gradedcenter.gentle
 from gradedcenter.center import InconsistencyError, _build_system, _frame, solve_component
 from gradedcenter.cli import main
-from gradedcenter.gentle import OmegaParams, build_lambda, format_quiver, parse_quiver
+from gradedcenter.gentle import OmegaParams, build_lambda, format_quiver, is_gentle, parse_quiver
 from gradedcenter.model import ModelParams
 
 
@@ -52,6 +54,31 @@ def test_validate_empty_file_has_no_cycle(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 0 and err == ""
     assert out == "gentle: yes, one-cycle: no, clock condition: n/a\n"
+
+
+@pytest.mark.parametrize("text, first", [
+    (format_quiver(build_lambda(OmegaParams(1, 2, 0))),
+     "gentle: yes, one-cycle: yes, clock condition: not satisfied"),
+    ("vertices: x y\narrow a: x -> y\n", "gentle: yes, one-cycle: no, clock condition: n/a"),
+    ("vertices: c x y z\narrow a: c -> x\narrow b: c -> y\narrow d: c -> z\n",
+     "gentle: no, one-cycle: n/a, clock condition: n/a"),
+], ids=["one-cycle", "tree", "not-gentle"])
+def test_validate_checks_gentleness_once(text, first, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return is_gentle(q)
+
+    # wherever the command reads the check from
+    monkeypatch.setattr(gradedcenter.gentle, "is_gentle", counting)
+    monkeypatch.setattr(gradedcenter.cli, "is_gentle", counting, raising=False)
+    path = tmp_path / "q.quiver"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first
+    assert len(calls) == 1
 
 
 def test_validate_missing_file(capsys):

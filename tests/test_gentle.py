@@ -14,6 +14,7 @@ from gradedcenter.gentle import (
     is_gentle,
     is_one_cycle,
     parse_quiver,
+    survey,
 )
 
 KRONECKER = GentleQuiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2")), ())
@@ -345,6 +346,26 @@ def test_is_gentle_matches_the_arrow_scan_on_random_quivers():
             assert is_gentle(q) == cycle_removal.is_gentle(q) == (True, [])
         verdicts.add(is_gentle(q)[0])
     assert verdicts == {True, False}
+
+
+def test_public_checks_raise_on_a_quiver_they_do_not_apply_to():
+    # each check keeps its own gate: is_one_cycle, cycle_arrows and
+    # clock_condition need a gentle quiver, the last two a one-cycle one
+    star = GentleQuiver(("c", "x", "y", "z"), (("a", "c", "x"), ("b", "c", "y"), ("d", "c", "z")), ())
+    assert not is_gentle(star)[0]
+    for check in (is_one_cycle, cycle_arrows, clock_condition):
+        with pytest.raises(ValueError, match="not gentle"):
+            check(star)
+    tree = GentleQuiver(("x", "y"), (("a", "x", "y"),), ())
+    assert is_gentle(tree)[0] and not is_one_cycle(tree)
+    for check in (cycle_arrows, clock_condition):
+        with pytest.raises(ValueError, match="not one-cycle"):
+            check(tree)
+    assert survey(star) == (is_gentle(star)[1], None, None)
+    assert survey(tree) == ([], False, None)
+    for r, n, m in [(1, 2, 0), (2, 3, 1), (1, 1, 0)]:
+        q = delta(r, n, m)
+        assert survey(q) == ([], True, clock_condition(q)), (r, n, m)
 
 
 def test_empty_quiver_has_no_cycle():

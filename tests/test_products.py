@@ -75,10 +75,10 @@ def test_multiply_matches_object_products_on_solver_bases(rnm):
                         _assert_same_product(params, a, b)
 
 
-def _classes(params, rep):
+def _classes(rep):
     """The class of each element of rep.basis, in basis order: 'scalar',
     'power' or a socle class (family, q)."""
-    return [_class_of(tags) for parity, tags, _ in _named_components(params, rep._system)
+    return [_class_of(tags) for parity, tags, _ in _named_components(rep)
             if not (parity and rep.char != 2)]
 
 
@@ -130,7 +130,7 @@ def test_solver_bases_multiply_as_the_table_says(rnm):
         W = solver_margin(params_for(r, n, m)) + inner
         params = params_for(r, n, m, W)
         reps = [solve_component(params, p, variant, char, W, inner) for p in range(top + 1)]
-        classes = [_classes(params, rep) for rep in reps]
+        classes = [_classes(rep) for rep in reps]
         for p1 in range(top + 1):
             for p2 in range(top + 1 - p1):
                 for x, a in zip(classes[p1], reps[p1].basis):

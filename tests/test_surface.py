@@ -81,3 +81,15 @@ def test_every_private_name_is_read():
                 read.add(node.attr)
     assert len(defined) > 50
     assert [(module, name) for module, name in defined if name not in read] == []
+
+
+def test_no_module_imports_a_private_name():
+    # a _-prefixed name belongs to the module that defines it: no module
+    # of src/gradedcenter/ imports one from another
+    found = []
+    for path in sorted((ROOT / "src" / "gradedcenter").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                found += [(path.stem, alias.name) for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []
