@@ -47,13 +47,14 @@ each slot of a line with a nonempty hom space gets one block of
 consecutive indices, one per a in the box.  Naturality is imposed at the
 generating arrows only (_targets), since it holds at a composite once it
 holds at the factors.  The rows at one of them likewise depend on its
-source only through (family, i), the gap and the target, and on the
-gap only within a bound B per (family, i) (_plan_bound).  So a line's
-plan, its targets with their patterns of rows (_line_plans), is worked
-out once per (family, i, gap clamped to [-B, B]), and each of its rows,
-like each sign-law slot, is one union over two aligned index ranges:
-the a where both ends lie in the box.  No vertex tuple is made
-and no dict is read per cell.  Naming a report's basis builds no Vertex
+source only through (family, i), the gap and the target, and on the gap
+only through tests that each hold on an interval of gaps
+(model.arrow_gaps, the frame's gaps).  So a line's plan, its targets
+with their patterns of rows (_plan_pieces), is worked out once per
+(family, i) and piece of gaps between the ends of those intervals, and
+each of its rows, like each sign-law slot, is one union over two aligned
+index ranges: the a where both ends lie in the box.  No vertex tuple is
+made and no dict is read per cell.  Naming a report's basis builds no Vertex
 or ArrowGen either: each block's slice of roots and signs is cut into
 runs where a neighbour differs, and an arrow's name, which fixes the
 sign of a signed component, is formatted from its key once per run.
@@ -121,6 +122,7 @@ from .model import (
     ModelParams,
     Morphism,
     Vertex,
+    arrow_gaps,
     arrow_kind,
     arrow_of_degree,  # unused here: the benchmark's tracer wraps it by name
     arrows_from,  # unused here: the benchmark's tracer wraps it by name
@@ -812,11 +814,11 @@ def _row_pattern(rules: dict, v: tuple, w: tuple, degree: int, shift: tuple,
     """Naturality at the generator v -> w of this degree, v and w as
     (family, i, a, b) and shift Sigma^p at w: one row per degree of the
     composite v -> Sigma^p w, as (slot of v, slot of w) with None where
-    that side has no term.  v -> w must be a generator: the solver and
-    check_membership both test each of their targets with arrow_kind
-    first.  The solver passes every slot of v and w and imposes the rows
-    as unions; check_membership passes the slots an element fills and
-    tests them."""
+    that side has no term.  v -> w must be a generator: check_membership
+    tests each of its targets with arrow_kind first, and passes the slots
+    an element fills.  The solver's plans (_plan_pieces) give the rows
+    of every slot in this order from intervals of gaps; the per-line
+    builds in tests/ call this rule as their oracle."""
     f, i, a, b = v
     g, _, ta, tb = w
     sj, sa, sb = shift
@@ -849,7 +851,9 @@ class _System(NamedTuple):
     parity conflict.  classes holds each component that is not forced to
     zero and meets the inner window, by root, as (root, parity, tags):
     parity is set if the component forces x = -x, and tags are its class
-    tags sorted by str.  That is all the dimensions read.
+    tags sorted by str.  It is empty when every component is forced to
+    zero, and then no block is scanned for it.  That is all the
+    dimensions read.
 
     The rest is kept to name the basis when it is read
     (_named_components): lines, the layout, as ((family, i, gap), ((slot,
@@ -917,70 +921,64 @@ def _targets(params: ModelParams, f: str, i: int) -> list:
     return targets
 
 
-def _plan_bound(omega, shift: tuple) -> int:
-    """B for the lines of one (family, i), where shift is Sigma^p there
-    as (j, da, db): max(|da|, |db|) + n + m + 2.  A line's plan
-    (_line_plans) at a gap t with |t| >= B is its plan at t clamped to
-    [-B, B].
-
-    The plan is made of tests on t: whether a target is a vertex and
-    carries a generator, which slots the line and the target hold
-    (model.hom_gaps) and which rows the pattern keeps.  Each compares a
-    difference of coordinates with a region side's offset, 0, m or -n,
-    and the difference is c0 + s t with slope s in {-1, 0, 1} and c0 made
-    of a target offset (_targets) and a coordinate of a Sigma^p
-    translation: each is a constant of (omega, p).  A test against the
-    threshold c flips at most once, at t = c, so it is settled for
-    |t| >= |c| + 1.  Every |c| is at most M + max(n, m) + 1, where M =
-    max(|da|, |db|):
-    - the target tests compare offsets alone: |c| <= max(n, m) + 1;
-    - the line's slots and its own (family, i) targets, at gap t + 1 or
-      t - 1, move by Sigma^p at (family, i): |c| <= M + max(n, m) + 1;
-    - X's e' corner targets gap 0, and Z's slots do not depend on the
-      gap.  A row to another index or into Z has a kind only where
-      Sigma^p keeps the index, at p = 0 mod r, where Sigma^p is whole
-      cycles: the same translation at every index of X, and on Z the
-      same as on X in a (which g' bounds) and as on Y in b (which g''
-      bounds).  There |c| <= M + m, or M + n for the offset -n of Y's
-      arrow into Z at index 0."""
-    return max(abs(shift[1]), abs(shift[2])) + omega.n + omega.m + 2
-
-
-def _line_plans(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) -> list:
-    """The plans of the lines (f, i, t) in degree p, for t = t0..t1 in
-    turn.  A line's plan is its naturality rows: one (g, j, da, du,
-    along, rows) per generating target (_targets) whose row pattern is
-    not empty, in _targets' order.  The target of (f, i, a, a + t) is
-    (g, j, a + da, a + da + u), at the gap u = du plus t where along is
-    set; rows is _row_pattern at the a where both ends lie in the box.
-    The plans are read off the frame's slot intervals (_frame), so they
-    hold the slots of a target line the box does not reach, and they
-    depend on the gap and never on the window."""
+def _plan_pieces(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) -> tuple[list, list]:
+    """The plans of the lines (f, i, t) in degree p for t = t0..t1, as
+    (starts, plans): the line at t has plans[bisect_right(starts, t) - 1].
+    A line's plan is one (g, j, da, du, along, rows) per generating target
+    (_targets) whose row pattern is not empty, in _targets' order: the
+    target of (f, i, a, a + t) is (g, j, a + da, a + da + u), at the gap u
+    = du plus t where along is set, and rows is _row_pattern's at the a
+    where both ends lie in the box.  Every test of a plan holds on an
+    interval of t: that the target is a vertex, that the line and the
+    target hold each slot (_frame), and that the target and each slot's
+    composite v -> Sigma^p w carry a generator (model.arrow_gaps).  So a
+    plan is worked out once per piece between the ends of these
+    intervals, at its first gap, and never depends on the window."""
     shift_p, gaps, vertex_gaps = _frame(params.omega, p)
     rules = params.rules
 
-    def slot_gaps(g: str, j: int) -> list:
-        return [(s, gaps[g, j, s]) for s in (-1, 0, 1, 2) if (g, j, s) in gaps]
+    def moved(interval: tuple | None, du: int, along: bool) -> tuple | None:
+        # the t at which the target's gap, du plus t where along is set,
+        # lies in interval
+        if interval is None or not along:
+            return (None, None) if _in_gaps(interval, du) else None
+        return tuple(None if end is None else end - du for end in interval)
 
-    mine = slot_gaps(f, i)
-    targets = [(g, j, da, db - da, degree, along, vertex_gaps[g, j], shift_p[g, j], slot_gaps(g, j))
-               for g, j, da, db, degree, along in _targets(params, f, i)]
+    mine = [(s, gaps[f, i, s]) for s in (-1, 0, 1, 2) if (f, i, s) in gaps]
+    intervals = [interval for _, interval in mine]
+    targets = []
+    for g, j, da, db, degree, along in _targets(params, f, i):
+        du = db - da
+        sj, sa, sb = shift_p[g, j]
+        reach = (moved(vertex_gaps[g, j], du, along), arrow_gaps(rules, f, i, g, j, da, db, along, degree))
+        theirs = [(s, moved(gaps[g, j, s], du, along)) for s in (-1, 0, 1, 2) if (g, j, s) in gaps]
+        # per slot, the t where its row's composite has an arrow
+        kinds = {s: (None, None) if s < 0 else
+                 arrow_gaps(rules, f, i, g, sj, da + sa, db + sb, along, degree + s)
+                 for s, _ in mine + theirs}
+        targets.append((g, j, da, du, degree, along, reach, theirs, kinds))
+        intervals += [*reach, *(interval for _, interval in theirs), *kinds.values()]
+    ends = [end for lo, hi in filter(None, intervals) for end in (lo, None if hi is None else hi + 1)]
+    starts = [t0] + sorted({t for t in ends if t is not None and t0 < t <= t1})
     plans = []
-    for t in range(t0, t1 + 1):
-        v = (f, i, 0, t)
+    for t in starts:
         v_slots = [s for s, interval in mine if _in_gaps(interval, t)]
         plan = []
-        for g, j, da, du, degree, along, exists, shift, theirs in targets:
-            u = (t if along else 0) + du
-            w = (g, j, da, da + u)
-            if not _in_gaps(exists, u) or arrow_kind(rules, *v, *w, degree) is None:
+        for g, j, da, du, degree, along, (exists, kind), theirs, kinds in targets:
+            if not (_in_gaps(exists, t) and _in_gaps(kind, t)):
                 continue
-            w_slots = [s for s, interval in theirs if _in_gaps(interval, u)]
-            rows = _row_pattern(rules, v, w, degree, shift, v_slots, w_slots)
+            # _row_pattern's rows (slot of v, slot of w), by degree
+            rows: dict = {}
+            for s in v_slots:
+                if _in_gaps(kinds[s], t):
+                    rows[degree + max(s, 0)] = [s, None]
+            for s, interval in theirs:
+                if _in_gaps(interval, t) and _in_gaps(kinds[s], t):
+                    rows.setdefault(degree + max(s, 0), [None, None])[1] = s
             if rows:
-                plan.append((g, j, da, du, along, rows))
+                plan.append((g, j, da, du, along, tuple(map(tuple, rows.values()))))
         plans.append(tuple(plan))
-    return plans
+    return starts, plans
 
 
 class _SignedForest:
@@ -1066,8 +1064,11 @@ class _SignedForest:
         nxt[y0:y1] = nxt[x0:x1]
         nxt[x0:x1] = ys
         joined[x0:x1] = joined[y0:y1] = b"\1" * length
-        for x in xroots:
-            size[x] += 1
+        if xroots.count(xroots[0]) == length:
+            size[xroots[0]] += length
+        else:
+            for x in xroots:
+                size[x] += 1
         return length
 
 
@@ -1091,18 +1092,19 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     whatever the characteristic, so only the reading of a parity conflict
     depends on it, and that is left to the caller.
 
-    The naturality rows of a line (family, i, t) are its plan
-    (_line_plans): the targets whose row pattern is not empty, with their
-    rows.  The plan depends on t only through thresholds: every region
+    The naturality rows of a line (family, i, t) are its plan: the
+    targets whose row pattern is not empty, with their rows.  Every test
+    that makes the plan, each slot, each target's existence and arrow and
+    each row's arrow, holds on an interval of t, because every region
     side, target offset and Sigma^p translation is a constant of (omega,
-    p), and each test is linear in t with slope -1, 0 or 1.  So it is
-    the same at every gap t with |t| >= B = max(|da|, |db|) + n + m + 2,
-    (da, db) Sigma^p's translation at (family, i) (_plan_bound says why).
-    Each plan is worked out once per (family, i, t clamped to [-B, B]),
-    and a line does only the range arithmetic and the unions of its
-    plan's rows.  The unions come in the order of a build that works out
-    each line's rows itself, tests/line_build.py, so the system is that
-    build's field for field, root and sign included.
+    p) and each test is linear in t.  So the plan is constant between
+    the ends of those intervals: _plan_pieces cuts each (family, i)'s
+    range of gaps there and works out one plan per piece, and a line
+    picks its piece by bisection and does only the range arithmetic and
+    the unions of its plan's rows.  The unions come in the order of a
+    build that works out each line's rows itself, tests/line_build.py,
+    so the system is that build's field for field, root and sign
+    included.
 
     A line whose Hom(v, Sigma^p v) is 0 gets no unknowns and no plan, so
     the rows out of it are never imposed: rows (None, s) that force the
@@ -1146,28 +1148,22 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
             slots[d] = count
             count += 2 * W + 1 - abs(t)
 
-    # The rows at a generator v -> w depend on v only through (f, i), the
-    # target and the gap t, and on t only within [-B, B] (_plan_bound).
-    # So the plans of (f, i) are worked out once, from the least to the
-    # greatest of its lines' gaps clamped to [-B, B] (_line_plans), as
-    # plans[f, i] = (first gap, B, plans), and each line reads the plan
-    # of its clamped gap and imposes each of its rows on every a at once:
-    # the a where v and w both lie in the box, an interval.
+    # The plans of (f, i) are worked out once per piece of the gaps from
+    # its least line to its greatest (_plan_pieces), and each line imposes
+    # each row of its piece's plan on every a at once: the a where v and w
+    # both lie in the box, an interval.
     forest = _SignedForest(count)
     zero = forest.zero
-    plans: dict = {}
-    for (f, i), (least, greatest) in span.items():
-        c = _plan_bound(omega, shift_p[f, i])
-        first = max(least, -c)
-        plans[f, i] = (first, c, _line_plans(params, p, f, i, first, min(greatest, c)))
+    plans = {key: _plan_pieces(params, p, *key, least, greatest)
+             for key, (least, greatest) in span.items()}
     unite = forest.unite
     naturality_rows = sign_rows = merges = 0
     for (f, i, t), bv in lines.items():
         # the a of the line, and of its target line at the gap u, in the
         # box: a0..a1 and b0..b1
         a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
-        first, c, by_gap = plans[f, i]
-        for g, j, da, du, along, rows in by_gap[(t if -c < t < c else (c if t > 0 else -c)) - first]:
+        starts, by_piece = plans[f, i]
+        for g, j, da, du, along, rows in by_piece[bisect_right(starts, t) - 1]:
             u = (t if along else 0) + du
             b0, b1 = (-W - u, W) if u < 0 else (-W, W - u)
             lo = b0 - da if b0 - da > a0 else a0
@@ -1214,25 +1210,28 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     # The components that meet the inner window, read off each block's
     # slice in the inner box (the a from max(-inner, -inner - t) to
     # min(inner, inner - t)), less those forced to zero; then the class
-    # tags of each, one per block that holds a member.
+    # tags of each, one per block that holds a member.  Where every
+    # component is forced to zero, there is none to look for.
     meets: set = set()
-    for (f, i, t), bv in lines.items():
-        a0 = -W - min(t, 0)
-        k0 = max(-inner, -inner - t) - a0
-        k1 = min(inner, inner - t) - a0 + 1
-        if k0 < k1:
-            for x0 in bv.values():
-                meets.update(root[x0 + k0:x0 + k1])
-    meets -= dead
-    tags: dict = {x: set() for x in meets}
-    for (f, i, t), bv in lines.items():
-        length = 2 * W + 1 - abs(t)
-        for s, x0 in bv.items():
-            roots = meets.intersection(root[x0:x0 + length])
-            if roots:
-                tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
-                for x in roots:
-                    tags[x].add(tag)
+    tags: dict = {}
+    if len(dead) < count - merges:
+        for (f, i, t), bv in lines.items():
+            a0 = -W - min(t, 0)
+            k0 = max(-inner, -inner - t) - a0
+            k1 = min(inner, inner - t) - a0 + 1
+            if k0 < k1:
+                for x0 in bv.values():
+                    meets.update(root[x0 + k0:x0 + k1])
+        meets -= dead
+        tags = {x: set() for x in meets}
+        for (f, i, t), bv in lines.items():
+            length = 2 * W + 1 - abs(t)
+            for s, x0 in bv.items():
+                roots = meets.intersection(root[x0:x0 + length])
+                if roots:
+                    tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
+                    for x in roots:
+                        tags[x].add(tag)
     return _System(
         unknowns=count,
         vertices=vertices,

@@ -44,7 +44,8 @@ KIND_BY_SIGNATURE = {
 # b + m at i = 0 and b elsewhere, "a-n@r-1" is a - n at i = r - 1 and a
 # elsewhere.  Arrows out of a vertex and arrows into it are both read from
 # here, through params.sides and params.rules: by region, _region_inv,
-# arrow_kind (so arrow_of_degree), hom_gaps and acceptance._arrow_matrices.
+# arrow_kind (so arrow_of_degree), arrow_gaps (so hom_gaps) and
+# acceptance._arrow_matrices.
 REGION_TABLE = {
     "f'": ("a", "b+m@0", "b", None),
     "g'": ("a", "b+m@0", None, None),
@@ -270,8 +271,26 @@ def hom_gaps(params: ModelParams, family: str, i: int, degree: int,
     shift = (j, da, db): (lo, hi) with None for an unbounded end, or None
     if there is no such gap.  arrow_kind for every (a, b) at once."""
     j, da, db = shift
-    rule = params.rules.get((family, family, degree, i))
-    if rule is None or rule[1] != j or (degree == 0 and j == i and da == db == 0):
+    return arrow_gaps(params.rules, family, i, family, j, da, db, True, degree)
+
+
+def arrow_gaps(rules: dict, f: str, i: int, g: str, j: int, c1: int, c2: int,
+               along: bool, degree: int) -> tuple[int | None, int | None] | None:
+    """The gaps t at which arrow_kind(rules, f, i, 0, t, g, j, c1, c2 + t,
+    degree) is not None, or with c2 in place of c2 + t where along is
+    False: (lo, hi) with None for an unbounded end, or None if there is no
+    such t.  The rows are unchanged under (a, b) -> (a + 1, b + 1), so
+    this is the arrow from (f, i, a, a + t) to (g, j, a + c1, a + c2 + t)
+    at every a.  In degree 0 with along False the arrow is missing at
+    the one gap where the target is the source itself, which an interval
+    cannot leave out, so that case raises ValueError; the solver's
+    targets (center._targets) never ask for it."""
+    if degree == 0 and not along:
+        raise ValueError("arrow_gaps answers degree 0 only along the diagonal")
+    rule = rules.get((f, g, degree, i))
+    # a degree-0 kind keeps family and index: (c1, c2) = (0, 0) is the
+    # source itself at every t
+    if rule is None or rule[1] != j or (degree == 0 and c1 == c2 == 0):
         return None
     lo = hi = None
     for k, side in enumerate(rule[2]):
@@ -279,10 +298,10 @@ def hom_gaps(params: ModelParams, family: str, i: int, degree: int,
             continue
         coord, offset = side
         # side k bounds target coordinate k // 2, which minus source
-        # coordinate `coord` is slope * t + (da, db)[k // 2]; even k is a
+        # coordinate `coord` is slope * t + (c1, c2)[k // 2]; even k is a
         # lower bound, odd k an upper one
-        slope = k // 2 - coord
-        bound = offset - (da, db)[k // 2]
+        slope = (k // 2 if along else 0) - coord
+        bound = offset - (c1, c2)[k // 2]
         lower = k % 2 == 0
         if slope == 0:
             if (bound > 0) if lower else (bound < 0):

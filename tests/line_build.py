@@ -3,7 +3,7 @@ replaces, kept as its differential oracle.  The function is the one it
 replaced, unchanged but for its name, the cache and its return, the one
 system that _build_system returns: it tests the arrow at each target and
 works out each row pattern once per line and target, where _build_system
-reads one plan per (family, i, clamped gap).  It builds on center's
+reads one plan per (family, i) and piece of gaps.  It builds on center's
 _SignedForest and imposes the rows in the same order, so root and sign
 come out identical, not just equivalent."""
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -20,9 +21,8 @@ from gradedcenter.center import (
     _build_system,
     _frame,
     _least_name,
-    _line_plans,
     _lines,
-    _plan_bound,
+    _plan_pieces,
     _slot_map,
     _SlotView,
     _System,
@@ -61,6 +61,7 @@ from arrow_walk_membership import check_membership as arrow_walk_check_membershi
 import cell_generators
 from cell_generators import _solve_sigma_exponent
 import line_build
+from line_plans import _line_plans, _plan_bound
 import vertex_build
 import visibility_loop
 from membership_span import unimplied_rows
@@ -1085,7 +1086,7 @@ def test_plan_build_matches_line_build(rnm):
             assert_same_build(omega, W, inner, p)
 
 
-@pytest.mark.parametrize("p", [0, 4])
+@pytest.mark.parametrize("p", [0, 4, 7])
 def test_plan_build_matches_line_build_at_a_large_window(p):
     omega = OmegaParams(3, 4, 2)
     assert_same_build(omega, 80, 80 - solver_margin(omega), p)
@@ -1110,6 +1111,30 @@ def test_line_plans_are_constant_beyond_the_bound():
                             clamped = max(-bound, min(bound, t))
                             assert plans[t + 2 * bound] == plans[clamped + 2 * bound], (r, n, m, p, f, i, t)
     assert cases == 5936
+
+
+def test_plan_pieces_match_line_plans():
+    # every r <= n <= 6, m <= 3, p = -3..2n+1 and (family, i): each gap
+    # t of [-2B - 3, 2B + 3] reads from its piece the plan that the
+    # per-gap oracle works out at t
+    cases = gaps = 0
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for m in range(4):
+                omega = OmegaParams(r, n, m)
+                params = ModelParams(omega)
+                for p in range(-3, 2 * n + 2):
+                    for (f, i), shift in _frame(omega, p)[0].items():
+                        cases += 1
+                        t0 = -2 * _plan_bound(omega, shift) - 3
+                        want = _line_plans(params, p, f, i, t0, -t0)
+                        starts, plans = _plan_pieces(params, p, f, i, t0, -t0)
+                        assert starts[0] == t0 and starts == sorted(set(starts))
+                        for t in range(t0, -t0 + 1):
+                            gaps += 1
+                            case = (r, n, m, p, f, i, t)
+                            assert plans[bisect_right(starts, t) - 1] == want[t - t0], case
+    assert (cases, gaps) == (7448, 531368)
 
 
 # differential oracle for the naming: the object naming that

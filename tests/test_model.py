@@ -14,6 +14,7 @@ from gradedcenter.model import (
     Morphism,
     Vertex,
     _region_inv,
+    arrow_gaps,
     arrow_kind,
     arrow_of_degree,
     arrows_from,
@@ -264,6 +265,75 @@ def test_hom_gaps_match_arrow_kind(rnm):
                 got = (gaps is not None and (lo is None or lo <= t)
                        and (hi is None or t <= hi))
                 assert got == want, (f, i, j, degree, da, db, a, t)
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3)], ids=str)
+def test_arrow_gaps_match_arrow_kind(rnm):
+    # the interval against arrow_kind cell by cell on every rule key:
+    # both values of along, c1 and c2 in [-8, 8] and t in [-20, 20]; a
+    # target index other than the rule's has no gap
+    rules = ModelParams(OmegaParams(*rnm)).rules
+    ts = range(-20, 21)
+    for (f, g, degree, i), (_, j, _) in rules.items():
+        assert arrow_gaps(rules, f, i, g, j + 1, 0, 0, True, degree) is None
+        for along in (True, False):
+            if degree == 0 and not along:
+                with pytest.raises(ValueError, match="degree 0"):
+                    arrow_gaps(rules, f, i, g, j, 1, 1, along, degree)
+                continue
+            for c1, c2 in itertools.product(range(-8, 9), range(-8, 9)):
+                gaps = arrow_gaps(rules, f, i, g, j, c1, c2, along, degree)
+                lo, hi = (0, -1) if gaps is None else gaps
+                got = [(lo is None or lo <= t) and (hi is None or t <= hi) for t in ts]
+                want = [arrow_kind(rules, f, i, 0, t, g, j, c1, c2 + along * t, degree) is not None
+                        for t in ts]
+                assert got == want, (f, g, degree, i, along, c1, c2)
+
+
+def _hom_gaps_before(params, family, i, degree, shift):
+    """hom_gaps as it was before it became arrow_gaps' along case, with
+    its own reading of the region sides."""
+    j, da, db = shift
+    rule = params.rules.get((family, family, degree, i))
+    if rule is None or rule[1] != j or (degree == 0 and j == i and da == db == 0):
+        return None
+    lo = hi = None
+    for k, side in enumerate(rule[2]):
+        if side is None:
+            continue
+        coord, offset = side
+        slope = k // 2 - coord
+        bound = offset - (da, db)[k // 2]
+        lower = k % 2 == 0
+        if slope == 0:
+            if (bound > 0) if lower else (bound < 0):
+                return None
+            continue
+        if slope < 0:
+            bound, lower = -bound, not lower
+        if lower:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return (lo, hi)
+
+
+def test_hom_gaps_are_unchanged():
+    # every (family, i, degree) and Sigma^p, p = -3..2n+1, on all 84 rows
+    # r <= n <= 6, m <= 3
+    cases = 0
+    for n in range(1, 7):
+        for r, m in itertools.product(range(1, n + 1), range(4)):
+            params = ModelParams(OmegaParams(r, n, m))
+            for f, i, degree in itertools.product(params.families, range(r), range(3)):
+                for p in range(-3, 2 * n + 2):
+                    shift = sigma_shift(params, f, i, p)
+                    cases += 1
+                    want = _hom_gaps_before(params, f, i, degree, shift)
+                    assert hom_gaps(params, f, i, degree, shift) == want, (r, n, m, f, i, degree, p)
+    assert cases == 22344
 
 
 def test_arrows_are_sigma_equivariant():

@@ -130,6 +130,33 @@ def test_an_untouched_range_hangs_on_a_grown_component(s):
     check_forest(forest, 20, rows, merges)
 
 
+@pytest.mark.parametrize("s", [1, -1])
+def test_hangs_on_one_root_count_every_member(s):
+    # grow {0, 1, 2, 3}, hang the single unknowns 10..13 on it one at a
+    # time, then 14..17 as one range on its one root: size 8, then 12.
+    # A component of 10, between those sizes, must then be the one
+    # relabelled, from either side of the row that merges them
+    hangs = [(x, 10 + x, 1, s) for x in range(4)] + [(0, 14, 4, -s)]
+    for join in [(17, 29, 1, s), (29, 17, 1, s)]:
+        forest, rows, merges = run_ranges(40, [(0, 1, 3, -1)] + hangs + [(20, 21, 9, 1)])
+        grown = forest.root[0]
+        assert forest.size[forest.root[20]] == 10
+        merges += forest.unite(*join)
+        assert forest.root[0] == forest.root[20] == grown and forest.size[grown] == 22
+        rows.append(join[:2] + join[3:])
+        check_forest(forest, 40, rows, merges)
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_a_hang_on_mixed_roots_counts_each_root(s):
+    # {0, 1} and {2, 3, 4}, then the single unknowns 10..14 hang on both
+    grow = [(0, 1, 1, s), (2, 3, 2, -1)]
+    forest, rows, merges = run_ranges(20, grow + [(10, 0, 5, s)])
+    check_forest(forest, 20, rows, merges)
+    assert forest.size[forest.root[0]] == 4 and forest.size[forest.root[2]] == 6
+    assert forest.root[10] == forest.root[1] != forest.root[12] == forest.root[4]
+
+
 @pytest.mark.parametrize("small_first", [True, False])
 @pytest.mark.parametrize("s", [1, -1])
 def test_two_grown_components_merge(small_first, s):
