@@ -36,28 +36,29 @@ caller shares cached state.
 The system is built on plain integers, one diagonal line at a time.  A
 vertex is the tuple (family, i, a, b) and an unknown is a vertex plus a
 slot: -1 for the identity, or the degree of the basis arrow, whose kind
-the two families fix.  Arrows are tested by model.arrow_kind.  _frame
-states, once per (omega, p) for the solver, the generators, the product
-and the membership check, Sigma^p as a translation per (family, i)
-(model.sigma_shift), the gaps b - a of a vertex (model.least_gap)
-and the slots of Hom(v, Sigma^p v), which depend on (family, i) and the
-gap alone: one interval of gaps each (model.hom_gaps), the identity's in
-degree 0 only.  So the unknowns are laid out per line (family, i, gap):
-each slot of a line with a nonempty hom space gets one block of
-consecutive indices, one per a in the box.  Naturality is imposed at the
-generating arrows only (_targets), since it holds at a composite once it
-holds at the factors.  The rows at one of them likewise depend on its
-source only through (family, i), the gap and the target, and on the gap
-only through tests that each hold on an interval of gaps
-(model.arrow_gaps, the frame's gaps).  So a line's plan, its targets
-with their patterns of rows (_plan_pieces), is worked out once per
-(family, i) and piece of gaps between the ends of those intervals, and
-each of its rows, like each sign-law slot, is one union over two aligned
-index ranges: the a where both ends lie in the box.  No vertex tuple is
-made and no dict is read per cell.  Naming a report's basis builds no Vertex
-or ArrowGen either: each block's slice of roots and signs is cut into
-runs where a neighbour differs, and an arrow's name, which fixes the
-sign of a signed component, is formatted from its key once per run.
+the two families fix.  _frame states, once per (omega, p) for the
+solver, the generators, the product and the membership check, Sigma^p as
+a translation per (family, i) (model.sigma_shift), the gaps b - a of a
+vertex (model.least_gap) and the slots of Hom(v, Sigma^p v), which
+depend on (family, i) and the gap alone: one interval of gaps each
+(model.hom_gaps), the identity's in degree 0 only.  So the unknowns are
+laid out per line (family, i, gap): each slot of a line with a nonempty
+hom space gets one block of consecutive indices, one per a in the box.
+Naturality is imposed at the generating arrows only (_targets), since it
+holds at a composite once it holds at the factors.  The rows at one of
+them likewise depend on its source only through (family, i), the gap and
+the target, and on the gap only through tests that each hold on an
+interval of gaps (model.arrow_gaps, the frame's gaps).  So a line's
+plan, its targets with their rows, is the one statement of naturality:
+_plan_pieces cuts the gaps of each (omega, p, family, i) at the ends of
+those intervals, whatever the window, and _line_plan works out a piece's
+plan the first time a line reads it.  In the solver each row of a plan,
+like each sign-law slot, is one union over two aligned index ranges: the
+a where both ends lie in the box.  No vertex tuple is made and no dict
+is read per cell.  Naming a report's basis builds no Vertex or ArrowGen
+either: each block's slice of roots and signs is cut into runs where a
+neighbour differs, and an arrow's name, which fixes the sign of a signed
+component, is formatted from its key once per run.
 
 A CenterElement holds one integer form, the run map {(family, i, t,
 slot): ((a_lo, a_hi, coefficient), ...)}: along each line (family, i,
@@ -80,24 +81,25 @@ must be one whose gaps in the frame hold the vertex's gap, with the
 slot's kind.  The library's own elements hold valid runs by
 construction and pass as they are.
 
-check_membership runs on the runs and tests naturality with the solver's
-rule, _row_pattern, so the solver and the check share one statement of
-naturality.  It tests the same generating arrows (_targets, tabled once
-per omega by _arrow_table) that touch the support, in one walk over the
+check_membership runs on the runs and reads the solver's plans, so the
+solver and the check share one statement of naturality.  It tests the
+same generating arrows that touch the support, in one walk over the
 arrows with an end on it: from each line that holds support, and from
-each source line of an arrow into one, to each target, gated and laid
-out once per (line, target).  With the sign law, which it checks too,
-they imply naturality at every arrow of the inner box; the arrow walk
-it replaced is kept in tests/ as the oracle.  It lays each source line
-beside its target line, and each line beside its image under Sigma, and
-tests the rows once per interval on which both sides hold the same
-values; its row counts are the lengths of those intervals.  The result
-is the pair (ok, why), which also counts the naturality and sign-law
-rows tested; on a failure they, and the arrow or vertex named, are those
-of the walk cell by cell it replaced (tests/slot_map_membership.py),
-whose order, the arrows out of the support, then those into it, then
-the sign law, is unchanged: each interval's place in it is a key
-(_at).  Vertex and ArrowGen objects are built only to name a failure.
+each source line of an arrow into one (_arrow_table), to each target of
+the line's plan, laid out once per (line, target).  Of a plan's rows it
+tests those that touch a slot the element fills; the others are 0 = 0.
+With the sign law, which it checks too, they imply naturality at every
+arrow of the inner box; the arrow walk it replaced is kept in tests/ as
+the oracle.  It lays each source line beside its target line, and each
+line beside its image under Sigma, and tests the rows once per interval
+on which both sides hold the same values; its row counts are the lengths
+of those intervals.  The result is the pair (ok, why), which also counts
+the naturality and sign-law rows tested; on a failure they, and the
+arrow or vertex named, are those of the walk cell by cell it replaced
+(tests/slot_map_membership.py), whose order, the arrows out of the
+support, then those into it, then the sign law, is unchanged: each
+interval's place in it is a key (_at).  Vertex and ArrowGen objects are
+built only to name a failure, and model.arrow_kind is called only then.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -107,6 +109,7 @@ perform, so inner-window output is stable under window growth (tested).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
@@ -114,7 +117,6 @@ from itertools import compress
 from bisect import bisect_right
 from operator import itemgetter, ne, or_
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .gf import FieldScalar
 from .model import (
@@ -422,22 +424,19 @@ def _frame(omega, p: int) -> tuple[dict, dict, dict]:
 
 # Shared like _frame: never mutated.
 @lru_cache(maxsize=128)
-def _arrow_table(omega) -> tuple[dict, dict]:
-    """The generating arrows (_targets) per (family, i) of omega, as two
-    tables: those out of (f, i), as _targets lists them, and those into
-    (g, j), as (f, i, da, db, k, along) from the source (f, i), k the
-    arrow's place in the source's targets.  The sources are listed by
-    family (X < Y < Z), then by index, then by k, so an arrow's (f, i, k)
-    is its place among the arrows into (g, j): the order of the one walk
-    of check_membership, which keys an arrow into the support by it."""
+def _arrow_table(omega) -> dict:
+    """The generating arrows (_targets) into each (g, j) of omega, as (f,
+    i, da, db, k, along) from the source (f, i), k the arrow's place in
+    the source's targets.  The sources are listed by family (X < Y < Z),
+    then by index, then by k, so an arrow's (f, i, k) is its place among
+    the arrows into (g, j): the order of the one walk of check_membership,
+    which keys an arrow into the support by it."""
     params = ModelParams(omega)
-    keys = [(f, i) for f in params.families for i in range(params.r)]
-    targets = {key: tuple(_targets(params, *key)) for key in keys}
-    sources: dict = {key: [] for key in keys}
-    for f, i in keys:
-        for k, (g, j, da, db, _, along) in enumerate(targets[f, i]):
+    sources: dict = {(f, i): [] for f in params.families for i in range(params.r)}
+    for f, i in list(sources):
+        for k, (g, j, da, db, _, along) in enumerate(_targets(params, f, i)):
             sources[g, j].append((f, i, da, db, k, along))
-    return targets, {key: tuple(listed) for key, listed in sources.items()}
+    return {key: tuple(listed) for key, listed in sources.items()}
 
 
 def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> CenterElement:
@@ -537,19 +536,19 @@ def check_membership(
     The check runs on el's runs (_slot_map), a line (family, i, t = b - a)
     at a time, where the solver runs a line's unknowns; a value built by
     hand that _slot_map rejects raises ValueError.  Naturality is tested at
-    the generating arrows (_arrow_table) with both ends in the inner box
-    and an end on the support, in one walk: from each line that holds
-    support or is the source line of an arrow into it, to each of its
-    targets.  Given the sign law, which is checked too, they imply
+    the generating arrows with both ends in the inner box and an end on
+    the support, in one walk: from each line that holds support or is the
+    source line of an arrow into it (_arrow_table), to each target of its
+    plan.  Given the sign law, which is checked too, they imply
     naturality at every arrow of the box (tested).  Naturality at an
-    arrow is the solver's row rule, _row_pattern, on the coefficients mod
-    char.  Every row is unchanged when both endpoints move along the
+    arrow is the solver's rows there (_line_plan), on the coefficients
+    mod char.  Every row is unchanged when both endpoints move along the
     diagonal together, so a source line and a target line are laid side
     by side (_overlay), and on each interval where both values stay the
-    same the rows are worked out and tested once and counted times its
-    length; rows where neither endpoint carries support are 0 = 0 and are
-    skipped, which is exact.  The sign law pairs each line with its image
-    under Sigma the same way.
+    same the rows are tested once and counted times its length; rows
+    that touch no slot el fills are 0 = 0 and are skipped, which is
+    exact.  The sign law pairs each line with its image under Sigma the
+    same way.
 
     The counts and the failure are those of a walk cell by cell, kept in
     tests/slot_map_membership.py, whose order is unchanged: first the
@@ -572,12 +571,12 @@ def check_membership(
     p = el.p
     Wi = inner_window
     sign = -1 if (variant == "graded" and p % 2) else 1
-    rules, steps = params.rules, params.sigma_steps
-    # Sigma^p and the gaps of a vertex per (family, i), and Sigma^-1;
-    # the generating arrows out of and into each (family, i)
-    shift_p, _, vertex_gaps = _frame(params.omega, p)
+    steps = params.sigma_steps
+    # the gaps of a vertex per (family, i), and Sigma^-1; the generating
+    # arrows into each (family, i)
+    vertex_gaps = _frame(params.omega, p)[2]
     shift_back = _frame(params.omega, -1)[0]
-    targets, sources = _arrow_table(params.omega)
+    sources = _arrow_table(params.omega)
     lines = _slot_map(params, el).lines
 
     def inner(t: int) -> tuple:
@@ -605,11 +604,13 @@ def check_membership(
             elif u == db - da:
                 starts.update(dict.fromkeys((f, i, t) for t in range(-2 * Wi, 2 * Wi + 1)))
 
-    # generating arrows from (f, i, a, a + t) to (g, j, a + da, b + db),
-    # or to (g, j, a + da, a + db) where along is False: the target line's
-    # gap u.  A cell whose source is held is out of the support (walk 0),
-    # one whose source is empty and whose target is held is into it (walk
-    # 1), keyed by the target's place and then the source's (f, i, k) and b
+    # generating arrows from (f, i, a, a + t) to (g, j, a + da, a + da +
+    # u), each with its rows, as the line's plan lists them (_line_plan).
+    # A cell whose source is held is out of the support (walk 0), one
+    # whose source is empty and whose target is held is into it (walk 1),
+    # keyed by the target's place and then the source's (f, i, k) and b.
+    # Only the rows that touch a slot el fills are counted: the rest are
+    # 0 = 0.
     spans: list = []
     failed: list = []
     for f, i, t in starts:
@@ -617,13 +618,10 @@ def check_membership(
         if lo_v > hi_v or not _in_gaps(vertex_gaps.get((f, i)), t):
             continue
         v_line = lines.get((f, i, t), ())
-        for k, (g, j, da, db, degree, along) in enumerate(targets[f, i]):
-            u = (t if along else 0) + db - da
+        for g, j, da, du, along, k, rows in _line_plan(_plan_pieces(params.omega, p, f, i), t):
+            u = (t if along else 0) + du
             w_line = lines.get((g, j, u), ())
-            if not (v_line or w_line) or not _in_gaps(vertex_gaps.get((g, j)), u):
-                continue
-            kind = arrow_kind(rules, f, i, 0, t, g, j, da, da + u, degree)
-            if kind is None:
+            if not (v_line or w_line):
                 continue
             lo_w, hi_w = inner(u)
             out_key, in_key = (0, f, i, 0, t, k, 0), (1, g, j, da, da + u, (f, i, k), t)
@@ -634,14 +632,14 @@ def check_membership(
                     vv, key = {}, in_key
                 else:
                     continue
-                rows = _row_pattern(rules, (f, i, 0, t), (g, j, da, da + u), degree, shift_p[g, j], vv, vw)
-                spans.append((len(rows), a0, a1, (key,)))
-                if any((vv.get(s, 0) - vw.get(s2, 0)) % char for s, s2 in rows):
-                    failed.append((_at(key, a0), kind, (f, i, a0, a0 + t), (g, j, a0 + da, a0 + da + u),
-                                   degree))
+                touched = [(s, s2) for s, s2 in rows if s in vv or s2 in vw]
+                spans.append((len(touched), a0, a1, (key,)))
+                if any((vv.get(s, 0) - vw.get(s2, 0)) % char for s, s2 in touched):
+                    failed.append((_at(key, a0), (f, i, a0, a0 + t), (g, j, a0 + da, a0 + da + u), k))
     if failed:
-        star, kind, v, w, degree = min(failed)
-        gen = ArrowGen(kind, Vertex(*v), Vertex(*w), degree)
+        star, v, w, k = min(failed)
+        degree = _targets(params, *v[:2])[k][4]
+        gen = ArrowGen(arrow_kind(params.rules, *v, *w, degree), Vertex(*v), Vertex(*w), degree)
         return Membership(False, f"naturality fails at {gen!r}", counted(spans, star), 0)
     naturality_rows = counted(spans, None)
 
@@ -682,6 +680,12 @@ def solver_margin(params: ModelParams) -> int:
     return 2 * params.n + params.m + 2
 
 
+# The work counts of a build, in the order center --stats prints them;
+# they repeat exactly from run to run.  A _System holds them first, and
+# solve_component copies them to its SolveReport.
+WORK_COUNTS = ("unknowns", "vertices", "naturality_rows", "sign_rows", "merges", "killed_zero", "killed_parity")
+
+
 @dataclass
 class SolveReport:
     params: ModelParams
@@ -695,7 +699,7 @@ class SolveReport:
     class_dims: dict = dc_field(default_factory=dict)
     visibility: dict = dc_field(default_factory=dict)
     residual: list = dc_field(default_factory=list)
-    # work counts, identical across runs: unknowns (vertex, basis element),
+    # the work counts (WORK_COUNTS): unknowns (vertex, basis element),
     # vertices with a nonempty hom space, naturality and sign-law rows
     # imposed (rows is their sum), merges (unknowns minus components), and
     # the components the field discards, for a forced zero or else for a
@@ -704,7 +708,6 @@ class SolveReport:
     vertices: int = 0
     naturality_rows: int = 0
     sign_rows: int = 0
-    rows: int = 0
     merges: int = 0
     killed_zero: int = 0
     killed_parity: int = 0
@@ -719,6 +722,10 @@ class SolveReport:
         """Whether the reading takes every sign as +1 and ignores parity
         flags: under the commutative law, and at even p, where both agree."""
         return self.variant == "commutative" or self.p % 2 == 0
+
+    @property
+    def rows(self) -> int:
+        return self.naturality_rows + self.sign_rows
 
     @cached_property
     def basis(self) -> list:
@@ -809,46 +816,16 @@ def power_visible(params: ModelParams, p: int, inner_window: int) -> bool:
     return r == n and k >= 1 and rest == 0 and _power_gap(params, k, 0) <= 2 * inner_window
 
 
-def _row_pattern(rules: dict, v: tuple, w: tuple, degree: int, shift: tuple,
-                 v_slots: dict, w_slots: dict) -> tuple:
-    """Naturality at the generator v -> w of this degree, v and w as
-    (family, i, a, b) and shift Sigma^p at w: one row per degree of the
-    composite v -> Sigma^p w, as (slot of v, slot of w) with None where
-    that side has no term.  v -> w must be a generator: check_membership
-    tests each of its targets with arrow_kind first, and passes the slots
-    an element fills.  The solver's plans (_plan_pieces) give the rows
-    of every slot in this order from intervals of gaps; the per-line
-    builds in tests/ call this rule as their oracle."""
-    f, i, a, b = v
-    g, _, ta, tb = w
-    sj, sa, sb = shift
-    sa, sb = ta + sa, tb + sb
-    rows: dict = {}
-    for s in v_slots:
-        d = degree if s < 0 else s + degree
-        if s < 0 or arrow_kind(rules, f, i, a, b, g, sj, sa, sb, d) is not None:
-            rows[d] = [s, None]
-    for s in w_slots:
-        d = degree if s < 0 else degree + s
-        if s < 0 or arrow_kind(rules, f, i, a, b, g, sj, sa, sb, d) is not None:
-            row = rows.get(d)
-            if row is None:
-                rows[d] = [None, s]
-            else:
-                row[1] = s
-    return tuple(tuple(row) for row in rows.values())
-
-
-class _System(NamedTuple):
+class _System(namedtuple("_System", (*WORK_COUNTS, "classes", "lines", "root", "sign"))):
     """A built system under the graded sign law: what the union-find
     decided, which solve_component reads for every (variant, field) pair
     of its degree.
 
-    The work counts are: unknowns, vertices (cells of the box with a
-    nonempty hom space), the naturality and sign-law rows imposed, merges
-    (unknowns joined to another one: unknowns minus components), and the
-    components the field may discard, for a forced zero or else for a
-    parity conflict.  classes holds each component that is not forced to
+    The work counts (WORK_COUNTS) are: unknowns, vertices (cells of the
+    box with a nonempty hom space), the naturality and sign-law rows
+    imposed, merges (unknowns joined to another one: unknowns minus
+    components), and the components the field may discard, for a forced
+    zero or else for a parity conflict.  classes holds each component that is not forced to
     zero and meets the inner window, by root, as (root, parity, tags):
     parity is set if the component forces x = -x, and tags are its class
     tags sorted by str.  It is empty when every component is forced to
@@ -861,17 +838,7 @@ class _System(NamedTuple):
     union-find hung on its roots: the unknown x is sign[x] times the
     unknown root[x].  No Vertex, ArrowGen or str is made until then."""
 
-    unknowns: int
-    vertices: int
-    naturality_rows: int
-    sign_rows: int
-    merges: int
-    killed_zero: int
-    killed_parity: int
-    classes: tuple
-    lines: tuple
-    root: tuple
-    sign: tuple
+    __slots__ = ()
 
     @property
     def rows(self) -> int:
@@ -921,20 +888,48 @@ def _targets(params: ModelParams, f: str, i: int) -> list:
     return targets
 
 
-def _plan_pieces(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) -> tuple[list, list]:
-    """The plans of the lines (f, i, t) in degree p for t = t0..t1, as
-    (starts, plans): the line at t has plans[bisect_right(starts, t) - 1].
-    A line's plan is one (g, j, da, du, along, rows) per generating target
-    (_targets) whose row pattern is not empty, in _targets' order: the
-    target of (f, i, a, a + t) is (g, j, a + da, a + da + u), at the gap u
-    = du plus t where along is set, and rows is _row_pattern's at the a
-    where both ends lie in the box.  Every test of a plan holds on an
-    interval of t: that the target is a vertex, that the line and the
-    target hold each slot (_frame), and that the target and each slot's
-    composite v -> Sigma^p w carry a generator (model.arrow_gaps).  So a
-    plan is worked out once per piece between the ends of these
-    intervals, at its first gap, and never depends on the window."""
-    shift_p, gaps, vertex_gaps = _frame(params.omega, p)
+def _meet(x: tuple | None, y: tuple | None) -> tuple | None:
+    """The gaps that lie in both intervals (_in_gaps), as one interval, or
+    None if there is none."""
+    if x is None or y is None:
+        return None
+    lo = x[0] if y[0] is None or (x[0] is not None and x[0] > y[0]) else y[0]
+    hi = x[1] if y[1] is None or (x[1] is not None and x[1] < y[1]) else y[1]
+    return None if lo is not None and hi is not None and lo > hi else (lo, hi)
+
+
+# Shared like _frame: never mutated but for a plan worked out on its first
+# read (_line_plan).  The membership checks of one generator read the same
+# keys at every window and char (criterion 4's 496 checks read 108 keys),
+# and a build at another window of the same degree reads its keys again;
+# a sweep over degrees reads each key once, so more entries would hold
+# memory and serve nothing.
+@lru_cache(maxsize=128)
+def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list, tuple]:
+    """The naturality rows of the lines (f, i, t) of omega in degree p, at
+    every gap t, as (cuts, plans, targets): the line at t has the plan of
+    its piece, plans[bisect_right(cuts, t)], so the first and the last
+    piece have no end.  A line's plan is one (g, j, da, du, along, k,
+    rows) per generating target (_targets) whose rows are not empty, in
+    _targets' order, k its place there: the target of (f, i, a, a + t) is
+    (g, j, a + da, a + da + u), at the gap u = du plus t where along is
+    set.  rows has one row per degree of the composite v -> Sigma^p w
+    that carries a generator, as (slot of v, slot of w), None where that
+    side holds no slot of the degree: naturality at the arrow says the
+    two coefficients agree, or that the one slot is 0.
+
+    The row of a slot stands where the target is a vertex and carries a
+    generator, the end holds the slot (_frame) and the slot's composite
+    carries a generator (model.arrow_gaps).  Each of these holds on an
+    interval of t, because every region side, target offset and Sigma^p
+    translation is a constant of (omega, p) and each test is linear in t,
+    so the row stands on one interval.  targets holds, per target with a
+    row anywhere, (g, j, da, du, along, k, degree) and the intervals of
+    the rows of the slots of v and of w.  A plan is constant between the
+    ends of these intervals, the cuts, and never depends on the window;
+    _line_plan works out a piece's plan the first time a line reads it."""
+    params = ModelParams(omega)
+    shift_p, gaps, vertex_gaps = _frame(omega, p)
     rules = params.rules
 
     def moved(interval: tuple | None, du: int, along: bool) -> tuple | None:
@@ -945,40 +940,56 @@ def _plan_pieces(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) 
         return tuple(None if end is None else end - du for end in interval)
 
     mine = [(s, gaps[f, i, s]) for s in (-1, 0, 1, 2) if (f, i, s) in gaps]
-    intervals = [interval for _, interval in mine]
     targets = []
-    for g, j, da, db, degree, along in _targets(params, f, i):
+    for k, (g, j, da, db, degree, along) in enumerate(_targets(params, f, i)):
         du = db - da
+        reach = _meet(moved(vertex_gaps[g, j], du, along), arrow_gaps(rules, f, i, g, j, da, db, along, degree))
+        if reach is None:
+            continue
         sj, sa, sb = shift_p[g, j]
-        reach = (moved(vertex_gaps[g, j], du, along), arrow_gaps(rules, f, i, g, j, da, db, along, degree))
-        theirs = [(s, moved(gaps[g, j, s], du, along)) for s in (-1, 0, 1, 2) if (g, j, s) in gaps]
         # per slot, the t where its row's composite has an arrow
-        kinds = {s: (None, None) if s < 0 else
-                 arrow_gaps(rules, f, i, g, sj, da + sa, db + sb, along, degree + s)
-                 for s, _ in mine + theirs}
-        targets.append((g, j, da, du, degree, along, reach, theirs, kinds))
-        intervals += [*reach, *(interval for _, interval in theirs), *kinds.values()]
-    ends = [end for lo, hi in filter(None, intervals) for end in (lo, None if hi is None else hi + 1)]
-    starts = [t0] + sorted({t for t in ends if t is not None and t0 < t <= t1})
-    plans = []
-    for t in starts:
-        v_slots = [s for s, interval in mine if _in_gaps(interval, t)]
+        kinds = {-1: (None, None)}
+        sides = []
+        for side in (mine, [(s, moved(gaps[g, j, s], du, along)) for s in (-1, 0, 1, 2) if (g, j, s) in gaps]):
+            rows = []
+            for s, held in side:
+                stands = _meet(reach, held)
+                if stands:
+                    if s not in kinds:
+                        kinds[s] = arrow_gaps(rules, f, i, g, sj, da + sa, db + sb, along, degree + s)
+                    stands = _meet(stands, kinds[s])
+                if stands:
+                    rows.append((s, stands))
+            sides.append(tuple(rows))
+        if any(sides):
+            targets.append((g, j, da, du, along, k, degree, *sides))
+    ends = {end for *_, v_rows, w_rows in targets for _, (lo, hi) in v_rows + w_rows
+            for end in (lo, None if hi is None else hi + 1)}
+    ends.discard(None)
+    return sorted(ends), [None] * (len(ends) + 1), tuple(targets)
+
+
+def _line_plan(pieces: tuple, t: int) -> tuple:
+    """The plan of the line at gap t, read from its (family, i)'s
+    _plan_pieces: worked out at t on the first read of its piece."""
+    cuts, plans, targets = pieces
+    piece = bisect_right(cuts, t)
+    plan = plans[piece]
+    if plan is None:
         plan = []
-        for g, j, da, du, degree, along, (exists, kind), theirs, kinds in targets:
-            if not (_in_gaps(exists, t) and _in_gaps(kind, t)):
-                continue
-            # _row_pattern's rows (slot of v, slot of w), by degree
+        for g, j, da, du, along, k, degree, v_rows, w_rows in targets:
+            # the rows (slot of v, slot of w), by degree
             rows: dict = {}
-            for s in v_slots:
-                if _in_gaps(kinds[s], t):
+            for s, stands in v_rows:
+                if _in_gaps(stands, t):
                     rows[degree + max(s, 0)] = [s, None]
-            for s, interval in theirs:
-                if _in_gaps(interval, t) and _in_gaps(kinds[s], t):
+            for s, stands in w_rows:
+                if _in_gaps(stands, t):
                     rows.setdefault(degree + max(s, 0), [None, None])[1] = s
             if rows:
-                plan.append((g, j, da, du, along, tuple(map(tuple, rows.values()))))
-        plans.append(tuple(plan))
-    return starts, plans
+                plan.append((g, j, da, du, along, k, tuple(map(tuple, rows.values()))))
+        plan = plans[piece] = tuple(plan)
+    return plan
 
 
 class _SignedForest:
@@ -1092,19 +1103,14 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     whatever the characteristic, so only the reading of a parity conflict
     depends on it, and that is left to the caller.
 
-    The naturality rows of a line (family, i, t) are its plan: the
-    targets whose row pattern is not empty, with their rows.  Every test
-    that makes the plan, each slot, each target's existence and arrow and
-    each row's arrow, holds on an interval of t, because every region
-    side, target offset and Sigma^p translation is a constant of (omega,
-    p) and each test is linear in t.  So the plan is constant between
-    the ends of those intervals: _plan_pieces cuts each (family, i)'s
-    range of gaps there and works out one plan per piece, and a line
-    picks its piece by bisection and does only the range arithmetic and
-    the unions of its plan's rows.  The unions come in the order of a
-    build that works out each line's rows itself, tests/line_build.py,
-    so the system is that build's field for field, root and sign
-    included.
+    The naturality rows of a line (family, i, t) are its plan
+    (_plan_pieces), the one statement of naturality, which
+    check_membership reads too.  A plan is constant on each piece of the
+    gaps of its (family, i), so a line reads its piece's (_line_plan) and
+    does only the range arithmetic and the unions of its rows.  The
+    unions come in the order of a build that works out each line's rows
+    itself, tests/line_build.py, so the system is that build's field for
+    field, root and sign included.
 
     A line whose Hom(v, Sigma^p v) is 0 gets no unknowns and no plan, so
     the rows out of it are never imposed: rows (None, s) that force the
@@ -1130,16 +1136,11 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     # of the unknown at the least a, and the unknown at a is that index
     # plus a less the least a.  Only lines with a nonempty hom space are
     # laid out: per slot, its gaps b - a that a vertex of the box has.
-    # span[f, i] is the least and the greatest gap of a line.
     lines: dict = {}
-    span: dict = {}
     count = vertices = 0
     for (f, i, d), (lo, hi) in gaps.items():
         lo = max(x for x in (lo, vertex_gaps[f, i][0], -2 * W) if x is not None)
         hi = 2 * W if hi is None else min(hi, 2 * W)
-        if lo <= hi:
-            least, greatest = span.get((f, i), (lo, hi))
-            span[f, i] = (min(least, lo), max(greatest, hi))
         for t in range(lo, hi + 1):
             slots = lines.get((f, i, t))
             if slots is None:
@@ -1148,22 +1149,18 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
             slots[d] = count
             count += 2 * W + 1 - abs(t)
 
-    # The plans of (f, i) are worked out once per piece of the gaps from
-    # its least line to its greatest (_plan_pieces), and each line imposes
-    # each row of its piece's plan on every a at once: the a where v and w
-    # both lie in the box, an interval.
+    # Each line imposes each row of its plan (_line_plan) on every a at
+    # once: the a where v and w both lie in the box, an interval.
     forest = _SignedForest(count)
     zero = forest.zero
-    plans = {key: _plan_pieces(params, p, *key, least, greatest)
-             for key, (least, greatest) in span.items()}
+    pieces = {key: _plan_pieces(omega, p, *key) for key in {(f, i) for f, i, _ in lines}}
     unite = forest.unite
     naturality_rows = sign_rows = merges = 0
     for (f, i, t), bv in lines.items():
         # the a of the line, and of its target line at the gap u, in the
         # box: a0..a1 and b0..b1
         a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
-        starts, by_piece = plans[f, i]
-        for g, j, da, du, along, rows in by_piece[bisect_right(starts, t) - 1]:
+        for g, j, da, du, along, _, rows in _line_plan(pieces[f, i], t):
             u = (t if along else 0) + du
             b0, b1 = (-W - u, W) if u < 0 else (-W, W - u)
             lo = b0 - da if b0 - da > a0 else a0
@@ -1394,15 +1391,10 @@ def solve_component(
     report = SolveReport(params, p, variant, field, window, inner_window, built=built, _system=system)
     kills = field != 2 and not report._plain
     report.visibility = class_visibility_map(params, inner_window)
-    report.unknowns = system.unknowns
-    report.vertices = system.vertices
-    report.naturality_rows = system.naturality_rows
-    report.sign_rows = system.sign_rows
-    report.rows = system.rows
-    report.merges = system.merges
-    report.killed_zero = system.killed_zero
-    if kills:
-        report.killed_parity = system.killed_parity
+    for name in WORK_COUNTS:
+        setattr(report, name, getattr(system, name))
+    if not kills:
+        report.killed_parity = 0
     residual = False
     for _, parity, tags in system.classes:
         if parity and kills:

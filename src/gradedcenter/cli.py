@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .center import InconsistencyError, solve_component, solver_margin
+from .center import WORK_COUNTS, InconsistencyError, solve_component, solver_margin
 from .gentle import (
     OmegaParams,
     QuiverParseError,
@@ -93,11 +93,6 @@ def _cmd_hom(args) -> int:
     return 0
 
 
-# the work counts of a SolveReport that center --stats prints, in order;
-# they repeat exactly from run to run
-_STATS = ("unknowns", "vertices", "naturality_rows", "sign_rows", "merges", "killed_zero", "killed_parity")
-
-
 def _cmd_center(args) -> int:
     params = ModelParams(_omega(args), args.window)
     inner = args.window - solver_margin(params)
@@ -105,7 +100,7 @@ def _cmd_center(args) -> int:
     for line in rep.format_lines():
         print(line)
     if args.stats:
-        for name in _STATS:
+        for name in WORK_COUNTS:
             print(f"{name}: {getattr(rep, name)}")
     if rep.residual:
         print("error: residual (mixed-class) components in solver output", file=sys.stderr)

@@ -3,11 +3,12 @@ which gradedcenter.center's check_membership replaced with a walk over
 the generating arrows (center._targets), kept unchanged as its
 differential oracle: the arrows at each inner support vertex come from
 model.arrow_keys_from and arrow_keys_to, and each is tested with the
-solver's row rule on the element's coefficients."""
+cell rule _row_pattern (tests/row_pattern.py) on the element's
+coefficients."""
 
 from functools import lru_cache
 
-from gradedcenter.center import CenterElement, _in_gaps, _row_pattern, membership_margin
+from gradedcenter.center import CenterElement, _in_gaps, membership_margin
 from gradedcenter.gf import FieldScalar
 from gradedcenter.model import (
     FAMILIES,
@@ -19,6 +20,8 @@ from gradedcenter.model import (
     hom_gaps,
     sigma_shift,
 )
+
+from row_pattern import _row_pattern
 
 
 def check_membership(
@@ -35,7 +38,7 @@ def check_membership(
     (family, i, a, b), and el becomes its coefficients per slot.  The
     arrows at each inner support vertex come from model.arrow_keys_from
     and arrow_keys_to as integer ranges that start at each row's least
-    gap.  Naturality at an arrow is the solver's row rule, _row_pattern,
+    gap.  Naturality at an arrow is the cell rule, _row_pattern,
     on the coefficients mod char.  A pattern is unchanged when both
     endpoints move along the diagonal together, so within one call it is
     worked out once per (families, indices, gap, target offset, degree,

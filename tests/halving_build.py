@@ -7,8 +7,10 @@ hangs every unknown on its root."""
 
 from itertools import compress
 
-from gradedcenter.center import InconsistencyError, _class_tag, _row_pattern, _System, _targets
+from gradedcenter.center import InconsistencyError, _class_tag, _System, _targets
 from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_gap, sigma_shift
+
+from row_pattern import _row_pattern
 
 
 def build_system(omega, W: int, inner: int, p: int) -> _System:

@@ -2,8 +2,10 @@
 replaces, kept as its differential oracle.  The function is the one it
 replaced, unchanged but for its name, the cache and its return, the one
 system that _build_system returns: it tests the arrow at each target and
-works out each row pattern once per line and target, where _build_system
-reads one plan per (family, i) and piece of gaps.  It builds on center's
+works out each row pattern once per line and target with the cell rule
+_row_pattern (tests/row_pattern.py), where _build_system reads each
+line's plan from the pieces of gaps of its (family, i), which hold for
+every window (center._plan_pieces).  It builds on center's
 _SignedForest and imposes the rows in the same order, so root and sign
 come out identical, not just equivalent."""
 
@@ -14,12 +16,13 @@ from gradedcenter.center import (
     _class_tag,
     _frame,
     _in_gaps,
-    _row_pattern,
     _SignedForest,
     _System,
     _targets,
 )
 from gradedcenter.model import ModelParams, Vertex, arrow_kind
+
+from row_pattern import _row_pattern
 
 
 def build_system(omega, W: int, inner: int, p: int) -> _System:

@@ -1,11 +1,17 @@
 """The per-gap plans that gradedcenter.center's _build_system replaced,
-kept as the oracle of its plan pieces (center._plan_pieces).  The two
-functions are the ones it replaced, unchanged: _line_plans works out a
-line's plan gap by gap with model.arrow_kind and center._row_pattern, and
-_plan_bound is the gap beyond which that plan stops changing."""
+kept as the oracle of its plan pieces (center._plan_pieces, read through
+center._line_plan).  The two functions are the ones it replaced,
+unchanged: _line_plans works out a line's plan gap by gap with
+model.arrow_kind and the cell rule _row_pattern (tests/row_pattern.py),
+and _plan_bound is the gap beyond which that plan stops changing.
+oracle_plans caches _line_plans over the gaps the plan tests read."""
 
-from gradedcenter.center import _frame, _in_gaps, _row_pattern, _targets
+from functools import lru_cache
+
+from gradedcenter.center import _frame, _in_gaps, _targets
 from gradedcenter.model import ModelParams, arrow_kind
+
+from row_pattern import _row_pattern
 
 
 def _plan_bound(omega, shift: tuple) -> int:
@@ -72,3 +78,18 @@ def _line_plans(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) -
                 plan.append((g, j, da, du, along, rows))
         plans.append(tuple(plan))
     return plans
+
+
+@lru_cache(maxsize=None)
+def oracle_plans(omega, p: int, f: str, i: int) -> tuple[int, int, list]:
+    """(B, t0, plans) for the lines (f, i) of omega in degree p: B is
+    _plan_bound at Sigma^p of (f, i), and plans[t - t0] is _line_plans's
+    plan at t for t = t0..-t0, t0 = -2B - 3.  A plan equal to the one
+    before it is that same object, so the cache holds each run of equal
+    plans once."""
+    bound = _plan_bound(omega, _frame(omega, p)[0][f, i])
+    t0 = -2 * bound - 3
+    plans: list = []
+    for plan in _line_plans(ModelParams(omega), p, f, i, t0, -t0):
+        plans.append(plans[-1] if plans and plans[-1] == plan else plan)
+    return bound, t0, plans

@@ -14,8 +14,10 @@ F_2).  A component is forced to zero by a row x = 0, or outside
 characteristic 2 by a conflict x = -x.
 """
 
-from gradedcenter.center import _in_gaps, _row_pattern, _targets
+from gradedcenter.center import _in_gaps, _targets
 from gradedcenter.model import ModelParams, arrow_keys_from, arrow_kind, hom_gaps, least_gap, sigma_shift
+
+from row_pattern import _row_pattern
 
 
 def unimplied_rows(params: ModelParams, Wi: int, p: int, sign: int, sign_law: bool = True) -> dict:

@@ -15,12 +15,13 @@ from gradedcenter.center import (
     _frame,
     _in_gaps,
     _named_components,
-    _row_pattern,
     _targets,
     membership_margin,
 )
 from gradedcenter.gf import FieldScalar
 from gradedcenter.model import ArrowGen, ModelParams, Vertex, arrow_kind
+
+from row_pattern import _row_pattern
 
 
 def expand(runs: dict) -> dict:

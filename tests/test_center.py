@@ -5,7 +5,6 @@ import random
 import re
 import subprocess
 import sys
-from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -22,10 +21,12 @@ from gradedcenter.center import (
     _frame,
     _least_name,
     _lines,
+    _line_plan,
     _plan_pieces,
     _slot_map,
     _SlotView,
     _System,
+    _targets,
     check_membership,
     class_visibility_map,
     make_generator,
@@ -61,7 +62,7 @@ from arrow_walk_membership import check_membership as arrow_walk_check_membershi
 import cell_generators
 from cell_generators import _solve_sigma_exponent
 import line_build
-from line_plans import _line_plans, _plan_bound
+from line_plans import oracle_plans
 import vertex_build
 import visibility_loop
 from membership_span import unimplied_rows
@@ -1092,31 +1093,38 @@ def test_plan_build_matches_line_build_at_a_large_window(p):
     assert_same_build(omega, 80, 80 - solver_margin(omega), p)
 
 
+def _oracle_form(plan: tuple) -> tuple:
+    # a plan of center._line_plan as tests/line_plans.py states it: each
+    # target without its place k in _targets
+    return tuple((g, j, da, du, along, rows) for g, j, da, du, along, _, rows in plan)
+
+
 def test_line_plans_are_constant_beyond_the_bound():
-    # every r <= n <= 6, m <= 3, p = 0..2n+1 and (family, i): on a
-    # window whose gaps reach 2B on both sides, the plan at each gap t,
-    # every target's rows, is the plan at t clamped to [-B, B]
+    # every r <= n <= 6, m <= 3, p = 0..2n+1 and (family, i): every cut
+    # of the plan pieces lies in [-B, B], so the two pieces without an
+    # end hold every gap t with |t| > B, and their plans are the oracle's
+    # at -2B and 2B
     cases = 0
     for n in range(1, 7):
         for r in range(1, n + 1):
             for m in range(4):
                 omega = OmegaParams(r, n, m)
-                params = ModelParams(omega)
                 for p in range(2 * n + 2):
-                    for (f, i), shift in _frame(omega, p)[0].items():
+                    for f, i in _frame(omega, p)[0]:
                         cases += 1
-                        bound = _plan_bound(omega, shift)
-                        plans = _line_plans(params, p, f, i, -2 * bound, 2 * bound)
-                        for t in range(-2 * bound, 2 * bound + 1):
-                            clamped = max(-bound, min(bound, t))
-                            assert plans[t + 2 * bound] == plans[clamped + 2 * bound], (r, n, m, p, f, i, t)
+                        case = (r, n, m, p, f, i)
+                        bound, t0, want = oracle_plans(omega, p, f, i)
+                        pieces = _plan_pieces(omega, p, f, i)
+                        assert all(-bound <= cut <= bound for cut in pieces[0]), case
+                        for t in (-2 * bound, 2 * bound):
+                            assert _oracle_form(_line_plan(pieces, t)) == want[t - t0], (case, t)
     assert cases == 5936
 
 
 def test_plan_pieces_match_line_plans():
     # every r <= n <= 6, m <= 3, p = -3..2n+1 and (family, i): each gap
     # t of [-2B - 3, 2B + 3] reads from its piece the plan that the
-    # per-gap oracle works out at t
+    # per-gap oracle works out at t, each target at its place in _targets
     cases = gaps = 0
     for n in range(1, 7):
         for r in range(1, n + 1):
@@ -1124,16 +1132,20 @@ def test_plan_pieces_match_line_plans():
                 omega = OmegaParams(r, n, m)
                 params = ModelParams(omega)
                 for p in range(-3, 2 * n + 2):
-                    for (f, i), shift in _frame(omega, p)[0].items():
+                    for f, i in _frame(omega, p)[0]:
                         cases += 1
-                        t0 = -2 * _plan_bound(omega, shift) - 3
-                        want = _line_plans(params, p, f, i, t0, -t0)
-                        starts, plans = _plan_pieces(params, p, f, i, t0, -t0)
-                        assert starts[0] == t0 and starts == sorted(set(starts))
+                        _, t0, want = oracle_plans(omega, p, f, i)
+                        pieces = _plan_pieces(omega, p, f, i)
+                        cuts, plans, _ = pieces
+                        assert cuts == sorted(set(cuts)) and len(plans) == len(cuts) + 1
+                        targets = _targets(params, f, i)
                         for t in range(t0, -t0 + 1):
                             gaps += 1
                             case = (r, n, m, p, f, i, t)
-                            assert plans[bisect_right(starts, t) - 1] == want[t - t0], case
+                            plan = _line_plan(pieces, t)
+                            assert _oracle_form(plan) == want[t - t0], case
+                            assert all(targets[k][:4] == (g, j, da, da + du) and targets[k][5] == along
+                                       for g, j, da, du, along, k, _ in plan), case
     assert (cases, gaps) == (7448, 531368)
 
 

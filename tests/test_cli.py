@@ -214,6 +214,20 @@ def test_ring_rejects_nonprime_char(capsys):
     assert err.startswith("error:")
 
 
+def test_ring_checks_a_large_prime_char(capsys):
+    # 2^61 - 1 is prime, and deciding so takes no time that grows with it
+    code, out, err = run(capsys, "ring", "--r", "1", "--n", "1", "--m", "0", "--char", str(2 ** 61 - 1))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["reduced: F[X^2]", "nilpotent: F^N"]
+
+
+def test_ring_refuses_a_char_too_large_to_test(capsys):
+    code, out, err = run(capsys, "ring", "--r", "1", "--n", "1", "--m", "0",
+                         "--char", "3317044064679887385961981")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "too large" in err
+
+
 def test_ar_emits_dot(capsys):
     code, out, err = run(capsys, "ar", "--r", "1", "--n", "2", "--m", "0", "--window", "1")
     assert code == 0 and err == ""

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from gradedcenter.gf import FieldScalar
+from gradedcenter.gf import FieldScalar, _is_prime
 
 from null_space_oracle import SparseMatrix, null_space
+from trial_division import is_prime
 
 
 def test_scalar_is_reduced():
@@ -17,6 +18,40 @@ def test_nonprime_modulus_rejected():
         FieldScalar(1, 4)
     with pytest.raises(ValueError):
         FieldScalar(0, 1)
+
+
+# the Carmichael numbers below 5.2 * 10^5, and 151 * 751 * 28351, which
+# is also a strong pseudoprime to the bases 2, 3, 5 and 7
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633, 62745,
+              63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545, 294409, 314821,
+              334153, 340561, 399001, 410041, 449065, 488881, 512461, 3215031751]
+
+
+def test_primality_matches_trial_division():
+    assert [n for n in range(10 ** 5) if _is_prime(n) != is_prime(n)] == []
+    # Korselt's criterion: n is squarefree, with at least two prime
+    # factors q, each with q - 1 dividing n - 1
+    for n in CARMICHAEL:
+        factors = [q for q in range(2, 30000) if n % q == 0 and is_prime(q)]
+        product = 1
+        for q in factors:
+            product *= q
+        assert len(factors) >= 2 and product == n and all((n - 1) % (q - 1) == 0 for q in factors), n
+        assert _is_prime(n) is is_prime(n) is False, n
+
+
+def test_primality_beyond_trial_division():
+    # 2^61 - 1 is prime; the least strong pseudoprime to the bases 2..37
+    # is composite, and only the base 41 tells; from the least one to
+    # the bases 2..41 on, no modulus is decided
+    assert _is_prime(2 ** 61 - 1)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not _is_prime(318665857834031151167461)
+    assert 1287836182261 * 2575672364521 == 3317044064679887385961981
+    assert _is_prime(3317044064679887385961981 - 1) is False
+    for p in (3317044064679887385961981, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            FieldScalar(0, p)
 
 
 def test_null_space_zero_matrix():

@@ -13,8 +13,10 @@ of the others and which the line build leaves out."""
 
 from typing import NamedTuple
 
-from gradedcenter.center import InconsistencyError, _basis_arrow, _class_tag, _row_pattern
+from gradedcenter.center import InconsistencyError, _basis_arrow, _class_tag
 from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_gap, sigma_shift
+
+from row_pattern import _row_pattern
 
 
 class Built(NamedTuple):
