@@ -36,14 +36,14 @@ caller shares cached state.
 The system is built on plain integers, one diagonal line at a time.  A
 vertex is the tuple (family, i, a, b) and an unknown is a vertex plus a
 slot: -1 for the identity, or the degree of the basis arrow, whose kind
-the two families fix.  _frame states, once per (omega, p) for the
-solver, the generators, the product and the membership check, Sigma^p as
-a translation per (family, i) (model.sigma_shift), the gaps b - a of a
-vertex (model.least_gap) and the slots of Hom(v, Sigma^p v), which
-depend on (family, i) and the gap alone: one interval of gaps each
-(model.hom_gaps), the identity's in degree 0 only.  So the unknowns are
-laid out per line (family, i, gap): each slot of a line with a nonempty
-hom space gets one block of consecutive indices, one per a in the box.
+the two families fix.  The solver, the generators, the product and the
+membership check read the slots of Hom(v, Sigma^p v) off hom.frame, the
+library's one statement of that space, which hom_basis reads too: per
+(family, i), Sigma^p as a translation, the gaps b - a of a vertex, and
+one interval of gaps per slot, the identity's in degree 0 only.  So the
+unknowns are laid out per line (family, i, gap): each slot of a line
+with a nonempty hom space gets one block of consecutive indices, one per
+a in the box.
 Naturality is imposed at the generating arrows only (_targets), since it
 holds at a composite once it holds at the factors.  The rows at one of
 them likewise depend on its source only through (family, i), the gap and
@@ -56,9 +56,9 @@ plan the first time a line reads it.  In the solver each row of a plan,
 like each sign-law slot, is one union over two aligned index ranges: the
 a where both ends lie in the box.  No vertex tuple is made and no dict
 is read per cell.  Naming a report's basis builds no Vertex or ArrowGen
-either: each block's slice of roots and signs is cut into runs where a
-neighbour differs, and an arrow's name, which fixes the sign of a signed
-component, is formatted from its key once per run.
+per cell either: each block's slice of roots and signs is cut into runs
+where a neighbour differs, and an arrow's name, which fixes the sign of
+a signed component, is str(hom.basis_arrow(...)) once per run.
 
 A CenterElement holds one integer form, the run map {(family, i, t,
 slot): ((a_lo, a_hi, coefficient), ...)}: along each line (family, i,
@@ -68,9 +68,9 @@ b) -> (a + 1, b + 1), so an element is constant along each line until
 the box clips it: a generator is one run per line of its support, not
 one entry per cell.  make_generator, a report's basis and multiply fill
 the run map directly; its assignment is a read-only view over it that
-builds a Morphism, from the _basis_arrow of each slot, only when a value
-is read.  make_generator tests each line's slot once against the frame's
-gaps.  multiply intersects the two factors' runs line by line: a
+builds a Morphism, from the hom.basis_arrow of each slot, only when a
+value is read.  make_generator tests each line's slot once against the
+frame's gaps.  multiply intersects the two factors' runs line by line: a
 product's slot is the sum of its factors' slots, the identity's -1 being
 the unit, and the term is kept where the frame of the product's degree
 holds that slot at the gap.  An element built by hand from Morphism
@@ -131,13 +131,11 @@ from .model import (
     arrows_to,  # unused here: the benchmark's tracer wraps it by name
     compose,  # unused here: the benchmark's tracer wraps it by name
     enumerate_vertices,  # unused here: the benchmark's tracer wraps it by name
-    hom_gaps,
-    least_gap,
     sigma,  # unused here: the benchmark's tracer wraps it by name
     sigma_mor_pow,  # unused here: the benchmark's tracer wraps it by name
     sigma_pow,
-    sigma_shift,
 )
+from .hom import basis_arrow, frame, in_gaps
 from .hom import hom_basis  # unused here: the benchmark's tracer wraps it by name
 
 
@@ -191,8 +189,9 @@ class _SlotView(Mapping):
     holds one coefficient; a cell held with no term at all, which only
     _slot_map makes, is held in the slot None.  Keys come in (family, i,
     a, b) order.  The runs are grouped line by line (_lines) on the first
-    read, and a value's Morphism is built from the _basis_arrow of each
-    slot only when it is read, so len, in and key iteration build none."""
+    read, and a value's Morphism is built from the hom.basis_arrow of
+    each slot only when it is read, so len, in and key iteration build
+    none."""
 
     __slots__ = ("_params", "_p", "_runs", "_pieces")
 
@@ -233,10 +232,10 @@ class _SlotView(Mapping):
         value = self._value(v)
         if value is None:
             raise KeyError(v)
-        shift = _frame(self._params.omega, self._p)[0]
+        shift = frame(self._params.omega, self._p)[0]
         j, da, db = shift[v.family, v.i]
         target = Vertex(v.family, j, v.a + da, v.b + db)
-        return Morphism(v, target, {_basis_arrow(self._params.rules, shift, v, s): c for s, c in value.items()})
+        return Morphism(v, target, {basis_arrow(self._params.rules, shift, v, s): c for s, c in value.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _SlotView) and (other._params.omega, other._p) == (self._params.omega, self._p):
@@ -300,21 +299,21 @@ def _slot_map(params: ModelParams, el: CenterElement) -> _SlotView:
     """el's values as a _SlotView on these parameters' omega, and the one
     gate for values built by hand.  An element that holds a view of this
     omega and degree gives it as it is: make_generator, a report's basis
-    and multiply lay out only slots that the frame holds.  Any other is
-    converted value by value, which checks that v is a vertex of these
-    parameters, that each value runs from v to Sigma^p v, and that each
-    term's slot, its degree, is one whose gaps in the frame hold v's gap
-    and whose kind is the term's; otherwise it raises ValueError.  A value
-    with no term keeps its cell, in the slot None."""
+    and multiply lay out only slots that the frame (hom.frame) holds.
+    Any other is converted value by value, which checks that v is a
+    vertex of these parameters, that each value runs from v to Sigma^p v,
+    and that each term's slot, its degree, is one whose gaps in the frame
+    hold v's gap and whose kind is the term's; otherwise it raises
+    ValueError.  A value with no term keeps its cell, in the slot None."""
     view = el.assignment
     if isinstance(view, _SlotView) and (view._params.omega, view._p) == (params.omega, el.p):
         return view
     rules = params.rules
-    shift, gaps, vertex_gaps = _frame(params.omega, el.p)
+    shift, gaps, vertex_gaps = frame(params.omega, el.p)
     cells: dict = {}
     for v, mor in view.items():
         f, i, a, b = v.family, v.i, v.a, v.b
-        if not _in_gaps(vertex_gaps.get((f, i)), b - a):
+        if not in_gaps(vertex_gaps.get((f, i)), b - a):
             raise ValueError(f"no vertex {f}({i})[{a},{b}] for these parameters")
         j, da, db = shift[f, i]
         tgt = mor.target
@@ -323,7 +322,7 @@ def _slot_map(params: ModelParams, el: CenterElement) -> _SlotView:
         for t, c in mor.terms.items():
             if t is not None:
                 # a slot that the frame holds at the gap has a rule
-                ok = ok and _in_gaps(gaps.get((f, i, t.degree)), b - a)
+                ok = ok and in_gaps(gaps.get((f, i, t.degree)), b - a)
                 ok = ok and t.kind == rules[f, f, t.degree, i][0]
             cells.setdefault((f, i, b - a, -1 if t is None else t.degree), []).append((a, a, c))
         if not ok:
@@ -392,37 +391,7 @@ def _power_gap(params: ModelParams, k: int, i: int) -> int:
     return k * (params.n + params.m) - (params.m if i == 0 else 0)
 
 
-def _in_gaps(gaps: tuple | None, t: int) -> bool:
-    """Whether the gap t lies in gaps, an interval of a frame (_frame)."""
-    return gaps is not None and (gaps[0] is None or gaps[0] <= t) and (gaps[1] is None or t <= gaps[1])
-
-
-# Shared like model._region_tables: never mutated.
-@lru_cache(maxsize=128)
-def _frame(omega, p: int) -> tuple[dict, dict, dict]:
-    """What a degree-p element may hold at each (family, i) of omega, as
-    three tables: Sigma^p as a translation (j, da, db) (model.sigma_shift);
-    {(family, i, slot): (lo, hi)}, the interval of gaps b - a of each
-    slot with a nonempty one (model.hom_gaps; None for an unbounded end),
-    the identity's slot -1 in degree 0 only, at every gap; and the gaps of
-    a vertex, (least gap, None) (model.least_gap; None on Z, where every
-    gap is one).  A family or index that omega lacks has no entry."""
-    params = ModelParams(omega)
-    shift, gaps, vertex_gaps = {}, {}, {}
-    for f in params.families:
-        for i in range(params.r):
-            shift[f, i] = sigma_shift(params, f, i, p)
-            vertex_gaps[f, i] = (least_gap(params, f, i), None)
-            if p == 0:
-                gaps[f, i, -1] = (None, None)
-            for d in (0, 1, 2):
-                hom = hom_gaps(params, f, i, d, shift[f, i])
-                if hom is not None:
-                    gaps[f, i, d] = hom
-    return shift, gaps, vertex_gaps
-
-
-# Shared like _frame: never mutated.
+# Shared like hom.frame: never mutated.
 @lru_cache(maxsize=128)
 def _arrow_table(omega) -> dict:
     """The generating arrows (_targets) into each (g, j) of omega, as (f,
@@ -462,7 +431,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
         family, slot, missing = "X", 2, "missing e' self-arrow at"
     else:
         family, slot, missing = "X", 0 if q else -1, "missing f' power arrow at"
-    _, gaps, vertex_gaps = _frame(params.omega, p)
+    _, gaps, vertex_gaps = frame(params.omega, p)
     runs: dict = {}
     for i in range(r):
         if spec.name == "eta_power":
@@ -477,7 +446,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
         # is even, so the sign is (-1)^(n i).
         coeff = -1 if spec.name == "eta_prime" and n * i % 2 else 1
         for t in range(lo, min(hi, 2 * W) + 1):
-            if not _in_gaps(hom, t):
+            if not in_gaps(hom, t):
                 raise InconsistencyError(f"{missing} {Vertex(family, i, -W, t - W)!r}")
             # the a of the line in the box [-W, W]^2
             a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
@@ -574,8 +543,8 @@ def check_membership(
     steps = params.sigma_steps
     # the gaps of a vertex per (family, i), and Sigma^-1; the generating
     # arrows into each (family, i)
-    vertex_gaps = _frame(params.omega, p)[2]
-    shift_back = _frame(params.omega, -1)[0]
+    vertex_gaps = frame(params.omega, p)[2]
+    shift_back = frame(params.omega, -1)[0]
     sources = _arrow_table(params.omega)
     lines = _slot_map(params, el).lines
 
@@ -615,7 +584,7 @@ def check_membership(
     failed: list = []
     for f, i, t in starts:
         lo_v, hi_v = inner(t)
-        if lo_v > hi_v or not _in_gaps(vertex_gaps.get((f, i)), t):
+        if lo_v > hi_v or not in_gaps(vertex_gaps.get((f, i)), t):
             continue
         v_line = lines.get((f, i, t), ())
         for g, j, da, du, along, k, rows in _line_plan(_plan_pieces(params.omega, p, f, i), t):
@@ -770,15 +739,6 @@ def _class_tag(params: ModelParams, p: int, i: int, gap: int, kind: str | None) 
     return ("other", kind)
 
 
-def _basis_arrow(rules: dict, shift_p, v: Vertex, slot: int) -> ArrowGen | None:
-    """The basis arrow v -> Sigma^p v in this slot, None for the identity."""
-    if slot < 0:
-        return None
-    j, da, db = shift_p[v.family, v.i]
-    target = Vertex(v.family, j, v.a + da, v.b + db)
-    return ArrowGen(rules[v.family, v.family, slot, v.i][0], v, target, slot)
-
-
 def class_visibility_map(params: ModelParams, inner_window: int) -> dict:
     """Visibility of every socle class meeting the inner window: 'full'
     if every index of the class has support in the guarded box,
@@ -889,7 +849,7 @@ def _targets(params: ModelParams, f: str, i: int) -> list:
 
 
 def _meet(x: tuple | None, y: tuple | None) -> tuple | None:
-    """The gaps that lie in both intervals (_in_gaps), as one interval, or
+    """The gaps that lie in both intervals (hom.in_gaps), as one interval, or
     None if there is none."""
     if x is None or y is None:
         return None
@@ -898,7 +858,7 @@ def _meet(x: tuple | None, y: tuple | None) -> tuple | None:
     return None if lo is not None and hi is not None and lo > hi else (lo, hi)
 
 
-# Shared like _frame: never mutated but for a plan worked out on its first
+# Shared like hom.frame: never mutated but for a plan worked out on its first
 # read (_line_plan).  The membership checks of one generator read the same
 # keys at every window and char (criterion 4's 496 checks read 108 keys),
 # and a build at another window of the same degree reads its keys again;
@@ -919,7 +879,7 @@ def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list, tuple]:
     two coefficients agree, or that the one slot is 0.
 
     The row of a slot stands where the target is a vertex and carries a
-    generator, the end holds the slot (_frame) and the slot's composite
+    generator, the end holds the slot (hom.frame) and the slot's composite
     carries a generator (model.arrow_gaps).  Each of these holds on an
     interval of t, because every region side, target offset and Sigma^p
     translation is a constant of (omega, p) and each test is linear in t,
@@ -929,14 +889,14 @@ def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list, tuple]:
     ends of these intervals, the cuts, and never depends on the window;
     _line_plan works out a piece's plan the first time a line reads it."""
     params = ModelParams(omega)
-    shift_p, gaps, vertex_gaps = _frame(omega, p)
+    shift_p, gaps, vertex_gaps = frame(omega, p)
     rules = params.rules
 
     def moved(interval: tuple | None, du: int, along: bool) -> tuple | None:
         # the t at which the target's gap, du plus t where along is set,
         # lies in interval
         if interval is None or not along:
-            return (None, None) if _in_gaps(interval, du) else None
+            return (None, None) if in_gaps(interval, du) else None
         return tuple(None if end is None else end - du for end in interval)
 
     mine = [(s, gaps[f, i, s]) for s in (-1, 0, 1, 2) if (f, i, s) in gaps]
@@ -981,10 +941,10 @@ def _line_plan(pieces: tuple, t: int) -> tuple:
             # the rows (slot of v, slot of w), by degree
             rows: dict = {}
             for s, stands in v_rows:
-                if _in_gaps(stands, t):
+                if in_gaps(stands, t):
                     rows[degree + max(s, 0)] = [s, None]
             for s, stands in w_rows:
-                if _in_gaps(stands, t):
+                if in_gaps(stands, t):
                     rows.setdefault(degree + max(s, 0), [None, None])[1] = s
             if rows:
                 plan.append((g, j, da, du, along, k, tuple(map(tuple, rows.values()))))
@@ -1126,7 +1086,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
 
     # per (family, i): Sigma^p as a translation (j, da, db), the slots of
     # Hom(v, Sigma^p v) with their gaps, and the gaps of a vertex
-    shift_p, gaps, vertex_gaps = _frame(omega, p)
+    shift_p, gaps, vertex_gaps = frame(omega, p)
 
     # The line (f, i, t) is the diagonal of vertices (f, i, a, a + t) in
     # the box, a from -W - min(t, 0) to W - max(t, 0), none if |t| > 2W.
@@ -1244,16 +1204,6 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     )
 
 
-def _arrow_name(rules: dict, shift_p, key: tuple, slot: int) -> str:
-    """str(_basis_arrow(...)) of the member (key, slot), formatted from
-    its key: "None" for the identity, else the arrow's repr."""
-    if slot < 0:
-        return "None"
-    f, i, a, b = key
-    j, da, db = shift_p[f, i]
-    return f"{rules[f, f, slot, i][0]}:{f}({i})[{a},{b}]->{f}({j})[{a + da},{b + db}]"
-
-
 def _least_name(lo: int, hi: int) -> int:
     """The a in lo..hi whose decimal string, followed by ",", sorts first
     as str: a negative a if there is one, and among those of one sign the
@@ -1279,9 +1229,10 @@ def _named_components(report: SolveReport) -> list:
     At one vertex every member's arrow has the same ends, so its name is
     a prefix, "None" or the kind and ":", followed by a common tail, and
     no prefix starts another: the prefixes order the members of a vertex
-    as their names do.  Names are formatted (_arrow_name) only where they
-    order members of different vertices, to pick the sign, and then once
-    per run, at the a whose name sorts first (_least_name).
+    as their names do.  Names, str(hom.basis_arrow(...)), are formatted
+    only where they order members of different vertices, to pick the
+    sign, and then once per run, at the a whose name sorts first
+    (_least_name).
 
     A coefficient is the member's sign relative to the member of least
     str(arrow); where every member has one sign, as in a plain reading
@@ -1293,7 +1244,7 @@ def _named_components(report: SolveReport) -> list:
     is the same element over F_2."""
     params, system, plain = report.params, report._system, report._plain
     W, inner = report.window, report.inner_window
-    rules, shift_p = params.rules, _frame(params.omega, report.p)[0]
+    rules, shift_p = params.rules, frame(params.omega, report.p)[0]
     root, sign = system.root, system.sign
     wanted = {x: (odd and not plain, tags) for x, odd, tags in system.classes}
     heads: dict = {}
@@ -1342,7 +1293,7 @@ def _named_components(report: SolveReport) -> list:
             names = []
             for (f, i, t, s), lo, hi, w in runs:
                 a = _least_name(lo, hi)
-                names.append((_arrow_name(rules, shift_p, (f, i, a, a + t), s), w))
+                names.append((str(basis_arrow(rules, shift_p, Vertex(f, i, a, a + t), s)), w))
             ref_w = min(names)[1]
         by_key: dict = {}
         for key, lo, hi, w in sorted(runs):
@@ -1422,14 +1373,14 @@ def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterE
     Sigma keeps a term's kind and degree, so a term of a_v in slot s_a
     and one of b_v in slot s_b compose to the arrow v -> Sigma^(p_a + p_b)
     v of degree s_a + s_b, with coefficient c_a c_b, where that arrow
-    exists: where the frame of degree p_a + p_b (_frame) holds the slot
+    exists: where the frame of degree p_a + p_b (hom.frame) holds the slot
     s_a + s_b at v's gap.  The identity's slot -1 is the unit.  The two
     factors' lines are laid side by side (_overlay), and the product is
     worked out once on each interval where both values stay the same.  A
     factor built by hand passes _slot_map's gate, the membership check's,
     first."""
     p = a.p + b.p
-    gaps = _frame(params.omega, p)[1]
+    gaps = frame(params.omega, p)[1]
     lines_a = _slot_map(params, a).lines
     spans: dict = {}
     for (f, i, t), pieces_b in _slot_map(params, b).lines.items():
@@ -1447,7 +1398,7 @@ def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterE
                         s = s_a if s_b < 0 else s_b
                     else:
                         s = s_a + s_b
-                        if not _in_gaps(gaps.get((f, i, s)), t):
+                        if not in_gaps(gaps.get((f, i, s)), t):
                             continue
                     c = terms.get(s, 0) + c_a * c_b
                     if c:

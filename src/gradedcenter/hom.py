@@ -1,5 +1,6 @@
-"""Morphism spaces Hom(v, Sigma^p v): basis enumeration against the arrow
-model, and the closed-form dimension formulas as an independent oracle.
+"""Morphism spaces Hom(v, Sigma^p v): the per-degree table (frame) that is
+the library's one statement of them, which hom_basis and the center both
+read, and the closed-form dimension formulas as an independent oracle.
 
 The closed forms never consult the arrow model; rational inequalities are
 evaluated by integer cross-multiplication, so everything stays exact.
@@ -8,8 +9,10 @@ evaluated by integer cross-multiplication, so everything stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .model import ModelParams, Vertex, arrow_of_degree, sigma_pow, vertex_exists
+from .model import ArrowGen, ModelParams, Vertex, hom_gaps, least_gap, sigma_shift, vertex_exists
+from .model import sigma_pow  # unused here: the benchmark's tracer wraps it by name
 
 
 @dataclass(frozen=True)
@@ -23,16 +26,57 @@ class HomSpace:
         return len(self.basis)
 
 
+def in_gaps(gaps: tuple | None, t: int) -> bool:
+    """Whether the gap t lies in gaps, an interval of a frame."""
+    return gaps is not None and (gaps[0] is None or gaps[0] <= t) and (gaps[1] is None or t <= gaps[1])
+
+
+# Shared like model._region_tables: never mutated.
+@lru_cache(maxsize=128)
+def frame(omega, p: int) -> tuple[dict, dict, dict]:
+    """What a degree-p element may hold at each (family, i) of omega, as
+    three tables: Sigma^p as a translation (j, da, db) (model.sigma_shift);
+    {(family, i, slot): (lo, hi)}, the interval of gaps b - a of each
+    slot with a nonempty one (model.hom_gaps; None for an unbounded end),
+    the identity's slot -1 in degree 0 only, at every gap; and the gaps of
+    a vertex, (least gap, None) (model.least_gap; None on Z, where every
+    gap is one).  A family or index that omega lacks has no entry."""
+    params = ModelParams(omega)
+    shift, gaps, vertex_gaps = {}, {}, {}
+    for f in params.families:
+        for i in range(params.r):
+            shift[f, i] = sigma_shift(params, f, i, p)
+            vertex_gaps[f, i] = (least_gap(params, f, i), None)
+            if p == 0:
+                gaps[f, i, -1] = (None, None)
+            for d in (0, 1, 2):
+                hom = hom_gaps(params, f, i, d, shift[f, i])
+                if hom is not None:
+                    gaps[f, i, d] = hom
+    return shift, gaps, vertex_gaps
+
+
+def basis_arrow(rules: dict, shift_p, v: Vertex, slot: int) -> ArrowGen | None:
+    """The basis arrow v -> Sigma^p v in this slot, None for the identity."""
+    if slot < 0:
+        return None
+    j, da, db = shift_p[v.family, v.i]
+    target = Vertex(v.family, j, v.a + da, v.b + db)
+    return ArrowGen(rules[v.family, v.family, slot, v.i][0], v, target, slot)
+
+
 def hom_basis(params: ModelParams, v: Vertex, p: int) -> HomSpace:
-    """Basis of Hom(v, Sigma^p v): the generator arrows v -> Sigma^p v,
-    preceded by the identity when p = 0.  None is the identity marker."""
-    w = sigma_pow(params, v, p)
-    basis: list = [None] if p == 0 else []
-    for degree in (0, 1, 2):
-        g = arrow_of_degree(params, v, w, degree)
-        if g is not None:
-            basis.append(g)
-    return HomSpace(v, p, tuple(basis))
+    """Basis of Hom(v, Sigma^p v), read off the frame of degree p: the
+    identity first when p = 0, then the arrow of each slot whose gaps
+    hold b - a.  None is the identity marker.  A family or index that the
+    parameters lack raises ValueError."""
+    shift, gaps, _ = frame(params.omega, p)
+    f, i = v.family, v.i
+    if (f, i) not in shift:
+        raise ValueError(f"no vertices {f}({i}) for these parameters")
+    t = v.b - v.a
+    slots = [s for s in (-1, 0, 1, 2) if in_gaps(gaps.get((f, i, s)), t)]
+    return HomSpace(v, p, tuple(basis_arrow(params.rules, shift, v, s) for s in slots))
 
 
 def hom_dim_closed_form(params: ModelParams, v: Vertex, p: int) -> int:

@@ -457,15 +457,16 @@ def tau_sigma_periodic(params: ModelParams) -> tuple[bool, list[tuple[str, int]]
 
 
 def enumerate_vertices(params: ModelParams) -> list[Vertex]:
+    """The vertices inside [-W, W]^2, W the window, by family, index, a
+    and then b: each row of a starts at its least gap (_rows)."""
     W = params.window
-    out = []
-    for family in params.families:
-        for i in range(params.r):
-            for a in range(-W, W + 1):
-                for b in range(-W, W + 1):
-                    if vertex_exists(params, family, i, (a, b)):
-                        out.append(Vertex(family, i, a, b))
-    return out
+    return [
+        Vertex(family, i, a, b)
+        for family in params.families
+        for i in range(params.r)
+        for a, bs in _rows(params, family, i, (None, None, None, None), W)
+        for b in bs
+    ]
 
 
 def _clip(lo, hi, W: int) -> range:

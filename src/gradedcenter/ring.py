@@ -12,6 +12,7 @@ nilpotent part is the socle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import attrgetter
 from typing import NamedTuple
 
 from .center import class_visibility_map, power_visible, solve_component, solver_margin
@@ -162,10 +163,10 @@ def reconcile(
     shift_family = {0: "X", params.n: "Y"}
     # every degree's report carries the same visibility map
     full = [cls for cls, vis in sorted(class_visibility_map(params, inner).items()) if vis == "full"]
+    work = attrgetter(*DegreeWork._fields[1:])
     for p in range(degree_bound + 1):
         rep = solve_component(params, p, variant, field, window, inner)
-        report.degrees.append(DegreeWork(p, rep.unknowns, rep.rows, rep.merges,
-                                         rep.killed_zero, rep.killed_parity, rep.built))
+        report.degrees.append(DegreeWork(p, *work(rep)))
         problems = []
         exp_scalar = 1 if p == 0 else 0
         if rep.scalar_dim != exp_scalar:

@@ -8,8 +8,9 @@ coefficients."""
 
 from functools import lru_cache
 
-from gradedcenter.center import CenterElement, _in_gaps, membership_margin
+from gradedcenter.center import CenterElement, membership_margin
 from gradedcenter.gf import FieldScalar
+from gradedcenter.hom import in_gaps
 from gradedcenter.model import (
     FAMILIES,
     ArrowGen,
@@ -72,7 +73,7 @@ def check_membership(
         slots = {}
         for t, c in mor.terms.items():
             if t is not None:
-                ok = ok and _in_gaps(hom(f, i, t.degree), b - a) and t.kind == rules[f, f, t.degree, i][0]
+                ok = ok and in_gaps(hom(f, i, t.degree), b - a) and t.kind == rules[f, f, t.degree, i][0]
             slots[-1 if t is None else t.degree] = c
         if not ok:
             raise ValueError(f"the value at {v!r} is not in Hom(v, Sigma^{p} v)")

@@ -14,12 +14,11 @@ from itertools import compress
 from gradedcenter.center import (
     InconsistencyError,
     _class_tag,
-    _frame,
-    _in_gaps,
     _SignedForest,
     _System,
     _targets,
 )
+from gradedcenter.hom import frame, in_gaps
 from gradedcenter.model import ModelParams, Vertex, arrow_kind
 
 from row_pattern import _row_pattern
@@ -43,7 +42,7 @@ def build_system(omega, W: int, inner: int, p: int) -> _System:
 
     # per (family, i): Sigma^p as a translation (j, da, db), the slots of
     # Hom(v, Sigma^p v) with their gaps, and the gaps of a vertex
-    shift_p, gaps, vertex_gaps = _frame(omega, p)
+    shift_p, gaps, vertex_gaps = frame(omega, p)
 
     # The line (f, i, t) is the diagonal of vertices (f, i, a, a + t) in
     # the box, a from -W - min(t, 0) to W - max(t, 0), none if |t| > 2W.
@@ -80,7 +79,7 @@ def build_system(omega, W: int, inner: int, p: int) -> _System:
         a0, a1 = -W - min(t, 0), W - max(t, 0)
         for g, j, da, db, degree, along in targets[f, i]:
             u = (t if along else 0) + db - da
-            if not _in_gaps(vertex_gaps.get((g, j)), u):
+            if not in_gaps(vertex_gaps.get((g, j)), u):
                 continue
             b0 = -W - min(u, 0)
             lo, hi = max(a0, b0 - da), min(a1, W - max(u, 0) - da)

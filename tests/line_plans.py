@@ -8,7 +8,8 @@ oracle_plans caches _line_plans over the gaps the plan tests read."""
 
 from functools import lru_cache
 
-from gradedcenter.center import _frame, _in_gaps, _targets
+from gradedcenter.center import _targets
+from gradedcenter.hom import frame, in_gaps
 from gradedcenter.model import ModelParams, arrow_kind
 
 from row_pattern import _row_pattern
@@ -50,10 +51,10 @@ def _line_plans(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) -
     not empty, in _targets' order.  The target of (f, i, a, a + t) is
     (g, j, a + da, a + da + u), at the gap u = du plus t where along is
     set; rows is _row_pattern at the a where both ends lie in the box.
-    The plans are read off the frame's slot intervals (_frame), so they
+    The plans are read off the frame's slot intervals (hom.frame), so they
     hold the slots of a target line the box does not reach, and they
     depend on the gap and never on the window."""
-    shift_p, gaps, vertex_gaps = _frame(params.omega, p)
+    shift_p, gaps, vertex_gaps = frame(params.omega, p)
     rules = params.rules
 
     def slot_gaps(g: str, j: int) -> list:
@@ -65,14 +66,14 @@ def _line_plans(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) -
     plans = []
     for t in range(t0, t1 + 1):
         v = (f, i, 0, t)
-        v_slots = [s for s, interval in mine if _in_gaps(interval, t)]
+        v_slots = [s for s, interval in mine if in_gaps(interval, t)]
         plan = []
         for g, j, da, du, degree, along, exists, shift, theirs in targets:
             u = (t if along else 0) + du
             w = (g, j, da, da + u)
-            if not _in_gaps(exists, u) or arrow_kind(rules, *v, *w, degree) is None:
+            if not in_gaps(exists, u) or arrow_kind(rules, *v, *w, degree) is None:
                 continue
-            w_slots = [s for s, interval in theirs if _in_gaps(interval, u)]
+            w_slots = [s for s, interval in theirs if in_gaps(interval, u)]
             rows = _row_pattern(rules, v, w, degree, shift, v_slots, w_slots)
             if rows:
                 plan.append((g, j, da, du, along, rows))
@@ -87,7 +88,7 @@ def oracle_plans(omega, p: int, f: str, i: int) -> tuple[int, int, list]:
     plan at t for t = t0..-t0, t0 = -2B - 3.  A plan equal to the one
     before it is that same object, so the cache holds each run of equal
     plans once."""
-    bound = _plan_bound(omega, _frame(omega, p)[0][f, i])
+    bound = _plan_bound(omega, frame(omega, p)[0][f, i])
     t0 = -2 * bound - 3
     plans: list = []
     for plan in _line_plans(ModelParams(omega), p, f, i, t0, -t0):

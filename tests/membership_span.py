@@ -14,7 +14,8 @@ F_2).  A component is forced to zero by a row x = 0, or outside
 characteristic 2 by a conflict x = -x.
 """
 
-from gradedcenter.center import _in_gaps, _targets
+from gradedcenter.center import _targets
+from gradedcenter.hom import in_gaps
 from gradedcenter.model import ModelParams, arrow_keys_from, arrow_kind, hom_gaps, least_gap, sigma_shift
 
 from row_pattern import _row_pattern
@@ -36,7 +37,7 @@ def unimplied_rows(params: ModelParams, Wi: int, p: int, sign: int, sign_law: bo
     def slots(v: tuple) -> tuple:
         f, i, a, b = v
         own = (-1,) if p == 0 else ()
-        return own + tuple(d for d in (0, 1, 2) if _in_gaps(hom[f, i, d], b - a))
+        return own + tuple(d for d in (0, 1, 2) if in_gaps(hom[f, i, d], b - a))
 
     def exists(v: tuple) -> bool:
         key = v[:2]

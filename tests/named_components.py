@@ -6,7 +6,8 @@ report's system under the report's variant: a plain reading
 (SolveReport._plain) takes every sign as +1 and ignores the parity
 flags."""
 
-from gradedcenter.center import SolveReport, _basis_arrow, _frame
+from gradedcenter.center import SolveReport
+from gradedcenter.hom import basis_arrow, frame
 from gradedcenter.model import Vertex
 
 
@@ -14,7 +15,7 @@ def named_components(report: SolveReport) -> list:
     """center._named_components, naming every member by str(arrow)."""
     params, system, plain = report.params, report._system, report._plain
     W, inner = report.window, report.inner_window
-    rules, shift_p = params.rules, _frame(params.omega, report.p)[0]
+    rules, shift_p = params.rules, frame(params.omega, report.p)[0]
     root, sign = system.root, system.sign
     wanted = {x: (odd and not plain, tags) for x, odd, tags in system.classes}
     members: dict[int, list[tuple]] = {x: [] for x in wanted}
@@ -30,13 +31,13 @@ def named_components(report: SolveReport) -> list:
     components = []
     for x, mems in members.items():
         named = [
-            (key, s, w, str(_basis_arrow(rules, shift_p, Vertex(*key), s)))
+            (key, s, w, str(basis_arrow(rules, shift_p, Vertex(*key), s)))
             for key, s, w in mems
             if -inner <= key[2] <= inner and -inner <= key[3] <= inner
         ]
         least = min(key for key, _, _ in mems)
         head = min(
-            (key, str(_basis_arrow(rules, shift_p, Vertex(*key), s)))
+            (key, str(basis_arrow(rules, shift_p, Vertex(*key), s)))
             for key, s, _ in mems
             if key == least
         )

@@ -1,7 +1,8 @@
 """The object-based union-find solver that gradedcenter.center's
 integer-coded solve_component replaces, kept unchanged as its
-differential oracle: every vertex of the box pays for hom_basis, and
-unknowns, rows and the sign law are keyed by Vertex and ArrowGen values."""
+differential oracle: every vertex of the box pays for its Hom basis,
+probed arrow by arrow (tests/probed_hom.py), and unknowns, rows and the
+sign law are keyed by Vertex and ArrowGen values."""
 
 from gradedcenter.center import (
     CenterElement,
@@ -12,7 +13,6 @@ from gradedcenter.center import (
     solver_margin,
 )
 from gradedcenter.gf import FieldScalar
-from gradedcenter.hom import hom_basis
 from gradedcenter.model import (
     ArrowGen,
     ModelParams,
@@ -24,6 +24,7 @@ from gradedcenter.model import (
     sigma_pow,
     vertex_exists,
 )
+from probed_hom import probed_hom
 from vertex_build import _UnionFind
 
 
@@ -61,7 +62,7 @@ def solve_component(
     order: list[tuple] = []
     sigma_p: dict[Vertex, Vertex] = {}
     for v in vertices:
-        hs = hom_basis(params, v, p)
+        hs = probed_hom(params, v, p)
         if hs.basis:
             basis_of[v] = hs.basis
             sigma_p[v] = sigma_pow(params, v, p)

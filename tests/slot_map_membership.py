@@ -11,14 +11,12 @@ used, which reads an element built by hand value by value."""
 from gradedcenter.center import (
     CenterElement,
     _SlotView,
-    _arrow_name,
-    _frame,
-    _in_gaps,
     _named_components,
     _targets,
     membership_margin,
 )
 from gradedcenter.gf import FieldScalar
+from gradedcenter.hom import basis_arrow, frame, in_gaps
 from gradedcenter.model import ArrowGen, ModelParams, Vertex, arrow_kind
 
 from row_pattern import _row_pattern
@@ -44,13 +42,13 @@ def members(params: ModelParams, shift_p, runs: dict) -> tuple:
     rules = params.rules
     cells = [((f, i, a, a + t), s, c) for (f, i, t, s), spans in runs.items()
              for lo, hi, c in spans for a in range(lo, hi + 1)]
-    return tuple(sorted(cells, key=lambda m: (m[0], _arrow_name(rules, shift_p, m[0], m[1]))))
+    return tuple(sorted(cells, key=lambda m: (m[0], str(basis_arrow(rules, shift_p, Vertex(*m[0]), m[1])))))
 
 
 def named_members(report) -> list:
     """center._named_components with each component's runs expanded to
     its members (members), the form tests/named_components.py gives."""
-    shift_p = _frame(report.params.omega, report.p)[0]
+    shift_p = frame(report.params.omega, report.p)[0]
     return [(parity, tags, members(report.params, shift_p, runs))
             for parity, tags, runs in _named_components(report)]
 
@@ -65,11 +63,11 @@ def slot_map(params: ModelParams, el: CenterElement) -> dict:
     if isinstance(view, _SlotView) and view._params.omega == params.omega:
         return expand(view._runs)
     rules = params.rules
-    shift, _, vertex_gaps = _frame(params.omega, el.p)
+    shift, _, vertex_gaps = frame(params.omega, el.p)
     slots: dict = {}
     for v, mor in view.items():
         f, i, a, b = v.family, v.i, v.a, v.b
-        if not _in_gaps(vertex_gaps.get((f, i)), b - a):
+        if not in_gaps(vertex_gaps.get((f, i)), b - a):
             raise ValueError(f"no vertex {f}({i})[{a},{b}] for these parameters")
         j, da, db = shift[f, i]
         tgt = mor.target
@@ -110,8 +108,8 @@ def check_membership(
     Wi = inner_window
     sign = -1 if (variant == "graded" and p % 2) else 1
     rules, steps = params.rules, params.sigma_steps
-    shift_p, gaps, vertex_gaps = _frame(params.omega, p)
-    shift_back = _frame(params.omega, -1)[0]
+    shift_p, gaps, vertex_gaps = frame(params.omega, p)
+    shift_back = frame(params.omega, -1)[0]
     targets = {key: _targets(params, *key) for key in shift_p}
     sources: dict = {key: [] for key in shift_p}
     for f, i in shift_p:
@@ -120,7 +118,7 @@ def check_membership(
     coeffs: dict = {}
     for key, value in slot_map(params, el).items():
         f, i, a, b = key
-        if not all(_in_gaps(gaps.get((f, i, s)), b - a) for s in value):
+        if not all(in_gaps(gaps.get((f, i, s)), b - a) for s in value):
             raise ValueError(f"the value at {Vertex(*key)!r} is not in Hom(v, Sigma^{p} v)")
         coeffs[key] = (tuple(value), value)
     empty = ((), {})
@@ -155,7 +153,7 @@ def check_membership(
         f, i, a, b = v
         for g, j, da, db, degree, along in targets[f, i]:
             w = (g, j, a + da, (b if along else a) + db)
-            if not _in_gaps(vertex_gaps.get((g, j)), w[3] - w[2]) or not inner(w):
+            if not in_gaps(vertex_gaps.get((g, j)), w[3] - w[2]) or not inner(w):
                 continue
             kind = arrow_kind(rules, *v, *w, degree)
             if kind is not None and not natural_at(v, w, degree):
@@ -172,7 +170,7 @@ def check_membership(
                 continue
             for b in bs:
                 v = (f, i, a, b)
-                if v in coeffs or not _in_gaps(vertex_gaps.get((f, i)), b - a) or not inner(v):
+                if v in coeffs or not in_gaps(vertex_gaps.get((f, i)), b - a) or not inner(v):
                     continue
                 kind = arrow_kind(rules, *v, *w, degree)
                 if kind is not None and not natural_at(v, w, degree):

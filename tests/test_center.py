@@ -15,10 +15,7 @@ from gradedcenter.acceptance import GRID
 from gradedcenter.center import (
     CenterElement,
     GeneratorSpec,
-    _arrow_name,
-    _basis_arrow,
     _build_system,
-    _frame,
     _least_name,
     _lines,
     _line_plan,
@@ -37,7 +34,7 @@ from gradedcenter.center import (
     solver_margin,
 )
 from gradedcenter.gentle import OmegaParams
-from gradedcenter.hom import hom_basis
+from gradedcenter.hom import frame
 from gradedcenter.model import (
     KIND_TABLE,
     ArrowGen,
@@ -68,6 +65,7 @@ import visibility_loop
 from membership_span import unimplied_rows
 from named_components import named_components
 from null_space_oracle import SparseMatrix, null_space
+from probed_hom import probed_hom
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
 import slot_map_membership
@@ -381,11 +379,11 @@ def test_values_off_the_vertices_are_rejected(rnm, cells):
 
 @pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (4, 6, 2)], ids=str)
 def test_frame_matches_the_model(rnm):
-    # each table of center._frame against fresh model calls, p = -1..4n+2
+    # each table of hom.frame against fresh model calls, p = -1..4n+2
     params = ModelParams(OmegaParams(*rnm))
     keys = [(f, i) for f in params.families for i in range(params.r)]
     for p in range(-1, 4 * params.n + 3):
-        shift, gaps, vertex_gaps = _frame(params.omega, p)
+        shift, gaps, vertex_gaps = frame(params.omega, p)
         assert list(shift) == keys and list(vertex_gaps) == keys, p
         want = {}
         for f, i in keys:
@@ -741,7 +739,7 @@ def _oracle_inner_dim(params, p, variant, char, W, Wi):
     order = []
     unknown = {}
     for v in verts:
-        for beta in hom_basis(params, v, p).basis:
+        for beta in probed_hom(params, v, p).basis:
             unknown[(v, beta)] = len(order)
             order.append((v, beta))
     spow = {}
@@ -763,7 +761,7 @@ def _oracle_inner_dim(params, p, variant, char, W, Wi):
             rows.add(entries)
 
     for v in verts:
-        bv = hom_basis(params, v, p).basis
+        bv = probed_hom(params, v, p).basis
         for gen in arrows_from(params, v, box=W):
             w = gen.target
             by_gamma = {}
@@ -772,7 +770,7 @@ def _oracle_inner_dim(params, p, variant, char, W, Wi):
                 gamma = arrow_of_degree(params, v, sp(w), d)
                 if gamma is not None:
                     by_gamma.setdefault(gamma, []).append((unknown[(v, beta)], 1))
-            for alpha in hom_basis(params, w, p).basis:
+            for alpha in probed_hom(params, w, p).basis:
                 d = gen.degree if alpha is None else gen.degree + alpha.degree
                 gamma = arrow_of_degree(params, v, sp(w), d)
                 if gamma is not None:
@@ -903,7 +901,7 @@ def test_solver_matches_object_solver(rnm):
     params = params_for(r, n, m, window=W)
     spot = (5,) if rnm in ((1, 2, 0), (2, 3, 1)) else ()
     for p in range(2 * n + 2):
-        hom_dim = sum(hom_basis(params, v, p).dim for v in enumerate_vertices(params))
+        hom_dim = sum(probed_hom(params, v, p).dim for v in enumerate_vertices(params))
         # in even degrees both variants impose the same rows, so each
         # variant is paired with one characteristic there
         cases = [(variant, char) for variant in ("graded", "commutative") for char in (2, 3)]
@@ -1039,7 +1037,7 @@ def test_line_build_matches_vertex_build(rnm):
             for got, (_, sign) in zip(reports, readings):
                 want = vertex_build.build_system(omega, W, inner, p, sign)
                 case = (W, inner, p, sign)
-                assert _frame(omega, p)[0] == dict(want.shift_p), case
+                assert frame(omega, p)[0] == dict(want.shift_p), case
                 # every work count, rows included as their sum, with the
                 # naturality rows those at the generating targets
                 assert _work_counts(got) == _generating_counts(want), case
@@ -1110,7 +1108,7 @@ def test_line_plans_are_constant_beyond_the_bound():
             for m in range(4):
                 omega = OmegaParams(r, n, m)
                 for p in range(2 * n + 2):
-                    for f, i in _frame(omega, p)[0]:
+                    for f, i in frame(omega, p)[0]:
                         cases += 1
                         case = (r, n, m, p, f, i)
                         bound, t0, want = oracle_plans(omega, p, f, i)
@@ -1132,7 +1130,7 @@ def test_plan_pieces_match_line_plans():
                 omega = OmegaParams(r, n, m)
                 params = ModelParams(omega)
                 for p in range(-3, 2 * n + 2):
-                    for f, i in _frame(omega, p)[0]:
+                    for f, i in frame(omega, p)[0]:
                         cases += 1
                         _, t0, want = oracle_plans(omega, p, f, i)
                         pieces = _plan_pieces(omega, p, f, i)
@@ -1157,21 +1155,13 @@ def test_plan_pieces_match_line_plans():
 @pytest.mark.parametrize("rnm", GRID + [(3, 5, 3)], ids=str)
 def test_named_components_match_object_naming(rnm):
     r, n, m = rnm
-    omega = OmegaParams(r, n, m)
     params = params_for(r, n, m)
-    rules = params.rules
     for inner in (1, 4):
         W = solver_margin(params) + inner
         for p in range(2 * n + 2):
-            shift_p = _frame(omega, p)[0]
             for variant in ("graded", "commutative") if p % 2 else ("graded",):
                 report = solve_component(params_for(r, n, m, window=W), p, variant, 3, W, inner)
-                got = named_members(report)
-                assert got == named_components(report), (W, p, variant)
-                for _, _, members in got:
-                    for key, s, _ in members:
-                        want = str(_basis_arrow(rules, shift_p, Vertex(*key), s))
-                        assert _arrow_name(rules, shift_p, key, s) == want
+                assert named_members(report) == named_components(report), (W, p, variant)
 
 
 def test_named_components_match_object_naming_at_a_large_window():
@@ -1265,8 +1255,7 @@ def test_dimensions_name_nothing(rnm, monkeypatch):
     def refuse(*args):
         raise AssertionError("a basis arrow was named")
 
-    monkeypatch.setattr(center_module, "_basis_arrow", refuse)
-    monkeypatch.setattr(center_module, "_arrow_name", refuse)
+    monkeypatch.setattr(center_module, "basis_arrow", refuse)
     _build_system.cache_clear()
     r, n, m = rnm
     # inner window 4 shows the power class of (3, 3, 2) in degree 2n
@@ -1305,9 +1294,9 @@ def test_work_counts_repeat_and_match_vertex_build():
         generating += want.generating_rows
         every += want.naturality_rows
         assert rep.rows == rep.naturality_rows + rep.sign_rows
-        nonempty = [v for v in enumerate_vertices(params) if hom_basis(params, v, p).dim]
+        nonempty = [v for v in enumerate_vertices(params) if probed_hom(params, v, p).dim]
         assert rep.vertices == len(nonempty)
-        assert rep.unknowns == sum(hom_basis(params, v, p).dim for v in nonempty)
+        assert rep.unknowns == sum(probed_hom(params, v, p).dim for v in nonempty)
         # merges is unknowns minus components: some unknowns merged, and
         # at least one component is left
         assert 0 < rep.merges < rep.unknowns

@@ -3,23 +3,24 @@ from pathlib import Path
 
 import pytest
 
-import gradedcenter.center
 import gradedcenter.cli
 import gradedcenter.gentle
-from gradedcenter.center import InconsistencyError, _build_system, _frame, solve_component
+import gradedcenter.hom
+from gradedcenter.center import InconsistencyError, _build_system, solve_component
 from gradedcenter.cli import main
 from gradedcenter.gentle import OmegaParams, build_lambda, format_quiver, is_gentle, parse_quiver
+from gradedcenter.hom import frame
 from gradedcenter.model import ModelParams
 
 
 @pytest.fixture
 def fresh_frames():
-    """center._frame caches what center.hom_gaps gave: clear it before a
-    test that patches hom_gaps, so the patch is read, and after it, so no
+    """hom.frame caches what hom.hom_gaps gave: clear it before a test
+    that patches hom_gaps, so the patch is read, and after it, so no
     later test reads a frame built from the patch."""
-    _frame.cache_clear()
+    frame.cache_clear()
     yield
-    _frame.cache_clear()
+    frame.cache_clear()
 
 
 def run(capsys, *argv):
@@ -249,7 +250,7 @@ def test_check_single_criterion(capsys):
 def test_internal_inconsistency_exits_2(capsys, monkeypatch, fresh_frames):
     # with every hom space empty, criterion 4's first generator misses
     # its e'' arrow and make_generator reports an inconsistency
-    monkeypatch.setattr(gradedcenter.center, "hom_gaps", lambda *args: None)
+    monkeypatch.setattr(gradedcenter.hom, "hom_gaps", lambda *args: None)
     code, _out, err = run(capsys, "check", "--criterion", "4")
     assert code == 2
     assert err.startswith("error: internal inconsistency: missing e'' under")
@@ -283,14 +284,14 @@ def test_outputs_are_deterministic(capsys):
 def test_sign_law_inconsistency_exits_2(capsys, monkeypatch, fresh_frames):
     # with the degree-0 slot of X(1) dropped, the sign law at p = 2 carries
     # each unknown of that slot on X(0) to an unknown that is not there
-    hom_gaps = gradedcenter.center.hom_gaps
+    hom_gaps = gradedcenter.hom.hom_gaps
 
     def dropped(params, family, i, degree, shift):
         if (family, i, degree) == ("X", 1, 0):
             return None
         return hom_gaps(params, family, i, degree, shift)
 
-    monkeypatch.setattr(gradedcenter.center, "hom_gaps", dropped)
+    monkeypatch.setattr(gradedcenter.hom, "hom_gaps", dropped)
     message = "suspension of unknown left the system at X(0)[-7,-5]"
     _build_system.cache_clear()
     params = ModelParams(OmegaParams(2, 2, 0), 7)

@@ -1,8 +1,11 @@
 import pytest
 
+from gradedcenter.acceptance import GRID
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.hom import hom_basis, hom_dim_closed_form
 from gradedcenter.model import ModelParams, Vertex, enumerate_vertices, sigma_pow
+
+from probed_hom import probed_hom
 
 
 def params_for(r, n, m, window=10):
@@ -99,3 +102,29 @@ def test_dim_is_translation_invariant():
         base = hom_dim_closed_form(p, Vertex("Y", 1, 0, 2), q)
         shifted = hom_dim_closed_form(p, Vertex("Y", 1, -4, -2), q)
         assert base == shifted
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (4, 6, 2)], ids=str)
+def test_hom_basis_matches_probed_arrows(rnm):
+    # the frame's basis against arrow_of_degree at every cell of the
+    # box of each family the parameters have, vertex or not, reprs
+    # included, p = -3..2n+3
+    params = params_for(*rnm, window=6)
+    for f in params.families:
+        for i in range(params.r):
+            for a in range(-6, 7):
+                for b in range(-6, 7):
+                    v = Vertex(f, i, a, b)
+                    for q in range(-3, 2 * params.n + 4):
+                        got, want = hom_basis(params, v, q), probed_hom(params, v, q)
+                        assert got == want and repr(got) == repr(want), (v, q)
+
+
+def test_hom_basis_refuses_a_family_the_parameters_lack():
+    # r = n has no Y or Z, and index r is out of range: the frame has no
+    # entry there, where the probe found Z's arrow from its rules alone
+    params = params_for(2, 2, 0)
+    for v in (Vertex("Z", 1, 0, 0), Vertex("Y", 0, 0, 3), Vertex("X", 2, 0, 0)):
+        with pytest.raises(ValueError, match="no vertices"):
+            hom_basis(params, v, 2)
+    assert repr(probed_hom(params, Vertex("Z", 1, 0, 0), 2).basis) == "(f:Z(1)[0,0]->Z(1)[2,0],)"

@@ -37,6 +37,7 @@ from gradedcenter.model import (
 )
 
 import cell_arrows
+import cell_vertices
 import tau_search
 import vertex_closed_form
 from iterated_sigma import iterated_sigma_mor_pow, iterated_sigma_pow, sigma_mor
@@ -133,6 +134,14 @@ def test_enumerate_vertices_all_exist_and_boxed():
         for v in vs:
             assert vertex_exists(p, v.family, v.i, v.coord)
             assert -3 <= v.a <= 3 and -3 <= v.b <= 3
+
+
+@pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (4, 6, 2)], ids=str)
+def test_enumerate_vertices_matches_cell_oracle(rnm):
+    # the least-gap rows against vertex_exists on every cell, in order
+    for W in (1, 3, 6, 12):
+        params = params_for(*rnm, window=W)
+        assert enumerate_vertices(params) == cell_vertices.enumerate_vertices(params), W
 
 
 def test_kind_by_signature_agrees_with_table():

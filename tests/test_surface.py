@@ -93,3 +93,18 @@ def test_no_module_imports_a_private_name():
                 found += [(path.stem, alias.name) for alias in node.names
                           if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert found == []
+
+
+def test_hom_has_one_statement():
+    # Hom(v, Sigma^p v) is stated once: only hom.py calls model.hom_gaps,
+    # to build the per-degree frame, and only model.py, where it is
+    # defined, calls arrow_of_degree
+    calls = {"hom_gaps": set(), "arrow_of_degree": set()}
+    for path in sorted((ROOT / "src" / "gradedcenter").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in calls:
+                    calls[name].add(path.name)
+    assert calls == {"hom_gaps": {"hom.py"}, "arrow_of_degree": {"model.py"}}
