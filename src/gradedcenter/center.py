@@ -11,9 +11,13 @@ force one to zero; a forced x = -x kills the component unless the field
 has characteristic 2.  The union-find (_SignedForest) is flat: every
 unknown always holds its root and its sign relative to it, so a row
 imposed on a range of unknowns whose roots already agree is settled by
-comparing slices, a range of single unknowns hangs on the other side's
-roots by slice assignment, and any other merge relabels the smaller
+comparing slices, and a range of single unknowns hangs on the other
+side's roots by slice assignment.  Any other range visits only the
+positions whose roots differ, and each merge relabels the smaller
 component, whose members it finds on a ring threaded through one list.
+At an even degree every row has weight +1, so there the forest is
+unsigned: it never reads or flips a sign, and no parity conflict can
+arise.
 
 solve_component works in two steps.  The build step (_build_system)
 makes the union-find and keeps its roots and signs as immutable tuples,
@@ -115,7 +119,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import compress
 from bisect import bisect_right
-from operator import itemgetter, ne, or_
+from operator import and_, eq, itemgetter, ne, neg, or_
 from types import MappingProxyType
 
 from .gf import FieldScalar
@@ -960,11 +964,15 @@ class _SignedForest:
     joined marks the unknowns of components with two or more members.
     The marks zero, set by the caller where a row forces an unknown to
     zero, and parity, set where a row forces x = -x, sit on any member of
-    a component and are read at its root."""
+    a component and are read at its root.
 
-    __slots__ = ("root", "sign", "next", "size", "joined", "zero", "parity")
+    An unsigned forest takes only rows of weight +1, as every row of an
+    even degree is: no sign can change and no parity conflict can arise,
+    so it never reads, copies or flips a sign, and sign stays all +1."""
 
-    def __init__(self, count: int):
+    __slots__ = ("root", "sign", "next", "size", "joined", "zero", "parity", "signed")
+
+    def __init__(self, count: int, signed: bool):
         self.root = list(range(count))
         self.sign = [1] * count
         # the same int objects as root, so the ring costs one pointer each
@@ -973,35 +981,68 @@ class _SignedForest:
         self.joined = bytearray(count)
         self.zero = bytearray(count)
         self.parity = bytearray(count)
+        self.signed = signed
 
     def unite(self, x0: int, y0: int, length: int, s: int) -> int:
         """Impose x = s * y along the aligned ranges from x0 and y0, and
         return the number of merges.
 
-        A range whose roots are already equal pair by pair is settled by
-        comparing slices, signs included.  Where the two sides do not meet
-        and one of them is all single unknowns, that side hangs on the
-        other side's roots by slice assignment (_hang).  Any other pair
-        relabels the smaller of its two components (union by size) by
-        walking its ring."""
-        root, sign = self.root, self.sign
+        Where the two sides do not meet, their roots differ and one side
+        is all single unknowns, the y side first, that side hangs on the
+        other side's roots by slice assignment: each of its unknowns joins
+        the component of its partner, next to it in its ring.  Otherwise a
+        signed forest first flags parity, in one pass over the slices,
+        where the roots already agree but the signs do not match s; the
+        merges below cannot change that verdict, because relabelling a
+        component flips the signs of both members.  A range whose roots
+        all agree is then settled.  In any other, only the positions whose
+        roots differ are visited, in increasing order, their roots read
+        afresh: a pair that an earlier position joined is checked for
+        parity, and any other relabels the smaller of its two components
+        (union by size) by walking its ring."""
+        root, sign, signed = self.root, self.sign, self.signed
         x1, y1 = x0 + length, y0 + length
         xroots, yroots = root[x0:x1], root[y0:y1]
+        if xroots != yroots and (x1 <= y0 or y1 <= x0):
+            joined = self.joined
+            hang = joined.find(1, y0, y1) < 0
+            if not hang and joined.find(1, x0, x1) < 0:
+                # the x side hangs: the same row, read as y = s * x
+                hang = True
+                x0, x1, xroots, y0, y1, yroots = y0, y1, yroots, x0, x1, xroots
+            if hang:
+                nxt, size = self.next, self.size
+                root[y0:y1] = xroots
+                if signed:
+                    xs = sign[x0:x1]
+                    sign[y0:y1] = xs if s == 1 else list(map(neg, xs))
+                nxt[y0:y1] = nxt[x0:x1]
+                nxt[x0:x1] = yroots
+                joined[x0:x1] = joined[y0:y1] = b"\1" * length
+                if xroots.count(xroots[0]) == length:
+                    size[xroots[0]] += length
+                else:
+                    for x in xroots:
+                        size[x] += 1
+                return length
+        if signed:
+            xs, ys = sign[x0:x1], sign[y0:y1]
+            if s != 1:
+                ys = list(map(neg, ys))
+            if xs != ys:
+                parity = self.parity
+                for x in compress(xroots, map(and_, map(eq, xroots, yroots), map(ne, xs, ys))):
+                    parity[x] = 1
         if xroots == yroots:
-            ys = sign[y0:y1]
-            if sign[x0:x1] == (ys if s == 1 else list(map(int.__neg__, ys))):
-                return 0
-        elif x1 <= y0 or y1 <= x0:
-            if self.joined.find(1, y0, y1) < 0:
-                return self._hang(y0, x0, length, s, yroots, xroots)
-            if self.joined.find(1, x0, x1) < 0:
-                return self._hang(x0, y0, length, s, xroots, yroots)
+            return 0
         nxt, size, joined, parity = self.next, self.size, self.joined, self.parity
         merged = 0
-        for x, y in zip(range(x0, x1), range(y0, y1)):
+        dy = y0 - x0
+        for x in compress(range(x0, x1), map(ne, xroots, yroots)):
+            y = x + dy
             rx, ry = root[x], root[y]
             # ry = w * rx, from x = sign[x] rx and y = sign[y] ry
-            w = sign[x] * s * sign[y]
+            w = sign[x] * s * sign[y] if signed else 1
             if rx == ry:
                 if w != 1:
                     parity[rx] = 1
@@ -1022,26 +1063,6 @@ class _SignedForest:
             merged += 1
         return merged
 
-    def _hang(self, y0: int, x0: int, length: int, s: int, ys: list, xroots: list) -> int:
-        """Impose y = s * x along ranges that do not meet, where each y is
-        its own root, as listed in ys, and xroots lists the roots of the x:
-        every y joins its x's component, next to x in its ring, and each
-        is one merge."""
-        root, sign, nxt, size, joined = self.root, self.sign, self.next, self.size, self.joined
-        y1, x1 = y0 + length, x0 + length
-        root[y0:y1] = xroots
-        xs = sign[x0:x1]
-        sign[y0:y1] = xs if s == 1 else list(map(int.__neg__, xs))
-        nxt[y0:y1] = nxt[x0:x1]
-        nxt[x0:x1] = ys
-        joined[x0:x1] = joined[y0:y1] = b"\1" * length
-        if xroots.count(xroots[0]) == length:
-            size[xroots[0]] += length
-        else:
-            for x in xroots:
-                size[x] += 1
-        return length
-
 
 # A window's degree sweep p = 0..2n + 1 needs one system per degree,
 # 2n + 2 in all, so the 14 entries hold a whole window up to n = 6 (the
@@ -1057,7 +1078,8 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     row merges two components.  So the commutative law at odd p is the
     same union-find with every weight +1, and no parity conflict: the
     report reads it from this system (SolveReport._plain).  At even p
-    the two laws agree, and every sign is +1.
+    the two laws agree, every row has weight +1 and every sign is +1, so
+    the forest is unsigned there (_SignedForest).
 
     The field is not an argument either: the rows have coefficients +-1
     whatever the characteristic, so only the reading of a parity conflict
@@ -1066,11 +1088,14 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     The naturality rows of a line (family, i, t) are its plan
     (_plan_pieces), the one statement of naturality, which
     check_membership reads too.  A plan is constant on each piece of the
-    gaps of its (family, i), so a line reads its piece's (_line_plan) and
-    does only the range arithmetic and the unions of its rows.  The
-    unions come in the order of a build that works out each line's rows
-    itself, tests/line_build.py, so the system is that build's field for
-    field, root and sign included.
+    gaps of its (family, i).  The lines of a (family, i) come in one run,
+    which reads its pieces and its Sigma step once; a line finds its
+    piece's plan by bisection over the cuts, worked out (_line_plan) only
+    the first time the piece is read, and does only the range arithmetic
+    and the unions of its rows.  The unions come in the order of a build
+    that works out each line's rows itself on the forest this one
+    replaced, tests/line_build.py, so the system is that build's field
+    for field, root and sign included.
 
     A line whose Hom(v, Sigma^p v) is 0 gets no unknowns and no plan, so
     the rows out of it are never imposed: rows (None, s) that force the
@@ -1111,16 +1136,26 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
 
     # Each line imposes each row of its plan (_line_plan) on every a at
     # once: the a where v and w both lie in the box, an interval.
-    forest = _SignedForest(count)
+    pieces_of = {key: _plan_pieces(omega, p, *key) for key in {(f, i) for f, i, _ in lines}}
+    forest = _SignedForest(count, p % 2 == 1)
     zero = forest.zero
-    pieces = {key: _plan_pieces(omega, p, *key) for key in {(f, i) for f, i, _ in lines}}
     unite = forest.unite
     naturality_rows = sign_rows = merges = 0
+    here = None
     for (f, i, t), bv in lines.items():
+        if (f, i) != here:
+            # the lines of one (f, i) come in one run
+            here = f, i
+            pieces = pieces_of[f, i]
+            cuts, plans, _ = pieces
+            sj, s1, s2 = steps[f, i, 1]
+        plan = plans[bisect_right(cuts, t)]
+        if plan is None:
+            plan = _line_plan(pieces, t)
         # the a of the line, and of its target line at the gap u, in the
         # box: a0..a1 and b0..b1
         a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
-        for g, j, da, du, along, _, rows in _line_plan(pieces[f, i], t):
+        for g, j, da, du, along, _, rows in plan:
             u = (t if along else 0) + du
             b0, b1 = (-W - u, W) if u < 0 else (-W, W - u)
             lo = b0 - da if b0 - da > a0 else a0
@@ -1142,7 +1177,6 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
                 else:
                     merges += unite(x0, y0, length, 1)
         # sign law v -> Sigma v: Sigma beta starts at Sigma v, same degree
-        sj, s1, s2 = steps[f, i, 1]
         u = t + s2 - s1
         b0, b1 = (-W - u, W) if u < 0 else (-W, W - u)
         lo = b0 - s1 if b0 - s1 > a0 else a0
@@ -1157,10 +1191,11 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
                 merges += unite(y + lo + s1 - b0, x + lo - a0, hi - lo + 1, sign)
             sign_rows += len(bv) * (hi - lo + 1)
 
-    # every unknown holds its root already: gather the marks there
+    # every unknown holds its root already: gather the marks there, if
+    # any is set
     root, signs = forest.root, forest.sign
-    dead = set(compress(root, zero))
-    odd = set(compress(root, forest.parity))
+    dead = set(compress(root, zero)) if 1 in zero else set()
+    odd = set(compress(root, forest.parity)) if 1 in forest.parity else set()
     # free the ring and the sizes before the tuples below are made
     del forest, unite
 
@@ -1184,7 +1219,13 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
         for (f, i, t), bv in lines.items():
             length = 2 * W + 1 - abs(t)
             for s, x0 in bv.items():
-                roots = meets.intersection(root[x0:x0 + length])
+                block = root[x0:x0 + length]
+                x = block[0]
+                # most blocks end in one component
+                if block.count(x) == length:
+                    roots = (x,) if x in meets else ()
+                else:
+                    roots = meets.intersection(block)
                 if roots:
                     tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
                     for x in roots:

@@ -69,12 +69,14 @@ def hom_basis(params: ModelParams, v: Vertex, p: int) -> HomSpace:
     """Basis of Hom(v, Sigma^p v), read off the frame of degree p: the
     identity first when p = 0, then the arrow of each slot whose gaps
     hold b - a.  None is the identity marker.  A family or index that the
-    parameters lack raises ValueError."""
-    shift, gaps, _ = frame(params.omega, p)
+    parameters lack, or a cell whose gap no vertex has, raises ValueError."""
+    shift, gaps, vertex_gaps = frame(params.omega, p)
     f, i = v.family, v.i
     if (f, i) not in shift:
         raise ValueError(f"no vertices {f}({i}) for these parameters")
     t = v.b - v.a
+    if not in_gaps(vertex_gaps[f, i], t):
+        raise ValueError(f"vertex {v!r} does not exist")
     slots = [s for s in (-1, 0, 1, 2) if in_gaps(gaps.get((f, i, s)), t)]
     return HomSpace(v, p, tuple(basis_arrow(params.rules, shift, v, s) for s in slots))
 

@@ -5,23 +5,20 @@ system that _build_system returns: it tests the arrow at each target and
 works out each row pattern once per line and target with the cell rule
 _row_pattern (tests/row_pattern.py), where _build_system reads each
 line's plan from the pieces of gaps of its (family, i), which hold for
-every window (center._plan_pieces).  It builds on center's
-_SignedForest and imposes the rows in the same order, so root and sign
-come out identical, not just equivalent."""
+every window (center._plan_pieces).  It builds on the signed forest
+that center's _SignedForest replaced (tests/signed_forest_before.py),
+which carries every sign at every degree and visits every position of a
+range, and imposes the rows in the same order, so root and sign come out
+identical, not just equivalent."""
 
 from itertools import compress
 
-from gradedcenter.center import (
-    InconsistencyError,
-    _class_tag,
-    _SignedForest,
-    _System,
-    _targets,
-)
+from gradedcenter.center import InconsistencyError, _class_tag, _System, _targets
 from gradedcenter.hom import frame, in_gaps
 from gradedcenter.model import ModelParams, Vertex, arrow_kind
 
 from row_pattern import _row_pattern
+from signed_forest_before import _SignedForest
 
 
 def build_system(omega, W: int, inner: int, p: int) -> _System:

@@ -1064,8 +1064,9 @@ def test_line_build_matches_vertex_build(rnm):
 
 
 # differential oracle for the plan build: the per-line build that it
-# replaced imposes the same rows in the same order, so every field of
-# the system must be identical, root and sign included
+# replaced imposes the same rows in the same order on the signed forest
+# that the present one replaced (tests/signed_forest_before.py), so every
+# field of the system must be identical, root and sign included
 
 
 def assert_same_build(omega, W, inner, p):
@@ -1074,6 +1075,11 @@ def assert_same_build(omega, W, inner, p):
     case = (omega, W, inner, p)
     for name in _System._fields:
         assert getattr(got, name) == getattr(want, name), (case, name)
+    if p % 2 == 0:
+        # the premise of the unsigned forest: at an even degree the old
+        # forest, which carries every sign, ends with all of them +1 and
+        # no parity conflict
+        assert set(want.sign) <= {1} and want.killed_parity == 0, case
 
 
 @pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (4, 6, 2)], ids=str)

@@ -3,7 +3,7 @@ import pytest
 from gradedcenter.acceptance import GRID
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.hom import hom_basis, hom_dim_closed_form
-from gradedcenter.model import ModelParams, Vertex, enumerate_vertices, sigma_pow
+from gradedcenter.model import ModelParams, Vertex, enumerate_vertices, sigma_pow, vertex_exists
 
 from probed_hom import probed_hom
 
@@ -107,8 +107,8 @@ def test_dim_is_translation_invariant():
 @pytest.mark.parametrize("rnm", GRID + [(3, 5, 3), (4, 6, 2)], ids=str)
 def test_hom_basis_matches_probed_arrows(rnm):
     # the frame's basis against arrow_of_degree at every cell of the
-    # box of each family the parameters have, vertex or not, reprs
-    # included, p = -3..2n+3
+    # box of each family the parameters have, reprs included, p =
+    # -3..2n+3; a cell that is no vertex is refused
     params = params_for(*rnm, window=6)
     for f in params.families:
         for i in range(params.r):
@@ -116,6 +116,10 @@ def test_hom_basis_matches_probed_arrows(rnm):
                 for b in range(-6, 7):
                     v = Vertex(f, i, a, b)
                     for q in range(-3, 2 * params.n + 4):
+                        if not vertex_exists(params, f, i, (a, b)):
+                            with pytest.raises(ValueError, match="does not exist"):
+                                hom_basis(params, v, q)
+                            continue
                         got, want = hom_basis(params, v, q), probed_hom(params, v, q)
                         assert got == want and repr(got) == repr(want), (v, q)
 
@@ -128,3 +132,11 @@ def test_hom_basis_refuses_a_family_the_parameters_lack():
         with pytest.raises(ValueError, match="no vertices"):
             hom_basis(params, v, 2)
     assert repr(probed_hom(params, Vertex("Z", 1, 0, 0), 2).basis) == "(f:Z(1)[0,0]->Z(1)[2,0],)"
+    # a cell of a family it has whose gap no vertex has: the probe found
+    # the identity there, and the closed form refuses it too
+    params = params_for(1, 2, 0)
+    v = Vertex("X", 0, 3, 0)
+    assert probed_hom(params, v, 0).basis == (None,)
+    for refuse in (hom_basis, hom_dim_closed_form):
+        with pytest.raises(ValueError, match="does not exist"):
+            refuse(params, v, 0)

@@ -1,7 +1,7 @@
-"""The flat signed union-find of the solver build: its range union against
-a brute-force signed connected-components oracle on hand-made rows, and
-the whole build against the path-halving build it replaced
-(tests/halving_build.py)."""
+"""The flat signed union-find of the solver build: its range union, signed
+and unsigned, against a brute-force signed connected-components oracle on
+hand-made rows, and the whole build against the path-halving build it
+replaced (tests/halving_build.py)."""
 
 import random
 from collections import Counter
@@ -82,12 +82,16 @@ def check_forest(forest: _SignedForest, count: int, rows: list, merges: int) -> 
             assert forest.size[x] == len(ring)
 
 
-def run_ranges(count: int, ranges: list) -> tuple[_SignedForest, list, int]:
-    """Impose each (x0, y0, length, s) on a fresh forest, and return it
-    with the rows as pairs and the merges its unions reported."""
-    forest = _SignedForest(count)
+def run_ranges(count: int, ranges: list, signed: bool = True) -> tuple[_SignedForest, list, int]:
+    """Impose each (x0, y0, length, s) on a fresh forest, signed or
+    unsigned, and return it with the rows as pairs and the merges its
+    unions reported.  An unsigned forest takes rows of weight +1 only, as
+    at an even degree, so there every s reads as +1."""
+    forest = _SignedForest(count, signed)
     rows, merges = [], 0
     for x0, y0, length, s in ranges:
+        if not signed:
+            s = 1
         merges += forest.unite(x0, y0, length, s)
         rows += [(x0 + k, y0 + k, s) for k in range(length)]
     return forest, rows, merges
@@ -118,27 +122,33 @@ def test_a_minus_row_closes_an_odd_cycle():
         check_forest(forest, 8, rows, merges)
 
 
-@pytest.mark.parametrize("s", [1, -1])
-def test_an_untouched_range_hangs_on_a_grown_component(s):
+# the hangs with either sign on a signed forest, and on an unsigned one,
+# where every s reads as +1
+HANG_SIGNS = pytest.mark.parametrize("s, signed", [(1, True), (-1, True), (1, False)],
+                                     ids=["1", "-1", "unsigned"])
+
+
+@HANG_SIGNS
+def test_an_untouched_range_hangs_on_a_grown_component(s, signed):
     # grow {0, 1, 2, 3} and {4, 5}, then hang the single unknowns 10..15
     # on them, from the y side and from the x side
     grow = [(0, 1, 3, -1), (4, 5, 1, 1)]
-    forest, rows, merges = run_ranges(20, grow + [(0, 10, 6, s)])
+    forest, rows, merges = run_ranges(20, grow + [(0, 10, 6, s)], signed)
     check_forest(forest, 20, rows, merges)
     assert forest.size[forest.root[0]] == 8 and forest.size[forest.root[4]] == 4
-    forest, rows, merges = run_ranges(20, grow + [(10, 0, 6, s), (16, 10, 2, -s)])
+    forest, rows, merges = run_ranges(20, grow + [(10, 0, 6, s), (16, 10, 2, -s)], signed)
     check_forest(forest, 20, rows, merges)
 
 
-@pytest.mark.parametrize("s", [1, -1])
-def test_hangs_on_one_root_count_every_member(s):
+@HANG_SIGNS
+def test_hangs_on_one_root_count_every_member(s, signed):
     # grow {0, 1, 2, 3}, hang the single unknowns 10..13 on it one at a
     # time, then 14..17 as one range on its one root: size 8, then 12.
     # A component of 10, between those sizes, must then be the one
     # relabelled, from either side of the row that merges them
     hangs = [(x, 10 + x, 1, s) for x in range(4)] + [(0, 14, 4, -s)]
     for join in [(17, 29, 1, s), (29, 17, 1, s)]:
-        forest, rows, merges = run_ranges(40, [(0, 1, 3, -1)] + hangs + [(20, 21, 9, 1)])
+        forest, rows, merges = run_ranges(40, [(0, 1, 3, -1)] + hangs + [(20, 21, 9, 1)], signed)
         grown = forest.root[0]
         assert forest.size[forest.root[20]] == 10
         merges += forest.unite(*join)
@@ -147,11 +157,11 @@ def test_hangs_on_one_root_count_every_member(s):
         check_forest(forest, 40, rows, merges)
 
 
-@pytest.mark.parametrize("s", [1, -1])
-def test_a_hang_on_mixed_roots_counts_each_root(s):
+@HANG_SIGNS
+def test_a_hang_on_mixed_roots_counts_each_root(s, signed):
     # {0, 1} and {2, 3, 4}, then the single unknowns 10..14 hang on both
     grow = [(0, 1, 1, s), (2, 3, 2, -1)]
-    forest, rows, merges = run_ranges(20, grow + [(10, 0, 5, s)])
+    forest, rows, merges = run_ranges(20, grow + [(10, 0, 5, s)], signed)
     check_forest(forest, 20, rows, merges)
     assert forest.size[forest.root[0]] == 4 and forest.size[forest.root[2]] == 6
     assert forest.root[10] == forest.root[1] != forest.root[12] == forest.root[4]
@@ -176,6 +186,8 @@ def test_two_grown_components_merge(small_first, s):
 
 
 def test_random_ranges_match_the_oracle():
+    # each draw on a signed forest, then, every s read as +1, on an
+    # unsigned one
     rng = random.Random(18)
     for _ in range(300):
         count = rng.randrange(2, 30)
@@ -184,8 +196,9 @@ def test_random_ranges_match_the_oracle():
             length = rng.randrange(1, count)
             ranges.append((rng.randrange(count - length + 1), rng.randrange(count - length + 1),
                            length, rng.choice((1, -1))))
-        forest, rows, merges = run_ranges(count, ranges)
-        check_forest(forest, count, rows, merges)
+        for signed in (True, False):
+            forest, rows, merges = run_ranges(count, ranges, signed)
+            check_forest(forest, count, rows, merges)
 
 
 # differential oracle for the build: the path-halving build that the flat
@@ -207,8 +220,8 @@ def compare_builds(omega, W, inner, p, monkeypatch):
     class Recording(_SignedForest):
         __slots__ = ()
 
-        def __init__(self, count):
-            super().__init__(count)
+        def __init__(self, count, signed):
+            super().__init__(count, signed)
             forests.append(self)
 
     monkeypatch.setattr(center_module, "_SignedForest", Recording)
