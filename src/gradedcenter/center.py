@@ -55,14 +55,14 @@ the target, and on the gap only through tests that each hold on an
 interval of gaps (model.arrow_gaps, the frame's gaps).  So a line's
 plan, its targets with their rows, is the one statement of naturality:
 _plan_pieces cuts the gaps of each (omega, p, family, i) at the ends of
-those intervals, whatever the window, and _line_plan works out a piece's
-plan the first time a line reads it.  In the solver each row of a plan,
-like each sign-law slot, is one union over two aligned index ranges: the
-a where both ends lie in the box.  No vertex tuple is made and no dict
-is read per cell.  Naming a report's basis builds no Vertex or ArrowGen
-per cell either: each block's slice of roots and signs is cut into runs
-where a neighbour differs, and an arrow's name, which fixes the sign of
-a signed component, is str(hom.basis_arrow(...)) once per run.
+those intervals, whatever the window, and works out each piece's plan
+at one gap of it.  In the solver each row of a plan, like each sign-law
+slot, is one union over two aligned index ranges: the a where both ends
+lie in the box.  No vertex tuple is made and no dict is read per cell.
+Naming a report's basis builds no Vertex or ArrowGen per cell either:
+each block's slice of roots and signs is cut into runs where a
+neighbour differs, and an arrow's name, which fixes the sign of a signed
+component, is str(hom.basis_arrow(...)) once per run.
 
 A CenterElement holds one integer form, the run map {(family, i, t,
 slot): ((a_lo, a_hi, coefficient), ...)}: along each line (family, i,
@@ -514,14 +514,14 @@ def check_membership(
     source line of an arrow into it (_arrow_table), to each target of its
     plan.  Given the sign law, which is checked too, they imply
     naturality at every arrow of the box (tested).  Naturality at an
-    arrow is the solver's rows there (_line_plan), on the coefficients
-    mod char.  Every row is unchanged when both endpoints move along the
-    diagonal together, so a source line and a target line are laid side
-    by side (_overlay), and on each interval where both values stay the
-    same the rows are tested once and counted times its length; rows
-    that touch no slot el fills are 0 = 0 and are skipped, which is
-    exact.  The sign law pairs each line with its image under Sigma the
-    same way.
+    arrow is the solver's rows there, its line's plan (_plan_pieces), on
+    the coefficients mod char.  Every row is unchanged when both
+    endpoints move along the diagonal together, so a source line and a
+    target line are laid side by side (_overlay), and on each interval
+    where both values stay the same the rows are tested once and counted
+    times its length; rows that touch no slot el fills are 0 = 0 and are
+    skipped, which is exact.  The sign law pairs each line with its image
+    under Sigma the same way.
 
     The counts and the failure are those of a walk cell by cell, kept in
     tests/slot_map_membership.py, whose order is unchanged: first the
@@ -862,18 +862,17 @@ def _meet(x: tuple | None, y: tuple | None) -> tuple | None:
     return None if lo is not None and hi is not None and lo > hi else (lo, hi)
 
 
-# Shared like hom.frame: never mutated but for a plan worked out on its first
-# read (_line_plan).  The membership checks of one generator read the same
-# keys at every window and char (criterion 4's 496 checks read 108 keys),
-# and a build at another window of the same degree reads its keys again;
-# a sweep over degrees reads each key once, so more entries would hold
-# memory and serve nothing.
+# Shared like hom.frame: never mutated.  The membership checks of one
+# generator read the same keys at every window and char (criterion 4's 496
+# checks read 108 keys), and a build at another window of the same degree
+# reads its keys again; a sweep over degrees reads each key once, so more
+# entries would hold memory and serve nothing.
 @lru_cache(maxsize=128)
-def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list, tuple]:
+def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list]:
     """The naturality rows of the lines (f, i, t) of omega in degree p, at
-    every gap t, as (cuts, plans, targets): the line at t has the plan of
-    its piece, plans[bisect_right(cuts, t)], so the first and the last
-    piece have no end.  A line's plan is one (g, j, da, du, along, k,
+    every gap t, as (cuts, plans): the line at t has the plan of its
+    piece, plans[bisect_right(cuts, t)], so the first and the last piece
+    have no end.  A line's plan is one (g, j, da, du, along, k,
     rows) per generating target (_targets) whose rows are not empty, in
     _targets' order, k its place there: the target of (f, i, a, a + t) is
     (g, j, a + da, a + da + u), at the gap u = du plus t where along is
@@ -887,11 +886,10 @@ def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list, tuple]:
     carries a generator (model.arrow_gaps).  Each of these holds on an
     interval of t, because every region side, target offset and Sigma^p
     translation is a constant of (omega, p) and each test is linear in t,
-    so the row stands on one interval.  targets holds, per target with a
-    row anywhere, (g, j, da, du, along, k, degree) and the intervals of
-    the rows of the slots of v and of w.  A plan is constant between the
-    ends of these intervals, the cuts, and never depends on the window;
-    _line_plan works out a piece's plan the first time a line reads it."""
+    so the row stands on one interval.  A plan is constant between the
+    ends of these intervals, the cuts, and never depends on the window,
+    so each piece's plan is worked out once, at one gap of the piece,
+    when the gaps are cut."""
     params = ModelParams(omega)
     shift_p, gaps, vertex_gaps = frame(omega, p)
     rules = params.rules
@@ -930,16 +928,11 @@ def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list, tuple]:
     ends = {end for *_, v_rows, w_rows in targets for _, (lo, hi) in v_rows + w_rows
             for end in (lo, None if hi is None else hi + 1)}
     ends.discard(None)
-    return sorted(ends), [None] * (len(ends) + 1), tuple(targets)
-
-
-def _line_plan(pieces: tuple, t: int) -> tuple:
-    """The plan of the line at gap t, read from its (family, i)'s
-    _plan_pieces: worked out at t on the first read of its piece."""
-    cuts, plans, targets = pieces
-    piece = bisect_right(cuts, t)
-    plan = plans[piece]
-    if plan is None:
+    cuts = sorted(ends)
+    # each piece's plan, worked out at its least gap, or at the one below
+    # the first cut for the first piece
+    plans = []
+    for t in [cuts[0] - 1 if cuts else 0, *cuts]:
         plan = []
         for g, j, da, du, along, k, degree, v_rows, w_rows in targets:
             # the rows (slot of v, slot of w), by degree
@@ -952,8 +945,15 @@ def _line_plan(pieces: tuple, t: int) -> tuple:
                     rows.setdefault(degree + max(s, 0), [None, None])[1] = s
             if rows:
                 plan.append((g, j, da, du, along, k, tuple(map(tuple, rows.values()))))
-        plan = plans[piece] = tuple(plan)
-    return plan
+        plans.append(tuple(plan))
+    return cuts, plans
+
+
+def _line_plan(pieces: tuple, t: int) -> tuple:
+    """The plan of the line at gap t, read from its (family, i)'s
+    _plan_pieces."""
+    cuts, plans = pieces
+    return plans[bisect_right(cuts, t)]
 
 
 class _SignedForest:
@@ -1090,12 +1090,11 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     check_membership reads too.  A plan is constant on each piece of the
     gaps of its (family, i).  The lines of a (family, i) come in one run,
     which reads its pieces and its Sigma step once; a line finds its
-    piece's plan by bisection over the cuts, worked out (_line_plan) only
-    the first time the piece is read, and does only the range arithmetic
-    and the unions of its rows.  The unions come in the order of a build
-    that works out each line's rows itself on the forest this one
-    replaced, tests/line_build.py, so the system is that build's field
-    for field, root and sign included.
+    piece's plan by bisection over the cuts, and does only the range
+    arithmetic and the unions of its rows.  The unions come in the order
+    of a build that works out each line's rows itself on the forest this
+    one replaced, tests/line_build.py, so the system is that build's
+    field for field, root and sign included.
 
     A line whose Hom(v, Sigma^p v) is 0 gets no unknowns and no plan, so
     the rows out of it are never imposed: rows (None, s) that force the
@@ -1134,7 +1133,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
             slots[d] = count
             count += 2 * W + 1 - abs(t)
 
-    # Each line imposes each row of its plan (_line_plan) on every a at
+    # Each line imposes each row of its plan (_plan_pieces) on every a at
     # once: the a where v and w both lie in the box, an interval.
     pieces_of = {key: _plan_pieces(omega, p, *key) for key in {(f, i) for f, i, _ in lines}}
     forest = _SignedForest(count, p % 2 == 1)
@@ -1146,12 +1145,9 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
         if (f, i) != here:
             # the lines of one (f, i) come in one run
             here = f, i
-            pieces = pieces_of[f, i]
-            cuts, plans, _ = pieces
+            cuts, plans = pieces_of[f, i]
             sj, s1, s2 = steps[f, i, 1]
         plan = plans[bisect_right(cuts, t)]
-        if plan is None:
-            plan = _line_plan(pieces, t)
         # the a of the line, and of its target line at the gap u, in the
         # box: a0..a1 and b0..b1
         a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)

@@ -1128,7 +1128,9 @@ def test_line_plans_are_constant_beyond_the_bound():
 def test_plan_pieces_match_line_plans():
     # every r <= n <= 6, m <= 3, p = -3..2n+1 and (family, i): each gap
     # t of [-2B - 3, 2B + 3] reads from its piece the plan that the
-    # per-gap oracle works out at t, each target at its place in _targets
+    # per-gap oracle works out at t, each target at its place in _targets;
+    # every piece's plan is finished before any line reads it
+    _plan_pieces.cache_clear()
     cases = gaps = 0
     for n in range(1, 7):
         for r in range(1, n + 1):
@@ -1140,8 +1142,10 @@ def test_plan_pieces_match_line_plans():
                         cases += 1
                         _, t0, want = oracle_plans(omega, p, f, i)
                         pieces = _plan_pieces(omega, p, f, i)
-                        cuts, plans, _ = pieces
+                        cuts, plans = pieces
                         assert cuts == sorted(set(cuts)) and len(plans) == len(cuts) + 1
+                        assert all(type(plan) is tuple and all(rows for *_, rows in plan) for plan in plans), \
+                            (r, n, m, p, f, i)
                         targets = _targets(params, f, i)
                         for t in range(t0, -t0 + 1):
                             gaps += 1
@@ -1151,6 +1155,46 @@ def test_plan_pieces_match_line_plans():
                             assert all(targets[k][:4] == (g, j, da, da + du) and targets[k][5] == along
                                        for g, j, da, du, along, k, _ in plan), case
     assert (cases, gaps) == (7448, 531368)
+
+
+def test_shared_derivations_stay_pure(monkeypatch):
+    # _plan_pieces and hom.frame are cached and shared by the solver, the
+    # membership check and hom_basis: after a solve of every GRID degree,
+    # a reconcile sweep and criterion 4's checks, every value they
+    # returned still equals a fresh derivation, and no plan is left to
+    # be filled in later
+    import gradedcenter.hom as hom_module
+    from gradedcenter.acceptance import run_criterion
+
+    read: dict = {}
+
+    def recording(fn):
+        def wrapper(*key):
+            value = fn(*key)
+            read.setdefault((fn, key), {})[id(value)] = value
+            return value
+        return wrapper
+
+    monkeypatch.setattr(center_module, "_plan_pieces", recording(_plan_pieces))
+    monkeypatch.setattr(center_module, "frame", recording(frame))
+    monkeypatch.setattr(hom_module, "frame", recording(frame))
+    _build_system.cache_clear()
+    for r, n, m in GRID:
+        omega = OmegaParams(r, n, m)
+        W = solver_margin(omega) + 2
+        for p in range(2 * n + 2):
+            solve_component(ModelParams(omega, W), p, "graded", 3, W, 2)
+    omega = OmegaParams(2, 3, 1)
+    W = solver_margin(omega) + 8
+    for variant in ("graded", "commutative"):
+        assert reconcile(ModelParams(omega, W), 3, variant, 7, W).ok
+    assert run_criterion(4)[1]
+    assert {fn for fn, _ in read} == {_plan_pieces, frame}
+    for (fn, key), values in read.items():
+        for value in values.values():
+            assert value == fn.__wrapped__(*key), (fn.__name__, key)
+            if fn is _plan_pieces:
+                assert None not in value[1], key
 
 
 # differential oracle for the naming: the object naming that

@@ -1,4 +1,5 @@
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from gradedcenter.cli import main
 from gradedcenter.gentle import OmegaParams, build_lambda, format_quiver, is_gentle, parse_quiver
 from gradedcenter.hom import frame
 from gradedcenter.model import ModelParams
+
+import pin_cli
 
 
 @pytest.fixture
@@ -303,3 +306,12 @@ def test_sign_law_inconsistency_exits_2(capsys, monkeypatch, fresh_frames):
     )
     assert (code, out) == (2, "")
     assert err.startswith(f"error: internal inconsistency: {message}")
+
+
+def test_cli_outputs_match_the_pinned_corpus():
+    # tests/pinned/cli.txt, which tests/pin_cli.py writes: each command's
+    # exit code and the sha256 of its stdout and stderr, in order
+    pinned = pin_cli.PINNED.read_text().splitlines()
+    assert [shlex.split(line.split(" ", 3)[3]) for line in pinned] == pin_cli.commands()
+    for got, want in zip(pin_cli.run(), pinned):
+        assert got == want, f"first command that differs: gradedcenter {want.split(' ', 3)[3]}"
