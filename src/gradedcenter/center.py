@@ -64,30 +64,31 @@ each block's slice of roots and signs is cut into runs where a
 neighbour differs, and an arrow's name, which fixes the sign of a signed
 component, is str(hom.basis_arrow(...)) once per run.
 
-A CenterElement holds one integer form, the run map {(family, i, t,
-slot): ((a_lo, a_hi, coefficient), ...)}: along each line (family, i,
-t = b - a), a run is a maximal interval of a on which the slot holds one
-coefficient.  Every row is unchanged under the diagonal translation (a,
-b) -> (a + 1, b + 1), so an element is constant along each line until
-the box clips it: a generator is one run per line of its support, not
-one entry per cell.  make_generator, a report's basis and multiply fill
-the run map directly; its assignment is a read-only view over it that
-builds a Morphism, from the hom.basis_arrow of each slot, only when a
-value is read.  make_generator tests each line's slot once against the
-frame's gaps.  multiply intersects the two factors' runs line by line: a
-product's slot is the sum of its factors' slots, the identity's -1 being
-the unit, and the term is kept where the frame of the product's degree
-holds that slot at the gap.  An element built by hand from Morphism
-values is converted to runs by _slot_map, the one gate for such values,
-which multiply and check_membership share: each value must sit at a
-vertex and run from it to its image under Sigma^p, and each term's slot
-must be one whose gaps in the frame hold the vertex's gap, with the
-slot's kind.  The library's own elements hold valid runs by
-construction and pass as they are.
+A CenterElement holds one integer form, the line map {(family, i, t):
+((a_lo, a_hi, {slot: coefficient}), ...)}: along each line (family, i,
+t = b - a), a piece is a maximal interval of a on which the cell's slots
+and coefficients stay the same, and the pieces lie in order of a.  Every
+row is unchanged under the diagonal translation (a, b) -> (a + 1, b +
+1), so an element is constant along each line until the box clips it: a
+generator is one piece per line of its support, not one entry per cell.
+make_generator, a report's basis, multiply and _slot_map build the line
+map and nothing else reads another form; its assignment is a read-only
+view over it that builds a Morphism, from the hom.basis_arrow of each
+slot, only when a value is read.  make_generator tests each line's slot
+once against the frame's gaps.  multiply lays the two factors' lines
+side by side: a product's slot is the sum of its factors' slots, the
+identity's -1 being the unit, and the term is kept where the frame of
+the product's degree holds that slot at the gap.  An element built by
+hand from Morphism values is converted to a line map by _slot_map, the
+one gate for such values, which multiply and check_membership share:
+each value must sit at a vertex and run from it to its image under
+Sigma^p, and each term's slot must be one whose gaps in the frame hold
+the vertex's gap, with the slot's kind.  The library's own elements hold
+valid line maps by construction and pass as they are.
 
-check_membership runs on the runs and reads the solver's plans, so the
-solver and the check share one statement of naturality.  It tests the
-same generating arrows that touch the support, in one walk over the
+check_membership runs on the line map and reads the solver's plans, so
+the solver and the check share one statement of naturality.  It tests
+the same generating arrows that touch the support, in one walk over the
 arrows with an end on it: from each line that holds support, and from
 each source line of an arrow into one (_arrow_table), to each target of
 the line's plan, laid out once per (line, target).  Of a plan's rows it
@@ -187,28 +188,20 @@ class GeneratorSpec:
 
 class _SlotView(Mapping):
     """A center element's values as a read-only Mapping {Vertex:
-    Morphism} over its run map {(family, i, t, slot): ((a_lo, a_hi,
-    coefficient), ...)} in degree p on the parameters' omega.  Each run is
-    a maximal interval of a on the line (family, i, t = b - a) whose slot
-    holds one coefficient; a cell held with no term at all, which only
-    _slot_map makes, is held in the slot None.  Keys come in (family, i,
-    a, b) order.  The runs are grouped line by line (_lines) on the first
-    read, and a value's Morphism is built from the hom.basis_arrow of
-    each slot only when it is read, so len, in and key iteration build
-    none."""
+    Morphism} over its line map, lines, {(family, i, t): ((a_lo, a_hi,
+    {slot: coefficient}), ...)} in degree p on the parameters' omega.
+    Each piece is a maximal interval of a on the line (family, i, t = b -
+    a) whose cells hold the same slots with the same coefficients, and a
+    line's pieces lie in order of a; a cell held with no term, which only
+    _slot_map makes from a value built by hand, has the value {}.  Keys
+    come in (family, i, a, b) order, and a value's Morphism is built from
+    the hom.basis_arrow of each slot only when it is read, so len, in and
+    key iteration build none."""
 
-    __slots__ = ("_params", "_p", "_runs", "_pieces")
+    __slots__ = ("_params", "_p", "lines")
 
-    def __init__(self, params: ModelParams, p: int, runs: dict):
-        self._params, self._p, self._runs = params, p, runs
-        self._pieces = None
-
-    @property
-    def lines(self) -> dict:
-        """The held cells line by line (_lines), worked out once."""
-        if self._pieces is None:
-            self._pieces = _lines(self._runs)
-        return self._pieces
+    def __init__(self, params: ModelParams, p: int, lines: dict):
+        self._params, self._p, self.lines = params, p, lines
 
     def _value(self, v) -> dict | None:
         if not isinstance(v, Vertex):
@@ -243,7 +236,7 @@ class _SlotView(Mapping):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _SlotView) and (other._params.omega, other._p) == (self._params.omega, self._p):
-            return self._runs == other._runs
+            return self.lines == other.lines
         return super().__eq__(other)
 
     def __repr__(self) -> str:
@@ -254,11 +247,11 @@ class _SlotView(Mapping):
 class CenterElement:
     """A finitely supported assignment v -> (morphism v -> Sigma^p v).
 
-    make_generator, a report's basis and multiply hold it as its run map
-    (see the module docstring), and assignment is a read-only view of it.
-    An element may also be built by hand from a dict {Vertex: Morphism};
-    assignment is then a read-only copy of that dict, and _slot_map
-    converts it where the runs are needed."""
+    make_generator, a report's basis and multiply hold it as its line map
+    (see the module docstring), and assignment is a read-only view of it
+    (_SlotView).  An element may also be built by hand from a dict
+    {Vertex: Morphism}; assignment is then a read-only copy of that dict,
+    and _slot_map converts it where the line map is needed."""
 
     p: int
     variant: str
@@ -281,21 +274,21 @@ class CenterElement:
     def is_zero(self, char: int | None = None) -> bool:
         view = self.assignment
         if isinstance(view, _SlotView):
-            coeffs = [c for runs in view._runs.values() for _, _, c in runs]
+            coeffs = [c for pieces in view.lines.values() for _, _, value in pieces for c in value.values()]
         else:
             coeffs = [c for mor in view.values() for c in mor.terms.values()]
         return not any(coeffs) if char is None else all(c % char == 0 for c in coeffs)
 
 
 def _as_runs(spans: list) -> tuple:
-    """Disjoint (a_lo, a_hi, coefficient) of one line and slot, in order
-    of a, as its runs: neighbours that touch and agree are merged."""
+    """Disjoint (a_lo, a_hi, value) of one line, in order of a, as its
+    pieces: neighbours that touch and hold equal values are merged."""
     runs: list = []
-    for lo, hi, c in spans:
-        if runs and runs[-1][1] == lo - 1 and runs[-1][2] == c:
-            runs[-1] = (runs[-1][0], hi, c)
+    for lo, hi, value in spans:
+        if runs and runs[-1][1] == lo - 1 and runs[-1][2] == value:
+            runs[-1] = (runs[-1][0], hi, value)
         else:
-            runs.append((lo, hi, c))
+            runs.append((lo, hi, value))
     return tuple(runs)
 
 
@@ -308,7 +301,8 @@ def _slot_map(params: ModelParams, el: CenterElement) -> _SlotView:
     vertex of these parameters, that each value runs from v to Sigma^p v,
     and that each term's slot, its degree, is one whose gaps in the frame
     hold v's gap and whose kind is the term's; otherwise it raises
-    ValueError.  A value with no term keeps its cell, in the slot None."""
+    ValueError.  Each value becomes one cell {slot: coefficient}, and a
+    value with no term keeps its cell, with the value {}."""
     view = el.assignment
     if isinstance(view, _SlotView) and (view._params.omega, view._p) == (params.omega, el.p):
         return view
@@ -323,36 +317,37 @@ def _slot_map(params: ModelParams, el: CenterElement) -> _SlotView:
         tgt = mor.target
         ok = mor.source is v or mor.source == v
         ok = ok and (tgt.family, tgt.i, tgt.a, tgt.b) == (f, j, a + da, b + db)
+        value = {}
         for t, c in mor.terms.items():
             if t is not None:
                 # a slot that the frame holds at the gap has a rule
                 ok = ok and in_gaps(gaps.get((f, i, t.degree)), b - a)
                 ok = ok and t.kind == rules[f, f, t.degree, i][0]
-            cells.setdefault((f, i, b - a, -1 if t is None else t.degree), []).append((a, a, c))
+            value[-1 if t is None else t.degree] = c
         if not ok:
             raise ValueError(f"the value at {v!r} is not in Hom(v, Sigma^{el.p} v)")
-        if not mor.terms:
-            cells.setdefault((f, i, b - a, None), []).append((a, a, 0))
-    return _SlotView(params, el.p, {key: _as_runs(sorted(at)) for key, at in cells.items()})
+        cells.setdefault((f, i, b - a), []).append((a, a, value))
+    return _SlotView(params, el.p, {key: _as_runs(sorted(at, key=itemgetter(0))) for key, at in cells.items()})
 
 
 def _lines(runs: dict) -> dict:
-    """A run map's cells line by line: {(family, i, t): pieces}, where the
-    pieces (a_lo, a_hi, value) lie in order of a and cover each cell held
-    once, and value is the {slot: coefficient} of every cell of the piece
-    ({} at a cell held in the slot None alone).  A line with one slot has
-    its runs as its pieces; each further slot is laid beside them
-    (_overlay)."""
+    """The line map of runs {(family, i, t, slot): ((a_lo, a_hi,
+    coefficient), ...)}, each run a maximal interval of a on which the
+    slot holds one coefficient: {(family, i, t): pieces}, where the pieces
+    (a_lo, a_hi, {slot: coefficient}) lie in order of a and cover each
+    cell held once.  A line with one slot has its runs as its pieces;
+    each further slot is laid beside them (_overlay), and since every
+    run is maximal, so is every piece."""
     lines: dict = {}
     for (f, i, t, s), spans in runs.items():
-        mine = [(lo, hi, {} if s is None else {s: c}) for lo, hi, c in spans]
+        mine = [(lo, hi, {s: c}) for lo, hi, c in spans]
         held = lines.get((f, i, t))
         if held:
             lo, hi = min(held[0][0], mine[0][0]), max(held[-1][1], mine[-1][1])
             mine = [(a0, a1, {**(x or {}), **(y or {})}) for a0, a1, x, y in _overlay(held, mine, 0, lo, hi)
                     if x is not None or y is not None]
         lines[f, i, t] = mine
-    return lines
+    return {key: tuple(pieces) for key, pieces in lines.items()}
 
 
 def _overlay(x: list, y: list, d: int, lo: int, hi: int) -> list:
@@ -419,8 +414,8 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
     generator, every gap from k(n + m) - d0 m up for eta_power(k), where
     d0 m is m at index 0 and 0 elsewhere (X's least gap at k = 0, where
     the slot is the identity's).  Each line (family, i, gap) of the
-    support is one run of the run map, its coefficient fixed by the
-    index; no Morphism is built."""
+    support is one piece of the line map, {slot: coefficient} with the
+    coefficient fixed by the index; no Morphism is built."""
     if window < 1:
         raise ValueError("window must be >= 1")
     ok, why = spec.admissible(params)
@@ -436,7 +431,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
     else:
         family, slot, missing = "X", 0 if q else -1, "missing f' power arrow at"
     _, gaps, vertex_gaps = frame(params.omega, p)
-    runs: dict = {}
+    lines: dict = {}
     for i in range(r):
         if spec.name == "eta_power":
             lo, hi = max(vertex_gaps["X", i][0], _power_gap(params, q, i)), 2 * W
@@ -448,16 +443,16 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
         # (-1, -1), so the index-i vertex at a is Sigma^(i + r (a_i - a))
         # of the base, where a_i is the a of Sigma^i of it; n r = n (n - 1)
         # is even, so the sign is (-1)^(n i).
-        coeff = -1 if spec.name == "eta_prime" and n * i % 2 else 1
+        value = {slot: -1 if spec.name == "eta_prime" and n * i % 2 else 1}
         for t in range(lo, min(hi, 2 * W) + 1):
             if not in_gaps(hom, t):
                 raise InconsistencyError(f"{missing} {Vertex(family, i, -W, t - W)!r}")
             # the a of the line in the box [-W, W]^2
             a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
             if a0 <= a1:
-                runs[family, i, t, slot] = ((a0, a1, coeff),)
+                lines[family, i, t] = ((a0, a1, value),)
     variant = "graded" if spec.name == "eta_prime" else "commutative"
-    return CenterElement(p, variant, _SlotView(params, p, runs))
+    return CenterElement(p, variant, _SlotView(params, p, lines))
 
 
 def membership_margin(params: ModelParams) -> int:
@@ -506,13 +501,13 @@ def check_membership(
 ) -> Membership:
     """Verify naturality and the sign law for el on the inner window.
 
-    The check runs on el's runs (_slot_map), a line (family, i, t = b - a)
-    at a time, where the solver runs a line's unknowns; a value built by
-    hand that _slot_map rejects raises ValueError.  Naturality is tested at
-    the generating arrows with both ends in the inner box and an end on
-    the support, in one walk: from each line that holds support or is the
-    source line of an arrow into it (_arrow_table), to each target of its
-    plan.  Given the sign law, which is checked too, they imply
+    The check runs on el's line map (_slot_map), a line (family, i, t =
+    b - a) at a time, where the solver runs a line's unknowns; a value
+    built by hand that _slot_map rejects raises ValueError.  Naturality
+    is tested at the generating arrows with both ends in the inner box
+    and an end on the support, in one walk: from each line that holds
+    support or is the source line of an arrow into it (_arrow_table), to
+    each target of its plan.  Given the sign law, which is checked too, they imply
     naturality at every arrow of the box (tested).  Naturality at an
     arrow is the solver's rows there, its line's plan (_plan_pieces), on
     the coefficients mod char.  Every row is unchanged when both
@@ -703,12 +698,12 @@ class SolveReport:
     @cached_property
     def basis(self) -> list:
         """One CenterElement per component counted, in report order, whose
-        run map holds the component's members.  The elements are named
+        line map holds the component's members.  The elements are named
         and built on the first read: the dimensions never need them."""
         if self._system is None:
             return []
-        return [CenterElement(self.p, self.variant, _SlotView(self.params, self.p, runs))
-                for parity, _, runs in _named_components(self) if not (parity and self.char != 2)]
+        return [CenterElement(self.p, self.variant, _SlotView(self.params, self.p, lines))
+                for parity, _, lines in _named_components(self) if not (parity and self.char != 2)]
 
     @property
     def total_dim(self) -> int:
@@ -1254,14 +1249,15 @@ def _least_name(lo: int, hi: int) -> int:
 
 def _named_components(report: SolveReport) -> list:
     """The components of the report's system's classes in report order,
-    read under its variant, as (parity, tags, runs): runs is the run map
-    of the component's unknowns in the report's inner window, {(family,
-    i, t, slot): ((a_lo, a_hi, coefficient), ...)} with its keys in
-    order, read off each block's root and sign slices where a neighbour
-    differs.  Expanded, the members ((family, i, a, b), slot,
-    coefficient) in order of vertex and then str(arrow) are the basis
-    element's.  Components are ordered by their least (vertex,
-    str(arrow)); a Vertex orders as its key does.
+    read under its variant, as (parity, tags, lines): lines is the line
+    map of the component's unknowns in the report's inner window, with
+    its keys in order.  Each block's root and sign slices are cut into
+    runs where a neighbour differs, and a component's runs, one slot at a
+    time, are merged into its lines (_lines) once it is named.
+    Expanded, the members ((family, i, a, b), slot, coefficient) in order
+    of vertex and then str(arrow) are the basis element's.  Components
+    are ordered by their least (vertex, str(arrow)); a Vertex orders as
+    its key does.
 
     At one vertex every member's arrow has the same ends, so its name is
     a prefix, "None" or the kind and ":", followed by a common tail, and
@@ -1335,7 +1331,7 @@ def _named_components(report: SolveReport) -> list:
         by_key: dict = {}
         for key, lo, hi, w in sorted(runs):
             by_key.setdefault(key, []).append((lo, hi, w * ref_w))
-        components.append((heads[x], *wanted[x], {key: tuple(spans) for key, spans in by_key.items()}))
+        components.append((heads[x], *wanted[x], _lines(by_key)))
     components.sort(key=lambda c: c[0])
     return [c[1:] for c in components]
 
@@ -1406,16 +1402,17 @@ def solve_component(
 
 
 def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterElement:
-    """Pointwise product (a.b)_v = Sigma^{p_b}(a_v) o b_v, on runs.
+    """Pointwise product (a.b)_v = Sigma^{p_b}(a_v) o b_v, on line maps.
     Sigma keeps a term's kind and degree, so a term of a_v in slot s_a
     and one of b_v in slot s_b compose to the arrow v -> Sigma^(p_a + p_b)
     v of degree s_a + s_b, with coefficient c_a c_b, where that arrow
     exists: where the frame of degree p_a + p_b (hom.frame) holds the slot
     s_a + s_b at v's gap.  The identity's slot -1 is the unit.  The two
     factors' lines are laid side by side (_overlay), and the product is
-    worked out once on each interval where both values stay the same.  A
-    factor built by hand passes _slot_map's gate, the membership check's,
-    first."""
+    worked out once on each interval where both values stay the same;
+    touching intervals with equal products are merged (_as_runs), and an
+    interval whose product has no term holds no cell.  A factor built by
+    hand passes _slot_map's gate, the membership check's, first."""
     p = a.p + b.p
     gaps = frame(params.omega, p)[1]
     lines_a = _slot_map(params, a).lines
@@ -1442,6 +1439,6 @@ def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterE
                         terms[s] = c
                     else:
                         terms.pop(s, None)
-            for s, c in terms.items():
-                spans.setdefault((f, i, t, s), []).append((a0, a1, c))
+            if terms:
+                spans.setdefault((f, i, t), []).append((a0, a1, terms))
     return CenterElement(p, a.variant, _SlotView(params, p, {key: _as_runs(at) for key, at in spans.items()}))

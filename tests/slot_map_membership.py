@@ -3,10 +3,12 @@ that gradedcenter.center's check_membership replaced with one on runs
 along the diagonal lines, kept unchanged as its differential oracle.
 
 A slot map is {(family, i, a, b): {slot: coefficient}}: one entry per
-cell, where the run map center.CenterElement holds has one run per
-maximal interval of a on a line (family, i, b - a) and slot.  expand
-turns runs back into the slot map; slot_map is the converter the check
-used, which reads an element built by hand value by value."""
+cell, where the line map center.CenterElement holds has one piece per
+maximal interval of a on a line (family, i, b - a) whose cells hold the
+same value.  expand_lines turns a line map back into the slot map, and
+expand does the same for the runs of one slot at a time that
+center._lines merges; slot_map is the converter the check used, which
+reads an element built by hand value by value."""
 
 from gradedcenter.center import (
     CenterElement,
@@ -23,45 +25,51 @@ from row_pattern import _row_pattern
 
 
 def expand(runs: dict) -> dict:
-    """The slot map of a run map, keys in (family, i, a, b) order and each
-    cell's slots in the run map's order; a cell held with no term (the
-    slot None) has the value {}."""
+    """The slot map of runs {(family, i, t, slot): ((a_lo, a_hi,
+    coefficient), ...)}, keys in (family, i, a, b) order and each cell's
+    slots in the runs' order."""
     cells: dict = {}
     for (f, i, t, s), spans in runs.items():
         for lo, hi, c in spans:
             for a in range(lo, hi + 1):
-                value = cells.setdefault((f, i, a, a + t), {})
-                if s is not None:
-                    value[s] = c
+                cells.setdefault((f, i, a, a + t), {})[s] = c
     return dict(sorted(cells.items()))
 
 
-def members(params: ModelParams, shift_p, runs: dict) -> tuple:
-    """A run map's members ((family, i, a, b), slot, coefficient) in the
+def expand_lines(lines: dict) -> dict:
+    """The slot map of a line map {(family, i, t): ((a_lo, a_hi, {slot:
+    coefficient}), ...)}, keys in (family, i, a, b) order; a cell held
+    with no term has the value {}."""
+    cells = {(f, i, a, a + t): dict(value) for (f, i, t), pieces in lines.items()
+             for lo, hi, value in pieces for a in range(lo, hi + 1)}
+    return dict(sorted(cells.items()))
+
+
+def members(params: ModelParams, shift_p, lines: dict) -> tuple:
+    """A line map's members ((family, i, a, b), slot, coefficient) in the
     order of a basis element's: by vertex, then str(arrow)."""
     rules = params.rules
-    cells = [((f, i, a, a + t), s, c) for (f, i, t, s), spans in runs.items()
-             for lo, hi, c in spans for a in range(lo, hi + 1)]
+    cells = [(key, s, c) for key, value in expand_lines(lines).items() for s, c in value.items()]
     return tuple(sorted(cells, key=lambda m: (m[0], str(basis_arrow(rules, shift_p, Vertex(*m[0]), m[1])))))
 
 
 def named_members(report) -> list:
-    """center._named_components with each component's runs expanded to
-    its members (members), the form tests/named_components.py gives."""
+    """center._named_components with each component's line map expanded
+    to its members (members), the form tests/named_components.py gives."""
     shift_p = frame(report.params.omega, report.p)[0]
-    return [(parity, tags, members(report.params, shift_p, runs))
-            for parity, tags, runs in _named_components(report)]
+    return [(parity, tags, members(report.params, shift_p, lines))
+            for parity, tags, lines in _named_components(report)]
 
 
 def slot_map(params: ModelParams, el: CenterElement) -> dict:
-    """el's values as its slot map.  An element that holds runs on these
-    parameters' omega is expanded; any other is converted value by value,
-    which checks that v is a vertex of these parameters, that each value
-    runs from v to Sigma^p v and that each term's kind is the one its
-    degree, the slot, has."""
+    """el's values as its slot map.  An element that holds a line map on
+    these parameters' omega is expanded; any other is converted value by
+    value, which checks that v is a vertex of these parameters, that each
+    value runs from v to Sigma^p v and that each term's kind is the one
+    its degree, the slot, has."""
     view = el.assignment
     if isinstance(view, _SlotView) and view._params.omega == params.omega:
-        return expand(view._runs)
+        return expand_lines(view.lines)
     rules = params.rules
     shift, _, vertex_gaps = frame(params.omega, el.p)
     slots: dict = {}

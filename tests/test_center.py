@@ -68,8 +68,9 @@ from null_space_oracle import SparseMatrix, null_space
 from probed_hom import probed_hom
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
+import pin_elements
 import slot_map_membership
-from slot_map_membership import expand, named_members
+from slot_map_membership import expand, expand_lines, named_members
 
 
 def params_for(r, n, m, window=10):
@@ -483,37 +484,41 @@ def test_membership_orders_the_arrows_into_one_cell(W, first, rows):
     # alone, the check would name the step across and count its row too
     params = params_for(2, 2, 1, window=W)
     inner = W - membership_margin(params)
-    runs = {}
+    lines = {}
     for i in range(2):
         for t in range(-2 * W, 2 * W + 1):
             lo, hi = max(0, -t, -W - min(t, 0)), W - max(t, 0)
             if lo <= hi:
-                runs["X", i, t, -1] = ((lo, hi, 1),)
-    el = CenterElement(0, "graded", _SlotView(params, 0, runs))
+                lines["X", i, t] = ((lo, hi, {-1: 1}),)
+    el = CenterElement(0, "graded", _SlotView(params, 0, lines))
     got = _counted(check_membership(params, el, W, inner))
     assert got == slot_map_membership.check_membership(params, el, W, inner)
     assert got == (False, f"naturality fails at {first}", rows, 0)
 
 
-def test_make_generator_matches_cell_oracle():
-    # Every criterion-4 generator, plus eta_power(0), on criterion 4's
-    # window W = 12 and on the benchmark's three smallest windows: the
-    # support walk assigns what the box walk did, in the same order.
+def _generator_cases():
+    """Every criterion-4 generator, plus eta_power(0), on criterion 4's
+    window W = 12 and on the benchmark's three smallest windows, as
+    ((r, n, m, name, q, W), params, spec)."""
     inputs = _perfbench_inputs()
     specs = inputs.membership_specs()
     specs += [(n, n, m, "eta_power", 0) for n in (1, 2, 3, 4) for m in (0, 1, 2)]
     for r, n, m, name, q in specs:
-        spec = GeneratorSpec(name, q)
         windows = {12} | {
             inputs.membership_margin(n, m) + inputs.support_inner(r, n, m, name, q) + extra
             for extra in (0, 1, 2)
         }
         for W in sorted(windows):
-            params = params_for(r, n, m, window=W)
-            got = make_generator(params, spec, W)
-            want = cell_generators.make_generator(params, spec, W)
-            assert (got.p, got.variant) == (want.p, want.variant)
-            assert list(got.assignment.items()) == list(want.assignment.items()), (r, n, m, name, q, W)
+            yield (r, n, m, name, q, W), params_for(r, n, m, window=W), GeneratorSpec(name, q)
+
+
+def test_make_generator_matches_cell_oracle():
+    # the support walk assigns what the box walk did, in the same order
+    for case, params, spec in _generator_cases():
+        got = make_generator(params, spec, case[-1])
+        want = cell_generators.make_generator(params, spec, case[-1])
+        assert (got.p, got.variant) == (want.p, want.variant)
+        assert list(got.assignment.items()) == list(want.assignment.items()), case
 
 
 def test_membership_breakages_match_object_membership():
@@ -1250,17 +1255,17 @@ def test_basis_runs_expand_to_slot_maps(rnm):
                             slots.setdefault(key, {})[s] = c
                         want.append(slots)
                     case = (W, p, variant, char)
-                    assert [list(expand(el.assignment._runs).items()) for el in basis] == \
+                    assert [list(expand_lines(el.assignment.lines).items()) for el in basis] == \
                         [list(slots.items()) for slots in want], case
                     for el, slots in zip(basis, want):
                         view = el.assignment
                         assert len(view) == len(slots), case
                         assert [(v.family, v.i, v.a, v.b) for v in view] == list(slots), case
-                # a hand-built copy converts back to the same runs
+                # a hand-built copy converts back to the same line map
                 if basis:
                     el = basis[-1]
                     copy = CenterElement(el.p, el.variant, dict(el.assignment))
-                    assert _slot_map(params, copy)._runs == el.assignment._runs, (W, p, variant)
+                    assert _slot_map(params, copy).lines == el.assignment.lines, (W, p, variant)
 
 
 def test_run_counts_at_large_windows():
@@ -1270,27 +1275,132 @@ def test_run_counts_at_large_windows():
     for W, elements, members, runs in ((40, 57, 4737, 167), (80, 137, 27817, 407)):
         params = params_for(3, 4, 2, window=W)
         basis = solve_component(params, 4, "graded", 3, W, W - solver_margin(params)).basis
-        held = [spans for el in basis for spans in el.assignment._runs.values()]
+        held = [pieces for el in basis for pieces in el.assignment.lines.values()]
         assert len(basis) == elements, W
         assert sum(hi - lo + 1 for spans in held for lo, hi, _ in spans) == members, W
         assert sum(map(len, held)) == runs, W
 
 
-def test_lines_hold_each_cell_once():
-    # a line with overlapping runs in two slots and a cell held with no
-    # term: its pieces cover each cell once, in order, with every slot
-    runs = {("X", 0, 2, -1): ((-5, 0, 1), (1, 3, 2)), ("X", 0, 2, 2): ((-2, 4, 1),),
-            ("X", 0, 2, None): ((6, 7, 0),), ("X", 0, 3, 0): ((0, 0, 5),)}
+def _assert_maximal_pieces(lines: dict, case) -> None:
+    """Each line's pieces lie in increasing a, disjoint, and no two that
+    touch hold equal values."""
+    for key, pieces in lines.items():
+        assert isinstance(pieces, tuple) and pieces, (case, key)
+        assert all(lo <= hi for lo, hi, _ in pieces), (case, key)
+        for (_, hi, x), (lo, _, y) in zip(pieces, pieces[1:]):
+            assert hi < lo and (hi + 1 < lo or x != y), (case, key)
+
+
+def test_lines_merge_the_runs_of_each_slot():
+    # a line with overlapping runs in three slots, and a line of one slot:
+    # the pieces cover each cell once, in order, with every slot, and are
+    # maximal
+    runs = {("X", 0, 2, -1): ((-5, 0, 1), (1, 3, 2), (6, 7, 1)), ("X", 0, 2, 2): ((-2, 4, 1),),
+            ("X", 0, 2, 0): ((2, 2, 3), (5, 7, 3)), ("X", 0, 3, 0): ((0, 0, 5),)}
     lines = _lines(runs)
-    cells = [((f, i, a, a + t), value) for (f, i, t), pieces in lines.items()
-             for lo, hi, value in pieces for a in range(lo, hi + 1)]
-    assert sorted(cells) == list(expand(runs).items())
-    for pieces in lines.values():
-        assert all(hi < lo for (_, hi, _), (lo, _, _) in zip(pieces, pieces[1:]))
-    view = _SlotView(params_for(1, 1, 0), 0, runs)
-    assert len(view) == len(cells) == 13
-    assert [(v.family, v.i, v.a, v.b) for v in view] == list(expand(runs))
+    assert expand_lines(lines) == expand(runs)
+    assert lines == {
+        ("X", 0, 2): ((-5, -3, {-1: 1}), (-2, 0, {-1: 1, 2: 1}), (1, 1, {-1: 2, 2: 1}),
+                      (2, 2, {-1: 2, 2: 1, 0: 3}), (3, 3, {-1: 2, 2: 1}), (4, 4, {2: 1}),
+                      (5, 5, {0: 3}), (6, 7, {-1: 1, 0: 3})),
+        ("X", 0, 3): ((0, 0, {0: 5}),),
+    }
+    _assert_maximal_pieces(lines, runs)
+
+
+def test_a_value_with_no_term_keeps_its_cell():
+    # a hand-built element whose values at X(0)[6,8] and X(0)[7,9] have no
+    # term: _slot_map holds those cells with the value {}, one piece, so
+    # they are in the view and counted by len, 13 cells in all
+    params = params_for(1, 1, 0)
+    values = {Vertex("X", 0, a, a + 2): Morphism.identity(Vertex("X", 0, a, a + 2)) for a in range(-5, 5)}
+    values |= {Vertex("X", 0, a, a + 2): Morphism.zero(Vertex("X", 0, a, a + 2), Vertex("X", 0, a, a + 2))
+               for a in (6, 7)}
+    values[Vertex("X", 0, 0, 3)] = Morphism.identity(Vertex("X", 0, 0, 3)).scaled(5)
+    view = _slot_map(params, CenterElement(0, "graded", values))
+    assert view.lines == {("X", 0, 2): ((-5, 4, {-1: 1}), (6, 7, {})), ("X", 0, 3): ((0, 0, {-1: 5}),)}
+    assert len(view) == 13
+    assert list(view) == sorted(values, key=lambda v: (v.family, v.i, v.a, v.b))
     assert Vertex("X", 0, 6, 8) in view and Vertex("X", 0, 5, 7) not in view
+    assert view[Vertex("X", 0, 6, 8)] == values[Vertex("X", 0, 6, 8)]
+    assert expand_lines(view.lines)[("X", 0, 7, 9)] == {}
+
+
+def _criterion_7_products():
+    """The products acceptance criterion 7 forms, on its windows, as
+    (params, product): every pair of the socle generators of (1, 2, 0),
+    eta times eta_zero(q) both ways on (1, 1, 0), and the powers eta^2..4
+    on (1, 1, 0), (2, 2, 1) and (3, 3, 0)."""
+    W = 12
+    params = params_for(1, 2, 0, W)
+    gens = [make_generator(params, GeneratorSpec(name, q), W)
+            for name in ("eta_prime", "eta_dprime", "eta_zero") for q in range(3)]
+    for a in gens:
+        for b in gens:
+            yield params, multiply(params, a, b)
+    params = params_for(1, 1, 0, W)
+    eta = make_generator(params, GeneratorSpec("eta_power", 1), W)
+    for q in range(3):
+        ez = make_generator(params, GeneratorSpec("eta_zero", q), W)
+        yield params, multiply(params, eta, ez)
+        yield params, multiply(params, ez, eta)
+    for r, n, m in ((1, 1, 0), (2, 2, 1), (3, 3, 0)):
+        Wp = 4 * (n + m) + 10
+        params = params_for(r, n, m, Wp)
+        eta = power = make_generator(params, GeneratorSpec("eta_power", 1), Wp)
+        for _ in range(2, 5):
+            power = multiply(params, power, eta)
+            yield params, power
+
+
+def test_every_line_map_holds_maximal_pieces():
+    # the line maps of make_generator, multiply, a report's basis and
+    # _slot_map: pieces in increasing a, disjoint and maximal, and a
+    # hand-built copy of each element converts back to the same line map
+    elements = [("generator", case, params, make_generator(params, spec, case[-1]))
+                for case, params, spec in _generator_cases()]
+    elements += [("product", k, params, el) for k, (params, el) in enumerate(_criterion_7_products())]
+    # a hand-built factor whose pieces differ only in a term the product
+    # drops (e' times f' has no arrow in degree 1): the product's touching
+    # equal pieces merge into one
+    params = params_for(1, 1, 0, 12)
+    ez = make_generator(params, GeneratorSpec("eta_zero", 2), 12)
+    line = [Vertex("X", 0, a, a + 2) for a in range(-5, 5)]
+    b = CenterElement(0, "graded", {v: Morphism.identity(v).plus(ez.assignment[v]) if 0 <= v.a <= 2
+                                    else Morphism.identity(v) for v in line})
+    assert len(_slot_map(params, b).lines["X", 0, 2]) == 3
+    product = multiply(params, make_generator(params, GeneratorSpec("eta_power", 1), 12), b)
+    assert product.assignment.lines == {("X", 0, 2): ((-5, 4, {0: 1}),)}
+    elements.append(("product", "merged", params, product))
+    for r, n, m in GRID:
+        for inner in (1, 4):
+            W = solver_margin(params_for(r, n, m)) + inner
+            params = params_for(r, n, m, window=W)
+            for p in range(2 * n + 2):
+                for variant in ("graded", "commutative"):
+                    for char in (2, 3):
+                        basis = solve_component(params, p, variant, char, W, inner).basis
+                        elements += [("basis", (r, n, m, inner, p, variant, char), params, el) for el in basis]
+    seen = Counter()
+    for kind, case, params, el in elements:
+        _assert_maximal_pieces(el.assignment.lines, case)
+        copy = _slot_map(params, CenterElement(el.p, el.variant, dict(el.assignment)))
+        _assert_maximal_pieces(copy.lines, case)
+        assert copy.lines == el.assignment.lines, case
+        seen[kind] += bool(el.assignment.lines)
+    # nonzero elements of every kind were read
+    assert set(+seen) == {"generator", "product", "basis"}, seen
+
+
+def test_elements_match_the_pinned_corpus():
+    # tests/pinned/elements.txt, which tests/pin_elements.py writes: per
+    # key, the basis elements' members and membership checks, hashed
+    pinned = pin_elements.PINNED.read_text().splitlines()
+    keys = pin_elements.keys()
+    assert [line.rsplit(" ", 2)[0] for line in pinned] == \
+        [" ".join(map(str, (*rnm, *rest))) for rnm, *rest in keys]
+    for key, want in zip(keys, pinned):
+        assert pin_elements.line(*key) == want, f"first key that differs: {want.rsplit(' ', 2)[0]}"
 
 
 def test_least_name_is_the_least_str():

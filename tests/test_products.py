@@ -19,7 +19,7 @@ from gradedcenter.model import ModelParams
 from gradedcenter.ring import theorem_case
 
 import object_products
-from slot_map_membership import expand
+from slot_map_membership import expand_lines
 
 
 def params_for(r, n, m, window=10):
@@ -87,11 +87,11 @@ def _coordinates(params, product, basis, char):
     coordinate is read at its first member.  The components have disjoint
     supports, so the combination must equal product at every slot."""
     got = {(key, s): c % char
-           for key, value in expand(product.assignment._runs).items() for s, c in value.items() if c % char}
+           for key, value in expand_lines(product.assignment.lines).items() for s, c in value.items() if c % char}
     want: dict = {}
     coords = []
     for el in basis:
-        members = [(key, s, c) for key, value in expand(el.assignment._runs).items() for s, c in value.items()]
+        members = [(key, s, c) for key, value in expand_lines(el.assignment.lines).items() for s, c in value.items()]
         key, s, c = members[0]
         coord = got.get((key, s), 0) * c % char
         coords.append(coord)
