@@ -19,23 +19,22 @@ At an even degree every row has weight +1, so there the forest is
 unsigned: it never reads or flips a sign, and no parity conflict can
 arise.
 
-solve_component works in two steps.  The build step (_build_system)
-makes the union-find and keeps its roots and signs as immutable tuples,
-with the line layout, the work counts, and the parity flag and class
-tags of each component that is not forced to zero and meets the inner
-window.  It is cached by (omega, window, inner window, p), and one
-system serves the four (variant, char) pairs of a degree.  No row reads
-the field: it decides only whether a parity-flagged component survives.
-The two sign laws differ only at odd p, eta Sigma = -Sigma eta for the
+solve_component's build step (_build_system) makes the union-find and
+keeps its roots and signs as immutable tuples, with the line layout, the
+work counts, the parity flag and class tags of each component that is
+not forced to zero and meets the inner window, and the dimensions they
+give.  It is cached by (omega, window, inner window, p), and one system
+serves the four (variant, char) pairs of a degree.  No row reads the
+field: it decides only whether a parity-flagged component survives.  The
+two sign laws differ only at odd p, eta Sigma = -Sigma eta for the
 graded center against eta Sigma = Sigma eta, and a row's sign decides
 only the weight of a join, never which unknowns it joins.  So the build
-imposes the graded law (-1)^p, and the report reads the variant where
-it reads the field: the commutative reading at odd p ignores the parity
-flags and reads every sign as +1.  The interpret step runs on every
-call: it drops the parity-flagged components that the reading discards
-and counts the rest by class.  The dimensions need nothing more, so the
-report's basis is named and built afresh only when it is read, and no
-caller shares cached state.
+imposes the graded law (-1)^p and counts the classes under both
+readings: every component, and all but the parity-flagged ones, which
+the graded law at odd p drops outside characteristic 2.  A call picks
+one by variant and field; the commutative reading at odd p reads every
+sign as +1.  The report's basis is named and built afresh only when it
+is read, and no caller shares cached state.
 
 The system is built on plain integers, one diagonal line at a time.  A
 vertex is the tuple (family, i, a, b) and an unknown is a vertex plus a
@@ -654,6 +653,12 @@ def solver_margin(params: ModelParams) -> int:
 WORK_COUNTS = ("unknowns", "vertices", "naturality_rows", "sign_rows", "merges", "killed_zero", "killed_parity")
 
 
+def _plain_reading(variant: str, p: int) -> bool:
+    """Whether a reading takes every sign as +1 and ignores parity flags:
+    under the commutative law, and at even p, where both laws agree."""
+    return variant == "commutative" or p % 2 == 0
+
+
 @dataclass
 class SolveReport:
     params: ModelParams
@@ -687,9 +692,7 @@ class SolveReport:
 
     @property
     def _plain(self) -> bool:
-        """Whether the reading takes every sign as +1 and ignores parity
-        flags: under the commutative law, and at even p, where both agree."""
-        return self.variant == "commutative" or self.p % 2 == 0
+        return _plain_reading(self.variant, self.p)
 
     @property
     def rows(self) -> int:
@@ -775,21 +778,20 @@ def power_visible(params: ModelParams, p: int, inner_window: int) -> bool:
     return r == n and k >= 1 and rest == 0 and _power_gap(params, k, 0) <= 2 * inner_window
 
 
-class _System(namedtuple("_System", (*WORK_COUNTS, "classes", "lines", "root", "sign"))):
+class _System(namedtuple("_System", (*WORK_COUNTS, "classes", "readings", "lines", "root", "sign"))):
     """A built system under the graded sign law: what the union-find
     decided, which solve_component reads for every (variant, field) pair
     of its degree.
 
-    The work counts (WORK_COUNTS) are: unknowns, vertices (cells of the
-    box with a nonempty hom space), the naturality and sign-law rows
-    imposed, merges (unknowns joined to another one: unknowns minus
-    components), and the components the field may discard, for a forced
-    zero or else for a parity conflict.  classes holds each component that is not forced to
-    zero and meets the inner window, by root, as (root, parity, tags):
-    parity is set if the component forces x = -x, and tags are its class
-    tags sorted by str.  It is empty when every component is forced to
-    zero, and then no block is scanned for it.  That is all the
-    dimensions read.
+    The work counts (WORK_COUNTS) are a SolveReport's, but killed_parity
+    counts every parity conflict.  classes holds each component that is
+    not forced to zero and meets the inner window, by root, as (root,
+    parity, tags): parity is set if the component forces x = -x, and tags
+    are its class tags sorted by str.  It is empty when every component
+    is forced to zero, and then no block is scanned for it.  readings
+    counts them as a report does, (scalar_dim, power_dim, class_dims
+    items, residual, killed_parity): every class, then all but the
+    parity-flagged ones.  That is all the dimensions read.
 
     The rest is kept to name the basis when it is read
     (_named_components): lines, the layout, as ((family, i, gap), ((slot,
@@ -1059,11 +1061,14 @@ class _SignedForest:
         return merged
 
 
+_builds = 0
+
+
 # A window's degree sweep p = 0..2n + 1 needs one system per degree,
 # 2n + 2 in all, so the 14 entries hold a whole window up to n = 6 (the
 # acceptance GRID sweeps p = 0..2n and needs 9), and every (variant,
 # char) pair of one window is served from the systems the first pair
-# built.
+# built.  A call that sees _builds move built its system.
 @lru_cache(maxsize=14)
 def _build_system(omega, W: int, inner: int, p: int) -> _System:
     """Solve the union-find system of degree p on the window W, with the
@@ -1072,7 +1077,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     only the sign-law rows carry (-1)^p, which never decides whether a
     row merges two components.  So the commutative law at odd p is the
     same union-find with every weight +1, and no parity conflict: the
-    report reads it from this system (SolveReport._plain).  At even p
+    build counts that reading too (_System.readings).  At even p
     the two laws agree, every row has weight +1 and every sign is +1, so
     the forest is unsigned there (_SignedForest).
 
@@ -1221,6 +1226,19 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
                     tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
                     for x in roots:
                         tags[x].add(tag)
+    classes = tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets))
+    # both readings (_System), one without a parity conflict
+    readings = []
+    for drop in (False, True) if odd else (False,):
+        dims: dict = {}
+        for _, parity, names in classes:
+            if not (parity and drop):
+                tag = _class_of(names)
+                dims[tag] = dims.get(tag, 0) + 1
+        scalar, power, residual = dims.pop("scalar", 0), dims.pop("power", 0), dims.pop(None, 0) > 0
+        readings.append((scalar, power, tuple(dims.items()), residual, len(odd - dead) if drop else 0))
+    global _builds
+    _builds += 1
     return _System(
         unknowns=count,
         vertices=vertices,
@@ -1229,7 +1247,8 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
         merges=merges,
         killed_zero=len(dead),
         killed_parity=len(odd - dead),
-        classes=tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets)),
+        classes=classes,
+        readings=(readings[0], readings[-1]),
         lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
         root=tuple(root),
         sign=tuple(signs),
@@ -1355,6 +1374,8 @@ def solve_component(
     window: int,
     inner_window: int,
 ) -> SolveReport:
+    """The degree-p component: its system (built on a cache miss) as
+    the variant and field read it."""
     if p < 0:
         raise ValueError("degree must be >= 0")
     if variant not in ("graded", "commutative"):
@@ -1365,33 +1386,15 @@ def solve_component(
             f"window {window} too small: need inner_window + margin"
             f" = {inner_window} + {solver_margin(params)}"
         )
-    misses = _build_system.cache_info().misses
+    builds = _builds
     system = _build_system(params.omega, window, inner_window, p)
-    built = _build_system.cache_info().misses > misses
-
-    # interpret the components under the variant and over the field: a
-    # parity conflict x = -x, which a plain reading ignores, forces the
+    # a parity conflict x = -x, which a plain reading ignores, forces the
     # component to zero outside characteristic 2
-    report = SolveReport(params, p, variant, field, window, inner_window, built=built, _system=system)
-    kills = field != 2 and not report._plain
-    report.visibility = class_visibility_map(params, inner_window)
-    for name in WORK_COUNTS:
-        setattr(report, name, getattr(system, name))
-    if not kills:
-        report.killed_parity = 0
-    residual = False
-    for _, parity, tags in system.classes:
-        if parity and kills:
-            continue
-        tag = _class_of(tags)
-        if tag == "scalar":
-            report.scalar_dim += 1
-        elif tag == "power":
-            report.power_dim += 1
-        elif tag is None:
-            residual = True
-        else:
-            report.class_dims[tag] = report.class_dims.get(tag, 0) + 1
+    scalar, power, dims, residual, killed_parity = system.readings[field != 2 and not _plain_reading(variant, p)]
+    # SolveReport's fields in order (test_solve_report_fields_follow_the_system)
+    report = SolveReport(params, p, variant, field, window, inner_window, scalar, power, dict(dims),
+                         class_visibility_map(params, inner_window), [], *system[:6], killed_parity,
+                         _builds != builds, system)
     if residual:
         # an error in the model; the names give the report order
         report.residual = [

@@ -140,11 +140,13 @@ def reconcile(
     degree up to the bound (center.power_visible) is refused.
 
     The degrees are solved one after another by solve_component, which
-    builds one system per (r, n, m), window, inner window and degree and
-    reads it under any variant and field: the four (variant, char) pairs
-    of one window share it, and report.degrees says which degrees this
-    call built.  parallel has no effect; it is accepted so that existing
-    callers keep working."""
+    builds one system per (r, n, m), window, inner window and degree,
+    counts its classes under both readings when it builds it, and serves
+    any variant and field from it: the four (variant, char) pairs of one
+    window share it, and report.degrees says which degrees this call
+    built.  The socle families that each degree expects, and their fully
+    visible classes, are worked out once per call.  parallel has no
+    effect; it is accepted so that existing callers keep working."""
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     inner = window - solver_margin(params)
@@ -153,38 +155,44 @@ def reconcile(
             f"window {window} too small: margin alone is {solver_margin(params)}"
         )
     pres = theorem_case(params, field, variant)
-    for p in range(degree_bound + 1):
-        if _expected_power(pres, p) and not power_visible(params, p, inner):
+    powers = [_expected_power(pres, p) for p in range(degree_bound + 1)]
+    for p, power in enumerate(powers):
+        if power and not power_visible(params, p, inner):
             raise ValueError(
                 f"window {window} too small: inner window {inner} cannot show"
                 f" the power class in degree {p}"
             )
     report = ReconcileReport(params, field, variant, degree_bound, window, pres)
+    # the socle families the row expects in each degree that has any, and
+    # their fully visible classes, each of which must be counted once
     shift_family = {0: "X", params.n: "Y"}
-    # every degree's report carries the same visibility map
-    full = [cls for cls, vis in sorted(class_visibility_map(params, inner).items()) if vis == "full"]
+    expected: dict = {}
+    for s, _q in pres.socle:
+        if s in shift_family:
+            expected.setdefault(s, set()).add(shift_family[s])
+    needed: dict = {}
+    if expected:
+        full = sorted(cls for cls, vis in class_visibility_map(params, inner).items() if vis == "full")
+        needed = {s: [cls for cls in full if cls[0] in families] for s, families in expected.items()}
     work = attrgetter(*DegreeWork._fields[1:])
-    for p in range(degree_bound + 1):
+    for p, exp_power in enumerate(powers):
         rep = solve_component(params, p, variant, field, window, inner)
         report.degrees.append(DegreeWork(p, *work(rep)))
         problems = []
         exp_scalar = 1 if p == 0 else 0
         if rep.scalar_dim != exp_scalar:
             problems.append(f"scalar {rep.scalar_dim} != {exp_scalar}")
-        exp_power = _expected_power(pres, p)
         if rep.power_dim != exp_power:
             problems.append(f"power {rep.power_dim} != {exp_power}")
-        expected_families = {
-            shift_family[s] for s, _q in pres.socle if s == p and s in shift_family
-        }
+        expected_families = expected.get(p, ())
         for (fam, q), dim in sorted(rep.class_dims.items()):
             if fam not in expected_families:
                 problems.append(f"unexpected class {fam} q={q} (dim {dim})")
             elif dim > 1:
                 problems.append(f"class {fam} q={q} has dim {dim} > 1")
-        for fam, q in full:
+        for fam, q in needed.get(p, ()):
             dim = rep.class_dims.get((fam, q), 0)
-            if fam in expected_families and dim != 1:
+            if dim != 1:
                 problems.append(f"missing class {fam} q={q} (dim {dim}, fully visible)")
         if rep.residual:
             problems.append(f"{len(rep.residual)} residual component(s)")

@@ -1,15 +1,17 @@
 """The path-halving signed union-find build that gradedcenter.center's flat
 _build_system replaces, kept as its differential oracle.  The function
 is the one it replaced, unchanged but for its name, the cache and its
-return, the one system that _build_system returns: every row walks both
-of its unknowns up to their roots, halving the paths, and a last pass
-hangs every unknown on its root."""
+return, the one system that _build_system returns, with its readings
+counted by the loop they replaced (tests/class_readings.py): every row
+walks both of its unknowns up to their roots, halving the paths, and a
+last pass hangs every unknown on its root."""
 
 from itertools import compress
 
 from gradedcenter.center import InconsistencyError, _class_tag, _System, _targets
 from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_gap, sigma_shift
 
+from class_readings import readings
 from row_pattern import _row_pattern
 
 
@@ -205,6 +207,7 @@ def build_system(omega, W: int, inner: int, p: int) -> _System:
                 tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
                 for x in roots:
                     tags[x].add(tag)
+    classes = tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets))
     return _System(
         unknowns=count,
         vertices=vertices,
@@ -213,7 +216,8 @@ def build_system(omega, W: int, inner: int, p: int) -> _System:
         merges=merges,
         killed_zero=len(dead),
         killed_parity=len(odd - dead),
-        classes=tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets)),
+        classes=classes,
+        readings=readings(classes, len(odd - dead)),
         lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
         root=tuple(parent),
         sign=tuple(weight),

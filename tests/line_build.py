@@ -1,7 +1,8 @@
 """The line-by-line system build that gradedcenter.center's _build_system
 replaces, kept as its differential oracle.  The function is the one it
 replaced, unchanged but for its name, the cache and its return, the one
-system that _build_system returns: it tests the arrow at each target and
+system that _build_system returns, with its readings counted by the loop
+they replaced (tests/class_readings.py): it tests the arrow at each target and
 works out each row pattern once per line and target with the cell rule
 _row_pattern (tests/row_pattern.py), where _build_system reads each
 line's plan from the pieces of gaps of its (family, i), which hold for
@@ -17,6 +18,7 @@ from gradedcenter.center import InconsistencyError, _class_tag, _System, _target
 from gradedcenter.hom import frame, in_gaps
 from gradedcenter.model import ModelParams, Vertex, arrow_kind
 
+from class_readings import readings
 from row_pattern import _row_pattern
 from signed_forest_before import _SignedForest
 
@@ -144,6 +146,7 @@ def build_system(omega, W: int, inner: int, p: int) -> _System:
                 tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
                 for x in roots:
                     tags[x].add(tag)
+    classes = tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets))
     return _System(
         unknowns=count,
         vertices=vertices,
@@ -152,7 +155,8 @@ def build_system(omega, W: int, inner: int, p: int) -> _System:
         merges=merges,
         killed_zero=len(dead),
         killed_parity=len(odd - dead),
-        classes=tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets)),
+        classes=classes,
+        readings=readings(classes, len(odd - dead)),
         lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
         root=tuple(root),
         sign=tuple(signs),

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,7 @@ from probed_hom import probed_hom
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
 import pin_elements
+import pin_reports
 import slot_map_membership
 from slot_map_membership import expand, expand_lines, named_members
 
@@ -977,6 +979,44 @@ def test_cached_system_is_not_aliased():
     assert _cached_report(again) == _cached_report(_fresh_solve(params, 2, "graded", 3, 9, 3))
 
 
+def test_solve_report_fields_follow_the_system():
+    # solve_component passes a report's fields by position: its arguments,
+    # the reading, the visibility map and residual, then the work counts
+    # as _System holds them first, built and the system
+    names = [f.name for f in fields(center_module.SolveReport)]
+    assert names == ["params", "p", "variant", "char", "window", "inner_window", "scalar_dim",
+                     "power_dim", "class_dims", "visibility", "residual",
+                     *center_module.WORK_COUNTS, "built", "_system"]
+    assert _System._fields[:len(center_module.WORK_COUNTS)] == center_module.WORK_COUNTS
+
+
+@pytest.fixture
+def cold_cache():
+    # systems built while a test patches the classes must not serve
+    # another test
+    _build_system.cache_clear()
+    yield
+    _build_system.cache_clear()
+
+
+@pytest.mark.parametrize("p, tag", [(0, "scalar"), (3, ("Y", 0))], ids=["even", "odd"])
+def test_residual_components_match_fresh_solves(p, tag, monkeypatch, cold_cache):
+    # a component whose tags count as no class is residual: one tag of
+    # (2, 3, 1) is made residual, and every (variant, char) reading of the
+    # degree's system names it as a fresh solve does
+    class_of = center_module._class_of
+    monkeypatch.setattr(center_module, "_class_of", lambda tags: None if tags == (tag,) else class_of(tags))
+    W = solver_margin(params_for(2, 3, 1)) + 2
+    params = params_for(2, 3, 1, window=W)
+    cases = [(variant, char) for variant in ("graded", "commutative") for char in (2, 3)]
+    served = [solve_component(params, p, variant, char, W, 2) for variant, char in cases]
+    for (variant, char), rep in zip(cases, served):
+        fresh = _fresh_solve(params, p, variant, char, W, 2)
+        assert rep.residual == fresh.residual == [[tag]], (variant, char)
+        assert rep.format_lines() == fresh.format_lines(), (variant, char)
+        assert "residual components: 1" in rep.format_lines()
+
+
 def test_report_says_whether_it_built_its_system():
     # built is true exactly on a cache miss: the first (variant, char) pair
     # of a degree builds its system and the other three read it, until a
@@ -1401,6 +1441,17 @@ def test_elements_match_the_pinned_corpus():
         [" ".join(map(str, (*rnm, *rest))) for rnm, *rest in keys]
     for key, want in zip(keys, pinned):
         assert pin_elements.line(*key) == want, f"first key that differs: {want.rsplit(' ', 2)[0]}"
+
+
+def test_reports_match_the_pinned_corpus():
+    # tests/pinned/reports.txt, which tests/pin_reports.py writes: per
+    # element-corpus key, the report's work counts and format lines, and
+    # per reconcile pass of criterion 5, its verdict, lines and mismatches
+    pinned = pin_reports.PINNED.read_text().splitlines()
+    keys = pin_reports.keys()
+    assert len(pinned) == len(keys) == 3192 + 120
+    for (make, key), want in zip(keys, pinned):
+        assert make(*key) == want, f"first key that differs: {key}"
 
 
 def test_least_name_is_the_least_str():

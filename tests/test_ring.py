@@ -1,5 +1,6 @@
 import pytest
 
+import gradedcenter.ring as ring_module
 from gradedcenter.center import _build_system, power_visible, solve_component, solver_margin
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.model import ModelParams
@@ -194,3 +195,42 @@ def test_reconcile_at_n_6_serves_a_second_pass_from_the_cache():
     assert [d.built for d in first.degrees] == [True] * 14
     assert [d.built for d in second.degrees] == [False] * 14
     assert _build_system.cache_info().misses == 14
+
+
+def _ok(p, scalar, classes):
+    return f"p={p}: ok (scalar {scalar}, power 0, {classes} socle classes)"
+
+
+# (row, inner window, degree bound, the wrong table row, lines,
+# mismatches): a wrong base, a missing socle shift and an extra one
+WRONG_ROWS = [
+    ((2, 2, 0), 2, 4, RingPresentation("F"),
+     [_ok(0, 1, 0), _ok(1, 0, 0), "p=2: MISMATCH (power 1 != 0)", _ok(3, 0, 0),
+      "p=4: MISMATCH (power 1 != 0)"],
+     ["p=2: power 1 != 0", "p=4: power 1 != 0"]),
+    ((1, 2, 0), 2, 4, RingPresentation("F", ((0, None),)),
+     [_ok(0, 1, 5), _ok(1, 0, 0),
+      "p=2: MISMATCH (unexpected class Y q=0 (dim 1); unexpected class Y q=1 (dim 1);"
+      " unexpected class Y q=2 (dim 1))",
+      _ok(3, 0, 0), _ok(4, 0, 0)],
+     ["p=2: unexpected class Y q=0 (dim 1); unexpected class Y q=1 (dim 1);"
+      " unexpected class Y q=2 (dim 1)"]),
+    ((2, 3, 1), 8, 6, RingPresentation("F", ((0, None), (3, None))),
+     ["p=0: MISMATCH (" + "; ".join(f"missing class X q={q} (dim 0, fully visible)" for q in range(5))
+      + ")", _ok(1, 0, 0), _ok(2, 0, 0), _ok(3, 0, 17), _ok(4, 0, 0), _ok(5, 0, 0), _ok(6, 0, 0)],
+     ["p=0: " + "; ".join(f"missing class X q={q} (dim 0, fully visible)" for q in range(5))]),
+]
+
+
+@pytest.mark.parametrize("rnm, inner, bound, wrong, lines, mismatches", WRONG_ROWS,
+                         ids=["wrong_base", "missing_shift", "extra_shift"])
+def test_reconcile_names_each_mismatch_of_a_wrong_row(rnm, inner, bound, wrong, lines, mismatches,
+                                                      monkeypatch):
+    # the MISMATCH branch, which the true table never reaches: reconcile
+    # reads its row from theorem_case, here replaced by a wrong one
+    monkeypatch.setattr(ring_module, "theorem_case", lambda *args: wrong)
+    omega = OmegaParams(*rnm)
+    W = solver_margin(omega) + inner
+    rep = reconcile(ModelParams(omega, W), 3, "graded", bound, W)
+    assert rep.presentation == wrong
+    assert (rep.ok, rep.lines, rep.mismatches) == (False, lines, mismatches)
