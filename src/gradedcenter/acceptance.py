@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .center import (
+    VARIANTS,
     GeneratorSpec,
     check_membership,
     make_generator,
@@ -284,7 +285,7 @@ def _c4_membership():
         params = _params(*rnm, window=W)
         el = make_generator(params, spec, W)
         for char in (2, 3):
-            for variant in ("graded", "commutative"):
+            for variant in VARIANTS:
                 # el.variant is the sign law make_generator built it to
                 # satisfy; the other law agrees with it exactly where the
                 # degree is even or the characteristic is 2
@@ -313,7 +314,7 @@ def _c5_reconcile():
     for r, n, m in GRID:
         W = solver_margin(_params(r, n, m)) + n + m + 4
         params = _params(r, n, m, W)
-        for variant in ("graded", "commutative"):
+        for variant in VARIANTS:
             for char in (2, 3):
                 rep = reconcile(params, char, variant, 2 * n, W)
                 rows += 1
@@ -434,7 +435,7 @@ def _c8_periodicity():
                     " is not a multiple of r"
                 )
         for char in (2, 3):
-            for variant in ("graded", "commutative"):
+            for variant in VARIANTS:
                 red, nil = reduced_and_nil(theorem_case(OmegaParams(r, n, m), char, variant))
                 rows += 1
                 if (nil != "0") != periodic:

@@ -2,108 +2,22 @@
 membership checking, and a windowed solver for the graded and commutative
 center components.
 
-Solver design: every constraint row (naturality at one generator arrow,
-or the sign law at one Sigma-pair) touches at most two unknowns, each
-with coefficient +-1, because parallel basis elements have distinct
-degrees.  The whole system is therefore a signed union-find over
-unknowns (vertex, basis element): rows merge two unknowns up to sign or
-force one to zero; a forced x = -x kills the component unless the field
-has characteristic 2.  The union-find (_SignedForest) is flat: every
-unknown always holds its root and its sign relative to it, so a row
-imposed on a range of unknowns whose roots already agree is settled by
-comparing slices, and a range of single unknowns hangs on the other
-side's roots by slice assignment.  Any other range visits only the
-positions whose roots differ, and each merge relabels the smaller
-component, whose members it finds on a ring threaded through one list.
-At an even degree every row has weight +1, so there the forest is
-unsigned: it never reads or flips a sign, and no parity conflict can
-arise.
-
-solve_component's build step (_build_system) makes the union-find and
-keeps its roots and signs as immutable tuples, with the line layout, the
-work counts, the parity flag and class tags of each component that is
-not forced to zero and meets the inner window, and the dimensions they
-give.  It is cached by (omega, window, inner window, p), and one system
-serves the four (variant, char) pairs of a degree.  No row reads the
-field: it decides only whether a parity-flagged component survives.  The
-two sign laws differ only at odd p, eta Sigma = -Sigma eta for the
-graded center against eta Sigma = Sigma eta, and a row's sign decides
-only the weight of a join, never which unknowns it joins.  So the build
-imposes the graded law (-1)^p and counts the classes under both
-readings: every component, and all but the parity-flagged ones, which
-the graded law at odd p drops outside characteristic 2.  A call picks
-one by variant and field; the commutative reading at odd p reads every
-sign as +1.  The report's basis is named and built afresh only when it
-is read, and no caller shares cached state.
-
-The system is built on plain integers, one diagonal line at a time.  A
-vertex is the tuple (family, i, a, b) and an unknown is a vertex plus a
-slot: -1 for the identity, or the degree of the basis arrow, whose kind
-the two families fix.  The solver, the generators, the product and the
-membership check read the slots of Hom(v, Sigma^p v) off hom.frame, the
-library's one statement of that space, which hom_basis reads too: per
-(family, i), Sigma^p as a translation, the gaps b - a of a vertex, and
-one interval of gaps per slot, the identity's in degree 0 only.  So the
-unknowns are laid out per line (family, i, gap): each slot of a line
-with a nonempty hom space gets one block of consecutive indices, one per
-a in the box.
-Naturality is imposed at the generating arrows only (_targets), since it
-holds at a composite once it holds at the factors.  The rows at one of
-them likewise depend on its source only through (family, i), the gap and
-the target, and on the gap only through tests that each hold on an
-interval of gaps (model.arrow_gaps, the frame's gaps).  So a line's
-plan, its targets with their rows, is the one statement of naturality:
-_plan_pieces cuts the gaps of each (omega, p, family, i) at the ends of
-those intervals, whatever the window, and works out each piece's plan
-at one gap of it.  In the solver each row of a plan, like each sign-law
-slot, is one union over two aligned index ranges: the a where both ends
-lie in the box.  No vertex tuple is made and no dict is read per cell.
-Naming a report's basis builds no Vertex or ArrowGen per cell either:
-each block's slice of roots and signs is cut into runs where a
-neighbour differs, and an arrow's name, which fixes the sign of a signed
-component, is str(hom.basis_arrow(...)) once per run.
-
-A CenterElement holds one integer form, the line map {(family, i, t):
-((a_lo, a_hi, {slot: coefficient}), ...)}: along each line (family, i,
-t = b - a), a piece is a maximal interval of a on which the cell's slots
-and coefficients stay the same, and the pieces lie in order of a.  Every
-row is unchanged under the diagonal translation (a, b) -> (a + 1, b +
-1), so an element is constant along each line until the box clips it: a
-generator is one piece per line of its support, not one entry per cell.
-make_generator, a report's basis, multiply and _slot_map build the line
-map and nothing else reads another form; its assignment is a read-only
-view over it that builds a Morphism, from the hom.basis_arrow of each
-slot, only when a value is read.  make_generator tests each line's slot
-once against the frame's gaps.  multiply lays the two factors' lines
-side by side: a product's slot is the sum of its factors' slots, the
-identity's -1 being the unit, and the term is kept where the frame of
-the product's degree holds that slot at the gap.  An element built by
-hand from Morphism values is converted to a line map by _slot_map, the
-one gate for such values, which multiply and check_membership share:
-each value must sit at a vertex and run from it to its image under
-Sigma^p, and each term's slot must be one whose gaps in the frame hold
-the vertex's gap, with the slot's kind.  The library's own elements hold
-valid line maps by construction and pass as they are.
-
-check_membership runs on the line map and reads the solver's plans, so
-the solver and the check share one statement of naturality.  It tests
-the same generating arrows that touch the support, in one walk over the
-arrows with an end on it: from each line that holds support, and from
-each source line of an arrow into one (_arrow_table), to each target of
-the line's plan, laid out once per (line, target).  Of a plan's rows it
-tests those that touch a slot the element fills; the others are 0 = 0.
-With the sign law, which it checks too, they imply naturality at every
-arrow of the inner box; the arrow walk it replaced is kept in tests/ as
-the oracle.  It lays each source line beside its target line, and each
-line beside its image under Sigma, and tests the rows once per interval
-on which both sides hold the same values; its row counts are the lengths
-of those intervals.  The result is the pair (ok, why), which also counts
-the naturality and sign-law rows tested; on a failure they, and the
-arrow or vertex named, are those of the walk cell by cell it replaced
-(tests/slot_map_membership.py), whose order, the arrows out of the
-support, then those into it, then the sign law, is unchanged: each
-interval's place in it is a key (_at).  Vertex and ArrowGen objects are
-built only to name a failure, and model.arrow_kind is called only then.
+Each mechanism is documented where it lives:
+- the space Hom(v, Sigma^p v) that every element, row and unknown reads:
+  hom.frame;
+- the generating arrows, at which naturality is imposed, and why they
+  suffice: model._tables (ModelParams.generators);
+- the naturality rows of a line (family, i, gap), the one statement of
+  naturality that the solver and the check share: _plan_pieces;
+- the signed union-find, flat, and unsigned at even degrees:
+  _SignedForest;
+- the build, one diagonal line at a time, and the one system that serves
+  both sign laws and every field of a degree: _build_system and _System;
+- the naming of a report's basis, run by run: _named_components;
+- an element's line map and its read-only view: CenterElement and
+  _SlotView; the gate for values built by hand: _slot_map; the product:
+  multiply;
+- the membership check, its one walk and its order: check_membership.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -146,6 +60,10 @@ from .hom import hom_basis  # unused here: the benchmark's tracer wraps it by na
 class InconsistencyError(Exception):
     """The model contradicts itself: a bug, never a bad input."""
 
+
+# The two sign laws: eta Sigma = (-1)^p Sigma eta for the graded center,
+# eta Sigma = Sigma eta for the commutative one.
+VARIANTS = ("graded", "commutative")
 
 GENERATOR_NAMES = ("eta_prime", "eta_dprime", "eta_zero", "eta_power")
 
@@ -246,9 +164,9 @@ class _SlotView(Mapping):
 class CenterElement:
     """A finitely supported assignment v -> (morphism v -> Sigma^p v).
 
-    make_generator, a report's basis and multiply hold it as its line map
-    (see the module docstring), and assignment is a read-only view of it
-    (_SlotView).  An element may also be built by hand from a dict
+    make_generator, a report's basis and multiply hold it as its line map,
+    and assignment is a read-only view of it (_SlotView, which describes
+    the map).  An element may also be built by hand from a dict
     {Vertex: Morphism}; assignment is then a read-only copy of that dict,
     and _slot_map converts it where the line map is needed."""
 
@@ -257,7 +175,7 @@ class CenterElement:
     assignment: Mapping
 
     def __post_init__(self):
-        if self.variant not in ("graded", "commutative"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.p < 0:
             raise ValueError("degree must be >= 0")
@@ -389,23 +307,6 @@ def _power_gap(params: ModelParams, k: int, i: int) -> int:
     return k * (params.n + params.m) - (params.m if i == 0 else 0)
 
 
-# Shared like hom.frame: never mutated.
-@lru_cache(maxsize=128)
-def _arrow_table(omega) -> dict:
-    """The generating arrows (_targets) into each (g, j) of omega, as (f,
-    i, da, db, k, along) from the source (f, i), k the arrow's place in
-    the source's targets.  The sources are listed by family (X < Y < Z),
-    then by index, then by k, so an arrow's (f, i, k) is its place among
-    the arrows into (g, j): the order of the one walk of check_membership,
-    which keys an arrow into the support by it."""
-    params = ModelParams(omega)
-    sources: dict = {(f, i): [] for f in params.families for i in range(params.r)}
-    for f, i in list(sources):
-        for k, (g, j, da, db, _, along) in enumerate(_targets(params, f, i)):
-            sources[g, j].append((f, i, da, db, k, along))
-    return {key: tuple(listed) for key, listed in sources.items()}
-
-
 def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> CenterElement:
     """The generator as a CenterElement on the box [-window, window]^2:
     the basis arrow of one slot at every vertex of its support.  The
@@ -505,17 +406,17 @@ def check_membership(
     built by hand that _slot_map rejects raises ValueError.  Naturality
     is tested at the generating arrows with both ends in the inner box
     and an end on the support, in one walk: from each line that holds
-    support or is the source line of an arrow into it (_arrow_table), to
-    each target of its plan.  Given the sign law, which is checked too, they imply
-    naturality at every arrow of the box (tested).  Naturality at an
-    arrow is the solver's rows there, its line's plan (_plan_pieces), on
-    the coefficients mod char.  Every row is unchanged when both
-    endpoints move along the diagonal together, so a source line and a
-    target line are laid side by side (_overlay), and on each interval
-    where both values stay the same the rows are tested once and counted
-    times its length; rows that touch no slot el fills are 0 = 0 and are
-    skipped, which is exact.  The sign law pairs each line with its image
-    under Sigma the same way.
+    support or is the source line of an arrow into it
+    (ModelParams.generators_into), to each target of its plan.  Given
+    the sign law, which is checked too, they imply naturality at every
+    arrow of the box (tested).  Naturality at an arrow is the solver's
+    rows there, its line's plan (_plan_pieces), on the coefficients mod
+    char.  Every row is unchanged when both endpoints move along the
+    diagonal together, so a source line and a target line are laid side
+    by side (_overlay), and on each interval where both values stay the
+    same the rows are tested once and counted times its length; rows that
+    touch no slot el fills are 0 = 0 and are skipped, which is exact.  The
+    sign law pairs each line with its image under Sigma the same way.
 
     The counts and the failure are those of a walk cell by cell, kept in
     tests/slot_map_membership.py, whose order is unchanged: first the
@@ -531,7 +432,7 @@ def check_membership(
     """
     FieldScalar(0, char)
     variant = el.variant if variant is None else variant
-    if variant not in ("graded", "commutative"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if inner_window < 1 or inner_window + membership_margin(params) > window:
         raise ValueError("window too small for the requested inner window")
@@ -543,7 +444,7 @@ def check_membership(
     # arrows into each (family, i)
     vertex_gaps = frame(params.omega, p)[2]
     shift_back = frame(params.omega, -1)[0]
-    sources = _arrow_table(params.omega)
+    sources = params.generators_into
     lines = _slot_map(params, el).lines
 
     def inner(t: int) -> tuple:
@@ -605,7 +506,7 @@ def check_membership(
                     failed.append((_at(key, a0), (f, i, a0, a0 + t), (g, j, a0 + da, a0 + da + u), k))
     if failed:
         star, v, w, k = min(failed)
-        degree = _targets(params, *v[:2])[k][4]
+        degree = params.generators[v[0], v[1]][k][4]
         gen = ArrowGen(arrow_kind(params.rules, *v, *w, degree), Vertex(*v), Vertex(*w), degree)
         return Membership(False, f"naturality fails at {gen!r}", counted(spans, star), 0)
     naturality_rows = counted(spans, None)
@@ -806,49 +707,6 @@ class _System(namedtuple("_System", (*WORK_COUNTS, "classes", "readings", "lines
         return self.naturality_rows + self.sign_rows
 
 
-def _targets(params: ModelParams, f: str, i: int) -> list:
-    """The generators out of (f, i, a, b) at which the solver imposes
-    naturality, as (g, j, da, db, degree, along): the target is (g, j,
-    a + da, b + db), or (g, j, a + da, a + db) where along is False, so
-    that its gap does not move with b - a.  A listed target need not
-    carry a generator of this degree.
-
-    Naturality at a composite follows from naturality at its factors, so
-    only generating arrows are listed: the steps (0, 1) and (1, 0) within
-    the family, X's e' corner to (i + 1, a, a) and the arrows into Z.
-    Every other arrow of degree 0 within a family, the diagonal step
-    (1, 1) and X's Sigma^r step included, runs from (a, b) to some (a',
-    b') with a' >= a and b' >= b.  By the model's composition rule it is
-    the composite of the (0, 1) steps up to (a, b') and then the (1, 0)
-    steps across to (a', b'), because these are arrows:
-    - the vertices passed lie in the box, whose sides hold a, a', b and
-      b';
-    - they exist, because their gaps run from b - a up to b' - a and then
-      down to b' - a', never below the least gap that both ends reach;
-    - each step lies in the region of the arrow's kind: only f' and f''
-      bound the target's a from above, by the source's b plus a constant,
-      and the steps up only raise b while the steps across stop at a',
-      where the composite's bound holds.
-
-    Not every arrow is such a composite: on (r, n, m) = (2, 2, 0) the e'
-    arrow X(0)[0,2] -> X(1)[-2,0] is none, because no listed arrow lowers
-    a.  Its rows follow from the rows at the listed arrows only together
-    with the sign law.  So completeness for an arbitrary element needs the
-    sign law: the solver imposes it on every unknown, and check_membership
-    checks it.  tests/membership_span.py shows that on every GRID row the
-    rows at the listed arrows of a box and the sign law imply the rows at
-    every arrow of the box."""
-    r, n = params.r, params.n
-    targets = [(f, i, 0, 1, 0, True), (f, i, 1, 0, 0, True)]
-    if f == "X":
-        targets.append((f, (i + 1) % r, 0, 0, 2, False))
-        if r < n:
-            targets.append(("Z", i, 0, 0, 1, True))
-    elif f == "Y":
-        targets.append(("Z", i, 0, -n if i == 0 else 0, 1, True))
-    return targets
-
-
 def _meet(x: tuple | None, y: tuple | None) -> tuple | None:
     """The gaps that lie in both intervals (hom.in_gaps), as one interval, or
     None if there is none."""
@@ -869,11 +727,11 @@ def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list]:
     """The naturality rows of the lines (f, i, t) of omega in degree p, at
     every gap t, as (cuts, plans): the line at t has the plan of its
     piece, plans[bisect_right(cuts, t)], so the first and the last piece
-    have no end.  A line's plan is one (g, j, da, du, along, k,
-    rows) per generating target (_targets) whose rows are not empty, in
-    _targets' order, k its place there: the target of (f, i, a, a + t) is
-    (g, j, a + da, a + da + u), at the gap u = du plus t where along is
-    set.  rows has one row per degree of the composite v -> Sigma^p w
+    have no end.  A line's plan is one (g, j, da, du, along, k, rows)
+    per generating arrow (ModelParams.generators) whose rows are not
+    empty, in that order, k its place there: the target of (f, i, a, a +
+    t) is (g, j, a + da, a + da + u), at the gap u = du plus t where
+    along is set.  rows has one row per degree of the composite v -> Sigma^p w
     that carries a generator, as (slot of v, slot of w), None where that
     side holds no slot of the degree: naturality at the arrow says the
     two coefficients agree, or that the one slot is 0.
@@ -900,7 +758,7 @@ def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list]:
 
     mine = [(s, gaps[f, i, s]) for s in (-1, 0, 1, 2) if (f, i, s) in gaps]
     targets = []
-    for k, (g, j, da, db, degree, along) in enumerate(_targets(params, f, i)):
+    for k, (g, j, da, db, degree, along) in enumerate(params.generators[f, i]):
         du = db - da
         reach = _meet(moved(vertex_gaps[g, j], du, along), arrow_gaps(rules, f, i, g, j, da, db, along, degree))
         if reach is None:
@@ -1378,7 +1236,7 @@ def solve_component(
     the variant and field read it."""
     if p < 0:
         raise ValueError("degree must be >= 0")
-    if variant not in ("graded", "commutative"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     FieldScalar(0, field)
     if inner_window < 1 or inner_window + solver_margin(params) > window:

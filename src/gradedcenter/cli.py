@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .center import WORK_COUNTS, InconsistencyError, solve_component, solver_margin
+from .center import VARIANTS, WORK_COUNTS, InconsistencyError, solve_component, solver_margin
 from .gentle import (
     OmegaParams,
     QuiverParseError,
@@ -168,7 +168,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("center", help="solve one degree of the graded or commutative center")
     _add_params(p)
     p.add_argument("--p", type=int, required=True, help="degree")
-    p.add_argument("--variant", choices=("graded", "commutative"), default="graded")
+    p.add_argument("--variant", choices=VARIANTS, default="graded")
     p.add_argument("--field", type=int, default=3, help="prime field characteristic")
     p.add_argument("--window", type=int, default=10, help="outer window half-width")
     p.add_argument("--stats", action="store_true", help="also print the solver's work counts")
@@ -177,7 +177,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ring", help="classification-table presentation for (r, n, m)")
     _add_params(p)
     p.add_argument("--char", type=int, default=3, help="prime field characteristic")
-    p.add_argument("--variant", choices=("graded", "commutative"), default="graded")
+    p.add_argument("--variant", choices=VARIANTS, default="graded")
     p.set_defaults(func=_cmd_ring)
 
     p = sub.add_parser("check", help="run the acceptance suite")

@@ -31,7 +31,7 @@ def in_gaps(gaps: tuple | None, t: int) -> bool:
     return gaps is not None and (gaps[0] is None or gaps[0] <= t) and (gaps[1] is None or t <= gaps[1])
 
 
-# Shared like model._region_tables: never mutated.
+# Shared like model._tables: never mutated.
 @lru_cache(maxsize=128)
 def frame(omega, p: int) -> tuple[dict, dict, dict]:
     """What a degree-p element may hold at each (family, i) of omega, as

@@ -61,15 +61,58 @@ REGION_TABLE = {
 
 
 @lru_cache(maxsize=128)
-def _region_tables(r: int, n: int, m: int) -> tuple[dict, dict]:
-    """REGION_TABLE read for one (r, n, m), shared by every ModelParams
-    with these parameters and never mutated:
+def _tables(r: int, n: int, m: int) -> dict:
+    """The facts about the arrows of one (r, n, m), by the name of the
+    ModelParams field that holds each, shared by every ModelParams with
+    these parameters and never mutated:
 
-    sides: (kind, source index) -> the kind's row with each side None or
-    (source coordinate, 0 for a and 1 for b; offset);
+    families: the families with vertices, X alone when r = n;
+    sides: REGION_TABLE read, (kind, source index) -> the kind's row with
+    each side None or (source coordinate, 0 for a and 1 for b; offset);
     rules: (source family, target family, degree, source index) ->
-    (kind, target index, sides), what arrow_of_degree tests.
+    (kind, target index, sides), what arrow_of_degree tests;
+    sigma_steps: Sigma^k as a translation, (family, i, k) -> (j, da, db)
+    for 0 <= k <= r, where Sigma^k moves index i to j and (a, b) by (da,
+    db); k = r is the cycle Sigma^r, the same translation from every
+    index;
+    generators: the generating arrows out of each (family, i), at which
+    the center imposes naturality, as (g, j, da, db, degree, along): the
+    target of (family, i, a, b) is (g, j, a + da, b + db), or (g, j, a +
+    da, a + db) where along is False, so that its gap does not move with
+    b - a.  A listed target need not carry a generator of this degree.
+    generators_into: the same arrows into each (g, j), as (f, i, da, db,
+    k, along) from the source (f, i), k the arrow's place in the source's
+    generators.  The sources are listed by family (X < Y < Z), then by
+    index, then by k, so an arrow's (f, i, k) is its place among the
+    arrows into (g, j).
+
+    Naturality at a composite follows from naturality at its factors, so
+    only generating arrows are listed: the steps (0, 1) and (1, 0) within
+    the family, X's e' corner to (i + 1, a, a) and the arrows into Z.
+    Every other arrow of degree 0 within a family, the diagonal step
+    (1, 1) and X's Sigma^r step included, runs from (a, b) to some (a',
+    b') with a' >= a and b' >= b.  By the composition rule it is the
+    composite of the (0, 1) steps up to (a, b') and then the (1, 0) steps
+    across to (a', b'), because these are arrows:
+    - the vertices passed lie in the box, whose sides hold a, a', b and
+      b';
+    - they exist, because their gaps run from b - a up to b' - a and then
+      down to b' - a', never below the least gap that both ends reach;
+    - each step lies in the region of the arrow's kind: only f' and f''
+      bound the target's a from above, by the source's b plus a constant,
+      and the steps up only raise b while the steps across stop at a',
+      where the composite's bound holds.
+
+    Not every arrow is such a composite: on (r, n, m) = (2, 2, 0) the e'
+    arrow X(0)[0,2] -> X(1)[-2,0] is none, because no listed arrow lowers
+    a.  Its rows follow from the rows at the listed arrows only together
+    with the sign law.  So completeness for an arbitrary element needs the
+    sign law: the center's solver imposes it on every unknown, and its
+    membership check checks it.  tests/membership_span.py shows that on
+    every GRID row the rows at the listed arrows of a box and the sign law
+    imply the rows at every arrow of the box.
     """
+    families = ("X",) if r == n else FAMILIES
 
     def read(side, i):
         if side is None:
@@ -89,23 +132,13 @@ def _region_tables(r: int, n: int, m: int) -> tuple[dict, dict]:
         for kind, (src, tgt, deg, step) in KIND_TABLE.items()
         for i in range(r)
     }
-    return sides, rules
-
-
-@lru_cache(maxsize=128)
-def _sigma_steps(r: int, n: int, m: int) -> dict:
-    """Sigma^k as a translation, for one (r, n, m), shared by every
-    ModelParams with these parameters and never mutated:
-    (family, i, k) -> (j, da, db) for 0 <= k <= r, where Sigma^k moves
-    index i to j and (a, b) by (da, db).  k = r is the cycle Sigma^r,
-    the same translation from every index."""
-    table = {}
+    sigma_steps = {}
     for family in FAMILIES:
         for i in range(r):
             da = db = 0
             for k in range(r + 1):
                 j = (i + k) % r
-                table[family, i, k] = (j, da, db)
+                sigma_steps[family, i, k] = (j, da, db)
                 # one step from index j
                 dr = 1 if j == r - 1 else 0
                 d0 = 1 if j == 0 else 0
@@ -115,27 +148,41 @@ def _sigma_steps(r: int, n: int, m: int) -> dict:
                     da, db = da + 1 - dr * n, db + 1 - d0 * n
                 else:
                     da, db = da + 1 + dr * m, db + 1 - dr * n
-    return table
+    generators = {}
+    into: dict = {(f, i): [] for f in families for i in range(r)}
+    for f, i in into:
+        out = [(f, i, 0, 1, 0, True), (f, i, 1, 0, 0, True)]
+        if f == "X":
+            out.append((f, (i + 1) % r, 0, 0, 2, False))
+            if r < n:
+                out.append(("Z", i, 0, 0, 1, True))
+        elif f == "Y":
+            out.append(("Z", i, 0, -n if i == 0 else 0, 1, True))
+        generators[f, i] = tuple(out)
+        for k, (g, j, da, db, _, along) in enumerate(out):
+            into[g, j].append((f, i, da, db, k, along))
+    return {"families": families, "sides": sides, "rules": rules, "sigma_steps": sigma_steps,
+            "generators": generators, "generators_into": {key: tuple(arrows) for key, arrows in into.items()}}
 
 
 @dataclass(frozen=True, order=True)
 class ModelParams:
     omega: OmegaParams
     window: int = 10
+    families: tuple = field(init=False, repr=False, compare=False)
     sides: dict = field(init=False, repr=False, compare=False)
     rules: dict = field(init=False, repr=False, compare=False)
     sigma_steps: dict = field(init=False, repr=False, compare=False)
+    generators: dict = field(init=False, repr=False, compare=False)
+    generators_into: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
         # Set here rather than cached on first use: writing to the
         # instance __dict__ later slows every attribute read of it.
-        r, n, m = self.omega.r, self.omega.n, self.omega.m
-        sides, rules = _region_tables(r, n, m)
-        object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "sigma_steps", _sigma_steps(r, n, m))
+        for name, table in _tables(self.omega.r, self.omega.n, self.omega.m).items():
+            object.__setattr__(self, name, table)
 
     @property
     def r(self) -> int:
@@ -148,10 +195,6 @@ class ModelParams:
     @property
     def m(self) -> int:
         return self.omega.m
-
-    @property
-    def families(self) -> tuple[str, ...]:
-        return ("X",) if self.omega.r == self.omega.n else FAMILIES
 
 
 @dataclass(frozen=True, order=True)
@@ -283,8 +326,8 @@ def arrow_gaps(rules: dict, f: str, i: int, g: str, j: int, c1: int, c2: int,
     this is the arrow from (f, i, a, a + t) to (g, j, a + c1, a + c2 + t)
     at every a.  In degree 0 with along False the arrow is missing at
     the one gap where the target is the source itself, which an interval
-    cannot leave out, so that case raises ValueError; the solver's
-    targets (center._targets) never ask for it."""
+    cannot leave out, so that case raises ValueError; no generating arrow
+    (_tables) asks for it."""
     if degree == 0 and not along:
         raise ValueError("arrow_gaps answers degree 0 only along the diagonal")
     rule = rules.get((f, g, degree, i))

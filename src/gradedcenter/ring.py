@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import attrgetter
 from typing import NamedTuple
 
-from .center import class_visibility_map, power_visible, solve_component, solver_margin
+from .center import VARIANTS, class_visibility_map, power_visible, solve_component, solver_margin
 from .gf import FieldScalar
 from .model import ModelParams
 
@@ -64,7 +64,7 @@ def theorem_case(params, field_char: int, variant: str = "graded") -> RingPresen
     checked in printed order, so earlier special cases shadow the later
     general ones."""
     FieldScalar(0, field_char)
-    if variant not in ("graded", "commutative"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     r, n, m = params.r, params.n, params.m
     # the graded center's sign law doubles the polynomial generator's

@@ -1,6 +1,6 @@
 """The integer membership check that walks every arrow at the support,
 which gradedcenter.center's check_membership replaced with a walk over
-the generating arrows (center._targets), kept unchanged as its
+the generating arrows (ModelParams.generators), kept unchanged as its
 differential oracle: the arrows at each inner support vertex come from
 model.arrow_keys_from and arrow_keys_to, and each is tested with the
 cell rule _row_pattern (tests/row_pattern.py) on the element's

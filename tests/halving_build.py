@@ -8,7 +8,7 @@ last pass hangs every unknown on its root."""
 
 from itertools import compress
 
-from gradedcenter.center import InconsistencyError, _class_tag, _System, _targets
+from gradedcenter.center import InconsistencyError, _class_tag, _System
 from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_gap, sigma_shift
 
 from class_readings import readings
@@ -134,7 +134,7 @@ def build_system(omega, W: int, inner: int, p: int) -> _System:
     # and b move together.  So each pattern is worked out once per line
     # and target, and each of its rows is imposed on every a at once: the
     # a where v and w both lie in the box, an interval.
-    targets = {key: _targets(params, *key) for key in shift_p}
+    targets = params.generators
     naturality_rows = sign_rows = merges = 0
     for (f, i, t), bv in lines.items():
         a0, a1 = start(t), stop(t)

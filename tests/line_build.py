@@ -14,7 +14,7 @@ identical, not just equivalent."""
 
 from itertools import compress
 
-from gradedcenter.center import InconsistencyError, _class_tag, _System, _targets
+from gradedcenter.center import InconsistencyError, _class_tag, _System
 from gradedcenter.hom import frame, in_gaps
 from gradedcenter.model import ModelParams, Vertex, arrow_kind
 
@@ -72,7 +72,7 @@ def build_system(omega, W: int, inner: int, p: int) -> _System:
     # a where v and w both lie in the box, an interval.
     forest = _SignedForest(count)
     zero = forest.zero
-    targets = {key: _targets(params, *key) for key in shift_p}
+    targets = params.generators
     naturality_rows = sign_rows = merges = 0
     for (f, i, t), bv in lines.items():
         a0, a1 = -W - min(t, 0), W - max(t, 0)

@@ -8,7 +8,6 @@ oracle_plans caches _line_plans over the gaps the plan tests read."""
 
 from functools import lru_cache
 
-from gradedcenter.center import _targets
 from gradedcenter.hom import frame, in_gaps
 from gradedcenter.model import ModelParams, arrow_kind
 
@@ -26,7 +25,7 @@ def _plan_bound(omega, shift: tuple) -> int:
     (model.hom_gaps) and which rows the pattern keeps.  Each compares a
     difference of coordinates with a region side's offset, 0, m or -n,
     and the difference is c0 + s t with slope s in {-1, 0, 1} and c0 made
-    of a target offset (_targets) and a coordinate of a Sigma^p
+    of a target offset (ModelParams.generators) and a coordinate of a Sigma^p
     translation: each is a constant of (omega, p).  A test against the
     threshold c flips at most once, at t = c, so it is settled for
     |t| >= |c| + 1.  Every |c| is at most M + max(n, m) + 1, where M =
@@ -47,8 +46,8 @@ def _plan_bound(omega, shift: tuple) -> int:
 def _line_plans(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) -> list:
     """The plans of the lines (f, i, t) in degree p, for t = t0..t1 in
     turn.  A line's plan is its naturality rows: one (g, j, da, du,
-    along, rows) per generating target (_targets) whose row pattern is
-    not empty, in _targets' order.  The target of (f, i, a, a + t) is
+    along, rows) per generating arrow (ModelParams.generators) whose row
+    pattern is not empty, in that order.  The target of (f, i, a, a + t) is
     (g, j, a + da, a + da + u), at the gap u = du plus t where along is
     set; rows is _row_pattern at the a where both ends lie in the box.
     The plans are read off the frame's slot intervals (hom.frame), so they
@@ -62,7 +61,7 @@ def _line_plans(params: ModelParams, p: int, f: str, i: int, t0: int, t1: int) -
 
     mine = slot_gaps(f, i)
     targets = [(g, j, da, db - da, degree, along, vertex_gaps[g, j], shift_p[g, j], slot_gaps(g, j))
-               for g, j, da, db, degree, along in _targets(params, f, i)]
+               for g, j, da, db, degree, along in params.generators[f, i]]
     plans = []
     for t in range(t0, t1 + 1):
         v = (f, i, 0, t)

@@ -3,7 +3,8 @@ that the full arrow walk (arrow_walk_membership) tests.
 
 On the inner box [-Wi, Wi]^2 the unknowns are (vertex, slot), one per
 slot of Hom(v, Sigma^p v) as in the solver.  The generating rows are the
-naturality rows at the arrows to each vertex's targets (center._targets)
+naturality rows at the generating arrows out of each vertex
+(ModelParams.generators)
 with both ends in the box and a target that exists; the sign-law rows
 tie every slot at each vertex u of the box to the same slot at Sigma u.
 Every row has two unknowns with coefficients +-1, or one, so a signed
@@ -14,7 +15,6 @@ F_2).  A component is forced to zero by a row x = 0, or outside
 characteristic 2 by a conflict x = -x.
 """
 
-from gradedcenter.center import _targets
 from gradedcenter.hom import in_gaps
 from gradedcenter.model import ModelParams, arrow_keys_from, arrow_kind, hom_gaps, least_gap, sigma_shift
 
@@ -75,7 +75,7 @@ def unimplied_rows(params: ModelParams, Wi: int, p: int, sign: int, sign_law: bo
 
     for v in box:
         f, i, a, b = v
-        for g, j, da, db, degree, along in _targets(params, f, i):
+        for g, j, da, db, degree, along in params.generators[f, i]:
             w = (g, j, a + da, (b if along else a) + db)
             if exists(w) and inner(w) and arrow_kind(rules, *v, *w, degree) is not None:
                 for s, t in _row_pattern(rules, v, w, degree, shift_p[g, j], slots(v), slots(w)):

@@ -14,7 +14,6 @@ from gradedcenter.center import (
     CenterElement,
     _SlotView,
     _named_components,
-    _targets,
     membership_margin,
 )
 from gradedcenter.gf import FieldScalar
@@ -118,7 +117,7 @@ def check_membership(
     rules, steps = params.rules, params.sigma_steps
     shift_p, gaps, vertex_gaps = frame(params.omega, p)
     shift_back = frame(params.omega, -1)[0]
-    targets = {key: _targets(params, *key) for key in shift_p}
+    targets = params.generators
     sources: dict = {key: [] for key in shift_p}
     for f, i in shift_p:
         for g, j, da, db, degree, along in targets[f, i]:

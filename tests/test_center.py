@@ -24,7 +24,6 @@ from gradedcenter.center import (
     _slot_map,
     _SlotView,
     _System,
-    _targets,
     check_membership,
     class_visibility_map,
     make_generator,
@@ -70,7 +69,9 @@ from probed_hom import probed_hom
 from object_membership import check_membership as object_check_membership
 from object_solver import solve_component as object_solve_component
 import pin_elements
+import pin_memberships
 import pin_reports
+import pin_systems
 import slot_map_membership
 from slot_map_membership import expand, expand_lines, named_members
 
@@ -845,8 +846,8 @@ def test_solver_matches_null_space_oracle(rnm, W, p_list, variant, char):
 @pytest.mark.parametrize("rnm", GRID, ids=str)
 def test_solver_basis_is_natural_at_every_arrow(rnm):
     # the solver imposes naturality at the generating arrows only
-    # (_targets); the oracle walks every arrow at the support, on the
-    # solver's inner box less the membership margin
+    # (ModelParams.generators); the oracle walks every arrow at the
+    # support, on the solver's inner box less the membership margin
     params = params_for(*rnm)
     inner = membership_margin(params) + 2
     W = solver_margin(params) + inner
@@ -865,20 +866,17 @@ def test_solver_basis_is_natural_at_every_arrow(rnm):
 def test_solver_basis_passes_membership_beyond_the_grid(n):
     # every r <= n and m <= 3 in degrees 0..2n + 1: check_membership also
     # tests the rows out of a line whose Hom(v, Sigma^p v) is 0, which the
-    # solver never imposes (_build_system)
+    # solver never imposes (_build_system).  Each check's rows counted are
+    # pinned in tests/pinned/memberships.txt (tests/pin_memberships.py)
+    pinned = pin_memberships.pinned(n)
     checks = 0
-    for r in range(1, n + 1):
-        for m in range(4):
-            params = params_for(r, n, m)
-            inner = membership_margin(params) + 1
-            W = solver_margin(params) + inner
-            params = params_for(r, n, m, window=W)
-            for p in range(2 * n + 2):
-                for variant, char in (("graded", 3), ("commutative", 3), ("graded", 2)):
-                    for el in solve_component(params, p, variant, char, W, inner).basis:
-                        got = check_membership(params, el, inner, 1, char=char, variant=variant)
-                        assert got == (True, None), (r, n, m, p, variant, char)
-                        checks += 1
+    for key, got in pin_memberships.checks(n):
+        r, _, m, p, variant, char, _ = key
+        assert got == (True, None), (r, n, m, p, variant, char)
+        want = pinned[checks] if checks < len(pinned) else None
+        assert pin_memberships.line(key, got) == want, f"first key that differs: {key}"
+        checks += 1
+    assert checks == len(pinned)
     assert checks
 
 
@@ -1144,7 +1142,7 @@ def test_plan_build_matches_line_build_at_a_large_window(p):
 
 def _oracle_form(plan: tuple) -> tuple:
     # a plan of center._line_plan as tests/line_plans.py states it: each
-    # target without its place k in _targets
+    # target without its place k in ModelParams.generators
     return tuple((g, j, da, du, along, rows) for g, j, da, du, along, _, rows in plan)
 
 
@@ -1173,8 +1171,9 @@ def test_line_plans_are_constant_beyond_the_bound():
 def test_plan_pieces_match_line_plans():
     # every r <= n <= 6, m <= 3, p = -3..2n+1 and (family, i): each gap
     # t of [-2B - 3, 2B + 3] reads from its piece the plan that the
-    # per-gap oracle works out at t, each target at its place in _targets;
-    # every piece's plan is finished before any line reads it
+    # per-gap oracle works out at t, each target at its place in
+    # ModelParams.generators; every piece's plan is finished before any
+    # line reads it
     _plan_pieces.cache_clear()
     cases = gaps = 0
     for n in range(1, 7):
@@ -1191,7 +1190,7 @@ def test_plan_pieces_match_line_plans():
                         assert cuts == sorted(set(cuts)) and len(plans) == len(cuts) + 1
                         assert all(type(plan) is tuple and all(rows for *_, rows in plan) for plan in plans), \
                             (r, n, m, p, f, i)
-                        targets = _targets(params, f, i)
+                        targets = params.generators[f, i]
                         for t in range(t0, -t0 + 1):
                             gaps += 1
                             case = (r, n, m, p, f, i, t)
@@ -1441,6 +1440,17 @@ def test_elements_match_the_pinned_corpus():
         [" ".join(map(str, (*rnm, *rest))) for rnm, *rest in keys]
     for key, want in zip(keys, pinned):
         assert pin_elements.line(*key) == want, f"first key that differs: {want.rsplit(' ', 2)[0]}"
+
+
+def test_systems_match_the_pinned_corpus():
+    # tests/pinned/systems.txt, which tests/pin_systems.py writes: per
+    # system of the element corpus's keys, its fields, hashed
+    pinned = pin_systems.PINNED.read_text().splitlines()
+    keys = pin_systems.keys()
+    assert [line.rsplit(" ", 1)[0] for line in pinned] == \
+        [" ".join(map(str, (*rnm, *rest))) for rnm, *rest in keys]
+    for key, want in zip(keys, pinned):
+        assert pin_systems.line(*key) == want, f"first key that differs: {key}"
 
 
 def test_reports_match_the_pinned_corpus():

@@ -7,6 +7,7 @@ import gradedcenter
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+SRC = ROOT / "src" / "gradedcenter"
 
 
 def test_public_names_resolve_and_readme_example_runs():
@@ -108,3 +109,42 @@ def test_hom_has_one_statement():
                 if name in calls:
                     calls[name].add(path.name)
     assert calls == {"hom_gaps": {"hom.py"}, "arrow_of_degree": {"model.py"}}
+
+
+def test_the_sign_laws_are_written_once():
+    # the pair of sign laws is center.VARIANTS, which every variant check,
+    # loop over both laws and CLI choice reads
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                values = [getattr(elt, "value", None) for elt in node.elts]
+                if sorted(map(str, values)) == ["commutative", "graded"]:
+                    found.append((path.stem, node.lineno))
+    assert len(found) == 1 and found[0][0] == "center", found
+
+
+def test_cache_inventory():
+    # every cache in src/, by module, function and the parameters that
+    # make its key; adding, splitting or dropping one is an edit of this
+    # set, made with its reason
+    caches, uses = set(), 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses += sum(isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+                    and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    func = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(func, "id", getattr(func, "attr", None)) in ("lru_cache", "cache"):
+                        caches.add((path.stem, node.name, tuple(arg.arg for arg in node.args.args)))
+    assert caches == {
+        ("model", "_tables", ("r", "n", "m")),
+        ("hom", "frame", ("omega", "p")),
+        ("center", "_plan_pieces", ("omega", "p", "f", "i")),
+        ("center", "_visibility", ("omega", "inner_window")),
+        ("center", "_build_system", ("omega", "W", "inner", "p")),
+    }
+    # no cache is made other than by decorating a function
+    assert uses == len(caches)
