@@ -13,11 +13,14 @@ Each mechanism is documented where it lives:
   _SignedForest;
 - the build, one diagonal line at a time, and the one system that serves
   both sign laws and every field of a degree: _build_system and _System;
+- a report, and what it works out only when read, its basis and the
+  visibility of its socle classes: SolveReport;
 - the naming of a report's basis, run by run: _named_components;
 - an element's line map and its read-only view: CenterElement and
   _SlotView; the gate for values built by hand: _slot_map; the product:
   multiply;
-- the membership check, its one walk and its order: check_membership.
+- the membership check, its one walk and its order, reading each
+  (family, i)'s plans as the build does: check_membership.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -466,14 +469,15 @@ def check_membership(
     # (i + 1, a, a)) every line of sources (i, a, b') with b' in the box
     starts = dict.fromkeys(lines)
     for g, j, u in lines:
-        for f, i, da, db, k, along in sources[g, j]:
+        for f, i, da, db, along in sources[g, j]:
             if along:
                 starts[f, i, u - db + da] = None
             elif u == db - da:
                 starts.update(dict.fromkeys((f, i, t) for t in range(-2 * Wi, 2 * Wi + 1)))
 
     # generating arrows from (f, i, a, a + t) to (g, j, a + da, a + da +
-    # u), each with its rows, as the line's plan lists them (_line_plan).
+    # u), each with its rows, as the line's plan lists them (_plan_pieces,
+    # looked up once per (f, i) walked).
     # A cell whose source is held is out of the support (walk 0), one
     # whose source is empty and whose target is held is into it (walk 1),
     # keyed by the target's place and then the source's (f, i, k) and b.
@@ -481,12 +485,16 @@ def check_membership(
     # 0 = 0.
     spans: list = []
     failed: list = []
+    pieces_of: dict = {}
     for f, i, t in starts:
         lo_v, hi_v = inner(t)
         if lo_v > hi_v or not in_gaps(vertex_gaps.get((f, i)), t):
             continue
+        if (f, i) not in pieces_of:
+            pieces_of[f, i] = _plan_pieces(params.omega, p, f, i)
+        cuts, plans = pieces_of[f, i]
         v_line = lines.get((f, i, t), ())
-        for g, j, da, du, along, k, rows in _line_plan(_plan_pieces(params.omega, p, f, i), t):
+        for g, j, da, du, along, k, rows in plans[bisect_right(cuts, t)]:
             u = (t if along else 0) + du
             w_line = lines.get((g, j, u), ())
             if not (v_line or w_line):
@@ -571,7 +579,6 @@ class SolveReport:
     scalar_dim: int = 0
     power_dim: int = 0
     class_dims: dict = dc_field(default_factory=dict)
-    visibility: dict = dc_field(default_factory=dict)
     residual: list = dc_field(default_factory=list)
     # the work counts (WORK_COUNTS): unknowns (vertex, basis element),
     # vertices with a nonempty hom space, naturality and sign-law rows
@@ -608,6 +615,13 @@ class SolveReport:
             return []
         return [CenterElement(self.p, self.variant, _SlotView(self.params, self.p, lines))
                 for parity, _, lines in _named_components(self) if not (parity and self.char != 2)]
+
+    @cached_property
+    def visibility(self) -> dict:
+        """The visibility of each socle class meeting the inner window
+        (class_visibility_map), worked out on the first read: the
+        dimensions never need it."""
+        return class_visibility_map(self.params, self.inner_window)
 
     @property
     def total_dim(self) -> int:
@@ -648,20 +662,11 @@ def class_visibility_map(params: ModelParams, inner_window: int) -> dict:
     'partial' if some index has support in the inner box.  Class
     (family, q) lies at gap q + _socle_gap(params, family, 0, i) on
     index i, and a box [-B, B]^2 with B >= 0 holds the gaps up to 2B.
-    The map depends on (omega, inner window) alone, so it is worked out
-    once per pair, and each call gets its own copy."""
-    return dict(_visibility(params.omega, inner_window))
-
-
-# One entry: a reconcile call asks for the same pair in every degree, and
-# so do the four (variant, char) passes over one window.
-@lru_cache(maxsize=1)
-def _visibility(omega, inner_window: int) -> dict:
-    """class_visibility_map, shared by every caller: never mutated."""
-    guarded = inner_window - (omega.n + omega.m + 2)
+    Each call works the map out afresh, so the caller owns it."""
+    guarded = inner_window - (params.n + params.m + 2)
     out = {}
-    for family in ["X"] + (["Y"] if omega.r < omega.n else []):
-        offsets = [_socle_gap(omega, family, 0, i) for i in range(omega.r)]
+    for family in ["X"] + (["Y"] if params.r < params.n else []):
+        offsets = [_socle_gap(params, family, 0, i) for i in range(params.r)]
         full = 2 * guarded - max(offsets) if guarded >= 0 else -1
         for q in range(2 * inner_window - min(offsets) + 1):
             out[(family, q)] = "full" if q <= full else "partial"
@@ -802,13 +807,6 @@ def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list]:
                 plan.append((g, j, da, du, along, k, tuple(map(tuple, rows.values()))))
         plans.append(tuple(plan))
     return cuts, plans
-
-
-def _line_plan(pieces: tuple, t: int) -> tuple:
-    """The plan of the line at gap t, read from its (family, i)'s
-    _plan_pieces."""
-    cuts, plans = pieces
-    return plans[bisect_right(cuts, t)]
 
 
 class _SignedForest:
@@ -1251,8 +1249,7 @@ def solve_component(
     scalar, power, dims, residual, killed_parity = system.readings[field != 2 and not _plain_reading(variant, p)]
     # SolveReport's fields in order (test_solve_report_fields_follow_the_system)
     report = SolveReport(params, p, variant, field, window, inner_window, scalar, power, dict(dims),
-                         class_visibility_map(params, inner_window), [], *system[:6], killed_parity,
-                         _builds != builds, system)
+                         [], *system[:6], killed_parity, _builds != builds, system)
     if residual:
         # an error in the model; the names give the report order
         report.residual = [

@@ -81,10 +81,7 @@ def _tables(r: int, n: int, m: int) -> dict:
     da, a + db) where along is False, so that its gap does not move with
     b - a.  A listed target need not carry a generator of this degree.
     generators_into: the same arrows into each (g, j), as (f, i, da, db,
-    k, along) from the source (f, i), k the arrow's place in the source's
-    generators.  The sources are listed by family (X < Y < Z), then by
-    index, then by k, so an arrow's (f, i, k) is its place among the
-    arrows into (g, j).
+    along) from the source (f, i).
 
     Naturality at a composite follows from naturality at its factors, so
     only generating arrows are listed: the steps (0, 1) and (1, 0) within
@@ -159,8 +156,8 @@ def _tables(r: int, n: int, m: int) -> dict:
         elif f == "Y":
             out.append(("Z", i, 0, -n if i == 0 else 0, 1, True))
         generators[f, i] = tuple(out)
-        for k, (g, j, da, db, _, along) in enumerate(out):
-            into[g, j].append((f, i, da, db, k, along))
+        for g, j, da, db, _, along in out:
+            into[g, j].append((f, i, da, db, along))
     return {"families": families, "sides": sides, "rules": rules, "sigma_steps": sigma_steps,
             "generators": generators, "generators_into": {key: tuple(arrows) for key, arrows in into.items()}}
 

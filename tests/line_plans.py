@@ -1,9 +1,10 @@
 """The per-gap plans that gradedcenter.center's _build_system replaced,
-kept as the oracle of its plan pieces (center._plan_pieces, read through
-center._line_plan).  The two functions are the ones it replaced,
-unchanged: _line_plans works out a line's plan gap by gap with
-model.arrow_kind and the cell rule _row_pattern (tests/row_pattern.py),
-and _plan_bound is the gap beyond which that plan stops changing.
+kept as the oracle of its plan pieces (center._plan_pieces, whose line
+at gap t reads plans[bisect_right(cuts, t)]).  The two functions are the
+ones it replaced, unchanged: _line_plans works out a line's plan gap by
+gap with model.arrow_kind and the cell rule _row_pattern
+(tests/row_pattern.py), and _plan_bound is the gap beyond which that
+plan stops changing.
 oracle_plans caches _line_plans over the gaps the plan tests read."""
 
 from functools import lru_cache

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import gradedcenter.center as center_module
+import gradedcenter.ring as ring_module
 from gradedcenter.acceptance import GRID
 from gradedcenter.center import (
     CenterElement,
@@ -19,7 +21,6 @@ from gradedcenter.center import (
     _build_system,
     _least_name,
     _lines,
-    _line_plan,
     _plan_pieces,
     _slot_map,
     _SlotView,
@@ -472,6 +473,31 @@ def test_membership_counts_every_arrow_into_the_support(rnm):
         assert _counted(got) == slot_map_membership.check_membership(params, el, 10, 3, char=char)
 
 
+def test_membership_counts_the_arrows_into_thinned_solver_elements():
+    # every solver basis element of each GRID row at inner window 3, p =
+    # 0..2n+1 (graded, F_3), thinned to every other line, each kept piece
+    # cut to the upper half of its a-range, then times char: every row
+    # holds, so every arrow is counted, and the empty lines and the cut
+    # halves leave many arrows entering the support from off it
+    cases = 0
+    for r, n, m in GRID:
+        params = params_for(r, n, m)
+        inner = 3
+        W = solver_margin(params) + inner
+        for p in range(2 * n + 2):
+            for el in solve_component(params, p, "graded", 3, W, inner).basis:
+                kept = list(el.assignment.lines.items())[::2]
+                for char in (2, 3):
+                    lines = {key: tuple(((lo + hi + 1) // 2, hi, {s: c * char for s, c in value.items()})
+                                        for lo, hi, value in pieces) for key, pieces in kept}
+                    thin = CenterElement(p, el.variant, _SlotView(params, p, lines))
+                    got = _counted(check_membership(params, thin, W, inner, char=char))
+                    assert got[0] and got == slot_map_membership.check_membership(params, thin, W, inner, char=char), \
+                        (r, n, m, p, char)
+                    cases += 1
+    assert cases == 256
+
+
 @pytest.mark.parametrize("W, first, rows", [
     (4, "f':X(0)[0,-1]->X(0)[0,0]", 14),
     (7, "f':X(0)[0,-1]->X(0)[0,0]", 83),
@@ -737,6 +763,33 @@ def test_visibility_map_matches_loop(rnm):
         assert got == list(visibility_loop.class_visibility_map(p, inner).items()), inner
 
 
+def test_visibility_is_worked_out_when_read(monkeypatch, cold_cache):
+    # a report works out its visibility map on the first read of
+    # .visibility, never while its degree is built or served, and
+    # reconcile works it out at most once per call
+    calls = []
+    worked_out = center_module.class_visibility_map
+
+    def counted(params, inner_window):
+        calls.append(inner_window)
+        return worked_out(params, inner_window)
+
+    monkeypatch.setattr(center_module, "class_visibility_map", counted)
+    monkeypatch.setattr(ring_module, "class_visibility_map", counted)
+    params = params_for(1, 2, 0, window=9)
+    built = solve_component(params, 2, "graded", 3, 9, 3)
+    served = solve_component(params, 2, "graded", 3, 9, 3)
+    assert (built.built, served.built, calls) == (True, False, [])
+    for rep in (built, served):
+        assert rep.visibility == worked_out(params, 3)
+        assert rep.visibility is rep.visibility
+    assert calls == [3, 3]
+    for degree_bound in (0, 4):
+        calls.clear()
+        assert reconcile(params, 3, "graded", degree_bound, 9).ok
+        assert len(calls) <= 1, degree_bound
+
+
 # independent oracle: assemble naturality and sign rows for EVERY windowed
 # arrow (the solver uses a fixed local subset), solve with the sparse
 # null-space routine, and compare solution dimensions on the inner box
@@ -979,11 +1032,11 @@ def test_cached_system_is_not_aliased():
 
 def test_solve_report_fields_follow_the_system():
     # solve_component passes a report's fields by position: its arguments,
-    # the reading, the visibility map and residual, then the work counts
-    # as _System holds them first, built and the system
+    # the reading and residual, then the work counts as _System holds them
+    # first, built and the system
     names = [f.name for f in fields(center_module.SolveReport)]
     assert names == ["params", "p", "variant", "char", "window", "inner_window", "scalar_dim",
-                     "power_dim", "class_dims", "visibility", "residual",
+                     "power_dim", "class_dims", "residual",
                      *center_module.WORK_COUNTS, "built", "_system"]
     assert _System._fields[:len(center_module.WORK_COUNTS)] == center_module.WORK_COUNTS
 
@@ -1141,7 +1194,7 @@ def test_plan_build_matches_line_build_at_a_large_window(p):
 
 
 def _oracle_form(plan: tuple) -> tuple:
-    # a plan of center._line_plan as tests/line_plans.py states it: each
+    # a plan of center._plan_pieces as tests/line_plans.py states it: each
     # target without its place k in ModelParams.generators
     return tuple((g, j, da, du, along, rows) for g, j, da, du, along, _, rows in plan)
 
@@ -1161,10 +1214,10 @@ def test_line_plans_are_constant_beyond_the_bound():
                         cases += 1
                         case = (r, n, m, p, f, i)
                         bound, t0, want = oracle_plans(omega, p, f, i)
-                        pieces = _plan_pieces(omega, p, f, i)
-                        assert all(-bound <= cut <= bound for cut in pieces[0]), case
+                        cuts, plans = _plan_pieces(omega, p, f, i)
+                        assert all(-bound <= cut <= bound for cut in cuts), case
                         for t in (-2 * bound, 2 * bound):
-                            assert _oracle_form(_line_plan(pieces, t)) == want[t - t0], (case, t)
+                            assert _oracle_form(plans[bisect_right(cuts, t)]) == want[t - t0], (case, t)
     assert cases == 5936
 
 
@@ -1185,8 +1238,7 @@ def test_plan_pieces_match_line_plans():
                     for f, i in frame(omega, p)[0]:
                         cases += 1
                         _, t0, want = oracle_plans(omega, p, f, i)
-                        pieces = _plan_pieces(omega, p, f, i)
-                        cuts, plans = pieces
+                        cuts, plans = _plan_pieces(omega, p, f, i)
                         assert cuts == sorted(set(cuts)) and len(plans) == len(cuts) + 1
                         assert all(type(plan) is tuple and all(rows for *_, rows in plan) for plan in plans), \
                             (r, n, m, p, f, i)
@@ -1194,7 +1246,7 @@ def test_plan_pieces_match_line_plans():
                         for t in range(t0, -t0 + 1):
                             gaps += 1
                             case = (r, n, m, p, f, i, t)
-                            plan = _line_plan(pieces, t)
+                            plan = plans[bisect_right(cuts, t)]
                             assert _oracle_form(plan) == want[t - t0], case
                             assert all(targets[k][:4] == (g, j, da, da + du) and targets[k][5] == along
                                        for g, j, da, du, along, k, _ in plan), case

@@ -59,8 +59,8 @@ def test_families_by_case():
 
 def test_generators_into_inverts_generators():
     # on every r <= n <= 6, m <= 3: the arrows into each (g, j) are the
-    # generating arrows out of every (f, i) that end there, each once with
-    # its place k among (f, i)'s, listed in (family, index, k) order
+    # generating arrows out of every (f, i) that end there, each once,
+    # listed in (family, index) order
     cases = 0
     for n in range(1, 7):
         for r in range(1, n + 1):
@@ -69,13 +69,13 @@ def test_generators_into_inverts_generators():
                 keys = [(f, i) for f in params.families for i in range(r)]
                 out, into = params.generators, params.generators_into
                 assert list(out) == keys and list(into) == keys, (r, n, m)
-                arrows_out = {(f, i, k, g, j, da, db, along) for (f, i), arrows in out.items()
-                              for k, (g, j, da, db, _, along) in enumerate(arrows)}
-                arrows_in = [(f, i, k, g, j, da, db, along) for (g, j), arrows in into.items()
-                             for f, i, da, db, k, along in arrows]
+                arrows_out = {(f, i, g, j, da, db, along) for (f, i), arrows in out.items()
+                              for g, j, da, db, _, along in arrows}
+                arrows_in = [(f, i, g, j, da, db, along) for (g, j), arrows in into.items()
+                             for f, i, da, db, along in arrows]
                 assert len(arrows_in) == len(set(arrows_in)) and set(arrows_in) == arrows_out, (r, n, m)
                 for arrows in into.values():
-                    order = [(FAMILIES.index(f), i, k) for f, i, _, _, k, _ in arrows]
+                    order = [(FAMILIES.index(f), i) for f, i, *_ in arrows]
                     assert order == sorted(order), (r, n, m)
                 cases += 1
     assert cases == 84

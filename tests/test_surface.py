@@ -1,6 +1,9 @@
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gradedcenter
@@ -126,25 +129,62 @@ def test_the_sign_laws_are_written_once():
 
 def test_cache_inventory():
     # every cache in src/, by module, function and the parameters that
-    # make its key; adding, splitting or dropping one is an edit of this
-    # set, made with its reason
-    caches, uses = set(), 0
+    # make its key, and every attribute worked out on its first read and
+    # then kept, by module, class and name; adding, splitting or dropping
+    # one is an edit of these sets, made with its reason
+    caches, lazy, uses, lazy_uses = set(), set(), 0, 0
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        uses += sum(isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
-                    and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+        names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+        uses += sum(name in ("lru_cache", "cache") for name in names)
+        lazy_uses += names.count("cached_property")
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 for dec in node.decorator_list:
                     func = dec.func if isinstance(dec, ast.Call) else dec
                     if getattr(func, "id", getattr(func, "attr", None)) in ("lru_cache", "cache"):
                         caches.add((path.stem, node.name, tuple(arg.arg for arg in node.args.args)))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and any(
+                            getattr(dec, "id", getattr(dec, "attr", None)) == "cached_property"
+                            for dec in item.decorator_list):
+                        lazy.add((path.stem, node.name, item.name))
     assert caches == {
         ("model", "_tables", ("r", "n", "m")),
         ("hom", "frame", ("omega", "p")),
         ("center", "_plan_pieces", ("omega", "p", "f", "i")),
-        ("center", "_visibility", ("omega", "inner_window")),
         ("center", "_build_system", ("omega", "W", "inner", "p")),
     }
-    # no cache is made other than by decorating a function
-    assert uses == len(caches)
+    assert lazy == {
+        ("center", "SolveReport", "basis"),
+        ("center", "SolveReport", "visibility"),
+    }
+    # no cache is made other than by decorating a function, and no lazy
+    # attribute other than by decorating a method
+    assert uses == len(caches) and lazy_uses == len(lazy)
+
+
+def test_the_library_runs_without_numpy(tmp_path):
+    # the library itself is pure integer Python (README, Install): only
+    # the acceptance suite imports numpy.  Every other module is imported,
+    # and each command but check runs, in a fresh process
+    code = """
+import importlib, io, pkgutil, sys
+from contextlib import redirect_stdout
+import gradedcenter
+from gradedcenter import cli
+for module in pkgutil.iter_modules(gradedcenter.__path__):
+    if module.name != "acceptance":
+        importlib.import_module("gradedcenter." + module.name)
+params = ["--r", "1", "--n", "2", "--m", "0"]
+with redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["lambda", *params]) == 0
+    open("lambda.txt", "w").write(out.getvalue())
+    for argv in (["center", *params, "--p", "2"], ["hom", *params, "--family", "Y", "--i", "0",
+                 "--a", "0", "--b", "2", "--p", "1"], ["ring", *params], ["validate", "lambda.txt"]):
+        assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, cwd=tmp_path)
