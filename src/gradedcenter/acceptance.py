@@ -18,6 +18,7 @@ from .center import (
     VARIANTS,
     GeneratorSpec,
     check_membership,
+    law_sign,
     make_generator,
     membership_margin,
     multiply,
@@ -32,7 +33,6 @@ from .gentle import (
 )
 from .hom import hom_basis, hom_dim_closed_form
 from .model import (
-    KIND_BY_SIGNATURE,
     KIND_TABLE,
     ArrowGen,
     ModelParams,
@@ -163,14 +163,11 @@ def _composable_triples(params: ModelParams):
 
 def _resolve(params: ModelParams, fam_a: str, fam_b: str, deg: int, i_a: int, i_b: int):
     """Matrix key of the composite signature, or None when the signature
-    or the index arithmetic rules the composite out."""
-    sig = KIND_BY_SIGNATURE.get((fam_a, fam_b, deg))
-    if sig is None:
+    or the index arithmetic rules the composite out (ModelParams.rules)."""
+    rule = params.rules.get((fam_a, fam_b, deg, i_a))
+    if rule is None or rule[1] != i_b:
         return None
-    kind, step = sig
-    if (i_a + step) % params.r != i_b:
-        return None
-    return (kind, i_a)
+    return (rule[0], i_a)
 
 
 def _assoc_counts(params: ModelParams, mats: dict):
@@ -287,9 +284,9 @@ def _c4_membership():
         for char in (2, 3):
             for variant in VARIANTS:
                 # el.variant is the sign law make_generator built it to
-                # satisfy; the other law agrees with it exactly where the
-                # degree is even or the characteristic is 2
-                expected = variant == el.variant or el.p % 2 == 0 or char == 2
+                # satisfy; the other law agrees with it exactly where both
+                # set the same sign or the characteristic is 2
+                expected = law_sign(variant, el.p) == law_sign(el.variant, el.p) or char == 2
                 ok, why = check_membership(
                     params, el, W, W - membership_margin(params), char=char, variant=variant
                 )

@@ -3,6 +3,9 @@ membership checking, and a windowed solver for the graded and commutative
 center components.
 
 Each mechanism is documented where it lives:
+- the sign law, the one statement of how the graded and the commutative
+  center differ, which every variant check, sign and reading asks:
+  law_sign;
 - the space Hom(v, Sigma^p v) that every element, row and unknown reads:
   hom.frame;
 - the generating arrows, at which naturality is imposed, and why they
@@ -20,7 +23,8 @@ Each mechanism is documented where it lives:
   _SlotView; the gate for values built by hand: _slot_map; the product:
   multiply;
 - the membership check, its one walk and its order, reading each
-  (family, i)'s plans as the build does: check_membership.
+  (family, i)'s plans and its Sigma^-1 steps off the tables the build
+  reads: check_membership.
 
 Equations are imposed only where all referenced vertices lie inside the
 outer window, and results are reported restricted to an inner window;
@@ -67,6 +71,17 @@ class InconsistencyError(Exception):
 # The two sign laws: eta Sigma = (-1)^p Sigma eta for the graded center,
 # eta Sigma = Sigma eta for the commutative one.
 VARIANTS = ("graded", "commutative")
+
+
+def law_sign(variant: str, p: int) -> int:
+    """The sign the law sets between eta Sigma and Sigma eta in degree p:
+    -1 under the graded law at odd p, else +1.  The one place that reads
+    a law: each variant check, sign and reading in the library asks it,
+    and it raises ValueError for any other variant."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return -1 if variant == "graded" and p % 2 else 1
+
 
 GENERATOR_NAMES = ("eta_prime", "eta_dprime", "eta_zero", "eta_power")
 
@@ -178,8 +193,7 @@ class CenterElement:
     assignment: Mapping
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        law_sign(self.variant, self.p)  # raises on an unknown variant
         if self.p < 0:
             raise ValueError("degree must be >= 0")
         if not isinstance(self.assignment, _SlotView):
@@ -434,19 +448,15 @@ def check_membership(
     only to name it.
     """
     FieldScalar(0, char)
-    variant = el.variant if variant is None else variant
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    p = el.p
+    sign = law_sign(el.variant if variant is None else variant, p)
     if inner_window < 1 or inner_window + membership_margin(params) > window:
         raise ValueError("window too small for the requested inner window")
-    p = el.p
     Wi = inner_window
-    sign = -1 if (variant == "graded" and p % 2) else 1
-    steps = params.sigma_steps
-    # the gaps of a vertex per (family, i), and Sigma^-1; the generating
-    # arrows into each (family, i)
+    r, steps = params.r, params.sigma_steps
+    # the gaps of a vertex per (family, i); the generating arrows into
+    # each (family, i)
     vertex_gaps = frame(params.omega, p)[2]
-    shift_back = frame(params.omega, -1)[0]
     sources = params.generators_into
     lines = _slot_map(params, el).lines
 
@@ -520,14 +530,16 @@ def check_membership(
     naturality_rows = counted(spans, None)
 
     # sign law on Sigma-pairs touching the support, the lines that hold
-    # it and their images under Sigma^-1: Sigma keeps each term's kind and
-    # degree, so eta at Sigma u and Sigma eta_u are compared slot by slot.
-    # u is reached from the support at (u, 0) if it is held, else at
-    # (Sigma u, 1)
+    # it and their images under Sigma^-1, read off the Sigma table that
+    # the build reads: Sigma from index j = i - 1 lands on i, moving (a,
+    # b) by (s1, s2).  Sigma keeps each term's kind and degree, so eta at
+    # Sigma u and Sigma eta_u are compared slot by slot.  u is reached
+    # from the support at (u, 0) if it is held, else at (Sigma u, 1)
     visit = dict.fromkeys(lines)
     for f, i, t in lines:
-        j, da, db = shift_back[f, i]
-        visit[f, j, t + db - da] = None
+        j = (i - 1) % r
+        _, s1, s2 = steps[f, j, 1]
+        visit[f, j, t - s2 + s1] = None
     sign_spans: list = []
     for f, i, t in visit:
         lo, hi = inner(t)
@@ -562,12 +574,6 @@ def solver_margin(params: ModelParams) -> int:
 WORK_COUNTS = ("unknowns", "vertices", "naturality_rows", "sign_rows", "merges", "killed_zero", "killed_parity")
 
 
-def _plain_reading(variant: str, p: int) -> bool:
-    """Whether a reading takes every sign as +1 and ignores parity flags:
-    under the commutative law, and at even p, where both laws agree."""
-    return variant == "commutative" or p % 2 == 0
-
-
 @dataclass
 class SolveReport:
     params: ModelParams
@@ -600,7 +606,8 @@ class SolveReport:
 
     @property
     def _plain(self) -> bool:
-        return _plain_reading(self.variant, self.p)
+        # a plain reading takes every sign as +1 and ignores parity flags
+        return law_sign(self.variant, self.p) == 1
 
     @property
     def rows(self) -> int:
@@ -928,14 +935,15 @@ _builds = 0
 @lru_cache(maxsize=14)
 def _build_system(omega, W: int, inner: int, p: int) -> _System:
     """Solve the union-find system of degree p on the window W, with the
-    graded sign law eta Sigma = (-1)^p Sigma eta, and keep what a report
-    on the inner window needs.  Every naturality row has weight +1 and
-    only the sign-law rows carry (-1)^p, which never decides whether a
-    row merges two components.  So the commutative law at odd p is the
-    same union-find with every weight +1, and no parity conflict: the
-    build counts that reading too (_System.readings).  At even p
-    the two laws agree, every row has weight +1 and every sign is +1, so
-    the forest is unsigned there (_SignedForest).
+    graded sign law eta Sigma = (-1)^p Sigma eta (law_sign), and keep
+    what a report on the inner window needs.  Every naturality row has
+    weight +1 and only the sign-law rows carry (-1)^p, which never
+    decides whether a row merges two components.  So the commutative law
+    at odd p is the same union-find with every weight +1, and no parity
+    conflict: the build counts that reading too (_System.readings).
+    Where law_sign is +1, at even p, the two laws agree, every row has
+    weight +1 and every sign is +1, so the forest is unsigned there
+    (_SignedForest).
 
     The field is not an argument either: the rows have coefficients +-1
     whatever the characteristic, so only the reading of a parity conflict
@@ -960,7 +968,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     tests/test_center.py::test_solver_basis_passes_membership_beyond_the_grid
     runs it on every basis of every row r <= n <= 6, m <= 3."""
     params = ModelParams(omega, W)
-    sign = -1 if p % 2 else 1
+    sign = law_sign("graded", p)
     rules = params.rules
     steps = params.sigma_steps
 
@@ -992,7 +1000,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     # Each line imposes each row of its plan (_plan_pieces) on every a at
     # once: the a where v and w both lie in the box, an interval.
     pieces_of = {key: _plan_pieces(omega, p, *key) for key in {(f, i) for f, i, _ in lines}}
-    forest = _SignedForest(count, p % 2 == 1)
+    forest = _SignedForest(count, sign < 0)
     zero = forest.zero
     unite = forest.unite
     naturality_rows = sign_rows = merges = 0
@@ -1111,17 +1119,6 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     )
 
 
-def _least_name(lo: int, hi: int) -> int:
-    """The a in lo..hi whose decimal string, followed by ",", sorts first
-    as str: a negative a if there is one, and among those of one sign the
-    least magnitude of some length, since strings of one length sort as
-    their numbers do and "," sorts before every digit."""
-    least, most = (max(1, -hi), -lo) if lo < 0 else (lo, hi)
-    best = min(str(max(least, 10 ** (k - 1) if k > 1 else 0))
-               for k in range(len(str(least)), len(str(most)) + 1))
-    return -int(best) if lo < 0 else int(best)
-
-
 def _named_components(report: SolveReport) -> list:
     """The components of the report's system's classes in report order,
     read under its variant, as (parity, tags, lines): lines is the line
@@ -1138,15 +1135,15 @@ def _named_components(report: SolveReport) -> list:
     a prefix, "None" or the kind and ":", followed by a common tail, and
     no prefix starts another: the prefixes order the members of a vertex
     as their names do.  Names, str(hom.basis_arrow(...)), are formatted
-    only where they order members of different vertices, to pick the
-    sign, and then once per run, at the a whose name sorts first
-    (_least_name).
+    only where they order members of different vertices: to pick the
+    reference sign of a component whose runs hold both signs, over every
+    member of its runs.
 
     A coefficient is the member's sign relative to the member of least
     str(arrow); where every member has one sign, as in a plain reading
-    (SolveReport._plain), which ignores the parity flags, each
-    coefficient is +1.  On a component without the parity flag the
-    rows fix it.  On a parity-flagged one, which survives only in
+    (SolveReport._plain, where law_sign is +1), which ignores the parity
+    flags, each coefficient is +1.  On a component without the parity
+    flag the rows fix it.  On a parity-flagged one, which survives only in
     characteristic 2, the rows imply both signs, so the +-1 read off
     depends on the order in which unknowns were merged; every such choice
     is the same element over F_2."""
@@ -1196,13 +1193,9 @@ def _named_components(report: SolveReport) -> list:
         if len(weights) == 1:
             ref_w = weights.pop()
         else:
-            # the sign of the member whose name sorts first: per run, the
-            # member at the a whose name sorts first there
-            names = []
-            for (f, i, t, s), lo, hi, w in runs:
-                a = _least_name(lo, hi)
-                names.append((str(basis_arrow(rules, shift_p, Vertex(f, i, a, a + t), s)), w))
-            ref_w = min(names)[1]
+            # the sign of the member whose name sorts first
+            ref_w = min((str(basis_arrow(rules, shift_p, Vertex(f, i, a, a + t), s)), w)
+                        for (f, i, t, s), lo, hi, w in runs for a in range(lo, hi + 1))[1]
         by_key: dict = {}
         for key, lo, hi, w in sorted(runs):
             by_key.setdefault(key, []).append((lo, hi, w * ref_w))
@@ -1234,8 +1227,7 @@ def solve_component(
     the variant and field read it."""
     if p < 0:
         raise ValueError("degree must be >= 0")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    sign = law_sign(variant, p)
     FieldScalar(0, field)
     if inner_window < 1 or inner_window + solver_margin(params) > window:
         raise ValueError(
@@ -1246,7 +1238,7 @@ def solve_component(
     system = _build_system(params.omega, window, inner_window, p)
     # a parity conflict x = -x, which a plain reading ignores, forces the
     # component to zero outside characteristic 2
-    scalar, power, dims, residual, killed_parity = system.readings[field != 2 and not _plain_reading(variant, p)]
+    scalar, power, dims, residual, killed_parity = system.readings[field != 2 and sign < 0]
     # SolveReport's fields in order (test_solve_report_fields_follow_the_system)
     report = SolveReport(params, p, variant, field, window, inner_window, scalar, power, dict(dims),
                          [], *system[:6], killed_parity, _builds != builds, system)

@@ -32,12 +32,6 @@ KIND_TABLE = {
     "eZ": ("Z", "Z", 2, 1),
 }
 
-# (source family, target family, degree) -> (kind, index step); the kind
-# of an arrow is determined by its endpoint families and degree.
-KIND_BY_SIGNATURE = {
-    (src, tgt, deg): (kind, step) for kind, (src, tgt, deg, step) in KIND_TABLE.items()
-}
-
 # kind -> target rectangle (lo1, hi1, lo2, hi2) of the arrows of this kind
 # out of a vertex (a, b) with index i.  A side is None when unbounded, else
 # a source coordinate plus a correction made at one index only: "b+m@0" is
@@ -70,7 +64,8 @@ def _tables(r: int, n: int, m: int) -> dict:
     sides: REGION_TABLE read, (kind, source index) -> the kind's row with
     each side None or (source coordinate, 0 for a and 1 for b; offset);
     rules: (source family, target family, degree, source index) ->
-    (kind, target index, sides), what arrow_of_degree tests;
+    (kind, target index, sides), what arrow_of_degree tests: an arrow's
+    kind and its target's index are fixed by that signature;
     sigma_steps: Sigma^k as a translation, (family, i, k) -> (j, da, db)
     for 0 <= k <= r, where Sigma^k moves index i to j and (a, b) by (da,
     db); k = r is the cycle Sigma^r, the same translation from every
@@ -162,7 +157,7 @@ def _tables(r: int, n: int, m: int) -> dict:
             "generators": generators, "generators_into": {key: tuple(arrows) for key, arrows in into.items()}}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ModelParams:
     omega: OmegaParams
     window: int = 10

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import attrgetter
 from typing import NamedTuple
 
-from .center import VARIANTS, class_visibility_map, power_visible, solve_component, solver_margin
+from .center import class_visibility_map, law_sign, power_visible, solve_component, solver_margin
 from .gf import FieldScalar
 from .model import ModelParams
 
@@ -64,12 +64,11 @@ def theorem_case(params, field_char: int, variant: str = "graded") -> RingPresen
     checked in printed order, so earlier special cases shadow the later
     general ones."""
     FieldScalar(0, field_char)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    sign = law_sign(variant, params.n)
     r, n, m = params.r, params.n, params.m
-    # the graded center's sign law doubles the polynomial generator's
-    # degree when that degree is odd and the characteristic is not 2
-    k = n if variant == "commutative" or (n * field_char) % 2 == 0 else 2 * n
+    # the sign law doubles the polynomial generator's degree n where it
+    # sets -1 there and the characteristic is not 2
+    k = n if sign == 1 or field_char == 2 else 2 * n
     if (r, n, m) == (1, 1, 0):
         return RingPresentation(("Poly", k), ((0, None),))
     if r == n:

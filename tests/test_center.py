@@ -1,10 +1,7 @@
 import importlib.util
-import os
 import pickle
 import random
 import re
-import subprocess
-import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import fields
@@ -19,7 +16,6 @@ from gradedcenter.center import (
     CenterElement,
     GeneratorSpec,
     _build_system,
-    _least_name,
     _lines,
     _plan_pieces,
     _slot_map,
@@ -27,6 +23,7 @@ from gradedcenter.center import (
     _System,
     check_membership,
     class_visibility_map,
+    law_sign,
     make_generator,
     membership_margin,
     multiply,
@@ -284,6 +281,32 @@ def test_membership_defaults_the_variant_only_when_none():
     for bad in ("", "bogus"):
         with pytest.raises(ValueError, match=f"unknown variant {bad!r}"):
             check_membership(p, el, 10, 5, variant=bad)
+
+
+def test_law_sign_table():
+    # eta Sigma = law_sign * Sigma eta: (-1)^p under the graded law, +1
+    # under the commutative one, at negative degrees too
+    for p in range(-3, 7):
+        assert law_sign("graded", p) == (-1) ** (p % 2), p
+        assert law_sign("commutative", p) == 1, p
+
+
+def test_unknown_variant_message_is_unchanged_at_every_reader():
+    # every variant check reads law_sign and raises its one message
+    params = params_for(2, 3, 1)
+    el = make_generator(params, GeneratorSpec("eta_dprime", 0), 10)
+    readers = [
+        lambda v: law_sign(v, 1),
+        lambda v: CenterElement(3, v, {}),
+        lambda v: check_membership(params, el, 10, 5, variant=v),
+        lambda v: solve_component(params, 1, v, 3, 12, 3),
+        lambda v: theorem_case(params, 3, v),
+    ]
+    for bad in ("projective", "", "Graded"):
+        for read in readers:
+            with pytest.raises(ValueError) as caught:
+                read(bad)
+            assert str(caught.value) == f"unknown variant {bad!r}"
 
 
 def test_membership_variant_table():
@@ -1516,13 +1539,6 @@ def test_reports_match_the_pinned_corpus():
         assert make(*key) == want, f"first key that differs: {key}"
 
 
-def test_least_name_is_the_least_str():
-    # the a of a run whose name sorts first, against every a of the run
-    for lo in range(-120, 121, 7):
-        for hi in range(lo, lo + 1100, 13):
-            assert _least_name(lo, hi) == min(range(lo, hi + 1), key=lambda a: f"{a},"), (lo, hi)
-
-
 @pytest.mark.parametrize("rnm", [(1, 2, 0), (2, 3, 1), (3, 3, 2), (2, 4, 2)], ids=str)
 def test_dimensions_name_nothing(rnm, monkeypatch):
     def refuse(*args):
@@ -1574,12 +1590,3 @@ def test_work_counts_repeat_and_match_vertex_build():
         # at least one component is left
         assert 0 < rep.merges < rep.unknowns
     assert generating < every
-
-
-def test_library_import_loads_no_numpy():
-    # the library is pure integer Python: importing it must not pull in
-    # numpy, whose import alone costs about as much as the whole set-up
-    code = "import gradedcenter, sys; assert 'numpy' not in sys.modules"
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)

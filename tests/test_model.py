@@ -7,7 +7,6 @@ from gradedcenter.acceptance import GRID
 from gradedcenter.gentle import OmegaParams
 from gradedcenter.model import (
     FAMILIES,
-    KIND_BY_SIGNATURE,
     KIND_TABLE,
     ArrowGen,
     ModelParams,
@@ -169,11 +168,29 @@ def test_enumerate_vertices_matches_cell_oracle(rnm):
 
 
 def test_kind_by_signature_agrees_with_table():
-    for kind, (src, tgt, deg, step) in KIND_TABLE.items():
-        assert KIND_BY_SIGNATURE[(src, tgt, deg)] == (kind, step)
-    assert len(KIND_BY_SIGNATURE) == len(KIND_TABLE)
-    assert ("X", "Y", 0) not in KIND_BY_SIGNATURE
-    assert ("Z", "Z", 1) not in KIND_BY_SIGNATURE
+    # an arrow's kind and target index are read off params.rules by its
+    # signature (source family, target family, degree, source index)
+    for rnm in GRID:
+        params = params_for(*rnm)
+        rules, r = params.rules, params.r
+        for kind, (src, tgt, deg, step) in KIND_TABLE.items():
+            for i in range(r):
+                assert rules[src, tgt, deg, i][:2] == (kind, (i + step) % r), (rnm, kind, i)
+        assert len(rules) == len(KIND_TABLE) * r
+        for i in range(r):
+            assert ("X", "Y", 0, i) not in rules
+            assert ("Z", "Z", 1, i) not in rules
+
+
+def test_model_params_claim_no_order():
+    # an OmegaParams has no order, so neither has a ModelParams, even
+    # where the omegas are equal; equality and hashing stay by value
+    for other in (OmegaParams(1, 3, 0), OmegaParams(1, 2, 0)):
+        with pytest.raises(TypeError):
+            ModelParams(OmegaParams(1, 2, 0)) < ModelParams(other)
+    assert ModelParams(OmegaParams(1, 2, 0)) == ModelParams(OmegaParams(1, 2, 0))
+    assert ModelParams(OmegaParams(1, 2, 0)) != ModelParams(OmegaParams(1, 2, 0), 11)
+    assert hash(ModelParams(OmegaParams(1, 2, 0))) == hash(ModelParams(OmegaParams(1, 2, 0)))
 
 
 def test_region_table_matches_ladders():

@@ -127,6 +127,25 @@ def test_the_sign_laws_are_written_once():
     assert len(found) == 1 and found[0][0] == "center", found
 
 
+def test_only_law_sign_compares_a_law():
+    # the sign law is stated once, in center.law_sign: no other
+    # comparison in src/ names the graded or the commutative law
+    laws = {"graded", "commutative"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "law_sign" and path.stem == "center":
+                inside.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and id(node) not in inside:
+                named = [getattr(side, "value", None) for side in (node.left, *node.comparators)]
+                if laws.intersection(v for v in named if isinstance(v, str)):
+                    found.append((path.stem, node.lineno))
+    assert found == []
+
+
 def test_cache_inventory():
     # every cache in src/, by module, function and the parameters that
     # make its key, and every attribute worked out on its first read and
