@@ -1216,6 +1216,51 @@ def test_plan_build_matches_line_build_at_a_large_window(p):
     assert_same_build(omega, 80, 80 - solver_margin(omega), p)
 
 
+def test_degree_zero_identity_is_closed():
+    # the premises of the identity block that _build_system settles from
+    # the layout: on every r <= n <= 6, m <= 3, every (family, i) and
+    # every piece of its degree-0 plan, no row pairs the identity's slot
+    # -1 with another slot or with None; at each gap the identity's row
+    # at a generating arrow stands exactly where the arrow's target is a
+    # vertex; and Sigma takes every line, all of which hold the identity
+    # at degree 0, to a line that holds it too
+    failures = []
+    identity_rows = 0
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for m in range(4):
+                omega = OmegaParams(r, n, m)
+                params = ModelParams(omega)
+                steps = params.sigma_steps
+                _, gaps, vertex_gaps = frame(omega, 0)
+                for f, i in vertex_gaps:
+                    assert (f, i, -1) in gaps, (r, n, m, f, i)
+                    cuts, plans = _plan_pieces(omega, 0, f, i)
+                    for piece, plan in enumerate(plans):
+                        identity_rows += sum(row == (-1, -1) for *_, rows in plan for row in rows)
+                        if any((-1 in row) and row != (-1, -1) for *_, rows in plan for row in rows):
+                            failures.append((r, n, m, f, i, piece))
+                    # every gap of a line up to twice the farthest cut,
+                    # which lies within n + m + 1 of gap 0
+                    bound = 2 * (n + m + 1)
+                    least = vertex_gaps[f, i][0]
+                    for t in range(-bound if least is None else least, bound + 1):
+                        piece = bisect_right(cuts, t)
+                        held = {k for *_, k, rows in plans[piece] if (-1, -1) in rows}
+                        for k, (g, j, da, db, _, along) in enumerate(params.generators[f, i]):
+                            target = vertex_gaps[g, j][0]
+                            vertex = target is None or (t if along else 0) + db - da >= target
+                            if vertex != (k in held):
+                                failures.append((r, n, m, f, i, piece))
+                    j, da, db = steps[f, i, 1]
+                    lo, lo_j = vertex_gaps[f, i][0], vertex_gaps[f, j][0]
+                    # the lines (f, i, t), t >= lo, go to (f, j, t + db - da)
+                    if (f, j, -1) not in gaps or (lo_j is not None and (lo is None or lo + db - da < lo_j)):
+                        failures.append((r, n, m, f, i, "Sigma"))
+    assert not failures, f"first failure (r, n, m, family, i, piece): {failures[0]}"
+    assert identity_rows == 2518
+
+
 def _oracle_form(plan: tuple) -> tuple:
     # a plan of center._plan_pieces as tests/line_plans.py states it: each
     # target without its place k in ModelParams.generators
