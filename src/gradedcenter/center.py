@@ -16,6 +16,8 @@ Each mechanism is documented where it lives:
   _SignedForest;
 - the build, one diagonal line at a time, and the one system that serves
   both sign laws and every field of a degree: _build_system and _System;
+- degree 0's identity block, one component whose root and counts are
+  read off the layout, and why: _identity_rows;
 - a report, and what it works out only when read, its basis and the
   visibility of its socle classes: SolveReport;
 - the naming of a report's basis, run by run: _named_components;
@@ -729,6 +731,29 @@ def _meet(x: tuple | None, y: tuple | None) -> tuple | None:
     return None if lo is not None and hi is not None and lo > hi else (lo, hi)
 
 
+def _cells(a: tuple, b: tuple, t: tuple) -> int:
+    """The cells (a, b) of the rectangle a x b whose gap b - a lies in t,
+    each an interval (lo, hi) of integers, counted in closed form.  For
+    each a, the gaps up to T take clamp(T + a - b_lo + 1, 0, h) of the
+    h values of b; over consecutive a these clamps run over consecutive
+    integers, and so sum to a difference of two values of P."""
+    (a0, a1), (b0, b1), (t0, t1) = a, b, t
+    h = b1 - b0 + 1
+    if a0 > a1 or h <= 0 or t0 > t1:
+        return 0
+
+    def P(y: int) -> int:
+        # the sum of min(z, h) over z = 0..y
+        if y < 0:
+            return 0
+        return y * (y + 1) // 2 if y <= h else h * (h + 1) // 2 + (y - h) * h
+
+    def upto(T: int) -> int:
+        return P(T + a1 - b0 + 1) - P(T + a0 - b0)
+
+    return upto(t1) - upto(t0 - 1)
+
+
 # Shared like hom.frame: never mutated.  The membership checks of one
 # generator read the same keys at every window and char (criterion 4's 496
 # checks read 108 keys), and a build at another window of the same degree
@@ -924,6 +949,114 @@ class _SignedForest:
         return merged
 
 
+def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict]:
+    """Degree 0's identity block on the window params.window, settled from
+    the layout: its naturality rows and its sign-law rows, counted in
+    closed form (_cells), and pieces_of with its rows taken out, the
+    rows that _build_system still imposes.  The build roots every
+    identity unknown at R, the unknown at offset 1 of the first laid line
+    where r >= 2 and at offset m + 1 where r = 1, and counts one merge
+    fewer than the unknowns: what the union loop makes of the same rows,
+    root included, on every window the solver admits (W >= solver_margin
+    + 1).  No case is left to the union loop.  Why:
+
+    Closed.  At p = 0 the frame (hom.frame) holds the identity's slot -1
+    at every gap and no slot 0, since a degree-0 arrow from v to itself
+    is the identity.  A plan (_plan_pieces) keys a row by the degree of
+    its composite, the identity's at the arrow's own degree, where only
+    slot -1 or 0 can sit, and the identity stands at both ends wherever
+    the arrow does: every row that holds -1 is (-1, -1).  Sigma pairs
+    each slot with itself, with the sign +1 of an even degree.  So the
+    identity unknowns meet only each other, none is forced to zero, and
+    no parity conflict arises.
+
+    One component.  Each generating arrow's identity row stands wherever
+    its target is a vertex (test_degree_zero_identity_is_closed checks
+    this and the rest on every r <= n <= 6, m <= 3).  Within a (family,
+    i), the steps (0, 1) and (1, 0) join each vertex (a, b) of the box to
+    (-W, W): up in b, then down in a, through gaps no less than b - a.
+    X's e' corner joins X(i) to X(i + 1), the arrows into Z join X(i)
+    and Y(i) to Z(i), and every such arrow stands at every gap of its
+    source, on vertices of the box.
+
+    The root.  The build visits the lines in layout order, X first,
+    index 0 first, gaps upward, so the first line is (X, 0, -m), whose
+    unknowns are 0..L - 1, L = 2W + 1 - m, the one at a at offset k = a
+    + W - m.  Its (0, 1) step, its e' corner and its arrow into Z each
+    reach a line that no row has touched, whose a hold the first line's
+    (all but the last where m = 0), so each hangs one unknown on each of
+    its unknowns (_SignedForest), which end with components of one size;
+    at r = 1 and m = 0 the e' corner pairs each cell with itself, which
+    joins nothing.  Its Sigma row comes next, the target's side first,
+    where unite keeps a tie's root:
+    - r >= 2: Sigma takes (X, 0, a, a - m) to (X, 1, a + 1, a + 1), the
+      cell that the e' corner hung on offset k + 1, so the row joins k +
+      1 to k, k rising.  At k = 0 the two are of one size and R = 1
+      wins the tie; each later component joined is one offset's, and
+      R's, holding 0..k, is larger.
+    - r = 1: Sigma takes (X, 0, a, b) to (X, 0, a + m + 1, b + m + 1),
+      on the same line, so the row joins k + m + 1 to k.  At k <= m both
+      are untouched and k + m + 1 wins the tie; later, k's component is
+      the larger.  The offsets fall into m + 1 classes by k mod (m + 1),
+      class c rooted at m + 1 + c, and class 0, rooted at R = m + 1,
+      holds as many offsets as any.  If m >= 1, the next line (X, 0, 1 - m)
+      joins them.  Its (0, 1) step adds as much to each offset's class,
+      and then its (1, 0) step joins its cell at a, in the class of the
+      first line's cell at a, to the first line's cell at a + 1, a
+      rising, its own side first.  Its first cell lies off the first line
+      and joins class 0.  Then class 0 meets class 1 from the winning
+      side of a tie, and keeps R; each later class meets R's, which holds
+      two or more.
+    Then R's component holds every unknown of the first line and all
+    that hang on them, and it outgrows every component it meets.  A hang
+    never moves a joined root.  While X and Y are visited, a line's
+    cells, when its rows are imposed, are in R's component already,
+    hung there by the rows of the lines before it, or are cells that no
+    row has reached yet, holding at most the unknown that their own (0,
+    1) step has just hung on them: two unknowns against R's L or more.
+    Z's lines below the gaps that the arrows into Z reach join each
+    other from Z(i, -2W) up, and meet R's component only when Z's lines
+    are visited.  By then it holds every line of X.  X(i)'s lines, from
+    its least gap g <= 0 up, hold more unknowns than Z(i)'s lines below
+    g, since 2W + 1 - |t| is larger at t = g + k than at t = g - 1 - k.
+    So R's is the larger at every merge, and it is the root.
+    """
+    W = params.window
+    steps = params.sigma_steps
+    vertex_gaps = frame(params.omega, 0)[2]
+
+    def both(d: int) -> tuple:
+        # the x with x and x + d in [-W, W]
+        return (max(-W, -W - d), min(W, W - d))
+
+    naturality_rows = sign_rows = 0
+    kept: dict = {}
+    for (f, i), (cuts, plans) in pieces_of.items():
+        least = vertex_gaps[f, i][0]
+        lo = -2 * W if least is None else max(least, -2 * W)
+        # the gaps of the lines of each piece
+        ends = [lo, *(max(lo, cut) for cut in cuts), 2 * W + 1]
+        work = []
+        for k, plan in enumerate(plans):
+            gaps = (ends[k], min(ends[k + 1], 2 * W + 1) - 1)
+            targets = []
+            for g, j, da, du, along, place, rows in plan:
+                if (-1, -1) in rows:
+                    # the cells of the piece whose target lies in the box
+                    a, b = both(da), both(da + du)
+                    if not along:
+                        a, b = (max(a[0], b[0]), min(a[1], b[1])), (-W, W)
+                    naturality_rows += _cells(a, b, gaps)
+                    rows = tuple(row for row in rows if row != (-1, -1))
+                if rows:
+                    targets.append((g, j, da, du, along, place, rows))
+            work.append(tuple(targets))
+        kept[f, i] = cuts, work
+        _, s1, s2 = steps[f, i, 1]
+        sign_rows += _cells(both(s1), both(s2), (lo, 2 * W))
+    return naturality_rows, sign_rows, kept
+
+
 _builds = 0
 
 
@@ -958,7 +1091,10 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     arithmetic and the unions of its rows.  The unions come in the order
     of a build that works out each line's rows itself on the forest this
     one replaced, tests/line_build.py, so the system is that build's
-    field for field, root and sign included.
+    field for field, root and sign included.  At degree 0 the identity's
+    rows are left out of the unions, and its one component is settled
+    from the layout, root, counts and class alike (_identity_rows), so a
+    line that holds the identity alone and no other row is skipped.
 
     A line whose Hom(v, Sigma^p v) is 0 gets no unknowns and no plan, so
     the rows out of it are never imposed: rows (None, s) that force the
@@ -984,11 +1120,15 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     # of the unknown at the least a, and the unknown at a is that index
     # plus a less the least a.  Only lines with a nonempty hom space are
     # laid out: per slot, its gaps b - a that a vertex of the box has.
+    # The identity's blocks of a (family, i) are laid one after another,
+    # so they fill one range of unknowns: identity holds the ranges.
     lines: dict = {}
+    identity = []
     count = vertices = 0
     for (f, i, d), (lo, hi) in gaps.items():
         lo = max(x for x in (lo, vertex_gaps[f, i][0], -2 * W) if x is not None)
         hi = 2 * W if hi is None else min(hi, 2 * W)
+        start = count
         for t in range(lo, hi + 1):
             slots = lines.get((f, i, t))
             if slots is None:
@@ -996,6 +1136,8 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
                 vertices += 2 * W + 1 - abs(t)
             slots[d] = count
             count += 2 * W + 1 - abs(t)
+        if d < 0:
+            identity.append((start, count))
 
     # Each line imposes each row of its plan (_plan_pieces) on every a at
     # once: the a where v and w both lie in the box, an interval.
@@ -1004,6 +1146,10 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     zero = forest.zero
     unite = forest.unite
     naturality_rows = sign_rows = merges = 0
+    # at degree 0, the only degree with an identity slot, the identity's
+    # rows are counted but not imposed (_identity_rows)
+    if identity:
+        naturality_rows, sign_rows, pieces_of = _identity_rows(params, pieces_of)
     here = None
     for (f, i, t), bv in lines.items():
         if (f, i) != here:
@@ -1012,6 +1158,9 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
             cuts, plans = pieces_of[f, i]
             sj, s1, s2 = steps[f, i, 1]
         plan = plans[bisect_right(cuts, t)]
+        if not plan and len(bv) == 1 and -1 in bv:
+            # the identity alone, whose rows are counted already
+            continue
         # the a of the line, and of its target line at the gap u, in the
         # box: a0..a1 and b0..b1
         a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
@@ -1044,16 +1193,24 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
         if lo <= hi:
             other = lines.get((f, sj, u), {})
             for s, x in bv.items():
+                if s < 0:
+                    continue
                 y = other.get(s)
                 if y is None:
                     raise InconsistencyError(
                         f"suspension of unknown left the system at {Vertex(f, i, lo, lo + t)!r}")
                 merges += unite(y + lo + s1 - b0, x + lo - a0, hi - lo + 1, sign)
-            sign_rows += len(bv) * (hi - lo + 1)
+                sign_rows += hi - lo + 1
 
     # every unknown holds its root already: gather the marks there, if
     # any is set
     root, signs = forest.root, forest.sign
+    if identity:
+        # the identity's one component, rooted at R (_identity_rows)
+        scalar_root = 1 if params.r > 1 else params.m + 1
+        for x0, x1 in identity:
+            root[x0:x1] = [scalar_root] * (x1 - x0)
+        merges += sum(x1 - x0 for x0, x1 in identity) - 1
     dead = set(compress(root, zero)) if 1 in zero else set()
     odd = set(compress(root, forest.parity)) if 1 in forest.parity else set()
     # free the ring and the sizes before the tuples below are made
@@ -1063,33 +1220,37 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     # slice in the inner box (the a from max(-inner, -inner - t) to
     # min(inner, inner - t)), less those forced to zero; then the class
     # tags of each, one per block that holds a member.  Where every
-    # component is forced to zero, there is none to look for.
+    # component is forced to zero, there is none to look for.  The
+    # identity's blocks are not read: their one component meets the
+    # inner box, which holds a vertex, and its tag is scalar's.
     meets: set = set()
     tags: dict = {}
     if len(dead) < count - merges:
-        for (f, i, t), bv in lines.items():
+        blocks = [(f, i, t, s, x0) for (f, i, t), bv in lines.items() for s, x0 in bv.items() if s >= 0]
+        for f, i, t, s, x0 in blocks:
             a0 = -W - min(t, 0)
             k0 = max(-inner, -inner - t) - a0
             k1 = min(inner, inner - t) - a0 + 1
             if k0 < k1:
-                for x0 in bv.values():
-                    meets.update(root[x0 + k0:x0 + k1])
+                meets.update(root[x0 + k0:x0 + k1])
         meets -= dead
         tags = {x: set() for x in meets}
-        for (f, i, t), bv in lines.items():
+        if identity:
+            meets.add(scalar_root)
+            tags[scalar_root] = {_class_tag(params, p, 0, 0, None)}
+        for f, i, t, s, x0 in blocks:
             length = 2 * W + 1 - abs(t)
-            for s, x0 in bv.items():
-                block = root[x0:x0 + length]
-                x = block[0]
-                # most blocks end in one component
-                if block.count(x) == length:
-                    roots = (x,) if x in meets else ()
-                else:
-                    roots = meets.intersection(block)
-                if roots:
-                    tag = _class_tag(params, p, i, t, None if s < 0 else rules[f, f, s, i][0])
-                    for x in roots:
-                        tags[x].add(tag)
+            block = root[x0:x0 + length]
+            x = block[0]
+            # most blocks end in one component
+            if block.count(x) == length:
+                roots = (x,) if x in meets else ()
+            else:
+                roots = meets.intersection(block)
+            if roots:
+                tag = _class_tag(params, p, i, t, rules[f, f, s, i][0])
+                for x in roots:
+                    tags[x].add(tag)
     classes = tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets))
     # both readings (_System), one without a parity conflict
     readings = []

@@ -1261,6 +1261,56 @@ def test_degree_zero_identity_is_closed():
     assert identity_rows == 2518
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_plan_build_matches_line_build_at_degree_zero(n):
+    # every r <= n, m <= 3 at inner windows 1, 4 and 9: the identity's
+    # component, settled from the layout, root included, against the
+    # union loop of the oracle
+    for r in range(1, n + 1):
+        for m in range(4):
+            omega = OmegaParams(r, n, m)
+            for inner in (1, 4, 9):
+                assert_same_build(omega, solver_margin(omega) + inner, inner, 0)
+
+
+def test_degree_zero_root_at_a_large_window():
+    # the identity's root sits at offset m + 1 of the first line only
+    # where r = 1; (3, 4, 2) at W = 80 covers r >= 2
+    omega = OmegaParams(1, 6, 3)
+    assert_same_build(omega, 120, 120 - solver_margin(omega), 0)
+
+
+def test_degree_zero_identity_never_reaches_the_union_loop(monkeypatch):
+    # sending the identity back through the union loop would keep every
+    # field of the system, so the differential sweeps cannot see it: at
+    # p = 0 on every GRID row, no range that unite receives meets an
+    # identity block
+    ranges = []
+    unite = center_module._SignedForest.unite
+
+    def recording(self, x0, y0, length, s):
+        ranges.append((x0, y0, length))
+        return unite(self, x0, y0, length, s)
+
+    monkeypatch.setattr(center_module._SignedForest, "unite", recording)
+    unions = 0
+    for r, n, m in GRID:
+        omega = OmegaParams(r, n, m)
+        W = solver_margin(omega) + 2
+        ranges.clear()
+        system = _build_system.__wrapped__(omega, W, 2, 0)
+        held = bytearray(system.unknowns)
+        for (_, _, t), bv in system.lines:
+            for s, x0 in bv:
+                if s < 0:
+                    held[x0:x0 + 2 * W + 1 - abs(t)] = b"\1" * (2 * W + 1 - abs(t))
+        for x0, y0, length in ranges:
+            assert 1 not in held[x0:x0 + length] and 1 not in held[y0:y0 + length], ((r, n, m), x0, y0, length)
+        unions += len(ranges)
+    # the r = 1 rows still unite the e' slot
+    assert unions > 0
+
+
 def _oracle_form(plan: tuple) -> tuple:
     # a plan of center._plan_pieces as tests/line_plans.py states it: each
     # target without its place k in ModelParams.generators
