@@ -20,6 +20,8 @@ Each mechanism is documented where it lives:
   read off the layout, and why: _identity_rows;
 - a report, and what it works out only when read, its basis and the
   visibility of its socle classes: SolveReport;
+- a line's cells in a box: _span; the roots that a block of unknowns
+  holds, which the build's read pass and the namer both ask: _held;
 - the naming of a report's basis, run by run: _named_components;
 - an element's line map and its read-only view: CenterElement and
   _SlotView; the gate for values built by hand: _slot_map; the product:
@@ -326,6 +328,13 @@ def _power_gap(params: ModelParams, k: int, i: int) -> int:
     return k * (params.n + params.m) - (params.m if i == 0 else 0)
 
 
+def _span(W: int, t: int) -> tuple[int, int]:
+    """The a of the line of gap t in the box [-W, W]^2, the cells (a, a +
+    t) with both ends in [-W, W], as (a_lo, a_hi), empty (a_lo > a_hi)
+    where |t| > 2W: the one statement of a line's place in a box."""
+    return (-W - t, W) if t < 0 else (-W, W - t)
+
+
 def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> CenterElement:
     """The generator as a CenterElement on the box [-window, window]^2:
     the basis arrow of one slot at every vertex of its support.  The
@@ -366,8 +375,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
         for t in range(lo, min(hi, 2 * W) + 1):
             if not in_gaps(hom, t):
                 raise InconsistencyError(f"{missing} {Vertex(family, i, -W, t - W)!r}")
-            # the a of the line in the box [-W, W]^2
-            a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
+            a0, a1 = _span(W, t)
             if a0 <= a1:
                 lines[family, i, t] = ((a0, a1, value),)
     variant = "graded" if spec.name == "eta_prime" else "commutative"
@@ -462,10 +470,6 @@ def check_membership(
     sources = params.generators_into
     lines = _slot_map(params, el).lines
 
-    def inner(t: int) -> tuple:
-        # the a of the line at gap t in the inner box
-        return (-Wi - t, Wi) if t < 0 else (-Wi, Wi - t)
-
     # Each walk keeps its intervals as (rows per cell, a0, a1, keys), the
     # keys (_at) placing the cell at a in the walk's order, and its
     # failures as (place of the first a, what to name); on a failure the
@@ -499,7 +503,7 @@ def check_membership(
     failed: list = []
     pieces_of: dict = {}
     for f, i, t in starts:
-        lo_v, hi_v = inner(t)
+        lo_v, hi_v = _span(Wi, t)
         if lo_v > hi_v or not in_gaps(vertex_gaps.get((f, i)), t):
             continue
         if (f, i) not in pieces_of:
@@ -511,7 +515,7 @@ def check_membership(
             w_line = lines.get((g, j, u), ())
             if not (v_line or w_line):
                 continue
-            lo_w, hi_w = inner(u)
+            lo_w, hi_w = _span(Wi, u)
             out_key, in_key = (0, f, i, 0, t, k, 0), (1, g, j, da, da + u, (f, i, k), t)
             for a0, a1, vv, vw in _overlay(v_line, w_line, da, max(lo_v, lo_w - da), min(hi_v, hi_w - da)):
                 if vv is not None:
@@ -544,7 +548,7 @@ def check_membership(
         visit[f, j, t - s2 + s1] = None
     sign_spans: list = []
     for f, i, t in visit:
-        lo, hi = inner(t)
+        lo, hi = _span(Wi, t)
         if lo > hi:
             continue
         sj, s1, s2 = steps[f, i, 1]
@@ -715,10 +719,6 @@ class _System(namedtuple("_System", (*WORK_COUNTS, "classes", "readings", "lines
     unknown root[x].  No Vertex, ArrowGen or str is made until then."""
 
     __slots__ = ()
-
-    @property
-    def rows(self) -> int:
-        return self.naturality_rows + self.sign_rows
 
 
 def _meet(x: tuple | None, y: tuple | None) -> tuple | None:
@@ -1024,11 +1024,6 @@ def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict
     W = params.window
     steps = params.sigma_steps
     vertex_gaps = frame(params.omega, 0)[2]
-
-    def both(d: int) -> tuple:
-        # the x with x and x + d in [-W, W]
-        return (max(-W, -W - d), min(W, W - d))
-
     naturality_rows = sign_rows = 0
     kept: dict = {}
     for (f, i), (cuts, plans) in pieces_of.items():
@@ -1042,8 +1037,10 @@ def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict
             targets = []
             for g, j, da, du, along, place, rows in plan:
                 if (-1, -1) in rows:
-                    # the cells of the piece whose target lies in the box
-                    a, b = both(da), both(da + du)
+                    # the cells of the piece whose target lies in the box:
+                    # the a with a and a + da in [-W, W], the b with b and
+                    # b + da + du
+                    a, b = _span(W, da), _span(W, da + du)
                     if not along:
                         a, b = (max(a[0], b[0]), min(a[1], b[1])), (-W, W)
                     naturality_rows += _cells(a, b, gaps)
@@ -1053,8 +1050,18 @@ def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict
             work.append(tuple(targets))
         kept[f, i] = cuts, work
         _, s1, s2 = steps[f, i, 1]
-        sign_rows += _cells(both(s1), both(s2), (lo, 2 * W))
+        sign_rows += _cells(_span(W, s1), _span(W, s2), (lo, 2 * W))
     return naturality_rows, sign_rows, kept
+
+
+def _held(block: list, roots: set) -> tuple | set:
+    """The members of roots that occur in block, a block's slice of the
+    union-find's roots.  Most blocks end in one component, which one
+    count shows; only a block with more is intersected with roots."""
+    x = block[0]
+    if block.count(x) == len(block):
+        return (x,) if x in roots else ()
+    return roots.intersection(block)
 
 
 _builds = 0
@@ -1113,7 +1120,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     shift_p, gaps, vertex_gaps = frame(omega, p)
 
     # The line (f, i, t) is the diagonal of vertices (f, i, a, a + t) in
-    # the box, a from -W - min(t, 0) to W - max(t, 0), none if |t| > 2W.
+    # the box, a from a0 to a1 (_span), none if |t| > 2W.
     # Hom(v, Sigma^p v) depends on the gap t alone, so each slot of it
     # (-1 for the identity, else the arrow's degree) gets one block of
     # unknowns along the line: lines[f, i, t] maps the slot to the index
@@ -1130,12 +1137,13 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
         hi = 2 * W if hi is None else min(hi, 2 * W)
         start = count
         for t in range(lo, hi + 1):
+            a0, a1 = _span(W, t)
             slots = lines.get((f, i, t))
             if slots is None:
                 slots = lines[f, i, t] = {}
-                vertices += 2 * W + 1 - abs(t)
+                vertices += a1 - a0 + 1
             slots[d] = count
-            count += 2 * W + 1 - abs(t)
+            count += a1 - a0 + 1
         if d < 0:
             identity.append((start, count))
 
@@ -1163,10 +1171,10 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
             continue
         # the a of the line, and of its target line at the gap u, in the
         # box: a0..a1 and b0..b1
-        a0, a1 = (-W - t, W) if t < 0 else (-W, W - t)
+        a0, a1 = _span(W, t)
         for g, j, da, du, along, _, rows in plan:
             u = (t if along else 0) + du
-            b0, b1 = (-W - u, W) if u < 0 else (-W, W - u)
+            b0, b1 = _span(W, u)
             lo = b0 - da if b0 - da > a0 else a0
             hi = b1 - da if b1 - da < a1 else a1
             if lo > hi:
@@ -1187,7 +1195,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
                     merges += unite(x0, y0, length, 1)
         # sign law v -> Sigma v: Sigma beta starts at Sigma v, same degree
         u = t + s2 - s1
-        b0, b1 = (-W - u, W) if u < 0 else (-W, W - u)
+        b0, b1 = _span(W, u)
         lo = b0 - s1 if b0 - s1 > a0 else a0
         hi = b1 - s1 if b1 - s1 < a1 else a1
         if lo <= hi:
@@ -1217,36 +1225,27 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     del forest, unite
 
     # The components that meet the inner window, read off each block's
-    # slice in the inner box (the a from max(-inner, -inner - t) to
-    # min(inner, inner - t)), less those forced to zero; then the class
-    # tags of each, one per block that holds a member.  Where every
-    # component is forced to zero, there is none to look for.  The
-    # identity's blocks are not read: their one component meets the
+    # slice in the inner box (_span), less those forced to zero; then the
+    # class tags of each, one per block that holds a member (_held).
+    # Where every component is forced to zero, there is none to look for.
+    # The identity's blocks are not read: their one component meets the
     # inner box, which holds a vertex, and its tag is scalar's.
     meets: set = set()
     tags: dict = {}
     if len(dead) < count - merges:
         blocks = [(f, i, t, s, x0) for (f, i, t), bv in lines.items() for s, x0 in bv.items() if s >= 0]
         for f, i, t, s, x0 in blocks:
-            a0 = -W - min(t, 0)
-            k0 = max(-inner, -inner - t) - a0
-            k1 = min(inner, inner - t) - a0 + 1
-            if k0 < k1:
-                meets.update(root[x0 + k0:x0 + k1])
+            (a0, _), (c0, c1) = _span(W, t), _span(inner, t)
+            if c0 <= c1:
+                meets.update(root[x0 + c0 - a0:x0 + c1 - a0 + 1])
         meets -= dead
         tags = {x: set() for x in meets}
         if identity:
             meets.add(scalar_root)
             tags[scalar_root] = {_class_tag(params, p, 0, 0, None)}
         for f, i, t, s, x0 in blocks:
-            length = 2 * W + 1 - abs(t)
-            block = root[x0:x0 + length]
-            x = block[0]
-            # most blocks end in one component
-            if block.count(x) == length:
-                roots = (x,) if x in meets else ()
-            else:
-                roots = meets.intersection(block)
+            a0, a1 = _span(W, t)
+            roots = _held(root[x0:x0 + a1 - a0 + 1], meets)
             if roots:
                 tag = _class_tag(params, p, i, t, rules[f, f, s, i][0])
                 for x in roots:
@@ -1313,17 +1312,17 @@ def _named_components(report: SolveReport) -> list:
     rules, shift_p = params.rules, frame(params.omega, report.p)[0]
     root, sign = system.root, system.sign
     wanted = {x: (odd and not plain, tags) for x, odd, tags in system.classes}
+    roots = set(wanted)
     heads: dict = {}
     found_runs: dict[int, list[tuple]] = {x: [] for x in wanted}
     for (f, i, t), bv in system.lines:
-        a0, length = -W - min(t, 0), 2 * W + 1 - abs(t)
-        # the block's slice in the inner box, the a from max(-inner,
-        # -inner - t) to min(inner, inner - t), if any
-        k0 = max(-inner, -inner - t) - a0
-        k1 = max(k0, min(inner, inner - t) - a0 + 1)
+        # the line's a in the box, and its block's slice in the inner box,
+        # k0..k1 - 1, if any
+        (a0, a1), (c0, c1) = _span(W, t), _span(inner, t)
+        k0, k1 = c0 - a0, max(c0, c1 + 1) - a0
         for s, x0 in bv:
-            block = root[x0:x0 + length]
-            found = wanted.keys() & block
+            block = root[x0:x0 + a1 - a0 + 1]
+            found = _held(block, roots)
             if not found:
                 continue
             prefix = "None" if s < 0 else rules[f, f, s, i][0] + ":"

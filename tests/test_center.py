@@ -16,10 +16,12 @@ from gradedcenter.center import (
     CenterElement,
     GeneratorSpec,
     _build_system,
+    _held,
     _lines,
     _plan_pieces,
     _slot_map,
     _SlotView,
+    _span,
     _System,
     check_membership,
     class_visibility_map,
@@ -1309,6 +1311,43 @@ def test_degree_zero_identity_never_reaches_the_union_loop(monkeypatch):
         unions += len(ranges)
     # the r = 1 rows still unite the e' slot
     assert unions > 0
+
+
+def test_span_is_the_line_in_the_box():
+    # the a of each line of the box [-W, W]^2, against the box's cells
+    # listed one by one: empty exactly where no cell has the gap
+    for W in range(1, 7):
+        cells = [(a, b) for a in range(-W, W + 1) for b in range(-W, W + 1)]
+        for t in range(-2 * W - 2, 2 * W + 3):
+            a_lo, a_hi = _span(W, t)
+            assert list(range(a_lo, a_hi + 1)) == [a for a, b in cells if b - a == t], (W, t)
+            assert (a_lo > a_hi) == (abs(t) > 2 * W), (W, t)
+
+
+def test_held_is_the_intersection_with_the_block():
+    # uniform, mixed and disjoint blocks, as the read pass and the namer
+    # meet them, then random ones
+    roots = {3, 5, 8}
+    blocks = [[3] * 4, [4] * 4, [3], [7], [3, 3, 5, 5, 3], [3, 4, 4], [4, 6, 4], [8, 5, 3, 9]]
+    for block in blocks:
+        assert set(_held(block, roots)) == roots.intersection(block), block
+    rng = random.Random(40)
+    for _ in range(300):
+        block = [rng.randrange(6) for _ in range(rng.randint(1, 6))]
+        roots = set(rng.sample(range(6), rng.randint(0, 3)))
+        assert set(_held(block, roots)) == roots.intersection(block), (block, roots)
+
+
+def test_slot_view_prints_as_its_dict():
+    # a view prints as the dict {Vertex: Morphism} of its items, in key
+    # order, each value built from its slot
+    params = params_for(1, 1, 0, window=2)
+    view = make_generator(params, GeneratorSpec("eta_zero"), 1).assignment
+    assert repr(view) == repr({v: view[v] for v in sorted(view)})
+    assert repr(view).startswith(
+        "{X(0)[-1,-1]: Morphism(source=X(0)[-1,-1], target=X(0)[-1,-1], terms={e':X(0)[-1,-1]->X(0)[-1,-1]: 1}), ")
+    assert repr(view).count("Morphism(") == 3
+    assert repr(_SlotView(params, 0, {})) == "{}"
 
 
 def _oracle_form(plan: tuple) -> tuple:

@@ -127,6 +127,38 @@ def test_the_sign_laws_are_written_once():
     assert len(found) == 1 and found[0][0] == "center", found
 
 
+def test_a_line_span_is_written_once():
+    # the a of a line in a box is stated once, in center._span: no other
+    # function of center.py takes a gap from a negated bound (-W - t, -W -
+    # min(t, 0)), a min or max of a gap and 0 from a bound (W - max(t,
+    # 0)), or |t| (2W + 1 - |t|, a line's length).  A block's
+    # one-component count is stated once, in center._held; the forest's
+    # unite counts a range's roots too, to size the component it hangs
+    tree = ast.parse((SRC / "center.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                  for item in node.body if isinstance(item, ast.FunctionDef)]
+    span, count = set(), set()
+    for function in functions:
+        for node in ast.walk(function):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                left, right = node.left, node.right
+                negated = isinstance(left, ast.UnaryOp) and isinstance(left.op, ast.USub)
+                if negated and isinstance(left.operand, ast.Name):
+                    span.add(function.name)
+                if isinstance(right, ast.Call) and getattr(right.func, "id", None) in ("min", "max") and any(
+                        isinstance(arg, ast.Constant) and arg.value == 0 for arg in right.args):
+                    span.add(function.name)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "abs":
+                span.add(function.name)
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Call) and getattr(side.func, "attr", None) == "count"
+                    for side in (node.left, *node.comparators)):
+                count.add(function.name)
+    assert span == {"_span"}
+    assert count == {"_held", "unite"}
+
+
 def test_only_law_sign_compares_a_law():
     # the sign law is stated once, in center.law_sign: no other
     # comparison in src/ names the graded or the commutative law
