@@ -468,7 +468,7 @@ def _c9_determinism():
             ["validate", qpath],
             ["lambda", "--r", "2", "--n", "3", "--m", "1"],
             ["hom", "--r", "1", "--n", "2", "--m", "0", "--family", "Y",
-             "--i", "0", "--a", "0", "--b", "2", "--p", "1", "--window", "8"],
+             "--i", "0", "--a", "0", "--b", "2", "--p", "1"],
             ["center", "--r", "1", "--n", "2", "--m", "0", "--p", "2",
              "--variant", "graded", "--field", "3", "--window", "10"],
             ["ring", "--r", "1", "--n", "1", "--m", "0", "--char", "2"],

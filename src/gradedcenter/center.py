@@ -1115,9 +1115,9 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     rules = params.rules
     steps = params.sigma_steps
 
-    # per (family, i): Sigma^p as a translation (j, da, db), the slots of
-    # Hom(v, Sigma^p v) with their gaps, and the gaps of a vertex
-    shift_p, gaps, vertex_gaps = frame(omega, p)
+    # per (family, i): the slots of Hom(v, Sigma^p v) with their gaps, and
+    # the gaps of a vertex
+    _, gaps, vertex_gaps = frame(omega, p)
 
     # The line (f, i, t) is the diagonal of vertices (f, i, a, a + t) in
     # the box, a from a0 to a1 (_span), none if |t| > 2W.

@@ -71,7 +71,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_hom(args) -> int:
-    params = ModelParams(_omega(args), args.window)
+    params = ModelParams(_omega(args))
     v = make_vertex(params, args.family, args.i, args.a, args.b)
     if args.p < 0:
         print("error: --p must be >= 0", file=sys.stderr)
@@ -162,7 +162,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--p", type=int, required=True, help="suspension degree")
-    p.add_argument("--window", type=int, default=10)
     p.set_defaults(func=_cmd_hom)
 
     p = sub.add_parser("center", help="solve one degree of the graded or commutative center")

@@ -70,8 +70,7 @@ def commands() -> list:
     rings = [["ring", *_params(r, n, m), "--variant", variant, "--char", char]
              for r, n, m in GRID for variant in ("graded", "commutative") for char in ("2", "3")]
     criterion_9 = [
-        ["hom", *_params(1, 2, 0), "--family", "Y", "--i", "0", "--a", "0", "--b", "2", "--p", "1",
-         "--window", "8"],
+        ["hom", *_params(1, 2, 0), "--family", "Y", "--i", "0", "--a", "0", "--b", "2", "--p", "1"],
         ["center", *_params(1, 2, 0), "--p", "2", "--variant", "graded", "--field", "3", "--window", "10"],
         ["ar", *_params(2, 3, 0), "--window", "1"],
     ]

@@ -134,6 +134,16 @@ def test_hom_large_degree_finishes(capsys):
     assert "closed form: 0" in out.splitlines()
 
 
+def test_hom_takes_no_window(capsys):
+    # Hom(v, Sigma^p v) does not depend on the box, so hom has no window
+    code, out, err = run(
+        capsys, "hom", "--r", "1", "--n", "2", "--m", "0",
+        "--family", "Y", "--i", "0", "--a", "0", "--b", "2", "--p", "1", "--window", "8",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --window 8\n"
+
+
 def test_hom_rejects_nonexistent_vertex(capsys):
     code, _out, err = run(
         capsys, "hom", "--r", "1", "--n", "2", "--m", "0",

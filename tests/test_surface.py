@@ -60,6 +60,42 @@ def test_every_import_is_read():
     assert dead == []
 
 
+def test_every_local_is_read():
+    # a name a function or method of src/ stores is loaded there or in a
+    # function nested in it; parameters, global and nonlocal names and
+    # _-prefixed names are exempt, and anything else is dead
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    functions, dead = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, scopes):
+                continue
+            functions += 1
+            args = fn.args
+            exempt = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None}
+            stored, stack = set(), list(ast.iter_child_nodes(fn))
+            while stack:
+                # the function's own body: a nested function is a scope of its own
+                node = stack.pop()
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    stored.add(node.id)
+                elif isinstance(node, ast.ExceptHandler) and node.name:
+                    stored.add(node.name)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    stored.add(node.name)
+                elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                    exempt.update(node.names)
+                if not isinstance(node, scopes):
+                    stack.extend(ast.iter_child_nodes(node))
+            loaded = {node.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            dead += [(path.stem, getattr(fn, "name", "<lambda>"), name)
+                     for name in sorted(stored - loaded - exempt) if not name.startswith("_")]
+    assert functions > 100
+    assert dead == []
+
+
 def test_every_private_name_is_read():
     # a private name defined at module level, or a private method of a
     # module-level class, is read somewhere in src/; anything else is dead
