@@ -716,7 +716,9 @@ class _System(namedtuple("_System", (*WORK_COUNTS, "classes", "readings", "lines
     (_named_components): lines, the layout, as ((family, i, gap), ((slot,
     index at the least a), ...)) in build order; and root and sign, the
     union-find hung on its roots: the unknown x is sign[x] times the
-    unknown root[x].  No Vertex, ArrowGen or str is made until then."""
+    unknown root[x].  Where the identity is the only slot laid out (degree
+    0 wherever r >= 2) no forest is made: every root is R and every sign
+    +1 (_identity_rows).  No Vertex, ArrowGen or str is made until then."""
 
     __slots__ = ()
 
@@ -951,9 +953,12 @@ class _SignedForest:
 
 def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict]:
     """Degree 0's identity block on the window params.window, settled from
-    the layout: its naturality rows and its sign-law rows, counted in
-    closed form (_cells), and pieces_of with its rows taken out, the
-    rows that _build_system still imposes.  The build roots every
+    the layout: its naturality rows, counted in closed form (_cells) at
+    each generating arrow over the gaps where its target is a vertex,
+    which is where its row stands (Closed, below), and its sign-law rows,
+    so that no plan is read; and pieces_of with the identity's rows taken
+    out, the rows that _build_system still imposes where slot 2 is laid
+    out too (r = 1; pieces_of is empty elsewhere).  The build roots every
     identity unknown at R, the unknown at offset 1 of the first laid line
     where r >= 2 and at offset m + 1 where r = 1, and counts one merge
     fewer than the unknowns: what the union loop makes of the same rows,
@@ -1025,32 +1030,36 @@ def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict
     steps = params.sigma_steps
     vertex_gaps = frame(params.omega, 0)[2]
     naturality_rows = sign_rows = 0
-    kept: dict = {}
-    for (f, i), (cuts, plans) in pieces_of.items():
-        least = vertex_gaps[f, i][0]
+    for (f, i), (least, _) in vertex_gaps.items():
         lo = -2 * W if least is None else max(least, -2 * W)
-        # the gaps of the lines of each piece
-        ends = [lo, *(max(lo, cut) for cut in cuts), 2 * W + 1]
-        work = []
-        for k, plan in enumerate(plans):
-            gaps = (ends[k], min(ends[k + 1], 2 * W + 1) - 1)
-            targets = []
-            for g, j, da, du, along, place, rows in plan:
-                if (-1, -1) in rows:
-                    # the cells of the piece whose target lies in the box:
-                    # the a with a and a + da in [-W, W], the b with b and
-                    # b + da + du
-                    a, b = _span(W, da), _span(W, da + du)
-                    if not along:
-                        a, b = (max(a[0], b[0]), min(a[1], b[1])), (-W, W)
-                    naturality_rows += _cells(a, b, gaps)
-                    rows = tuple(row for row in rows if row != (-1, -1))
-                if rows:
-                    targets.append((g, j, da, du, along, place, rows))
-            work.append(tuple(targets))
-        kept[f, i] = cuts, work
+        for g, j, da, db, _, along in params.generators[f, i]:
+            # the gaps from t0 up, at which the target's gap, db - da plus
+            # t where along is set, is a vertex's
+            t0, target = lo, vertex_gaps[g, j][0]
+            if target is not None:
+                if along:
+                    t0 = max(lo, target - db + da)
+                elif db - da < target:
+                    continue
+            # the cells whose target lies in the box: the a with a and a +
+            # da in [-W, W], the b with b and b + db
+            a, b = _span(W, da), _span(W, db)
+            if not along:
+                a, b = (max(a[0], b[0]), min(a[1], b[1])), (-W, W)
+            naturality_rows += _cells(a, b, (t0, 2 * W))
         _, s1, s2 = steps[f, i, 1]
         sign_rows += _cells(_span(W, s1), _span(W, s2), (lo, 2 * W))
+    kept: dict = {}
+    for key, (cuts, plans) in pieces_of.items():
+        work = []
+        for plan in plans:
+            targets = []
+            for *target, rows in plan:
+                rows = tuple(row for row in rows if row != (-1, -1))
+                if rows:
+                    targets.append((*target, rows))
+            work.append(tuple(targets))
+        kept[key] = cuts, work
     return naturality_rows, sign_rows, kept
 
 
@@ -1101,7 +1110,10 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     field for field, root and sign included.  At degree 0 the identity's
     rows are left out of the unions, and its one component is settled
     from the layout, root, counts and class alike (_identity_rows), so a
-    line that holds the identity alone and no other row is skipped.
+    line that holds the identity alone and no other row is skipped.  Where
+    the identity is the only slot laid out, as wherever r >= 2, that
+    settles the whole system: no plan is read, no forest is made and no
+    line is visited, and its one class is read as every build's is.
 
     A line whose Hom(v, Sigma^p v) is 0 gets no unknowns and no plan, so
     the rows out of it are never imposed: rows (None, s) that force the
@@ -1147,109 +1159,116 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
         if d < 0:
             identity.append((start, count))
 
-    # Each line imposes each row of its plan (_plan_pieces) on every a at
-    # once: the a where v and w both lie in the box, an interval.
-    pieces_of = {key: _plan_pieces(omega, p, *key) for key in {(f, i) for f, i, _ in lines}}
-    forest = _SignedForest(count, sign < 0)
-    zero = forest.zero
-    unite = forest.unite
     naturality_rows = sign_rows = merges = 0
-    # at degree 0, the only degree with an identity slot, the identity's
-    # rows are counted but not imposed (_identity_rows)
     if identity:
-        naturality_rows, sign_rows, pieces_of = _identity_rows(params, pieces_of)
-    here = None
-    for (f, i, t), bv in lines.items():
-        if (f, i) != here:
-            # the lines of one (f, i) come in one run
-            here = f, i
-            cuts, plans = pieces_of[f, i]
-            sj, s1, s2 = steps[f, i, 1]
-        plan = plans[bisect_right(cuts, t)]
-        if not plan and len(bv) == 1 and -1 in bv:
-            # the identity alone, whose rows are counted already
-            continue
-        # the a of the line, and of its target line at the gap u, in the
-        # box: a0..a1 and b0..b1
-        a0, a1 = _span(W, t)
-        for g, j, da, du, along, _, rows in plan:
-            u = (t if along else 0) + du
-            b0, b1 = _span(W, u)
-            lo = b0 - da if b0 - da > a0 else a0
-            hi = b1 - da if b1 - da < a1 else a1
-            if lo > hi:
-                continue
-            bw = lines.get((g, j, u))
-            length = hi - lo + 1
-            naturality_rows += len(rows) * length
-            for left, right in rows:
-                if left is not None:
-                    x0 = bv[left] + lo - a0
-                if right is not None:
-                    y0 = bw[right] + lo + da - b0
-                if left is None:
-                    zero[y0:y0 + length] = b"\1" * length
-                elif right is None:
-                    zero[x0:x0 + length] = b"\1" * length
-                else:
-                    merges += unite(x0, y0, length, 1)
-        # sign law v -> Sigma v: Sigma beta starts at Sigma v, same degree
-        u = t + s2 - s1
-        b0, b1 = _span(W, u)
-        lo = b0 - s1 if b0 - s1 > a0 else a0
-        hi = b1 - s1 if b1 - s1 < a1 else a1
-        if lo <= hi:
-            other = lines.get((f, sj, u), {})
-            for s, x in bv.items():
-                if s < 0:
-                    continue
-                y = other.get(s)
-                if y is None:
-                    raise InconsistencyError(
-                        f"suspension of unknown left the system at {Vertex(f, i, lo, lo + t)!r}")
-                merges += unite(y + lo + s1 - b0, x + lo - a0, hi - lo + 1, sign)
-                sign_rows += hi - lo + 1
-
-    # every unknown holds its root already: gather the marks there, if
-    # any is set
-    root, signs = forest.root, forest.sign
-    if identity:
-        # the identity's one component, rooted at R (_identity_rows)
+        # degree 0, the only degree with an identity slot: the identity's
+        # rows are counted but not imposed, and its unknowns make one
+        # component, rooted at R (_identity_rows)
         scalar_root = 1 if params.r > 1 else params.m + 1
+        merges = sum(x1 - x0 for x0, x1 in identity) - 1
+    if identity and merges == count - 1:
+        # every unknown is the identity's, the only slot laid out: the
+        # layout settles the system, with no plan, no forest and no mark
+        naturality_rows, sign_rows, _ = _identity_rows(params, {})
+        root, signs = (scalar_root,) * count, (1,) * count
+        dead, odd, blocks = set(), set(), []
+    else:
+        # Each line imposes each row of its plan (_plan_pieces) on every a
+        # at once: the a where v and w both lie in the box, an interval.
+        pieces_of = {key: _plan_pieces(omega, p, *key) for key in {(f, i) for f, i, _ in lines}}
+        if identity:
+            naturality_rows, sign_rows, pieces_of = _identity_rows(params, pieces_of)
+        forest = _SignedForest(count, sign < 0)
+        zero = forest.zero
+        unite = forest.unite
+        here = None
+        for (f, i, t), bv in lines.items():
+            if (f, i) != here:
+                # the lines of one (f, i) come in one run
+                here = f, i
+                cuts, plans = pieces_of[f, i]
+                sj, s1, s2 = steps[f, i, 1]
+            plan = plans[bisect_right(cuts, t)]
+            if not plan and len(bv) == 1 and -1 in bv:
+                # the identity alone, whose rows are counted already
+                continue
+            # the a of the line, and of its target line at the gap u, in
+            # the box: a0..a1 and b0..b1
+            a0, a1 = _span(W, t)
+            for g, j, da, du, along, _, rows in plan:
+                u = (t if along else 0) + du
+                b0, b1 = _span(W, u)
+                lo = b0 - da if b0 - da > a0 else a0
+                hi = b1 - da if b1 - da < a1 else a1
+                if lo > hi:
+                    continue
+                bw = lines.get((g, j, u))
+                length = hi - lo + 1
+                naturality_rows += len(rows) * length
+                for left, right in rows:
+                    if left is not None:
+                        x0 = bv[left] + lo - a0
+                    if right is not None:
+                        y0 = bw[right] + lo + da - b0
+                    if left is None:
+                        zero[y0:y0 + length] = b"\1" * length
+                    elif right is None:
+                        zero[x0:x0 + length] = b"\1" * length
+                    else:
+                        merges += unite(x0, y0, length, 1)
+            # sign law v -> Sigma v: Sigma beta starts at Sigma v, same degree
+            u = t + s2 - s1
+            b0, b1 = _span(W, u)
+            lo = b0 - s1 if b0 - s1 > a0 else a0
+            hi = b1 - s1 if b1 - s1 < a1 else a1
+            if lo <= hi:
+                other = lines.get((f, sj, u), {})
+                for s, x in bv.items():
+                    if s < 0:
+                        continue
+                    y = other.get(s)
+                    if y is None:
+                        raise InconsistencyError(
+                            f"suspension of unknown left the system at {Vertex(f, i, lo, lo + t)!r}")
+                    merges += unite(y + lo + s1 - b0, x + lo - a0, hi - lo + 1, sign)
+                    sign_rows += hi - lo + 1
+
+        # every unknown holds its root already, but the identity's: gather
+        # the marks there, if any is set
+        root, signs = forest.root, forest.sign
         for x0, x1 in identity:
             root[x0:x1] = [scalar_root] * (x1 - x0)
-        merges += sum(x1 - x0 for x0, x1 in identity) - 1
-    dead = set(compress(root, zero)) if 1 in zero else set()
-    odd = set(compress(root, forest.parity)) if 1 in forest.parity else set()
-    # free the ring and the sizes before the tuples below are made
-    del forest, unite
+        dead = set(compress(root, zero)) if 1 in zero else set()
+        odd = set(compress(root, forest.parity)) if 1 in forest.parity else set()
+        # free the ring and the sizes before the tuples below are made
+        del forest, unite
+        # the blocks to scan, none where every component is forced to zero
+        blocks = []
+        if len(dead) < count - merges:
+            blocks = [(f, i, t, s, x0) for (f, i, t), bv in lines.items() for s, x0 in bv.items() if s >= 0]
 
     # The components that meet the inner window, read off each block's
     # slice in the inner box (_span), less those forced to zero; then the
-    # class tags of each, one per block that holds a member (_held).
-    # Where every component is forced to zero, there is none to look for.
-    # The identity's blocks are not read: their one component meets the
-    # inner box, which holds a vertex, and its tag is scalar's.
+    # class tags of each, one per block that holds a member (_held).  The
+    # identity's blocks are not read: their one component meets the inner
+    # box, which holds a vertex, and its tag is scalar's.
     meets: set = set()
-    tags: dict = {}
-    if len(dead) < count - merges:
-        blocks = [(f, i, t, s, x0) for (f, i, t), bv in lines.items() for s, x0 in bv.items() if s >= 0]
-        for f, i, t, s, x0 in blocks:
-            (a0, _), (c0, c1) = _span(W, t), _span(inner, t)
-            if c0 <= c1:
-                meets.update(root[x0 + c0 - a0:x0 + c1 - a0 + 1])
-        meets -= dead
-        tags = {x: set() for x in meets}
-        if identity:
-            meets.add(scalar_root)
-            tags[scalar_root] = {_class_tag(params, p, 0, 0, None)}
-        for f, i, t, s, x0 in blocks:
-            a0, a1 = _span(W, t)
-            roots = _held(root[x0:x0 + a1 - a0 + 1], meets)
-            if roots:
-                tag = _class_tag(params, p, i, t, rules[f, f, s, i][0])
-                for x in roots:
-                    tags[x].add(tag)
+    for f, i, t, s, x0 in blocks:
+        (a0, _), (c0, c1) = _span(W, t), _span(inner, t)
+        if c0 <= c1:
+            meets.update(root[x0 + c0 - a0:x0 + c1 - a0 + 1])
+    meets -= dead
+    tags = {x: set() for x in meets}
+    if identity:
+        meets.add(scalar_root)
+        tags[scalar_root] = {_class_tag(params, p, 0, 0, None)}
+    for f, i, t, s, x0 in blocks:
+        a0, a1 = _span(W, t)
+        roots = _held(root[x0:x0 + a1 - a0 + 1], meets)
+        if roots:
+            tag = _class_tag(params, p, i, t, rules[f, f, s, i][0])
+            for x in roots:
+                tags[x].add(tag)
     classes = tuple((x, x in odd, tuple(sorted(tags[x], key=str))) for x in sorted(meets))
     # both readings (_System), one without a parity conflict
     readings = []

@@ -1313,6 +1313,40 @@ def test_degree_zero_identity_never_reaches_the_union_loop(monkeypatch):
     assert unions > 0
 
 
+def test_identity_alone_is_built_without_plans_or_forest(monkeypatch):
+    # where degree 0 lays out the identity's slot alone, as on every GRID
+    # row with r >= 2, the layout settles the system: no plan is read and
+    # no forest is made; where slot 2 is laid out too (r = 1), a forest
+    # still is
+    made = []
+
+    class Recording(center_module._SignedForest):
+        __slots__ = ()
+
+        def __init__(self, count, signed):
+            made.append("forest")
+            super().__init__(count, signed)
+
+    def recording(*key):
+        made.append("plan")
+        return _plan_pieces(*key)
+
+    monkeypatch.setattr(center_module, "_SignedForest", Recording)
+    monkeypatch.setattr(center_module, "_plan_pieces", recording)
+    alone = []
+    for r, n, m in GRID:
+        omega = OmegaParams(r, n, m)
+        W = solver_margin(omega) + 2
+        made.clear()
+        system = _build_system.__wrapped__(omega, W, 2, 0)
+        if all(s < 0 for _, bv in system.lines for s, _ in bv):
+            alone.append(r)
+            assert made == [], (r, n, m)
+        else:
+            assert "forest" in made, (r, n, m)
+    assert alone == [r for r, _, _ in GRID if r > 1]
+
+
 def test_span_is_the_line_in_the_box():
     # the a of each line of the box [-W, W]^2, against the box's cells
     # listed one by one: empty exactly where no cell has the gap

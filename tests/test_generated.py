@@ -6,10 +6,22 @@ a failure is reported as the smallest case the shrinker found."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedcenter.center import _build_system, _cells, _held, _span, _System, solver_margin
+from gradedcenter.center import (
+    _build_system,
+    _cells,
+    _held,
+    _span,
+    _System,
+    check_membership,
+    membership_margin,
+    solve_component,
+    solver_margin,
+)
 from gradedcenter.gentle import OmegaParams
+from gradedcenter.model import ModelParams
 
 import line_build
+from object_membership import check_membership as object_check_membership
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
 
@@ -58,3 +70,48 @@ def test_build_matches_line_build(case):
     want = line_build.build_system(*case)
     for name in _System._fields:
         assert getattr(got, name) == getattr(want, name), (case, name)
+
+
+@st.composite
+def degree_zero_builds(draw):
+    n = draw(st.integers(1, 9))
+    omega = OmegaParams(draw(st.integers(1, n)), n, draw(st.integers(0, 6)))
+    inner = draw(st.integers(1, 20))
+    return omega, solver_margin(omega) + inner, inner, 0
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(case=degree_zero_builds())
+def test_degree_zero_build_matches_line_build(case):
+    # degree 0, which the draws above seldom reach and never at a large
+    # window: the identity's component, settled from the layout, against
+    # the union loop of the line build
+    got = _build_system.__wrapped__(*case)
+    want = line_build.build_system(*case)
+    for name in _System._fields:
+        assert getattr(got, name) == getattr(want, name), (case, name)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(
+    n=st.integers(1, 10),
+    data=st.data(),
+    variant=st.sampled_from(("graded", "commutative")),
+    char=st.sampled_from((2, 3, 5, 7)),
+    k=st.integers(0, 2),
+)
+def test_solver_basis_passes_membership(n, data, variant, char, k):
+    # every basis element of a drawn degree, solved on an inner window k
+    # past the membership margin, then checked on that window with inner
+    # window 1, where the whole check fits inside the solved box (as
+    # tests/pin_memberships.py does), by the check and by the object check
+    # it replaced
+    omega = OmegaParams(data.draw(st.integers(1, n)), n, data.draw(st.integers(0, 7)))
+    p = data.draw(st.integers(0, 2 * n + 1))
+    inner = membership_margin(omega) + 1 + k
+    W = solver_margin(omega) + inner
+    params = ModelParams(omega, W)
+    for el in solve_component(params, p, variant, char, W, inner).basis:
+        case = (omega, p, variant, char, inner)
+        assert check_membership(params, el, inner, 1, char=char, variant=variant) == (True, None), case
+        assert object_check_membership(params, el, inner, 1, char=char, variant=variant) == (True, None), case
