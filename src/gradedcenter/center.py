@@ -14,10 +14,12 @@ Each mechanism is documented where it lives:
   naturality that the solver and the check share: _plan_pieces;
 - the signed union-find, flat, and unsigned at even degrees:
   _SignedForest;
-- the build, one diagonal line at a time, and the one system that serves
-  both sign laws and every field of a degree: _build_system and _System;
-- degree 0's identity block, one component whose root and counts are
-  read off the layout, and why: _identity_rows;
+- the build, one diagonal line at a time, walking only the (family, i)
+  that hold a slot besides the identity's, and the one system that
+  serves both sign laws and every field of a degree: _build_system and
+  _System;
+- degree 0's identity block, one component whose rows and root are read
+  off the layout, and why: _identity_rows;
 - a report, and what it works out only when read, its basis and the
   visibility of its socle classes: SolveReport;
 - a line's cells in a box: _span; the roots that a block of unknowns
@@ -714,11 +716,12 @@ class _System(namedtuple("_System", (*WORK_COUNTS, "classes", "readings", "lines
 
     The rest is kept to name the basis when it is read
     (_named_components): lines, the layout, as ((family, i, gap), ((slot,
-    index at the least a), ...)) in build order; and root and sign, the
-    union-find hung on its roots: the unknown x is sign[x] times the
-    unknown root[x].  Where the identity is the only slot laid out (degree
-    0 wherever r >= 2) no forest is made: every root is R and every sign
-    +1 (_identity_rows).  No Vertex, ArrowGen or str is made until then."""
+    index at the least a), ...)) in build order, made before any array
+    over the unknowns; and root and sign, the union-find hung on its
+    roots: the unknown x is sign[x] times the unknown root[x].  Where no
+    (family, i) holds a slot besides the identity's (degree 0 wherever r
+    >= 2) no forest is made: every root is R and every sign +1
+    (_identity_rows).  No Vertex, ArrowGen or str is made until then."""
 
     __slots__ = ()
 
@@ -951,19 +954,18 @@ class _SignedForest:
         return merged
 
 
-def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict]:
+def _identity_rows(params: ModelParams) -> tuple[int, int, int]:
     """Degree 0's identity block on the window params.window, settled from
-    the layout: its naturality rows, counted in closed form (_cells) at
-    each generating arrow over the gaps where its target is a vertex,
-    which is where its row stands (Closed, below), and its sign-law rows,
-    so that no plan is read; and pieces_of with the identity's rows taken
-    out, the rows that _build_system still imposes where slot 2 is laid
-    out too (r = 1; pieces_of is empty elsewhere).  The build roots every
-    identity unknown at R, the unknown at offset 1 of the first laid line
-    where r >= 2 and at offset m + 1 where r = 1, and counts one merge
-    fewer than the unknowns: what the union loop makes of the same rows,
-    root included, on every window the solver admits (W >= solver_margin
-    + 1).  No case is left to the union loop.  Why:
+    the layout, as (naturality_rows, sign_rows, R): its naturality rows,
+    counted in closed form (_cells) at each generating arrow over the gaps
+    where its target is a vertex, which is where its row stands (Closed,
+    below), its sign-law rows, and its root R, the unknown at offset 1 of
+    the first laid line where r >= 2 and at offset m + 1 where r = 1 (The
+    root, below).  No plan is read.  The build imposes none of these rows:
+    it roots every identity unknown at R and counts one merge fewer than
+    the unknowns, what the union loop makes of the same rows, root
+    included, on every window the solver admits (W >= solver_margin + 1).
+    No case is left to the union loop.  Why:
 
     Closed.  At p = 0 the frame (hom.frame) holds the identity's slot -1
     at every gap and no slot 0, since a degree-0 arrow from v to itself
@@ -1026,6 +1028,7 @@ def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict
     g, since 2W + 1 - |t| is larger at t = g + k than at t = g - 1 - k.
     So R's is the larger at every merge, and it is the root.
     """
+    R = 1 if params.r > 1 else params.m + 1
     W = params.window
     steps = params.sigma_steps
     vertex_gaps = frame(params.omega, 0)[2]
@@ -1034,13 +1037,10 @@ def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict
         lo = -2 * W if least is None else max(least, -2 * W)
         for g, j, da, db, _, along in params.generators[f, i]:
             # the gaps from t0 up, at which the target's gap, db - da plus
-            # t where along is set, is a vertex's
-            t0, target = lo, vertex_gaps[g, j][0]
-            if target is not None:
-                if along:
-                    t0 = max(lo, target - db + da)
-                elif db - da < target:
-                    continue
+            # t where along is set, is a vertex's; the one arrow without
+            # along, X's e' corner, reaches gap 0, which every X(i) has
+            target = vertex_gaps[g, j][0]
+            t0 = max(lo, target - db + da) if along and target is not None else lo
             # the cells whose target lies in the box: the a with a and a +
             # da in [-W, W], the b with b and b + db
             a, b = _span(W, da), _span(W, db)
@@ -1049,18 +1049,7 @@ def _identity_rows(params: ModelParams, pieces_of: dict) -> tuple[int, int, dict
             naturality_rows += _cells(a, b, (t0, 2 * W))
         _, s1, s2 = steps[f, i, 1]
         sign_rows += _cells(_span(W, s1), _span(W, s2), (lo, 2 * W))
-    kept: dict = {}
-    for key, (cuts, plans) in pieces_of.items():
-        work = []
-        for plan in plans:
-            targets = []
-            for *target, rows in plan:
-                rows = tuple(row for row in rows if row != (-1, -1))
-                if rows:
-                    targets.append((*target, rows))
-            work.append(tuple(targets))
-        kept[key] = cuts, work
-    return naturality_rows, sign_rows, kept
+    return naturality_rows, sign_rows, R
 
 
 def _held(block: list, roots: set) -> tuple | set:
@@ -1107,13 +1096,21 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
     arithmetic and the unions of its rows.  The unions come in the order
     of a build that works out each line's rows itself on the forest this
     one replaced, tests/line_build.py, so the system is that build's
-    field for field, root and sign included.  At degree 0 the identity's
-    rows are left out of the unions, and its one component is settled
-    from the layout, root, counts and class alike (_identity_rows), so a
-    line that holds the identity alone and no other row is skipped.  Where
-    the identity is the only slot laid out, as wherever r >= 2, that
-    settles the whole system: no plan is read, no forest is made and no
-    line is visited, and its one class is read as every build's is.
+    field for field, root and sign included.
+
+    At degree 0 the identity's one component is settled from the layout,
+    root, counts and class alike (_identity_rows), and its rows are left
+    out of the unions.  So the union loop walks only the runs of the
+    (family, i) whose frame holds a slot besides the identity's, reads
+    only their plans, less the identity's rows, and skips every other
+    run.  At p = 0 the one such (family, i) is (X, 0) at r = 1: the
+    skipped lines, Y(0)'s and Z(0)'s, hold the identity alone, and so do
+    the targets of their generating arrows, which stay in Y and Z
+    (model._tables), so every row of theirs is the identity's (-1, -1).
+    At p > 0 every (family, i) laid out is walked.  A build that walks
+    none, as at p = 0 wherever r >= 2, reads no plan, makes no forest and
+    visits no line, and its one class, if any, is read as every build's
+    is.
 
     A line whose Hom(v, Sigma^p v) is 0 gets no unknowns and no plan, so
     the rows out of it are never imposed: rows (None, s) that force the
@@ -1158,40 +1155,50 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
             count += a1 - a0 + 1
         if d < 0:
             identity.append((start, count))
+    # the layout as _System keeps it, made before any array over the
+    # unknowns exists, so that the collections its many small tuples set
+    # off have no such array to walk
+    layout = tuple((key, tuple(bv.items())) for key, bv in lines.items())
 
-    naturality_rows = sign_rows = merges = 0
+    naturality_rows = sign_rows = merges = scalar_root = 0
     if identity:
         # degree 0, the only degree with an identity slot: the identity's
         # rows are counted but not imposed, and its unknowns make one
-        # component, rooted at R (_identity_rows)
-        scalar_root = 1 if params.r > 1 else params.m + 1
+        # component, rooted at scalar_root (_identity_rows)
+        naturality_rows, sign_rows, scalar_root = _identity_rows(params)
         merges = sum(x1 - x0 for x0, x1 in identity) - 1
-    if identity and merges == count - 1:
-        # every unknown is the identity's, the only slot laid out: the
-        # layout settles the system, with no plan, no forest and no mark
-        naturality_rows, sign_rows, _ = _identity_rows(params, {})
+    # the (f, i) whose frame holds a slot besides the identity's, the only
+    # ones with rows left to impose
+    walked = {(f, i) for f, i, d in gaps if d >= 0}
+    if not walked:
+        # every unknown, if any, is the identity's: the layout settles the
+        # system, with no plan, no forest and no mark
         root, signs = (scalar_root,) * count, (1,) * count
         dead, odd, blocks = set(), set(), []
     else:
         # Each line imposes each row of its plan (_plan_pieces) on every a
         # at once: the a where v and w both lie in the box, an interval.
-        pieces_of = {key: _plan_pieces(omega, p, *key) for key in {(f, i) for f, i, _ in lines}}
-        if identity:
-            naturality_rows, sign_rows, pieces_of = _identity_rows(params, pieces_of)
         forest = _SignedForest(count, sign < 0)
         zero = forest.zero
         unite = forest.unite
         here = None
         for (f, i, t), bv in lines.items():
             if (f, i) != here:
-                # the lines of one (f, i) come in one run
+                # the lines of one (f, i) come in one run, walked or skipped
+                # whole, which reads its pieces and its Sigma step once
                 here = f, i
-                cuts, plans = pieces_of[f, i]
-                sj, s1, s2 = steps[f, i, 1]
-            plan = plans[bisect_right(cuts, t)]
-            if not plan and len(bv) == 1 and -1 in bv:
-                # the identity alone, whose rows are counted already
+                walk = here in walked
+                if walk:
+                    cuts, plans = _plan_pieces(omega, p, f, i)
+                    sj, s1, s2 = steps[f, i, 1]
+                    if identity:
+                        # less the identity's rows, counted already
+                        plans = [tuple((*target, kept) for *target, rows in plan
+                                       if (kept := tuple(row for row in rows if row != (-1, -1))))
+                                 for plan in plans]
+            if not walk:
                 continue
+            plan = plans[bisect_right(cuts, t)]
             # the a of the line, and of its target line at the gap u, in
             # the box: a0..a1 and b0..b1
             a0, a1 = _span(W, t)
@@ -1245,7 +1252,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
         # the blocks to scan, none where every component is forced to zero
         blocks = []
         if len(dead) < count - merges:
-            blocks = [(f, i, t, s, x0) for (f, i, t), bv in lines.items() for s, x0 in bv.items() if s >= 0]
+            blocks = [(f, i, t, s, x0) for (f, i, t), bv in layout for s, x0 in bv if s >= 0]
 
     # The components that meet the inner window, read off each block's
     # slice in the inner box (_span), less those forced to zero; then the
@@ -1292,7 +1299,7 @@ def _build_system(omega, W: int, inner: int, p: int) -> _System:
         killed_parity=len(odd - dead),
         classes=classes,
         readings=(readings[0], readings[-1]),
-        lines=tuple((key, tuple(bv.items())) for key, bv in lines.items()),
+        lines=layout,
         root=tuple(root),
         sign=tuple(signs),
     )

@@ -1347,6 +1347,36 @@ def test_identity_alone_is_built_without_plans_or_forest(monkeypatch):
     assert alone == [r for r, _, _ in GRID if r > 1]
 
 
+def test_degree_zero_walks_only_the_family_with_another_slot(monkeypatch):
+    # at p = 0 with r = 1 < n, (X, 0) is the one (family, i) whose frame
+    # holds a slot besides the identity's: the build reads its plans and
+    # no other (family, i)'s, and still makes one forest, which slot 2
+    # needs
+    made = []
+
+    class Recording(center_module._SignedForest):
+        __slots__ = ()
+
+        def __init__(self, count, signed):
+            made.append("forest")
+            super().__init__(count, signed)
+
+    def recording(omega, p, f, i):
+        made.append((f, i))
+        return _plan_pieces(omega, p, f, i)
+
+    monkeypatch.setattr(center_module, "_SignedForest", Recording)
+    monkeypatch.setattr(center_module, "_plan_pieces", recording)
+    rows = [(r, n, m) for r, n, m in GRID if r == 1 < n]
+    assert rows
+    for r, n, m in rows:
+        omega = OmegaParams(r, n, m)
+        W = solver_margin(omega) + 2
+        made.clear()
+        _build_system.__wrapped__(omega, W, 2, 0)
+        assert sorted(made, key=str) == [("X", 0), "forest"], (r, n, m, made)
+
+
 def test_span_is_the_line_in_the_box():
     # the a of each line of the box [-W, W]^2, against the box's cells
     # listed one by one: empty exactly where no cell has the gap

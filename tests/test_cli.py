@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import gradedcenter.center as center_module
 import gradedcenter.cli
 import gradedcenter.gentle
 import gradedcenter.hom
@@ -267,6 +268,62 @@ def test_internal_inconsistency_exits_2(capsys, monkeypatch, fresh_frames):
     code, _out, err = run(capsys, "check", "--criterion", "4")
     assert code == 2
     assert err.startswith("error: internal inconsistency: missing e'' under")
+
+
+@pytest.fixture
+def fresh_systems():
+    """center._build_system caches each system it built: clear it before
+    a test that patches what a build reads, and after it, so no later
+    test is served a system built from the patch."""
+    _build_system.cache_clear()
+    yield
+    _build_system.cache_clear()
+
+
+def test_hom_disagreement_exits_2(capsys, monkeypatch):
+    # a closed form one more than the model's dimension: both are
+    # printed, and the disagreement is an internal inconsistency
+    closed_form = gradedcenter.cli.hom_dim_closed_form
+    monkeypatch.setattr(gradedcenter.cli, "hom_dim_closed_form", lambda *args: closed_form(*args) + 1)
+    code, out, err = run(
+        capsys, "hom", "--r", "1", "--n", "2", "--m", "0",
+        "--family", "X", "--i", "0", "--a", "0", "--b", "2", "--p", "0",
+    )
+    assert code == 2
+    assert "model dim: 2\nclosed form: 3\n" in out
+    assert err == "error: model dimension 2 disagrees with closed form 3\n"
+
+
+def test_center_residual_components_exit_2(capsys, monkeypatch, fresh_systems):
+    # with every e' unknown tagged as no class, the five socle classes of
+    # (1, 2, 0) in degree 0 are residual: the report counts them and the
+    # command fails as an internal inconsistency
+    class_tag = center_module._class_tag
+
+    def untagged(params, p, i, gap, kind):
+        return ("other", kind) if kind == "e'" else class_tag(params, p, i, gap, kind)
+
+    monkeypatch.setattr(center_module, "_class_tag", untagged)
+    code, out, err = run(capsys, "center", "--r", "1", "--n", "2", "--m", "0", "--p", "0", "--window", "8")
+    assert code == 2
+    assert out.splitlines()[-2:] == ["residual components: 5", "total (inner window): 6"]
+    assert err == "error: residual (mixed-class) components in solver output\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertices: a a\n", "duplicate vertex a"),
+    ("vertices: a b\narrow x: a -> b\narrow x: b -> a\n", "duplicate arrow x"),
+    ("vertices: a b c\narrow x: a -> b\narrow y: b -> c\nrelation: y x\nrelation: y x\n",
+     "duplicate relation (y, x)"),
+    ("vertices: a b\narrow x a -> b\n", "line 2: arrow directive needs 'NAME: SRC -> TGT'"),
+    ("vertices: a b\narrow x: a -> b\nrelation: x\n", "line 3: relation directive needs two arrow names"),
+], ids=["vertex", "arrow", "relation", "arrow-colon", "relation-one-name"])
+def test_validate_rejects_a_malformed_quiver(text, message, tmp_path, capsys):
+    # each error GentleQuiver or parse_quiver raises exits 1 with its
+    # message
+    path = tmp_path / "bad.quiver"
+    path.write_text(text)
+    assert run(capsys, "validate", str(path)) == (1, "", f"error: {message}\n")
 
 
 def test_check_criterion_out_of_range(capsys):
