@@ -396,10 +396,7 @@ def _c7_products():
                 for v in direct.assignment:
                     if abs(v.a) <= inner and abs(v.b) <= inner:
                         checks += 1
-                        diff = power.value_at(prm, v).plus(
-                            direct.value_at(prm, v).scaled(-1)
-                        )
-                        if not diff.is_zero(None):
+                        if power.value_at(prm, v) != direct.value_at(prm, v):
                             raise _CriterionFailure(
                                 f"eta^{k} disagrees with the direct element at {v!r}"
                             )

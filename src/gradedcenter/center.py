@@ -137,7 +137,8 @@ class _SlotView(Mapping):
     _slot_map makes from a value built by hand, has the value {}.  Keys
     come in (family, i, a, b) order, and a value's Morphism is built from
     the hom.basis_arrow of each slot only when it is read, so len, in and
-    key iteration build none."""
+    key iteration build none.  Equality is Mapping's, cell by cell, so
+    however a line is cut into pieces, the same values compare equal."""
 
     __slots__ = ("_params", "_p", "lines")
 
@@ -171,14 +172,8 @@ class _SlotView(Mapping):
         if value is None:
             raise KeyError(v)
         shift = frame(self._params.omega, self._p)[0]
-        j, da, db = shift[v.family, v.i]
-        target = Vertex(v.family, j, v.a + da, v.b + db)
+        target = sigma_pow(self._params, v, self._p)
         return Morphism(v, target, {basis_arrow(self._params.rules, shift, v, s): c for s, c in value.items()})
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _SlotView) and (other._params.omega, other._p) == (self._params.omega, self._p):
-            return self.lines == other.lines
-        return super().__eq__(other)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -247,16 +242,14 @@ def _slot_map(params: ModelParams, el: CenterElement) -> _SlotView:
     if isinstance(view, _SlotView) and (view._params.omega, view._p) == (params.omega, el.p):
         return view
     rules = params.rules
-    shift, gaps, vertex_gaps = frame(params.omega, el.p)
+    _, gaps, vertex_gaps = frame(params.omega, el.p)
     cells: dict = {}
     for v, mor in view.items():
         f, i, a, b = v.family, v.i, v.a, v.b
         if not in_gaps(vertex_gaps.get((f, i)), b - a):
             raise ValueError(f"no vertex {f}({i})[{a},{b}] for these parameters")
-        j, da, db = shift[f, i]
-        tgt = mor.target
         ok = mor.source is v or mor.source == v
-        ok = ok and (tgt.family, tgt.i, tgt.a, tgt.b) == (f, j, a + da, b + db)
+        ok = ok and mor.target == sigma_pow(params, v, el.p)
         value = {}
         for t, c in mor.terms.items():
             if t is not None:
@@ -803,8 +796,6 @@ def _plan_pieces(omega, p: int, f: str, i: int) -> tuple[list, list]:
     for k, (g, j, da, db, degree, along) in enumerate(params.generators[f, i]):
         du = db - da
         reach = _meet(moved(vertex_gaps[g, j], du, along), arrow_gaps(rules, f, i, g, j, da, db, along, degree))
-        if reach is None:
-            continue
         sj, sa, sb = shift_p[g, j]
         # per slot, the t where its row's composite has an arrow
         kinds = {-1: (None, None)}

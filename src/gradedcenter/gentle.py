@@ -83,14 +83,13 @@ def parse_quiver(text: str) -> GentleQuiver:
             vertices.extend(line[len("vertices:"):].split())
         elif line.startswith("arrow "):
             body = line[len("arrow "):]
-            if ":" not in body:
+            name, _, rest = body.partition(":")
+            # one name, one source and one target, each a single word
+            words = [name.split(), *(side.split() for side in rest.split("->"))]
+            if [len(w) for w in words] != [1, 1, 1]:
                 raise QuiverParseError(f"line {lineno}: arrow directive needs 'NAME: SRC -> TGT'")
-            name, rest = body.split(":", 1)
-            parts = rest.split("->")
-            if len(parts) != 2 or not parts[0].split() or not parts[1].split():
-                raise QuiverParseError(f"line {lineno}: arrow directive needs 'NAME: SRC -> TGT'")
-            (src,), (tgt,) = parts[0].split(), parts[1].split()
-            arrows.append((name.strip(), src, tgt))
+            (name,), (src,), (tgt,) = words
+            arrows.append((name, src, tgt))
         elif line.startswith("relation:"):
             names = line[len("relation:"):].split()
             if len(names) != 2:
@@ -174,7 +173,9 @@ def is_gentle(q: GentleQuiver) -> tuple[bool, list[str]]:
 def is_one_cycle(q: GentleQuiver) -> bool:
     """True iff the quiver has a vertex, is connected and has as many
     arrows as vertices: then its underlying graph has exactly one cycle,
-    which cycle_arrows finds.  The empty quiver has no cycle."""
+    which cycle_arrows finds.  The empty quiver has no cycle.  The quiver
+    must be gentle, and is_gentle lists a disconnected one as a violation,
+    so it is connected here."""
     ok, _ = is_gentle(q)
     if not ok:
         raise ValueError("quiver is not gentle")
@@ -182,7 +183,8 @@ def is_one_cycle(q: GentleQuiver) -> bool:
 
 
 def _is_one_cycle(q: GentleQuiver) -> bool:
-    return bool(q.vertices) and len(q.arrows) == len(q.vertices) and _is_connected(q)
+    """is_one_cycle on a quiver that is_gentle passed, hence connected."""
+    return bool(q.vertices) and len(q.arrows) == len(q.vertices)
 
 
 def survey(q: GentleQuiver) -> tuple[list[str], bool | None, bool | None]:

@@ -82,7 +82,9 @@ def hom_basis(params: ModelParams, v: Vertex, p: int) -> HomSpace:
 
 
 def hom_dim_closed_form(params: ModelParams, v: Vertex, p: int) -> int:
-    """Case formulas for dim Hom(v, Sigma^p v), p >= 0."""
+    """Case formulas for dim Hom(v, Sigma^p v), p >= 0, by family: Z,
+    X, and then Y, the one family left once vertex_exists has passed v
+    (it raises on a family outside model.FAMILIES)."""
     if p < 0:
         raise ValueError("closed forms are stated for p >= 0 only")
     if not vertex_exists(params, v.family, v.i, (v.a, v.b)):
@@ -99,15 +101,14 @@ def hom_dim_closed_form(params: ModelParams, v: Vertex, p: int) -> int:
         if p % r == 0 and p * (r + m) <= r * (b + d0m - a):
             return 1
         return 0
-    if v.family == "Y":
-        d0n = n if v.i == 0 else 0
-        if p == 0:
+    # Y, the one family left
+    d0n = n if v.i == 0 else 0
+    if p == 0:
+        return 1
+    # r | p - 1 and 1/(n-r) <= (p-1)/r <= (b + 1 - a - d_{i,0} n)/(n - r)
+    if (p - 1) % r == 0:
+        lhs_ok = r <= (p - 1) * (n - r)
+        rhs_ok = (p - 1) * (n - r) <= r * (b + 1 - a - d0n)
+        if lhs_ok and rhs_ok:
             return 1
-        # r | p - 1 and 1/(n-r) <= (p-1)/r <= (b + 1 - a - d_{i,0} n)/(n - r)
-        if (p - 1) % r == 0:
-            lhs_ok = r <= (p - 1) * (n - r)
-            rhs_ok = (p - 1) * (n - r) <= r * (b + 1 - a - d0n)
-            if lhs_ok and rhs_ok:
-                return 1
-        return 0
-    raise ValueError(f"unknown family {v.family!r}")
+    return 0

@@ -439,8 +439,7 @@ def compose(params: ModelParams, g: Morphism, f: Morphism) -> Morphism:
 
 
 def sigma(params: ModelParams, v: Vertex) -> Vertex:
-    j, da, db = params.sigma_steps[v.family, v.i, 1]
-    return Vertex(v.family, j, v.a + da, v.b + db)
+    return sigma_pow(params, v, 1)
 
 
 def sigma_shift(params: ModelParams, family: str, i: int, p: int) -> tuple[int, int, int]:

@@ -1,6 +1,8 @@
 """Acceptance gate: every criterion must pass, one printed line each."""
 
 import hashlib
+import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +19,8 @@ from gradedcenter.acceptance import (
     _sigma_failure,
     run_criterion,
 )
-from gradedcenter.center import _build_system
+from gradedcenter.center import CenterElement, _build_system
+from gradedcenter.cli import main
 from gradedcenter.model import KIND_TABLE, Vertex, arrow_of_degree, sigma_pow, vertex_exists
 
 from dense_assoc import dense_assoc_counts
@@ -210,3 +213,64 @@ def test_criterion_4_checks_the_listed_cases(monkeypatch):
     want = membership_cases()
     assert len(want) == 496 and sum(not case[-1] for case in want) == 36
     assert sorted(calls) == sorted(want)
+
+
+_make_generator = acceptance.make_generator
+_tick = itertools.count()
+
+
+def _doubled_square(params, spec, window):
+    # the direct generator eta^2, every coefficient doubled
+    el = _make_generator(params, spec, window)
+    if (spec.name, spec.q) != ("eta_power", 2):
+        return el
+    return CenterElement(el.p, el.variant, {v: mor.scaled(2) for v, mor in el.assignment.items()})
+
+
+# (criterion, the name it reads in acceptance's namespace, its stand-in,
+# the detail of the failure): each stand-in breaks the one quantity that
+# its criterion compares
+FAILURES = [
+    (1, "survey", lambda q: (["patched"], True, False), "(r,n,m)=(1,1,0) not gentle: patched"),
+    (1, "survey", lambda q: ([], False, None), "(r,n,m)=(1,1,0) not one-cycle"),
+    (1, "survey", lambda q: ([], True, True), "(r,n,m)=(1,1,0) satisfies the clock condition"),
+    (2, "_assoc_counts", lambda params, mats: ([], 0, [("patched", 1, 0, 1)]),
+     "(r,n,m)=(1,1,0) patched: A=1 AB=0 B=1"),
+    (2, "_sigma_failure", lambda params, W, mats: "patched", "(r,n,m)=(1,1,0): patched"),
+    (3, "hom_dim_closed_form", lambda params, v, p: -1,
+     "(r,n,m)=(1,1,0) X(0)[-6,-6] p=0: model 2, closed form -1"),
+    (4, "check_membership", lambda *args, **kwargs: (False, "patched"),
+     "(r,n,m)=(1, 2, 0) eta_prime q=0 graded over F2: got False (patched), expected True"),
+    (5, "reconcile", lambda *args: SimpleNamespace(ok=False, mismatches=["p=0: patched"]),
+     "(r,n,m)=(1,1,0) graded over F2: p=0: patched"),
+    (6, "solve_component",
+     lambda params, p, variant, char, W, inner: SimpleNamespace(scalar_dim=W, power_dim=0, class_dims={}),
+     "(r,n,m)=(1,2,0) p=0: (12, 0, {}) became (14, 0, {}) after widening the outer window"),
+    (7, "multiply", lambda params, a, b: a, "eta'(0).eta'(0) is nonzero"),
+    (7, "multiply", lambda params, a, b: CenterElement(a.p + b.p, a.variant, {}),
+     "eta^2 vanishes for (r,n,m)=(1,1,0)"),
+    (7, "make_generator", _doubled_square, "eta^2 disagrees with the direct element at X(0)[-11,-9]"),
+    (8, "tau_sigma_periodic", lambda params: (False, []),
+     "(r,n,m)=(1,1,0): periodic=False, closed form says True"),
+    (8, "reduced_and_nil", lambda pres: ("F", "0"),
+     "(r,n,m)=(1,1,0) graded over F2: nil part 0 vs periodicity True"),
+    (8, "reduced_and_nil", lambda pres: ("F", "X"),
+     "(r,n,m)=(1,1,0) graded over F2: reduced part F vs r == n"),
+    (9, "_run_cli", lambda argv: (int(argv[0] == "lambda"), "", ""),
+     "exit code 1 for: lambda --r 2 --n 3 --m 1"),
+    (9, "_run_cli", lambda argv: (0, str(next(_tick)) if argv[0] == "lambda" else "", ""),
+     "nondeterministic output for: lambda --r 2 --n 3 --m 1"),
+]
+
+
+@pytest.mark.parametrize("k, name, stand_in, detail", FAILURES,
+                         ids=[f"{k}-{name}-{n}" for n, (k, name, *_) in enumerate(FAILURES)])
+def test_criterion_fails_with_its_detail(k, name, stand_in, detail, monkeypatch, capsys):
+    # the FAIL path, which a correct library never reaches: the criterion
+    # returns (False, detail), and `check --criterion k` prints it and
+    # exits 2
+    monkeypatch.setattr(acceptance, name, stand_in)
+    label, criterion = CRITERIA[k - 1]
+    assert criterion() == (False, detail)
+    assert main(["check", "--criterion", str(k)]) == 2
+    assert capsys.readouterr().out == f"{label}: FAIL ({detail})\n"

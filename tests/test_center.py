@@ -1414,6 +1414,49 @@ def test_slot_view_prints_as_its_dict():
     assert repr(_SlotView(params, 0, {})) == "{}"
 
 
+def _eta_and_line():
+    # eta_power(1) on (1, 1, 0) at W = 6, and its first line, one piece
+    # of several cells
+    params = params_for(1, 1, 0, window=6)
+    el = make_generator(params, GeneratorSpec("eta_power", 1), 6)
+    key, ((lo, hi, value),) = next(iter(el.assignment.lines.items()))
+    assert lo < hi
+    return params, el, key, lo, hi, value
+
+
+def _with_line(params, el, key, pieces):
+    # el with one line replaced by these pieces, as a view and an element
+    view = _SlotView(params, el.p, {**el.assignment.lines, key: pieces})
+    return view, CenterElement(el.p, el.variant, view)
+
+
+def test_views_that_cut_a_line_differently_are_equal():
+    # equality is Mapping's, cell by cell: the same cells compare equal
+    # however a line is cut into pieces
+    params, el, key, lo, hi, value = _eta_and_line()
+    view, split = _with_line(params, el, key, ((lo, lo, value), (lo + 1, hi, value)))
+    assert view.lines != el.assignment.lines
+    assert view == el.assignment and el.assignment == view
+    assert split == el and el == split
+
+
+def test_a_view_equals_the_dict_of_its_values():
+    params, el, *_ = _eta_and_line()
+    by_hand = CenterElement(el.p, el.variant, {v: el.assignment[v] for v in el.assignment})
+    assert el.assignment == dict(el.assignment.items()) == by_hand.assignment
+    assert el == by_hand and by_hand == el
+
+
+def test_views_that_differ_in_one_coefficient_or_cell_are_unequal():
+    params, el, key, lo, hi, value = _eta_and_line()
+    ((slot, c),) = value.items()
+    # one cell's coefficient changed, and one cell dropped
+    for pieces in (((lo, lo, {slot: c + 1}), (lo + 1, hi, value)), ((lo + 1, hi, value),)):
+        view, other = _with_line(params, el, key, pieces)
+        assert view != el.assignment and el.assignment != view
+        assert other != el and el != other
+
+
 def _oracle_form(plan: tuple) -> tuple:
     # a plan of center._plan_pieces as tests/line_plans.py states it: each
     # target without its place k in ModelParams.generators

@@ -316,8 +316,10 @@ def test_center_residual_components_exit_2(capsys, monkeypatch, fresh_systems):
     ("vertices: a b c\narrow x: a -> b\narrow y: b -> c\nrelation: y x\nrelation: y x\n",
      "duplicate relation (y, x)"),
     ("vertices: a b\narrow x a -> b\n", "line 2: arrow directive needs 'NAME: SRC -> TGT'"),
+    ("vertices: a b c\narrow x: a b -> c\n", "line 2: arrow directive needs 'NAME: SRC -> TGT'"),
+    ("vertices: a b\narrow : a -> b\n", "line 2: arrow directive needs 'NAME: SRC -> TGT'"),
     ("vertices: a b\narrow x: a -> b\nrelation: x\n", "line 3: relation directive needs two arrow names"),
-], ids=["vertex", "arrow", "relation", "arrow-colon", "relation-one-name"])
+], ids=["vertex", "arrow", "relation", "arrow-colon", "arrow-two-sources", "arrow-no-name", "relation-one-name"])
 def test_validate_rejects_a_malformed_quiver(text, message, tmp_path, capsys):
     # each error GentleQuiver or parse_quiver raises exits 1 with its
     # message

@@ -76,6 +76,15 @@ def test_parse_malformed_arrow():
         parse_quiver("arrow a: 1 2\n")
 
 
+@pytest.mark.parametrize("line", ["arrow x: a b -> c", "arrow : a -> b"], ids=["two-sources", "no-name"])
+def test_parse_arrow_needs_one_name_source_and_target(line):
+    # an arrow directive names one arrow, one source and one target; any
+    # other count of words is the directive's own error, with its line
+    with pytest.raises(QuiverParseError) as exc:
+        parse_quiver(f"vertices: a b c\n{line}\n")
+    assert str(exc.value) == "line 2: arrow directive needs 'NAME: SRC -> TGT'"
+
+
 def test_parse_noncomposable_relation_is_parse_error():
     text = "vertices: u v w\narrow f: u -> v\narrow g: v -> w\nrelation: f g\n"
     with pytest.raises(QuiverParseError, match="not composable"):

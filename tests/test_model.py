@@ -633,3 +633,8 @@ def test_window_dot_shape():
     assert dot.rstrip().endswith("}")
     assert dot == window_dot(p)  # deterministic
     assert dot.count("->") == len(enumerate_arrows(p))
+
+
+def test_model_params_needs_a_positive_window():
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        ModelParams(OmegaParams(1, 2, 0), 0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import gradedcenter.ring as ring_module
@@ -234,3 +236,30 @@ def test_reconcile_names_each_mismatch_of_a_wrong_row(rnm, inner, bound, wrong, 
     rep = reconcile(ModelParams(omega, W), 3, "graded", bound, W)
     assert rep.presentation == wrong
     assert (rep.ok, rep.lines, rep.mismatches) == (False, lines, mismatches)
+
+
+# (what is doctored, the degree, the change to that degree's report, the
+# mismatch): kinds that no true report reaches
+DOCTORED = [
+    ("scalar", 0, lambda rep: {"scalar_dim": 2}, "scalar 2 != 1"),
+    ("class-dim", 0, lambda rep: {"class_dims": {**rep.class_dims, ("X", 0): 2}}, "class X q=0 has dim 2 > 1"),
+    ("residual", 1, lambda rep: {"residual": [(), ()]}, "2 residual component(s)"),
+]
+
+
+@pytest.mark.parametrize("p, change, mismatch", [row[1:] for row in DOCTORED], ids=[row[0] for row in DOCTORED])
+def test_reconcile_names_each_mismatch_of_a_doctored_report(p, change, mismatch, monkeypatch):
+    # reconcile compares what solve_component reports, here doctored in
+    # one degree; every other degree stays ok
+    def doctored(params, q, *args):
+        rep = solve_component(params, q, *args)
+        return replace(rep, **change(rep)) if q == p else rep
+
+    monkeypatch.setattr(ring_module, "solve_component", doctored)
+    omega = OmegaParams(1, 2, 0)
+    W = solver_margin(omega) + 2
+    rep = reconcile(ModelParams(omega, W), 3, "graded", 2, W)
+    assert (rep.ok, rep.mismatches) == (False, [f"p={p}: {mismatch}"])
+    want = [_ok(0, 1, 5), _ok(1, 0, 0), _ok(2, 0, 3)]
+    want[p] = f"p={p}: MISMATCH ({mismatch})"
+    assert rep.lines == want
