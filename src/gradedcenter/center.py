@@ -171,9 +171,8 @@ class _SlotView(Mapping):
         value = self._value(v)
         if value is None:
             raise KeyError(v)
-        shift = frame(self._params.omega, self._p)[0]
         target = sigma_pow(self._params, v, self._p)
-        return Morphism(v, target, {basis_arrow(self._params.rules, shift, v, s): c for s, c in value.items()})
+        return Morphism(v, target, {basis_arrow(self._params.rules, v, target, s): c for s, c in value.items()})
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -398,10 +397,6 @@ class Membership(tuple):
 
     def __getnewargs__(self):
         return (*self, self.naturality_rows, self.sign_rows)
-
-    @property
-    def rows(self) -> int:
-        return self.naturality_rows + self.sign_rows
 
 
 def _at(key: tuple, a: int) -> tuple:
@@ -1326,7 +1321,7 @@ def _named_components(report: SolveReport) -> list:
     is the same element over F_2."""
     params, system, plain = report.params, report._system, report._plain
     W, inner = report.window, report.inner_window
-    rules, shift_p = params.rules, frame(params.omega, report.p)[0]
+    rules = params.rules
     root, sign = system.root, system.sign
     wanted = {x: (odd and not plain, tags) for x, odd, tags in system.classes}
     roots = set(wanted)
@@ -1371,8 +1366,9 @@ def _named_components(report: SolveReport) -> list:
             ref_w = weights.pop()
         else:
             # the sign of the member whose name sorts first
-            ref_w = min((str(basis_arrow(rules, shift_p, Vertex(f, i, a, a + t), s)), w)
-                        for (f, i, t, s), lo, hi, w in runs for a in range(lo, hi + 1))[1]
+            ref_w = min((str(basis_arrow(rules, v, sigma_pow(params, v, report.p), s)), w)
+                        for (f, i, t, s), lo, hi, w in runs
+                        for v in (Vertex(f, i, a, a + t) for a in range(lo, hi + 1)))[1]
         by_key: dict = {}
         for key, lo, hi, w in sorted(runs):
             by_key.setdefault(key, []).append((lo, hi, w * ref_w))

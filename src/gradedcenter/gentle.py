@@ -71,12 +71,14 @@ def parse_quiver(text: str) -> GentleQuiver:
         vertices: v1 v2 ...
         arrow NAME: SRC -> TGT
         relation: BETA ALPHA
+    Any run of whitespace counts as one space, so a tab may follow a
+    keyword; every name is a single word.
     """
     vertices: list[str] = []
     arrows: list[tuple[str, str, str]] = []
     relations: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = " ".join(raw.split("#", 1)[0].split())
         if not line:
             continue
         if line.startswith("vertices:"):
@@ -179,21 +181,16 @@ def is_one_cycle(q: GentleQuiver) -> bool:
     ok, _ = is_gentle(q)
     if not ok:
         raise ValueError("quiver is not gentle")
-    return _is_one_cycle(q)
-
-
-def _is_one_cycle(q: GentleQuiver) -> bool:
-    """is_one_cycle on a quiver that is_gentle passed, hence connected."""
     return bool(q.vertices) and len(q.arrows) == len(q.vertices)
 
 
 def survey(q: GentleQuiver) -> tuple[list[str], bool | None, bool | None]:
     """What validate prints: is_gentle's violations, then is_one_cycle
-    and clock_condition where they apply, else None; gentleness is
-    checked once."""
+    and clock_condition where they apply, else None.  Each of the two
+    checks gentleness again, so is_gentle runs up to three times."""
     ok, violations = is_gentle(q)
-    one_cycle = _is_one_cycle(q) if ok else None
-    return violations, one_cycle, _clock(q, _cycle_arrows(q)) if one_cycle else None
+    one_cycle = is_one_cycle(q) if ok else None
+    return violations, one_cycle, clock_condition(q) if one_cycle else None
 
 
 def cycle_arrows(q: GentleQuiver) -> tuple[set[str], set[str], set[str]]:
@@ -207,14 +204,10 @@ def cycle_arrows(q: GentleQuiver) -> tuple[set[str], set[str], set[str]]:
     walk runs from its source.  So a loop is clockwise, and so are both
     arrows of an antiparallel pair.  The only tie is a parallel pair,
     where one rule decides: the lesser name is clockwise.  The quiver
-    must be one-cycle, so not empty.
+    must be one-cycle (is_one_cycle), so gentle and not empty.
     """
     if not is_one_cycle(q):
         raise ValueError("quiver is not one-cycle")
-    return _cycle_arrows(q)
-
-
-def _cycle_arrows(q: GentleQuiver) -> tuple[set[str], set[str], set[str]]:
     arrow_map = q.arrow_map()
     ends: dict[str, list[str]] = {v: [] for v in q.vertices}
     for name, src, tgt in q.arrows:
@@ -252,12 +245,9 @@ def _cycle_arrows(q: GentleQuiver) -> tuple[set[str], set[str], set[str]]:
 
 def clock_condition(q: GentleQuiver) -> bool:
     """True iff equally many relations sit on clockwise and anticlockwise
-    cycle arrows.  The value does not depend on the traversal direction."""
-    return _clock(q, cycle_arrows(q))
-
-
-def _clock(q: GentleQuiver, partition: tuple) -> bool:
-    cw, acw, _ = partition
+    cycle arrows (cycle_arrows, so the quiver must be one-cycle).  The
+    value does not depend on the traversal direction."""
+    cw, acw, _ = cycle_arrows(q)
     n_cw = sum(1 for beta, alpha in q.relations if beta in cw and alpha in cw)
     n_acw = sum(1 for beta, alpha in q.relations if beta in acw and alpha in acw)
     return n_cw == n_acw

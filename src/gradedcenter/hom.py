@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import ArrowGen, ModelParams, Vertex, hom_gaps, least_gap, sigma_shift, vertex_exists
-from .model import sigma_pow  # unused here: the benchmark's tracer wraps it by name
+from .model import ArrowGen, ModelParams, Vertex, hom_gaps, least_gap, sigma_pow, sigma_shift, vertex_exists
 
 
 @dataclass(frozen=True)
@@ -56,12 +55,12 @@ def frame(omega, p: int) -> tuple[dict, dict, dict]:
     return shift, gaps, vertex_gaps
 
 
-def basis_arrow(rules: dict, shift_p, v: Vertex, slot: int) -> ArrowGen | None:
-    """The basis arrow v -> Sigma^p v in this slot, None for the identity."""
+def basis_arrow(rules: dict, v: Vertex, target: Vertex, slot: int) -> ArrowGen | None:
+    """The basis arrow v -> target in this slot, None for the identity's
+    slot -1.  target is Sigma^p v (model.sigma_pow), which the caller
+    has; the slot, the arrow's degree, fixes its kind."""
     if slot < 0:
         return None
-    j, da, db = shift_p[v.family, v.i]
-    target = Vertex(v.family, j, v.a + da, v.b + db)
     return ArrowGen(rules[v.family, v.family, slot, v.i][0], v, target, slot)
 
 
@@ -78,7 +77,8 @@ def hom_basis(params: ModelParams, v: Vertex, p: int) -> HomSpace:
     if not in_gaps(vertex_gaps[f, i], t):
         raise ValueError(f"vertex {v!r} does not exist")
     slots = [s for s in (-1, 0, 1, 2) if in_gaps(gaps.get((f, i, s)), t)]
-    return HomSpace(v, p, tuple(basis_arrow(params.rules, shift, v, s) for s in slots))
+    target = sigma_pow(params, v, p) if slots else None
+    return HomSpace(v, p, tuple(basis_arrow(params.rules, v, target, s) for s in slots))
 
 
 def hom_dim_closed_form(params: ModelParams, v: Vertex, p: int) -> int:

@@ -196,10 +196,6 @@ class Vertex:
     a: int
     b: int
 
-    @property
-    def coord(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
     def __repr__(self):
         return f"{self.family}({self.i})[{self.a},{self.b}]"
 
@@ -380,38 +376,8 @@ class Morphism:
                 raise ValueError("term endpoints do not match morphism endpoints")
 
     @staticmethod
-    def identity(v: Vertex) -> "Morphism":
-        return Morphism(v, v, {None: 1})
-
-    @staticmethod
     def zero(source: Vertex, target: Vertex) -> "Morphism":
         return Morphism(source, target, {})
-
-    @staticmethod
-    def of_gen(g: ArrowGen, coeff: int = 1) -> "Morphism":
-        return Morphism(g.source, g.target, {g: coeff} if coeff else {})
-
-    def is_zero(self, char: int | None = None) -> bool:
-        if char is None:
-            return not any(self.terms.values())
-        return all(c % char == 0 for c in self.terms.values())
-
-    def scaled(self, c: int) -> "Morphism":
-        if c == 0:
-            return Morphism.zero(self.source, self.target)
-        return Morphism(self.source, self.target, {t: c * k for t, k in self.terms.items()})
-
-    def plus(self, other: "Morphism") -> "Morphism":
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("cannot add morphisms with different endpoints")
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            c2 = terms.get(t, 0) + c
-            if c2:
-                terms[t] = c2
-            else:
-                terms.pop(t, None)
-        return Morphism(self.source, self.target, terms)
 
 
 def compose(params: ModelParams, g: Morphism, f: Morphism) -> Morphism:

@@ -12,13 +12,14 @@ from gradedcenter.center import (
 )
 from gradedcenter.model import (
     ModelParams,
-    Morphism,
     Vertex,
     arrow_of_degree,
     sigma_pow,
     sigma_shift,
     vertex_exists,
 )
+
+from morphisms import identity, of_gen
 
 
 def _solve_sigma_exponent(params: ModelParams, base: Vertex, v: Vertex) -> int:
@@ -64,7 +65,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
                     coeff = -1 if (n * exp) % 2 else 1
                 else:
                     coeff = 1
-                assignment[v] = Morphism.of_gen(gen, coeff)
+                assignment[v] = of_gen(gen, coeff)
         variant = "graded" if spec.name == "eta_prime" else "commutative"
         return CenterElement(p, variant, assignment)
 
@@ -78,7 +79,7 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
             gen = arrow_of_degree(params, v, v, 2)
             if gen is None:
                 raise InconsistencyError(f"missing e' self-arrow at {v!r}")
-            assignment[v] = Morphism.of_gen(gen, 1)
+            assignment[v] = of_gen(gen, 1)
         return CenterElement(0, "commutative", assignment)
 
     # eta_power(k)
@@ -91,12 +92,12 @@ def make_generator(params: ModelParams, spec: GeneratorSpec, window: int) -> Cen
                     continue
                 v = Vertex("X", i, a, b)
                 if k == 0:
-                    assignment[v] = Morphism.identity(v)
+                    assignment[v] = identity(v)
                     continue
                 if k * (n + m) <= b + d0m - a:
                     target = sigma_pow(params, v, k * n)
                     gen = arrow_of_degree(params, v, target, 0)
                     if gen is None:
                         raise InconsistencyError(f"missing f' power arrow at {v!r}")
-                    assignment[v] = Morphism.of_gen(gen, 1)
+                    assignment[v] = of_gen(gen, 1)
     return CenterElement(k * n, "commutative", assignment)

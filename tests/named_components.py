@@ -7,8 +7,9 @@ report's system under the report's variant: a plain reading
 flags."""
 
 from gradedcenter.center import SolveReport
-from gradedcenter.hom import basis_arrow, frame
-from gradedcenter.model import Vertex
+from gradedcenter.hom import frame
+
+from morphisms import basis_name
 
 
 def named_components(report: SolveReport) -> list:
@@ -31,13 +32,13 @@ def named_components(report: SolveReport) -> list:
     components = []
     for x, mems in members.items():
         named = [
-            (key, s, w, str(basis_arrow(rules, shift_p, Vertex(*key), s)))
+            (key, s, w, basis_name(rules, shift_p, key, s))
             for key, s, w in mems
             if -inner <= key[2] <= inner and -inner <= key[3] <= inner
         ]
         least = min(key for key, _, _ in mems)
         head = min(
-            (key, str(basis_arrow(rules, shift_p, Vertex(*key), s)))
+            (key, basis_name(rules, shift_p, key, s))
             for key, s, _ in mems
             if key == least
         )

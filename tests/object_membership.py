@@ -19,6 +19,8 @@ from gradedcenter.model import (
     sigma_pow,
 )
 
+from morphisms import is_zero, of_gen, plus, scaled
+
 
 def check_membership(
     params: ModelParams,
@@ -51,10 +53,10 @@ def check_membership(
         return el.value_at(params, v)
 
     def natural_at(gen: ArrowGen) -> bool:
-        phi = Morphism.of_gen(gen)
+        phi = of_gen(gen)
         lhs = compose(params, sigma_mor_pow(params, phi, p), eta(gen.source))
         rhs = compose(params, eta(gen.target), phi)
-        return lhs.plus(rhs.scaled(-1)).is_zero(char)
+        return is_zero(plus(lhs, scaled(rhs, -1)), char)
 
     inner_support = sorted(v for v in support if inner(v))
     # arrows out of the support
@@ -79,7 +81,7 @@ def check_membership(
             checked.add(u)
             su = sigma(params, u)
             lhs = eta(su)
-            rhs = sigma_mor_pow(params, eta(u), 1).scaled(sign)
-            if not lhs.plus(rhs.scaled(-1)).is_zero(char):
+            rhs = scaled(sigma_mor_pow(params, eta(u), 1), sign)
+            if not is_zero(plus(lhs, scaled(rhs, -1)), char):
                 return (False, f"sign law fails at {u!r}")
     return (True, None)

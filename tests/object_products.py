@@ -6,6 +6,8 @@ by compose."""
 from gradedcenter.center import CenterElement
 from gradedcenter.model import ModelParams, compose, sigma_mor_pow
 
+from morphisms import is_zero
+
 
 def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterElement:
     """Pointwise product (a.b)_v = Sigma^{p_b}(a_v) o b_v."""
@@ -17,6 +19,6 @@ def multiply(params: ModelParams, a: CenterElement, b: CenterElement) -> CenterE
             continue
         shifted = sigma_mor_pow(params, av, b.p)
         prod = compose(params, shifted, bv)
-        if not prod.is_zero():
+        if not is_zero(prod):
             assignment[v] = prod
     return CenterElement(p, a.variant, assignment)

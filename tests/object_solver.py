@@ -24,6 +24,7 @@ from gradedcenter.model import (
     sigma_pow,
     vertex_exists,
 )
+from morphisms import plus
 from probed_hom import probed_hom
 from vertex_build import _UnionFind
 
@@ -190,6 +191,6 @@ def solve_component(
             coeff = wgt * ref_w
             mor = assignment.get(v)
             term = Morphism(v, sigma_p[v], {beta: coeff})
-            assignment[v] = term if mor is None else mor.plus(term)
+            assignment[v] = term if mor is None else plus(mor, term)
         report.basis.append(CenterElement(p, variant, assignment))
     return report

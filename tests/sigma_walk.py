@@ -24,7 +24,7 @@ def _sigma_functorial(params: ModelParams, W: int):
             for p in (1, -1):
                 u, w = sigma_pow(params, g.source, p), sigma_pow(params, g.target, p)
                 for vert in (u, w):
-                    if not vertex_exists(params, vert.family, vert.i, vert.coord):
+                    if not vertex_exists(params, vert.family, vert.i, (vert.a, vert.b)):
                         return arrows, f"Sigma^{p} image vertex {vert!r} missing"
                 if arrow_of_degree(params, u, w, g.degree) is None:
                     return arrows, f"Sigma^{p} image of {g!r} is not an arrow"

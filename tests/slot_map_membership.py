@@ -17,9 +17,10 @@ from gradedcenter.center import (
     membership_margin,
 )
 from gradedcenter.gf import FieldScalar
-from gradedcenter.hom import basis_arrow, frame, in_gaps
+from gradedcenter.hom import frame, in_gaps
 from gradedcenter.model import ArrowGen, ModelParams, Vertex, arrow_kind
 
+from morphisms import basis_name
 from row_pattern import _row_pattern
 
 
@@ -49,7 +50,7 @@ def members(params: ModelParams, shift_p, lines: dict) -> tuple:
     order of a basis element's: by vertex, then str(arrow)."""
     rules = params.rules
     cells = [(key, s, c) for key, value in expand_lines(lines).items() for s, c in value.items()]
-    return tuple(sorted(cells, key=lambda m: (m[0], str(basis_arrow(rules, shift_p, Vertex(*m[0]), m[1])))))
+    return tuple(sorted(cells, key=lambda m: (m[0], basis_name(rules, shift_p, m[0], m[1]))))
 
 
 def named_members(report) -> list:

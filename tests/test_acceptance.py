@@ -25,6 +25,7 @@ from gradedcenter.model import KIND_TABLE, Vertex, arrow_of_degree, sigma_pow, v
 
 from dense_assoc import dense_assoc_counts
 from membership_cases import membership_cases
+from morphisms import scaled
 from sigma_walk import _sigma_functorial
 
 # each criterion's detail line, pinned so that a drifting count fails
@@ -107,12 +108,12 @@ def test_arrow_matrices_match_arrow_of_degree(rnm):
             j = (i + step) % params.r
             for s in range(ca.size):
                 u = sigma_pow(params, Vertex(src, i, int(ca[s]), int(cb[s])), p)
-                u_ok = vertex_exists(params, u.family, u.i, u.coord)
+                u_ok = vertex_exists(params, u.family, u.i, (u.a, u.b))
                 for t in range(ca.size):
                     w = sigma_pow(params, Vertex(tgt, j, int(ca[t]), int(cb[t])), p)
                     want = (
                         u_ok
-                        and vertex_exists(params, w.family, w.i, w.coord)
+                        and vertex_exists(params, w.family, w.i, (w.a, w.b))
                         and arrow_of_degree(params, u, w, deg) is not None
                     )
                     assert M[s, t] == want, (kind, i, p, s, t)
@@ -224,7 +225,7 @@ def _doubled_square(params, spec, window):
     el = _make_generator(params, spec, window)
     if (spec.name, spec.q) != ("eta_power", 2):
         return el
-    return CenterElement(el.p, el.variant, {v: mor.scaled(2) for v, mor in el.assignment.items()})
+    return CenterElement(el.p, el.variant, {v: scaled(mor, 2) for v, mor in el.assignment.items()})
 
 
 # (criterion, the name it reads in acceptance's namespace, its stand-in,

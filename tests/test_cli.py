@@ -61,14 +61,17 @@ def test_validate_empty_file_has_no_cycle(tmp_path, capsys):
     assert out == "gentle: yes, one-cycle: no, clock condition: n/a\n"
 
 
-@pytest.mark.parametrize("text, first", [
+@pytest.mark.parametrize("text, first, checks", [
     (format_quiver(build_lambda(OmegaParams(1, 2, 0))),
-     "gentle: yes, one-cycle: yes, clock condition: not satisfied"),
-    ("vertices: x y\narrow a: x -> y\n", "gentle: yes, one-cycle: no, clock condition: n/a"),
+     "gentle: yes, one-cycle: yes, clock condition: not satisfied", 3),
+    ("vertices: x y\narrow a: x -> y\n", "gentle: yes, one-cycle: no, clock condition: n/a", 2),
     ("vertices: c x y z\narrow a: c -> x\narrow b: c -> y\narrow d: c -> z\n",
-     "gentle: no, one-cycle: n/a, clock condition: n/a"),
+     "gentle: no, one-cycle: n/a, clock condition: n/a", 1),
 ], ids=["one-cycle", "tree", "not-gentle"])
-def test_validate_checks_gentleness_once(text, first, tmp_path, capsys, monkeypatch):
+def test_validate_checks_gentleness_for_each_verdict(text, first, checks, tmp_path, capsys, monkeypatch):
+    # each verdict that validate prints reads is_gentle: the gentle
+    # verdict, is_one_cycle where the quiver is gentle and clock_condition
+    # where it is one-cycle
     calls = []
 
     def counting(q):
@@ -83,7 +86,19 @@ def test_validate_checks_gentleness_once(text, first, tmp_path, capsys, monkeypa
     code, out, err = run(capsys, "validate", str(path))
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == first
-    assert len(calls) == 1
+    assert len(calls) == checks
+
+
+def test_validate_reads_a_tab_as_a_space(tmp_path, capsys):
+    # a tab after a directive's keyword, or anywhere a space may stand,
+    # gives the verdict of the space-separated file
+    text = format_quiver(build_lambda(OmegaParams(2, 3, 1)))
+    spaced, tabbed = tmp_path / "spaced.quiver", tmp_path / "tabbed.quiver"
+    spaced.write_text(text)
+    tabbed.write_text(text.replace(" ", "\t"))
+    got = run(capsys, "validate", str(tabbed))
+    assert got == run(capsys, "validate", str(spaced))
+    assert got == (0, "gentle: yes, one-cycle: yes, clock condition: not satisfied\n", "")
 
 
 def test_validate_missing_file(capsys):

@@ -60,6 +60,14 @@ def test_parse_comments_and_blank_lines():
     assert parse_quiver(text) == KRONECKER
 
 
+def test_parse_a_tab_as_a_space():
+    # any run of whitespace separates a directive's words, the keyword's
+    # included: "arrow<TAB>a: x -> y" is an arrow
+    text = format_quiver(build_lambda(OmegaParams(2, 3, 1)))
+    assert "relation: " in text
+    assert parse_quiver(text.replace(" ", "\t")) == parse_quiver(text.replace(" ", " \t ")) == parse_quiver(text)
+
+
 def test_parse_relation_order():
     text = "vertices: u v w\narrow f: u -> v\narrow g: v -> w\nrelation: g f\n"
     q = parse_quiver(text)

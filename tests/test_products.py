@@ -1,10 +1,13 @@
 """Products of center elements: multiply on runs against the object
 oracle, and the ring structure read off the solver's own bases."""
 
+import random
+
 import pytest
 
 from gradedcenter.acceptance import GRID
 from gradedcenter.center import (
+    CenterElement,
     GeneratorSpec,
     _class_of,
     _named_components,
@@ -15,10 +18,11 @@ from gradedcenter.center import (
     solver_margin,
 )
 from gradedcenter.gentle import OmegaParams
-from gradedcenter.model import ModelParams
+from gradedcenter.model import ModelParams, Morphism, Vertex, arrow_of_degree
 from gradedcenter.ring import theorem_case
 
 import object_products
+from morphisms import identity, of_gen, plus, scaled
 from slot_map_membership import expand_lines
 
 
@@ -57,6 +61,42 @@ def test_multiply_matches_object_products_on_criterion_7():
         for _ in range(2, 5):
             power = _assert_same_product(prm, power, eta)
             assert not power.is_zero()
+
+
+def _thinned(el, rng):
+    """el built by hand with each cell dropped at odds 1 in 3 and each
+    coefficient drawn from {-1, 1, 2}."""
+    values = {v: Morphism(v, mor.target, {t: rng.choice((-1, 1, 2)) for t in mor.terms})
+              for v, mor in el.assignment.items() if rng.randrange(3)}
+    return CenterElement(el.p, el.variant, values)
+
+
+@pytest.mark.parametrize("rnm", [(1, 1, 0), (1, 2, 0), (2, 2, 1), (1, 3, 1), (2, 3, 0), (3, 3, 1)], ids=str)
+def test_multiply_matches_object_products_on_thinned_factors(rnm):
+    # factors with holes, so that one factor holds a cell the other lacks
+    # inside the span both hold, and with coefficients other than the
+    # solver's: 60 seeded products of the degree 0..2 basis elements at
+    # inner window 3, each factor thinned on its own
+    r, n, m = rnm
+    inner = 3
+    W = solver_margin(params_for(r, n, m)) + inner
+    params = params_for(r, n, m, W)
+    elements = [el for p in range(3) for el in solve_component(params, p, "graded", 3, W, inner).basis]
+    rng = random.Random(str(rnm))
+    for _ in range(60):
+        _assert_same_product(params, _thinned(rng.choice(elements), rng), _thinned(rng.choice(elements), rng))
+
+
+def test_multiply_cancels_terms():
+    # (id + e')(id - e') = id - e' o e' = id at degree 0 on r = 1, m = 0:
+    # the two e' terms cancel, and e' o e' has degree 4, so no arrow
+    params = params_for(1, 2, 0, 6)
+    line = [Vertex("X", 0, a, a + 1) for a in range(-6, 6)]
+    e = {v: of_gen(arrow_of_degree(params, v, v, 2)) for v in line}
+    a = CenterElement(0, "graded", {v: plus(identity(v), e[v]) for v in line})
+    b = CenterElement(0, "graded", {v: plus(identity(v), scaled(e[v], -1)) for v in line})
+    got = _assert_same_product(params, a, b)
+    assert dict(got.assignment) == {v: identity(v) for v in line}
 
 
 @pytest.mark.parametrize("rnm", GRID, ids=str)

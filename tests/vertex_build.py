@@ -14,9 +14,9 @@ of the others and which the line build leaves out."""
 from typing import NamedTuple
 
 from gradedcenter.center import InconsistencyError, _class_tag
-from gradedcenter.hom import basis_arrow
 from gradedcenter.model import ModelParams, Vertex, arrow_kind, hom_gaps, least_gap, sigma_shift
 
+from morphisms import basis_name
 from row_pattern import _row_pattern
 
 
@@ -187,7 +187,7 @@ def build_system(omega, W: int, inner: int, p: int, sign: int) -> Built:
     components = []
     for root, mems in members.items():
         named = [
-            (key, s, w, str(basis_arrow(rules, shift_p, Vertex(*key), s)))
+            (key, s, w, basis_name(rules, shift_p, key, s))
             for key, s, w in mems
             if -inner <= key[2] <= inner and -inner <= key[3] <= inner
         ]
@@ -195,7 +195,7 @@ def build_system(omega, W: int, inner: int, p: int, sign: int) -> Built:
             continue
         least = min(key for key, _, _ in mems)
         head = min(
-            (key, str(basis_arrow(rules, shift_p, Vertex(*key), s)))
+            (key, basis_name(rules, shift_p, key, s))
             for key, s, _ in mems
             if key == least
         )
